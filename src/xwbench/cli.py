@@ -5,7 +5,8 @@ run (execute queries and append report rows), oracle (print the brute-force
 reference cube), campaign (run a whole matrix from a JSON file).
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 correctness failure under
---strict.
+--strict.  `run` goes on past a failed query, writes it as an ERR row and
+then exits 2.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _cmd_run(args) -> int:
     dataset = DatasetSpec(id=args.in_dir.rstrip("/").rpartition("/")[2] or args.in_dir,
                           facts=0)
     reports: list[RunReport] = []
-    failed = False
+    failed = errored = False
     for query in queries:
         report = harness.run_cell(dataset, args.in_dir, args.engine, query,
                                   args.matching, repeats=1, warmup=0)
@@ -130,13 +131,17 @@ def _cmd_run(args) -> int:
         report.nonstrict_num = None
         reports.append(report)
         if report.error is not None:
-            raise BenchmarkError(report.error)
+            errored = True
+            print(f"xwbench run: {query.id}: {report.error}", file=sys.stderr)
+            continue
         status = "ok" if report.checks_passed else "CHECKS FAILED"
         failed = failed or not report.checks_passed
         print(f"{query.id}: {report.groups} groups, "
               f"query {report.query_ms:.1f} ms, checks {status}")
     if args.report:
         harness.write_report(args.report, reports, append=True)
+    if errored:
+        return EXIT_DATA
     if args.strict and failed:
         return EXIT_CORRECTNESS
     return EXIT_OK

@@ -30,7 +30,7 @@ from . import engine_pedersen, engine_qbs, xmlio
 from .engine_qbs import OTHER, OTHER_LABEL, label_component
 from .errors import BenchmarkError, DocumentError, OracleScopeError
 from .generator import GeneratorConfig, generate_warehouse
-from .model import HierarchyKind, classify_instance
+from .model import HierarchyKind, classify_instance, default_model
 from .workload import (
     ENGINE_PEDERSEN,
     ENGINE_QBS,
@@ -38,8 +38,10 @@ from .workload import (
     Query,
     ResultCube,
     get_query,
+    grouped_instance,
     run_query,
     standard_workload,
+    validate_query,
 )
 
 ENGINE_NAIVE = "naive"
@@ -54,6 +56,9 @@ REPORT_COLUMNS = [
 ]
 
 ORACLE_FACT_LIMIT = 10_000
+
+# The six-document layout every generated dataset has.
+DATASET_FILES = xmlio.layout_files(default_model())
 
 
 def normalize_cube(cube: Any) -> dict:
@@ -81,12 +86,18 @@ class CorrectnessReport:
 
 
 def check_correctness(cube: Any, in_dir: str, query: Query,
-                      engine: str = ENGINE_QBS) -> CorrectnessReport:
+                      engine: str = ENGINE_QBS,
+                      indexes: xmlio.Indexes | None = None,
+                      ) -> CorrectnessReport:
     """Evaluate the qualitative metric against an independent recount pass.
 
-    The recount re-streams the warehouse, re-resolves every fact's group and
-    rebuilds per-group count/sum/min/max, then checks the cube against them.
-    Failures are report content, not exceptions.
+    The recount re-streams the facts document, re-resolves every fact's
+    group and rebuilds per-group count/sum/min/max in plain lists, then
+    checks the cube against them; it shares no state with ResultCube,
+    matching or aggregation.  Only the grouped dimensions' indexes may be
+    shared with the query that built the cube (`indexes`, as run_cell does);
+    without them the check loads its own.  Failures are report content, not
+    exceptions; a dangling reference raises ReferentialError.
     """
     norm = normalize_cube(cube)
     notes: list[str] = []
@@ -94,7 +105,8 @@ def check_correctness(cube: Any, in_dir: str, query: Query,
     resolve = (engine_pedersen.resolve_component_pretransformed
                if engine == ENGINE_PEDERSEN else engine_qbs.resolve_component)
     model = xmlio.read_metadata(in_dir)
-    indexes = xmlio.load_dimensions(in_dir, model)
+    if indexes is None:
+        indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
     plan = [(dim_id, level, model.dimension(dim_id), indexes[dim_id])
             for dim_id, level in query.grouping]
 
@@ -110,7 +122,7 @@ def check_correctness(cube: Any, in_dir: str, query: Query,
         values = [fn(fact) for fn in extract]
         for i, v in enumerate(values):
             grand[i] += v
-        key = tuple(resolve(index[fact.dim_refs[dim_id]], level, schema)
+        key = tuple(resolve(grouped_instance(index, fact, dim_id), level, schema)
                     for dim_id, level, schema, index in plan)
         slot = recount.get(key)
         if slot is None:
@@ -331,16 +343,20 @@ def qbs_view_of_pedersen(cube: Any) -> dict:
 # --- negative control ----------------------------------------------------
 
 
-def double_counting_cube(in_dir: str, query: Query) -> ResultCube:
+def double_counting_cube(in_dir: str, query: Query,
+                         indexes: xmlio.Indexes | None = None,
+                         ) -> ResultCube:
     """Deliberately broken engine: every non-strict row aggregates separately.
 
     Each fact contributes once per combination of its instances' row-level
     values instead of once per fused group, re-creating the double counting
     the summarizability engines exist to prevent.  Negative control for the
-    correctness checker; never a benchmark subject.
+    correctness checker; never a benchmark subject.  `indexes` as for
+    run_query.
     """
     model = xmlio.read_metadata(in_dir)
-    indexes = xmlio.load_dimensions(in_dir, model)
+    if indexes is None:
+        indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
     getter = {"f_quantity": lambda f: f.f_quantity,
               "f_totalamount": lambda f: f.f_totalamount}
     extract = [getter[m] for m in query.measures]
@@ -350,7 +366,7 @@ def double_counting_cube(in_dir: str, query: Query) -> ResultCube:
         cube.observe_fact(values)
         alternatives = []
         for dim_id, level in query.grouping:
-            inst = indexes[dim_id][fact.dim_refs[dim_id]]
+            inst = grouped_instance(indexes[dim_id], fact, dim_id)
             if level is None:
                 alternatives.append([inst.instance_id])
             else:
@@ -439,9 +455,7 @@ def standard_matrix(facts: int = 1000, seed: int = 42,
 def ensure_dataset(spec: DatasetSpec, data_root: str) -> str:
     """Generate the dataset unless its six-document layout already exists."""
     out_dir = os.path.join(data_root, spec.id)
-    probe = [xmlio.METADATA_FILE, "f_sale.xml", "d_part.xml", "d_customer.xml",
-             "d_supplier.xml", "d_date.xml"]
-    if not all(os.path.exists(os.path.join(out_dir, name)) for name in probe):
+    if not all(os.path.exists(os.path.join(out_dir, name)) for name in DATASET_FILES):
         generate_warehouse(spec.config(out_dir))
     return out_dir
 
@@ -516,7 +530,11 @@ class RunReport:
 def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
              matching: str, repeats: int = 3, warmup: int = 1,
              overhead_ms: float = 0.0) -> RunReport:
-    """One campaign cell: warm-up run discarded, median-of-`repeats` timing."""
+    """One campaign cell: warm-up run discarded, median-of-`repeats` timing.
+
+    The grouped dimensions are loaded once, timed as `load_ms`, and shared by
+    every run of the query and by the correctness check.
+    """
     report = RunReport(
         dataset=spec.id, regime=spec.regime, facts=spec.facts,
         incomplete_pct=spec.incomplete, nonstrict_pct=spec.nonstrict,
@@ -524,27 +542,33 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
         query=query.id, overhead_ms=overhead_ms if engine == ENGINE_PEDERSEN else 0.0,
     )
     try:
+        model = xmlio.read_metadata(run_dir)
+        validate_query(query, model)
+        start = time.perf_counter()
+        indexes = xmlio.load_dimensions(run_dir, model, query.grouped_dimensions)
+        report.load_ms = (time.perf_counter() - start) * 1000.0
         if engine == ENGINE_NAIVE:
             start = time.perf_counter()
-            cube = double_counting_cube(run_dir, query)
+            cube = double_counting_cube(run_dir, query, indexes)
             report.query_ms = (time.perf_counter() - start) * 1000.0
-            checks = check_correctness(cube, run_dir, query, engine=ENGINE_QBS)
+            checks = check_correctness(cube, run_dir, query, engine=ENGINE_QBS,
+                                       indexes=indexes)
         else:
             timings = []
             cube = None
             for i in range(warmup + repeats):
-                cube, timing = run_query(query, run_dir, engine=engine,
-                                         matching=matching, instrument=True)
+                cube, timing = run_query(query, run_dir, engine=engine, matching=matching,
+                                         instrument=True, indexes=indexes)
                 if i >= warmup:
                     timings.append(timing)
             timing = sorted(timings, key=lambda t: t.query_ms)[len(timings) // 2]
-            report.load_ms = timing.load_ms
             report.query_ms = timing.query_ms
             report.read_ms = timing.read_ms
             report.resolve_ms = timing.resolve_ms
             report.match_ms = timing.match_ms
             report.agg_ms = timing.agg_ms
-            checks = check_correctness(cube, run_dir, query, engine=engine)
+            checks = check_correctness(cube, run_dir, query, engine=engine,
+                                       indexes=indexes)
         report.groups = len(normalize_cube(cube)["entries"])
         report.chk_dup = checks.dup_ok
         report.chk_grand = checks.grand_ok
@@ -568,8 +592,9 @@ def write_report(path: str, reports: Sequence[RunReport], append: bool = False) 
 
 DATASET_COLUMNS = [
     "dataset", "regime", "facts", "incomplete_pct", "nonstrict_pct", "nonstrict_num",
-    "seed", "dw_model_bytes", "f_sale_bytes", "d_part_bytes", "d_customer_bytes",
-    "d_supplier_bytes", "d_date_bytes", "total_bytes",
+    "seed",
+    *(f"{os.path.splitext(name)[0].replace('-', '_')}_bytes" for name in DATASET_FILES),
+    "total_bytes",
 ]
 
 
@@ -583,9 +608,7 @@ def write_dataset_sizes(path: str, specs: Sequence[DatasetSpec],
             writer.writerow([
                 spec.id, spec.regime, spec.facts, spec.incomplete, spec.nonstrict,
                 spec.nonstrict_number, spec.seed,
-                sizes["dw-model.xml"], sizes["f_sale.xml"], sizes["d_part.xml"],
-                sizes["d_customer.xml"], sizes["d_supplier.xml"], sizes["d_date.xml"],
-                sum(sizes.values()),
+                *(sizes[name] for name in DATASET_FILES), sum(sizes.values()),
             ])
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from . import engine_pedersen, engine_qbs, xmlio
 from .errors import ConfigurationError, QueryError, ReferentialError
-from .model import DwModel, F_QUANTITY, F_TOTALAMOUNT
+from .model import DimensionInstance, DwModel, F_QUANTITY, F_TOTALAMOUNT, FactRecord
 
 AGGREGATES = ("SUM", "MIN", "MAX", "AVG")
 
@@ -43,6 +43,10 @@ class Query:
     aggregate: str
     measures: tuple[str, ...]
     grouping: tuple[tuple[str, str | None], ...]
+
+    @property
+    def grouped_dimensions(self) -> frozenset[str]:
+        return frozenset(dim_id for dim_id, _ in self.grouping)
 
 
 def validate_query(query: Query, model: DwModel) -> None:
@@ -317,14 +321,28 @@ def _values_getter(measures: tuple[str, ...]):
     raise QueryError(f"unknown measures {measures!r}")
 
 
+def grouped_instance(index: dict[str, DimensionInstance], fact: FactRecord,
+                     dim_id: str) -> DimensionInstance:
+    """The instance `fact` references in a grouped dimension's index."""
+    ref = fact.dim_refs[dim_id]
+    inst = index.get(ref)
+    if inst is None:
+        raise ReferentialError(f"fact {fact.fact_id!r} references missing instance {ref!r}")
+    return inst
+
+
 def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
               matching: str = MATCH_HASH, instrument: bool = False,
+              indexes: xmlio.Indexes | None = None,
               ) -> tuple[ResultCube, QueryTiming]:
-    """Stream the warehouse once and build the query's result cube.
+    """Stream the facts once and build the query's result cube.
 
     `engine` picks how group membership is resolved: "qbs" resolves complex
     hierarchies on the fly; "pedersen" expects transform_warehouse output and
     reads plain cells.  `matching` picks the group-matching strategy.
+    `indexes` are the grouped dimensions' indexes from an earlier
+    xmlio.load_dimensions; without them the query loads them itself, and
+    only then is `load_ms` non-zero.
     """
     if engine == ENGINE_QBS:
         resolve = engine_qbs.resolve_component
@@ -337,9 +355,11 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     validate_query(query, model)
     values_of = _values_getter(query.measures)
 
-    t0 = time.perf_counter()
-    indexes = xmlio.load_dimensions(in_dir, model)
-    load_ms = (time.perf_counter() - t0) * 1000.0
+    load_ms = 0.0
+    if indexes is None:
+        t0 = time.perf_counter()
+        indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
+        load_ms = (time.perf_counter() - t0) * 1000.0
 
     plan = [(dim_id, level, model.dimension(dim_id), indexes[dim_id])
             for dim_id, level in query.grouping]
@@ -349,14 +369,8 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     if not instrument:
         t0 = time.perf_counter()
         for fact in facts:
-            components = []
-            for dim_id, level, schema, index in plan:
-                ref = fact.dim_refs[dim_id]
-                inst = index.get(ref)
-                if inst is None:
-                    raise ReferentialError(
-                        f"fact {fact.fact_id!r} references missing instance {ref!r}")
-                components.append(resolve(inst, level, schema))
+            components = [resolve(grouped_instance(index, fact, dim_id), level, schema)
+                          for dim_id, level, schema, index in plan]
             values = values_of(fact)
             cube.observe_fact(values)
             cube.contribute(tuple(components), values)
@@ -374,15 +388,8 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
         read_s += t1 - t0
         if fact is None:
             break
-        components = []
-        for dim_id, level, schema, index in plan:
-            ref = fact.dim_refs[dim_id]
-            inst = index.get(ref)
-            if inst is None:
-                raise ReferentialError(
-                    f"fact {fact.fact_id!r} references missing instance {ref!r}")
-            components.append(resolve(inst, level, schema))
-        key = tuple(components)
+        key = tuple(resolve(grouped_instance(index, fact, dim_id), level, schema)
+                    for dim_id, level, schema, index in plan)
         t2 = pc()
         resolve_s += t2 - t1
         entry = cube.entry_for(key)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import xml.etree.ElementTree as ET
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import DocumentError, ReferentialError
 from .model import (
@@ -28,6 +28,9 @@ from .model import (
 )
 
 METADATA_FILE = "dw-model.xml"
+
+# Dimension id -> instance id -> instance: the query-time join.
+Indexes = dict[str, dict[str, DimensionInstance]]
 XML_DECL = "<?xml version='1.0' encoding='UTF-8'?>\n"
 
 _ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "'": "&apos;"}
@@ -166,6 +169,8 @@ def read_metadata(in_dir: str) -> DwModel:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:
         raise DocumentError(f"{path}: not well-formed at line {exc.position[0]}: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise DocumentError(f"{path}: missing document") from exc
     if root.tag != "dw-model":
         raise DocumentError(f"{path}: unexpected root element {root.tag!r}")
     fact = root.find("fact")
@@ -301,11 +306,13 @@ def iter_facts(in_dir: str, model: DwModel) -> Iterator[FactRecord]:
                 root.clear()
 
 
-def load_dimensions(in_dir: str, model: DwModel) -> dict[str, dict[str, DimensionInstance]]:
-    """Materialize the per-dimension id -> instance indexes (the query-time join)."""
+def load_dimensions(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> Indexes:
+    """Materialize the indexes of the dimensions named in `dim_ids`; no
+    other dimension document is read."""
     return {
         schema.id: {inst.instance_id: inst for inst in iter_instances(in_dir, schema)}
         for schema in model.dimensions
+        if schema.id in dim_ids
     }
 
 

@@ -96,6 +96,18 @@ class TestTransformAndRun:
                        "--query", "X9") == 0
         assert "X9" in capsys.readouterr().out
 
+    def test_failed_query_keeps_every_row(self, cli_dataset, tmp_path, capsys):
+        wl = tmp_path / "mixed.workload"
+        wl.write_text("X1 SUM f_quantity date.week\nX2 SUM f_quantity date.year\n")
+        report = str(tmp_path / "report.csv")
+        assert run_cli("run", "--in", cli_dataset, "--workload", str(wl),
+                       "--report", report) == 2
+        rows = list(csv.DictReader(open(report)))
+        assert [row["query"] for row in rows] == ["X1", "X2"]
+        assert rows[0]["chk_grand"] == "ERR"
+        assert rows[1]["chk_grand"] == "1"
+        assert "X1" in capsys.readouterr().err
+
     def test_unknown_query_is_data_error(self, cli_dataset):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q99") == 2
 

@@ -2,14 +2,19 @@
 
 import copy
 import csv
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
 from conftest import single_sale_warehouse
+from xwbench import xmlio
 from xwbench.engine_qbs import OTHER
-from xwbench.errors import OracleScopeError
+from xwbench.errors import OracleScopeError, ReferentialError
+from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import (
+    DatasetSpec,
     check_correctness,
     cubes_match,
     double_counting_cube,
@@ -22,7 +27,7 @@ from xwbench.harness import (
     write_report,
     REPORT_COLUMNS,
 )
-from xwbench.workload import get_query, run_query, standard_workload
+from xwbench.workload import ResultCube, get_query, run_query, standard_workload
 from xwbench.xmlio import write_warehouse
 
 
@@ -224,6 +229,93 @@ class TestReports:
                                      ("complex50-1000", "complex")):
             _, out_dir = grid_1k[dataset_id]
             assert infer_regime(out_dir) == expected
+
+
+@pytest.fixture()
+def parse_counts(monkeypatch):
+    """Counts xmlio.iter_instances calls per dimension while the test runs."""
+    parses = Counter()
+    real = xmlio.iter_instances
+
+    def counting(in_dir, schema):
+        parses[schema.id] += 1
+        return real(in_dir, schema)
+
+    monkeypatch.setattr(xmlio, "iter_instances", counting)
+    return parses
+
+
+class TestCellLoading:
+    def test_cell_parses_each_grouped_dimension_once(self, complex_300, parse_counts):
+        spec, out_dir, _ = complex_300
+        report = run_cell(spec, out_dir, "qbs", get_query("D2"), "hash",
+                          repeats=3, warmup=1)
+        assert report.error is None and report.checks_passed
+        assert report.load_ms > 0
+        assert parse_counts == {"part": 1, "date": 1}
+
+    def test_naive_cell_parses_only_its_grouped_dimension(self, complex_300, parse_counts):
+        spec, out_dir, _ = complex_300
+        report = run_cell(spec, out_dir, "naive", get_query("D1"), "hash",
+                          repeats=3, warmup=1)
+        assert report.error is None
+        assert parse_counts == {"date": 1}
+
+    def test_standalone_query_loads_its_grouped_dimensions(self, complex_300,
+                                                           parse_counts):
+        _, out_dir, _ = complex_300
+        query = get_query("D3")
+        cube, timing = run_query(query, out_dir)
+        assert parse_counts == {"part": 1, "customer": 1, "date": 1}
+        assert timing.load_ms > 0
+        assert check_correctness(cube, out_dir, query).passed
+        assert parse_counts == {"part": 2, "customer": 2, "date": 2}
+
+    def test_shared_indexes_are_not_reloaded(self, complex_300, parse_counts):
+        _, out_dir, _ = complex_300
+        query = get_query("D1")
+        indexes = xmlio.load_dimensions(out_dir, xmlio.read_metadata(out_dir),
+                                        query.grouped_dimensions)
+        assert set(indexes) == {"date"}
+        cube, timing = run_query(query, out_dir, indexes=indexes)
+        assert timing.load_ms == 0.0
+        assert check_correctness(cube, out_dir, query, indexes=indexes).passed
+        naive = double_counting_cube(out_dir, query, indexes)
+        assert cubes_match(cube, naive)[0]
+        assert parse_counts == {"date": 1}
+
+
+class TestCellFailures:
+    @pytest.fixture()
+    def dangling_dir(self, tmp_path):
+        """50 facts, the last one referencing a date instance that does not exist."""
+        warehouse = generate_warehouse(GeneratorConfig(50, seed=3))
+        last = warehouse.facts[-1]
+        warehouse.facts[-1] = dataclasses.replace(
+            last, dim_refs={**last.dim_refs, "date": "date#99999"})
+        out = str(tmp_path / "dangling")
+        write_warehouse(warehouse, out)
+        return out
+
+    def test_naive_cell_records_a_dangling_reference(self, dangling_dir):
+        spec = DatasetSpec("dangling", 50)
+        report = run_cell(spec, dangling_dir, "naive", get_query("D1"), "hash",
+                          repeats=1, warmup=0)
+        assert report.error is not None and "date#99999" in report.error
+        assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
+
+    def test_dangling_reference_is_referential_error(self, dangling_dir):
+        query = get_query("D1")
+        with pytest.raises(ReferentialError):
+            double_counting_cube(dangling_dir, query)
+        with pytest.raises(ReferentialError):
+            check_correctness(ResultCube(query), dangling_dir, query)
+
+    def test_missing_warehouse_directory_is_recorded(self, tmp_path):
+        spec = DatasetSpec("absent", 10)
+        report = run_cell(spec, str(tmp_path / "nope"), "qbs", get_query("D1"), "hash",
+                          repeats=1, warmup=0)
+        assert report.error is not None and "missing document" in report.error
 
 
 class TestCampaign:

@@ -53,6 +53,10 @@ class TestMetadata:
         with pytest.raises(DocumentError, match="line"):
             read_metadata(str(tmp_path))
 
+    def test_missing_metadata_is_document_error(self, tmp_path):
+        with pytest.raises(DocumentError, match="missing document"):
+            read_metadata(str(tmp_path / "nope"))
+
 
 class TestFactsDocument:
     def test_reference_sale_content(self, reference_dir):
