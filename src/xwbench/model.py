@@ -204,16 +204,6 @@ def default_model() -> DwModel:
     return DwModel("sale", "f_sale.xml", dimensions, (F_QUANTITY, F_TOTALAMOUNT))
 
 
-# Non-strict eligibility is intrinsic to the sales model (a property of what
-# the dimensions mean), so metadata read back from disk is annotated from here.
-ELIGIBILITY = {
-    "part": (True, ("type3", "type2", "type1")),
-    "customer": (False, ("nation",)),
-    "supplier": (True, ("nation",)),
-    "date": (False, ()),
-}
-
-
 def classify_instance(inst: DimensionInstance, schema: DimensionSchema) -> HierarchyKind:
     """Assign the instance exactly one of the four hierarchy kinds.
 

@@ -5,9 +5,12 @@ one document per dimension (d_part.xml, d_customer.xml, d_supplier.xml,
 d_date.xml).  The element grammar is documented in docs/document-grammar.md.
 Writers emit a fixed byte form (two-space indent, single-quoted attributes,
 fixed attribute order) so equal inputs give byte-identical documents.
-Readers stream with xml.etree.iterparse and never materialize a whole
-document tree; instance ids are dense per dimension (part#1..part#N), which
-lets the fact/instance join be checked in constant memory.
+Readers feed each document in fixed 64 KiB chunks to an xml.etree XMLParser
+whose target validates every element as it starts and builds the output
+records directly: no Element tree and no event objects are made, so parsing
+leaves little for the cyclic GC to track, and no whole document is ever held.
+Instance ids are dense per dimension (part#1..part#N), which lets the
+fact/instance join be checked in constant memory.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import DocumentError, ReferentialError
 from .model import (
-    ELIGIBILITY,
     DimensionInstance,
     DimensionSchema,
     DwModel,
     FactRecord,
     LevelRow,
     Warehouse,
+    default_model,
 )
 
 METADATA_FILE = "dw-model.xml"
@@ -171,23 +174,28 @@ def read_metadata(in_dir: str) -> DwModel:
         raise DocumentError(f"{path}: not well-formed at line {exc.position[0]}: {exc}") from exc
     except FileNotFoundError as exc:
         raise DocumentError(f"{path}: missing document") from exc
+    except OSError as exc:
+        raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
     if root.tag != "dw-model":
         raise DocumentError(f"{path}: unexpected root element {root.tag!r}")
     fact = root.find("fact")
     if fact is None:
         raise DocumentError(f"{path}: missing fact element")
+    # Non-strict eligibility is intrinsic to the sales model (a property of
+    # what the dimensions mean), so it is taken from the model, not the file.
+    known = {schema.id: schema for schema in default_model().dimensions}
     dimensions = []
     measures = []
     for child in fact:
         if child.tag == "dimension":
             dim_id = child.get("idref", "")
-            eligible, eligible_levels = ELIGIBILITY.get(dim_id, (False, ()))
+            ref = known.get(dim_id)
             dimensions.append(DimensionSchema(
                 id=dim_id,
                 path=child.get("path", ""),
                 levels=_chain_levels(child, path),
-                nonstrict_eligible=eligible,
-                nonstrict_eligible_levels=eligible_levels,
+                nonstrict_eligible=ref.nonstrict_eligible if ref else False,
+                nonstrict_eligible_levels=ref.nonstrict_eligible_levels if ref else (),
             ))
         elif child.tag == "measure":
             measures.append(child.get("id", ""))
@@ -197,113 +205,167 @@ def read_metadata(in_dir: str) -> DwModel:
                    tuple(dimensions), tuple(measures))
 
 
-def _iterparse(path: str):
+# Bytes handed to the parser per feed: large enough that the per-feed Python
+# work (one read, one feed, one hand-over of finished records) vanishes
+# against parsing, small enough that the buffer and the records finished
+# within one chunk stay a few hundred KiB whatever the document's size.
+_CHUNK_BYTES = 64 * 1024
+
+
+def _stream(path: str, target) -> Iterator:
+    """Feed the document at `path` to an XMLParser driving `target` and yield
+    the records the target finishes (`target.records`), chunk by chunk."""
+    parser = ET.XMLParser(target=target)
+    records = target.records
     try:
-        yield from ET.iterparse(path, events=("start", "end"))
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_CHUNK_BYTES):
+                parser.feed(chunk)
+                if records:
+                    yield from records
+                    records.clear()
+        parser.close()
+        yield from records
     except ET.ParseError as exc:
         raise DocumentError(f"{path}: not well-formed at line {exc.position[0]}: {exc}") from exc
     except FileNotFoundError as exc:
         raise DocumentError(f"{path}: missing document") from exc
+    except OSError as exc:
+        raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
+class _DimensionTarget:
+    """Parser target for one dimension document: checks every element name as
+    it starts and finishes one DimensionInstance per closed instance."""
+
+    def __init__(self, path: str, schema: DimensionSchema):
+        self.path = path
+        self.dim_id = schema.id
+        self.declared = frozenset(schema.levels)
+        self.records: list[DimensionInstance] = []
+        self.depth = 0
+        self.ordinal = 0
+        self.inst_id: str | None = None
+        self.rows: list[LevelRow] = []
+        self.cells: dict[str, str] = {}
+        # Text arrives in pieces (expat splits it at entity references and
+        # chunk edges); a cell's value is the join of the pieces since its start.
+        self.text: list[str] = []
+        self.data = self.text.append
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        depth = self.depth
+        self.depth = depth + 1
+        if depth == 3 and tag in self.declared:
+            self.text.clear()
+        elif depth == 2 and tag == "row":
+            self.cells = {}
+        elif depth == 1 and tag == "instance":
+            self.inst_id = attrib.get("id")
+            self.rows = []
+        elif depth == 0 and tag == "dimension":
+            if attrib.get("id") != self.dim_id:
+                raise DocumentError(f"{self.path}: dimension id {attrib.get('id')!r} "
+                                    f"does not match {self.dim_id!r}")
+        else:
+            raise DocumentError(f"{self.path}: unknown element {tag!r}")
+
+    def end(self, tag: str) -> None:
+        self.depth = depth = self.depth - 1
+        if depth == 3:
+            self.cells[tag] = "".join(self.text)
+        elif depth == 2:
+            self.rows.append(LevelRow(self.cells))
+        elif depth == 1:
+            self.ordinal += 1
+            expected = f"{self.dim_id}#{self.ordinal}"
+            if self.inst_id != expected:
+                raise DocumentError(f"{self.path}: instance id {self.inst_id!r} "
+                                    f"out of sequence (expected {expected!r})")
+            if not self.rows:
+                raise DocumentError(f"{self.path}: instance {self.inst_id!r} has no rows")
+            self.records.append(DimensionInstance(self.inst_id, self.dim_id, tuple(self.rows)))
+            self.text.clear()
+
+    def close(self) -> None:
+        pass
+
+
+class _FactsTarget:
+    """Parser target for the facts document: checks every element name as it
+    starts and finishes one FactRecord per closed sale."""
+
+    def __init__(self, path: str, model: DwModel):
+        self.path = path
+        self.dim_ids = frozenset(model.dimension_ids)
+        self.measures = frozenset(model.measures)
+        self.records: list[FactRecord] = []
+        self.depth = 0
+        self.fact_id = ""
+        self.values: dict[str, str] = {}
+        self.refs: dict[str, str] = {}
+        # As in _DimensionTarget: a measure's value is the join of its pieces.
+        self.text: list[str] = []
+        self.data = self.text.append
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        depth = self.depth
+        self.depth = depth + 1
+        if depth == 2:
+            if tag in self.measures:
+                self.text.clear()
+            elif tag == "dimref":
+                self.refs[attrib.get("dim", "")] = attrib.get("idref", "")
+            else:
+                raise DocumentError(f"{self.path}: unknown element {tag!r}")
+        elif depth == 1 and tag == "sale":
+            self.fact_id = attrib.get("id", "")
+            self.values = {}
+            self.refs = {}
+        elif depth != 0 or tag != "sales":
+            raise DocumentError(f"{self.path}: unknown element {tag!r}")
+
+    def end(self, tag: str) -> None:
+        self.depth = depth = self.depth - 1
+        if depth == 2:
+            if tag != "dimref":
+                self.values[tag] = "".join(self.text)
+        elif depth == 1:
+            refs = self.refs
+            if refs.keys() != self.dim_ids:
+                for dim in refs:
+                    if dim not in self.dim_ids:
+                        raise DocumentError(
+                            f"{self.path}: dimref to unknown dimension {dim!r}")
+                raise DocumentError(
+                    f"{self.path}: sale {self.fact_id!r} must reference all dimensions")
+            try:
+                quantity = int(self.values["f_quantity"])
+                amount = float(self.values["f_totalamount"])
+            except (KeyError, ValueError) as exc:
+                raise DocumentError(
+                    f"{self.path}: sale {self.fact_id!r} has bad measures") from exc
+            self.records.append(FactRecord(self.fact_id, quantity, amount, refs))
+            self.text.clear()
+
+    def close(self) -> None:
+        pass
 
 
 def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionInstance]:
     """Stream one dimension document in document order, validating strictly.
 
-    Element names are checked on start events at every depth, so an unknown
-    element anywhere in the document is rejected by name.
+    Element names are checked as each element starts, at every depth, so an
+    unknown element anywhere in the document is rejected by name.
     """
     path = os.path.join(in_dir, schema.path)
-    declared = set(schema.levels)
-    root = None
-    depth = 0
-    ordinal = 0
-    for event, elem in _iterparse(path):
-        if event == "start":
-            if depth == 0:
-                if elem.tag != "dimension":
-                    raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-                if elem.get("id") != schema.id:
-                    raise DocumentError(
-                        f"{path}: dimension id {elem.get('id')!r} does not match {schema.id!r}")
-                root = elem
-            elif depth == 1 and elem.tag != "instance":
-                raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-            elif depth == 2 and elem.tag != "row":
-                raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-            elif depth == 3 and elem.tag not in declared:
-                raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-            elif depth > 3:
-                raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-            depth += 1
-            continue
-        depth -= 1
-        if elem.tag == "instance":
-            ordinal += 1
-            expected = f"{schema.id}#{ordinal}"
-            inst_id = elem.get("id")
-            if inst_id != expected:
-                raise DocumentError(
-                    f"{path}: instance id {inst_id!r} out of sequence (expected {expected!r})")
-            rows = []
-            for row_elem in elem:
-                cells = {cell.tag: cell.text or "" for cell in row_elem}
-                rows.append(LevelRow(cells))
-            if not rows:
-                raise DocumentError(f"{path}: instance {inst_id!r} has no rows")
-            yield DimensionInstance(inst_id, schema.id, tuple(rows))
-            elem.clear()
-            if root is not None:
-                root.clear()
+    return _stream(path, _DimensionTarget(path, schema))
 
 
 def iter_facts(in_dir: str, model: DwModel) -> Iterator[FactRecord]:
     """Stream the facts document in document order, validating strictly."""
     path = os.path.join(in_dir, model.fact_path)
-    dim_ids = set(model.dimension_ids)
-    measures = set(model.measures)
-    allowed_children = measures | {"dimref"}
-    root = None
-    depth = 0
-    for event, elem in _iterparse(path):
-        if event == "start":
-            if depth == 0:
-                if elem.tag != "sales":
-                    raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-                root = elem
-            elif depth == 1 and elem.tag != "sale":
-                raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-            elif depth == 2 and elem.tag not in allowed_children:
-                raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-            elif depth > 2:
-                raise DocumentError(f"{path}: unknown element {elem.tag!r}")
-            depth += 1
-            continue
-        depth -= 1
-        if elem.tag == "sale":
-            fact_id = elem.get("id", "")
-            values: dict[str, str] = {}
-            refs: dict[str, str] = {}
-            for child in elem:
-                if child.tag in measures:
-                    values[child.tag] = child.text or ""
-                elif child.tag == "dimref":
-                    dim = child.get("dim", "")
-                    if dim not in dim_ids:
-                        raise DocumentError(f"{path}: dimref to unknown dimension {dim!r}")
-                    refs[dim] = child.get("idref", "")
-                else:
-                    raise DocumentError(f"{path}: unknown element {child.tag!r}")
-            if set(refs) != dim_ids:
-                raise DocumentError(f"{path}: sale {fact_id!r} must reference all dimensions")
-            try:
-                quantity = int(values["f_quantity"])
-                amount = float(values["f_totalamount"])
-            except (KeyError, ValueError) as exc:
-                raise DocumentError(f"{path}: sale {fact_id!r} has bad measures") from exc
-            yield FactRecord(fact_id, quantity, amount, refs)
-            elem.clear()
-            if root is not None:
-                root.clear()
+    return _stream(path, _FactsTarget(path, model))
 
 
 def load_dimensions(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> Indexes:

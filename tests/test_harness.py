@@ -4,6 +4,7 @@ import copy
 import csv
 import dataclasses
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -316,6 +317,15 @@ class TestCellFailures:
         report = run_cell(spec, str(tmp_path / "nope"), "qbs", get_query("D1"), "hash",
                           repeats=1, warmup=0)
         assert report.error is not None and "missing document" in report.error
+
+    def test_unreadable_document_is_recorded(self, reference_dir):
+        date_path = os.path.join(reference_dir, "d_date.xml")
+        os.remove(date_path)
+        os.mkdir(date_path)
+        report = run_cell(DatasetSpec("unreadable", 1), reference_dir, "qbs",
+                          get_query("D1"), "hash", repeats=1, warmup=0)
+        assert report.error == f"{date_path}: cannot read: Is a directory"
+        assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
 
 
 class TestCampaign:

@@ -1,16 +1,26 @@
 """Document layout: byte form, round trips, streaming, strict validation."""
 
+import dataclasses
+import gc
 import os
+import pathlib
+import re
+import sys
+import warnings
 
 import pytest
 
 from conftest import make_instance
+from xwbench import xmlio
 from xwbench.errors import DocumentError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
-from xwbench.model import Warehouse, default_model
+from xwbench.harness import _dom_rows
+from xwbench.model import LevelRow, Warehouse, default_model
 from xwbench.xmlio import (
     document_sizes,
     format_amount,
+    iter_facts,
+    iter_instances,
     layout_files,
     read_metadata,
     read_warehouse,
@@ -57,6 +67,11 @@ class TestMetadata:
         with pytest.raises(DocumentError, match="missing document"):
             read_metadata(str(tmp_path / "nope"))
 
+    def test_unreadable_metadata_is_document_error(self, tmp_path):
+        (tmp_path / "dw-model.xml").mkdir()
+        with pytest.raises(DocumentError, match="dw-model.xml: cannot read: Is a directory"):
+            read_metadata(str(tmp_path))
+
 
 class TestFactsDocument:
     def test_reference_sale_content(self, reference_dir):
@@ -94,9 +109,33 @@ class TestRoundTrip:
         inst = make_instance("part", [{"type3": "A&B<C>'D", "type2": "OK"}])
         write_metadata(model, str(tmp_path))
         write_dimension(schema, [inst], str(tmp_path))
-        from xwbench.xmlio import iter_instances
 
         assert list(iter_instances(str(tmp_path), schema)) == [inst]
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 97])
+    def test_documents_spanning_many_chunks(self, tmp_path, monkeypatch, chunk_bytes):
+        """Cell text split across feed boundaries and entity references is
+        reassembled; 97-byte chunks split nearly every escaped value."""
+        if chunk_bytes is not None:
+            monkeypatch.setattr(xmlio, "_CHUNK_BYTES", chunk_bytes)
+        warehouse = generate_warehouse(GeneratorConfig(
+            2000, incomplete_percentage=50, nonstrict_percentage=50,
+            nonstrict_number=4, seed=11))
+        parts = warehouse.instances["part"]
+        for i in range(0, len(parts), 7):
+            rows = parts[i].rows
+            parts[i] = dataclasses.replace(parts[i], rows=(
+                LevelRow({**rows[0].cells, "type3": "A&B<C>'D"}),) + rows[1:])
+        out = str(tmp_path / "w")
+        write_warehouse(warehouse, out)
+        for name in ("d_part.xml", "f_sale.xml"):
+            assert os.path.getsize(os.path.join(out, name)) > 3 * 64 * 1024
+        assert "A&amp;B&lt;C&gt;&apos;D" in pathlib.Path(out, "d_part.xml").read_text()
+        for schema in warehouse.model.dimensions:
+            streamed = [[dict(row.cells) for row in inst.rows]
+                        for inst in iter_instances(out, schema)]
+            assert streamed == _dom_rows(os.path.join(out, schema.path), schema.id)
+        assert read_warehouse(out) == warehouse
 
 
 class TestStreaming:
@@ -137,6 +176,48 @@ class TestStreaming:
         open(path, "w").write(text)
         with pytest.raises(DocumentError, match="part#7"):
             stream_warehouse(reference_dir, Recorder())
+
+    @pytest.mark.parametrize("document, old, new, message", [
+        ("d_part.xml", "<dimension id='part'>", "<dimension id='parts'>",
+         "dimension id 'parts' does not match 'part'"),
+        ("d_supplier.xml", "dimension", "dim", "unknown element 'dim'"),
+        ("d_customer.xml", "<nation>UNITED STATES</nation>",
+         "<nation>UNITED<b/>STATES</nation>", "unknown element 'b'"),
+        ("d_date.xml", re.compile(r"<row>.*</row>", re.S), "",
+         "instance 'date#1' has no rows"),
+        ("f_sale.xml", "dim='supplier'", "dim='shop'",
+         "dimref to unknown dimension 'shop'"),
+        ("f_sale.xml", "<dimref dim='date' idref='date#1'/>", "",
+         "sale 'sale#1' must reference all dimensions"),
+        ("f_sale.xml", "<f_quantity>100</f_quantity>", "<f_quantity>many</f_quantity>",
+         "sale 'sale#1' has bad measures"),
+        ("f_sale.xml", "<f_totalamount>2800.00</f_totalamount>", "",
+         "sale 'sale#1' has bad measures"),
+        ("f_sale.xml", "<f_quantity>100</f_quantity>",
+         "<f_quantity><n>100</n></f_quantity>", "unknown element 'n'"),
+    ])
+    def test_invalid_document_is_rejected_by_message(self, reference_dir, document,
+                                                     old, new, message):
+        path = pathlib.Path(reference_dir, document)
+        text = path.read_text()
+        edited = old.sub(new, text) if isinstance(old, re.Pattern) else text.replace(old, new)
+        assert edited != text
+        path.write_text(edited)
+        with pytest.raises(DocumentError, match=re.escape(f"{document}: {message}")):
+            stream_warehouse(reference_dir, Recorder())
+
+    def test_closing_a_reader_early_closes_its_document(self, reference_dir, model,
+                                                        monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for reader in (iter_instances(reference_dir, model.dimension("part")),
+                           iter_facts(reference_dir, model)):
+                next(reader)
+                reader.close()
+            gc.collect()
+        assert unraisable == []
 
 
 class TestSizes:
