@@ -41,7 +41,7 @@ def make_covering(inst: DimensionInstance, schema: DimensionSchema) -> Dimension
         LevelRow({level: row.cells.get(level, PLACEHOLDER) for level in schema.levels})
         for row in inst.rows
     )
-    return replace(inst, rows=rows)
+    return DimensionInstance(inst.instance_id, inst.dimension_id, rows)
 
 
 def make_strict(inst: DimensionInstance, schema: DimensionSchema) -> DimensionInstance:
@@ -63,7 +63,7 @@ def make_strict(inst: DimensionInstance, schema: DimensionSchema) -> DimensionIn
         cells[level] = value
         if len(distinct) > 1:
             cells[level + FUSED_SUFFIX] = value
-    return replace(inst, rows=(LevelRow(cells),))
+    return DimensionInstance(inst.instance_id, inst.dimension_id, (LevelRow(cells),))
 
 
 def fused_levels_of(inst: DimensionInstance, schema: DimensionSchema) -> set[str]:
@@ -128,7 +128,8 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
                 cells = dict(inst.rows[0].cells)
                 for level in dim_fused:
                     cells.setdefault(level + FUSED_SUFFIX, cells[level])
-                filled.append(replace(inst, rows=(LevelRow(cells),)))
+                filled.append(DimensionInstance(inst.instance_id, inst.dimension_id,
+                                                (LevelRow(cells),)))
             out_instances = filled
             fused_by_dim[schema.id] = tuple(
                 lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))

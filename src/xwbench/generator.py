@@ -138,7 +138,8 @@ def gen_incomplete(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstanc
                 if rng.flip():
                     del row[level]
                     removed = True
-    return replace(inst, rows=tuple(LevelRow(row) for row in rows))
+    return DimensionInstance(inst.instance_id, inst.dimension_id,
+                             tuple(LevelRow(row) for row in rows))
 
 
 def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: DimensionSchema,
@@ -154,7 +155,7 @@ def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: Dimens
         raise EligibilityError(
             f"dimension {schema.id!r} cannot be non-strict")
     rows = tuple(LevelRow(_draw_row(schema.id, rng, pools)) for _ in range(nonstrict_number))
-    return replace(inst, rows=rows)
+    return DimensionInstance(inst.instance_id, inst.dimension_id, rows)
 
 
 def gen_complex(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstance:
@@ -174,10 +175,10 @@ def gen_complex(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstance:
     while not selected:
         for i in candidates:
             if rng.flip():
-                one_row = replace(inst, rows=(rows[i],))
+                one_row = DimensionInstance(inst.instance_id, inst.dimension_id, (rows[i],))
                 rows[i] = gen_incomplete(one_row, rng).rows[0]
                 selected = True
-    return replace(inst, rows=tuple(rows))
+    return DimensionInstance(inst.instance_id, inst.dimension_id, tuple(rows))
 
 
 def generate_warehouse(cfg: GeneratorConfig, model: DwModel | None = None,

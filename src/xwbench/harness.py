@@ -569,7 +569,7 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
             report.agg_ms = timing.agg_ms
             checks = check_correctness(cube, run_dir, query, engine=engine,
                                        indexes=indexes)
-        report.groups = len(normalize_cube(cube)["entries"])
+        report.groups = len(cube.entries)
         report.chk_dup = checks.dup_ok
         report.chk_grand = checks.grand_ok
         report.chk_avg = checks.avg_ok

@@ -106,7 +106,13 @@ class DwModel:
         return tuple(s.id for s in self.dimensions)
 
 
-@dataclass(frozen=True)
+# The three per-record types below are built once per parsed, generated or
+# transformed row, instance and fact, so they are slotted, not frozen: a
+# frozen __init__ costs about 420 ns against 140 ns for a slotted one (three
+# fields, CPython 3.11).  Frozen was only shallow anyway (`cells` and
+# `dim_refs` are plain dicts, which also made the records unhashable).  Treat
+# them as immutable: build a new record instead of assigning to a field.
+@dataclass(slots=True)
 class LevelRow:
     """One row of an instance's row array: present level values only.
 
@@ -122,7 +128,7 @@ class LevelRow:
         return self.cells.get(level)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DimensionInstance:
     instance_id: str
     dimension_id: str
@@ -132,7 +138,7 @@ class DimensionInstance:
         return any(len(row.cells) < len(schema.levels) for row in self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FactRecord:
     """A sale: measures plus exactly one instance reference per dimension."""
 

@@ -63,7 +63,8 @@ class TestTransformAndRun:
         report = str(tmp_path / "report.csv")
         assert run_cli("run", "--in", ped, "--engine", "pedersen",
                        "--query", "all", "--report", report) == 0
-        rows = list(csv.DictReader(open(report)))
+        with open(report, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 8
         assert {row["engine"] for row in rows} == {"pedersen"}
         assert all(row["chk_grand"] == "1" for row in rows)
@@ -102,7 +103,8 @@ class TestTransformAndRun:
         report = str(tmp_path / "report.csv")
         assert run_cli("run", "--in", cli_dataset, "--workload", str(wl),
                        "--report", report) == 2
-        rows = list(csv.DictReader(open(report)))
+        with open(report, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [row["query"] for row in rows] == ["X1", "X2"]
         assert rows[0]["chk_grand"] == "ERR"
         assert rows[1]["chk_grand"] == "1"

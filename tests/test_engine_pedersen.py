@@ -1,6 +1,7 @@
 """Static preprocessing: covering, fusing, whole-warehouse transformation."""
 
 import filecmp
+import hashlib
 import os
 
 import pytest
@@ -144,6 +145,41 @@ class TestTransformWarehouse:
         _, src, _ = complex_300
         with pytest.raises(ConfigurationError):
             transform_warehouse(src, src)
+
+
+# sha256 of every document generated for GeneratorConfig(200, 50, 50, 3,
+# seed=7) and of its transform.  The determinism tests compare two runs of
+# the same code; these digests tie generator and transform to fixed bytes.
+GOLDEN_GENERATED = {
+    "dw-model.xml": "32df54b4800643ed8ef4c0f757e701445526bc71901eff2867eef8edd3936cfd",
+    "f_sale.xml": "f9c7d4c60f01180cf0618e33c9c7d96913cb12c10bf5d68d8ed143d46fe0cd81",
+    "d_part.xml": "07f08342fc1342537f3e8254602fb790def847e2857d507d80a9022d659a9ca6",
+    "d_customer.xml": "8b92edb2e886939b5f4525eaa86d131b7b62795f4ac56384a7ea0726173b2750",
+    "d_supplier.xml": "07564540eafb1e0bae5fbbd6aa9f94a225ffc36fbae1ede91eb937966e8fcc73",
+    "d_date.xml": "628c44331a9af777c7b96df289363b88edca573ea3c3b1c0838596e1f2de898e",
+}
+GOLDEN_TRANSFORMED = {
+    "dw-model.xml": "1a1cd4b405ccd6fd53dbde80ee1c530c77bee9be6ad293493b769ce4572b9f6f",
+    "f_sale.xml": "f9c7d4c60f01180cf0618e33c9c7d96913cb12c10bf5d68d8ed143d46fe0cd81",
+    "d_part.xml": "48cfe085c3400c1711ee6242e1d761fd5ff6d78a19aabf875d0a4370d8fce3f3",
+    "d_customer.xml": "909852b03d6388f60f2163bbdcdf3393d5a6a5a9f000f40e31935cd08a44d4af",
+    "d_supplier.xml": "52d5439e81159f52a68883c0795bf7567d05f4c01d94491099adc4eb50590f6a",
+    "d_date.xml": "cf3e5393bbddc38db2db6db7efd1df1b7d429877a45aacf4f7536c2fc25dd0d6",
+}
+
+
+def _digests(directory):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in os.listdir(directory)}
+
+
+def test_generated_and_transformed_documents_match_golden_bytes(tmp_path):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    generate_warehouse(GeneratorConfig(200, 50, 50, 3, seed=7, output_dir=str(gen)))
+    report = transform_warehouse(str(gen), str(out))
+    assert report.instances_fused > 0 and report.instances_covered > 0
+    assert _digests(gen) == GOLDEN_GENERATED
+    assert _digests(out) == GOLDEN_TRANSFORMED
 
 
 class TestPretransformedResolution:

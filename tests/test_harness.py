@@ -20,6 +20,7 @@ from xwbench.harness import (
     cubes_match,
     double_counting_cube,
     infer_regime,
+    normalize_cube,
     oracle_cube,
     qbs_view_of_pedersen,
     run_campaign,
@@ -212,7 +213,8 @@ class TestReports:
                           repeats=1, warmup=0)
         path = tmp_path / "report.csv"
         write_report(str(path), [report])
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == REPORT_COLUMNS
         assert len(rows) == 2
         row = dict(zip(rows[0], rows[1]))
@@ -286,6 +288,43 @@ class TestCellLoading:
         assert parse_counts == {"date": 1}
 
 
+    @pytest.mark.parametrize("engine, matching", [("qbs", "hash"), ("qbs", "scan"),
+                                                  ("naive", "hash")])
+    def test_groups_counts_the_normalized_entries(self, complex_300, engine, matching):
+        spec, out_dir, _ = complex_300
+        query = get_query("D3")
+        report = run_cell(spec, out_dir, engine, query, matching, repeats=1, warmup=0)
+        if engine == "naive":
+            cube = double_counting_cube(out_dir, query)
+        else:
+            cube, _ = run_query(query, out_dir, matching=matching)
+        assert report.error is None
+        assert report.groups > 1
+        assert report.groups == len(normalize_cube(cube)["entries"])
+
+    @pytest.mark.parametrize("engine", ["qbs", "pedersen"])
+    def test_shared_indexes_stay_untouched(self, complex_300, tmp_path, engine):
+        """The records are slotted, not frozen: reading shared indexes must not
+        change them."""
+        from xwbench.engine_pedersen import transform_warehouse
+
+        _, in_dir, _ = complex_300
+        if engine == "pedersen":
+            in_dir = str(tmp_path / "ped")
+            transform_warehouse(complex_300[1], in_dir)
+        model = xmlio.read_metadata(in_dir)
+        indexes = xmlio.load_dimensions(in_dir, model, model.dimension_ids)
+        for query in standard_workload():
+            for matching in ("hash", "scan"):
+                cube, _ = run_query(query, in_dir, engine=engine, matching=matching,
+                                    indexes=indexes)
+            assert check_correctness(cube, in_dir, query, engine=engine,
+                                     indexes=indexes).passed
+            if engine == "qbs":
+                double_counting_cube(in_dir, query, indexes)
+        assert indexes == xmlio.load_dimensions(in_dir, model, model.dimension_ids)
+
+
 class TestCellFailures:
     @pytest.fixture()
     def dangling_dir(self, tmp_path):
@@ -334,7 +373,8 @@ class TestCampaign:
         reports = run_campaign({"datasets": []}, str(path),
                                data_root=str(tmp_path / "data"))
         assert reports == []
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows == [REPORT_COLUMNS]
 
     def test_standard_matrix_mirrors_the_seven_regimes(self):
@@ -370,10 +410,10 @@ class TestCampaign:
                 assert r.overhead_ms == 0.0
 
         sizes_path = tmp_path / "campaign-datasets.csv"
-        first = open(sizes_path).read()
+        first = sizes_path.read_text()
         # rerunning with the same seeds regenerates byte-identical datasets
         run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data2"))
-        assert open(sizes_path).read() == first
+        assert sizes_path.read_text() == first
 
     def test_parallel_mode_produces_the_same_rows(self, tmp_path):
         matrix = {

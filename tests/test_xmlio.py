@@ -75,7 +75,7 @@ class TestMetadata:
 
 class TestFactsDocument:
     def test_reference_sale_content(self, reference_dir):
-        text = open(os.path.join(reference_dir, "f_sale.xml")).read()
+        text = pathlib.Path(reference_dir, "f_sale.xml").read_text()
         assert "<f_quantity>100</f_quantity>" in text
         assert "<f_totalamount>2800.00</f_totalamount>" in text
         for dim in ("part", "customer", "supplier", "date"):
@@ -149,31 +149,27 @@ class TestStreaming:
         assert len({i.instance_id for _, i in recorder.instances}) == 40
 
     def test_unknown_element_is_named(self, reference_dir):
-        path = os.path.join(reference_dir, "d_part.xml")
-        text = open(path).read().replace("<type2>ANODIZED</type2>",
-                                         "<color>RED</color>")
-        open(path, "w").write(text)
+        path = pathlib.Path(reference_dir, "d_part.xml")
+        path.write_text(path.read_text().replace("<type2>ANODIZED</type2>",
+                                                 "<color>RED</color>"))
         with pytest.raises(DocumentError, match="color"):
             stream_warehouse(reference_dir, Recorder())
 
     def test_malformed_document_reports_line(self, reference_dir):
-        path = os.path.join(reference_dir, "f_sale.xml")
-        text = open(path).read().replace("</sales>", "")
-        open(path, "w").write(text)
+        path = pathlib.Path(reference_dir, "f_sale.xml")
+        path.write_text(path.read_text().replace("</sales>", ""))
         with pytest.raises(DocumentError, match="line"):
             stream_warehouse(reference_dir, Recorder())
 
     def test_dangling_dimref_is_referential_error(self, reference_dir):
-        path = os.path.join(reference_dir, "f_sale.xml")
-        text = open(path).read().replace("idref='part#1'", "idref='part#99'")
-        open(path, "w").write(text)
+        path = pathlib.Path(reference_dir, "f_sale.xml")
+        path.write_text(path.read_text().replace("idref='part#1'", "idref='part#99'"))
         with pytest.raises(ReferentialError, match="part#99"):
             stream_warehouse(reference_dir, Recorder())
 
     def test_out_of_sequence_instance_id_rejected(self, reference_dir):
-        path = os.path.join(reference_dir, "d_part.xml")
-        text = open(path).read().replace("id='part#1'", "id='part#7'")
-        open(path, "w").write(text)
+        path = pathlib.Path(reference_dir, "d_part.xml")
+        path.write_text(path.read_text().replace("id='part#1'", "id='part#7'"))
         with pytest.raises(DocumentError, match="part#7"):
             stream_warehouse(reference_dir, Recorder())
 
