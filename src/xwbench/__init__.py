@@ -12,7 +12,7 @@ from .engine_pedersen import (
     make_strict,
     transform_warehouse,
 )
-from .engine_qbs import OTHER, component_label, resolve_component, resolve_group
+from .engine_qbs import OTHER, component_label, resolve_component
 from .errors import (
     BenchmarkError,
     ConfigurationError,
@@ -61,7 +61,6 @@ from .workload import (
     ResultCube,
     aggregate_step,
     load_workload,
-    match_group,
     run_query,
     standard_workload,
 )
@@ -79,8 +78,8 @@ __all__ = [
     "aggregate_step", "check_correctness", "classify_instance", "component_label",
     "cubes_match", "default_model", "gen_complex", "gen_incomplete",
     "gen_nonstrict", "generate_warehouse", "load_workload", "make_covering",
-    "make_strict", "match_group", "oracle_cube", "qbs_view_of_pedersen",
-    "read_metadata", "read_warehouse", "resolve_component", "resolve_group",
+    "make_strict", "oracle_cube", "qbs_view_of_pedersen",
+    "read_metadata", "read_warehouse", "resolve_component",
     "run_campaign", "run_query", "select_targets", "standard_matrix",
     "standard_workload", "stream_warehouse", "transform_warehouse",
     "write_metadata",

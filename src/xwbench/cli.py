@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, metavar="FILE")
     p.add_argument("--report", required=True, metavar="FILE")
     p.add_argument("--data-dir", metavar="DIR", default=None)
-    p.add_argument("--parallel", action="store_true",
-                   help="correctness-only mode: cells run on a thread pool")
     return parser
 
 
@@ -161,8 +159,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_campaign(args) -> int:
     matrix = harness.load_matrix(args.matrix)
-    reports = harness.run_campaign(matrix, args.report, data_root=args.data_dir,
-                                   parallel=args.parallel)
+    reports = harness.run_campaign(matrix, args.report, data_root=args.data_dir)
     errors = sum(1 for r in reports if r.error is not None)
     print(f"campaign: {len(reports)} cells -> {args.report}"
           + (f" ({errors} failed)" if errors else ""))

@@ -13,10 +13,10 @@ covering+fusing produces, so both engines induce identical group partitions.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Mapping, Sequence, Union
+from typing import FrozenSet, Union
 
-from .errors import QueryError, ReferentialError
-from .model import DimensionInstance, DimensionSchema, DwModel, FactRecord
+from .errors import QueryError
+from .model import DimensionInstance, DimensionSchema
 
 OTHER_LABEL = "Other"
 
@@ -34,7 +34,6 @@ OTHER = OtherGroup()
 
 # A group key component: an atomic value, a fused member set, or OTHER.
 Component = Union[str, FrozenSet[str], OtherGroup]
-GroupKey = tuple  # tuple[Component, ...]
 
 
 def resolve_component(inst: DimensionInstance, level: str | None,
@@ -49,25 +48,6 @@ def resolve_component(inst: DimensionInstance, level: str | None,
         only = next(iter(members))
         return OTHER if only == OTHER_LABEL else only
     return frozenset(members)
-
-
-def resolve_group(fact: FactRecord, grouping: Sequence[tuple[str, str | None]],
-                  instances: Mapping[str, Mapping[str, DimensionInstance]],
-                  model: DwModel) -> GroupKey:
-    """The fact's group key: one component per grouped dimension, in order."""
-    components = []
-    for dim_id, level in grouping:
-        try:
-            schema = model.dimension(dim_id)
-        except KeyError:
-            raise QueryError(f"unknown dimension {dim_id!r}")
-        ref = fact.dim_refs[dim_id]
-        inst = instances[dim_id].get(ref)
-        if inst is None:
-            raise ReferentialError(
-                f"fact {fact.fact_id!r} references missing instance {ref!r}")
-        components.append(resolve_component(inst, level, schema))
-    return tuple(components)
 
 
 def component_label(component: Component) -> str:

@@ -2,7 +2,7 @@
 
 The quantitative metric is response time per (dataset, engine, query,
 matching) cell, split into load, preprocessing overhead (static engine
-only) and query time with an optional phase breakdown.  The qualitative
+only) and query time with its phase breakdown.  The qualitative
 metric checks each result cube: no duplicated groups, group totals summing
 to the grand total, averages equal to total/count, min/max bounded by every
 contributing value.
@@ -21,12 +21,11 @@ import os
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Sequence
 
-from . import engine_pedersen, engine_qbs, xmlio
+from . import engine_pedersen, xmlio
 from .engine_qbs import OTHER, OTHER_LABEL, label_component
 from .errors import BenchmarkError, DocumentError, OracleScopeError
 from .generator import GeneratorConfig, generate_warehouse
@@ -39,9 +38,9 @@ from .workload import (
     ResultCube,
     get_query,
     grouped_instance,
+    plan_query,
     run_query,
     standard_workload,
-    validate_query,
 )
 
 ENGINE_NAIVE = "naive"
@@ -91,39 +90,29 @@ def check_correctness(cube: Any, in_dir: str, query: Query,
                       ) -> CorrectnessReport:
     """Evaluate the qualitative metric against an independent recount pass.
 
-    The recount re-streams the facts document, re-resolves every fact's
-    group and rebuilds per-group count/sum/min/max in plain lists, then
-    checks the cube against them; it shares no state with ResultCube,
-    matching or aggregation.  Only the grouped dimensions' indexes may be
-    shared with the query that built the cube (`indexes`, as run_cell does);
-    without them the check loads its own.  Failures are report content, not
-    exceptions; a dangling reference raises ReferentialError.
+    The recount re-streams the facts document, groups every fact through
+    its own `engine` plan (plan_query's key and values, as run_query does)
+    and rebuilds per-group count/sum/min/max in plain lists, then checks the
+    cube against them; it shares nothing with ResultCube, matching or
+    aggregation.  Only the grouped dimensions' indexes may be shared with
+    the query that built the cube (`indexes`, as run_cell does); without
+    them the check loads its own.  Failures are report content, not
+    exceptions; a dangling reference raises ReferentialError and an unknown
+    engine ConfigurationError.
     """
     norm = normalize_cube(cube)
     notes: list[str] = []
 
-    resolve = (engine_pedersen.resolve_component_pretransformed
-               if engine == ENGINE_PEDERSEN else engine_qbs.resolve_component)
-    model = xmlio.read_metadata(in_dir)
-    if indexes is None:
-        indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
-    plan = [(dim_id, level, model.dimension(dim_id), indexes[dim_id])
-            for dim_id, level in query.grouping]
-
+    plan = plan_query(query, in_dir, engine, indexes)
     recount: dict[tuple, list] = {}  # key -> [count, sums, mins, maxs]
-    width = len(query.measures)
     fact_count = 0
-    grand = [0.0] * width
-    getter = {"f_quantity": lambda f: f.f_quantity,
-              "f_totalamount": lambda f: f.f_totalamount}
-    extract = [getter[m] for m in query.measures]
-    for fact in xmlio.iter_facts(in_dir, model):
+    grand = [0.0] * len(query.measures)
+    for fact in xmlio.iter_facts(in_dir, plan.model):
         fact_count += 1
-        values = [fn(fact) for fn in extract]
+        values = plan.values(fact)
         for i, v in enumerate(values):
             grand[i] += v
-        key = tuple(resolve(grouped_instance(index, fact, dim_id), level, schema)
-                    for dim_id, level, schema, index in plan)
+        key = plan.key(fact)
         slot = recount.get(key)
         if slot is None:
             recount[key] = [1, list(values), list(values), list(values)]
@@ -352,21 +341,16 @@ def double_counting_cube(in_dir: str, query: Query,
     values instead of once per fused group, re-creating the double counting
     the summarizability engines exist to prevent.  Negative control for the
     correctness checker; never a benchmark subject.  `indexes` as for
-    run_query.
+    plan_query.
     """
-    model = xmlio.read_metadata(in_dir)
-    if indexes is None:
-        indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
-    getter = {"f_quantity": lambda f: f.f_quantity,
-              "f_totalamount": lambda f: f.f_totalamount}
-    extract = [getter[m] for m in query.measures]
+    plan = plan_query(query, in_dir, ENGINE_QBS, indexes)
     cube = ResultCube(query, MATCH_HASH)
-    for fact in xmlio.iter_facts(in_dir, model):
-        values = [fn(fact) for fn in extract]
+    for fact in xmlio.iter_facts(in_dir, plan.model):
+        values = plan.values(fact)
         cube.observe_fact(values)
         alternatives = []
-        for dim_id, level in query.grouping:
-            inst = grouped_instance(indexes[dim_id], fact, dim_id)
+        for dim_id, level, _, index in plan.steps:
+            inst = grouped_instance(index, fact, dim_id)
             if level is None:
                 alternatives.append([inst.instance_id])
             else:
@@ -541,24 +525,21 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
         nonstrict_num=spec.nonstrict_number, engine=engine, matching=matching,
         query=query.id, overhead_ms=overhead_ms if engine == ENGINE_PEDERSEN else 0.0,
     )
+    # The naive control groups like qbs, so its cube is checked as qbs's.
+    plan_engine = ENGINE_QBS if engine == ENGINE_NAIVE else engine
     try:
-        model = xmlio.read_metadata(run_dir)
-        validate_query(query, model)
-        start = time.perf_counter()
-        indexes = xmlio.load_dimensions(run_dir, model, query.grouped_dimensions)
-        report.load_ms = (time.perf_counter() - start) * 1000.0
+        plan = plan_query(query, run_dir, plan_engine)
+        report.load_ms = plan.load_ms
         if engine == ENGINE_NAIVE:
             start = time.perf_counter()
-            cube = double_counting_cube(run_dir, query, indexes)
+            cube = double_counting_cube(run_dir, query, plan.indexes)
             report.query_ms = (time.perf_counter() - start) * 1000.0
-            checks = check_correctness(cube, run_dir, query, engine=ENGINE_QBS,
-                                       indexes=indexes)
         else:
             timings = []
             cube = None
             for i in range(warmup + repeats):
                 cube, timing = run_query(query, run_dir, engine=engine, matching=matching,
-                                         instrument=True, indexes=indexes)
+                                         indexes=plan.indexes)
                 if i >= warmup:
                     timings.append(timing)
             timing = sorted(timings, key=lambda t: t.query_ms)[len(timings) // 2]
@@ -567,8 +548,8 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
             report.resolve_ms = timing.resolve_ms
             report.match_ms = timing.match_ms
             report.agg_ms = timing.agg_ms
-            checks = check_correctness(cube, run_dir, query, engine=engine,
-                                       indexes=indexes)
+        checks = check_correctness(cube, run_dir, query, engine=plan_engine,
+                                   indexes=plan.indexes)
         report.groups = len(cube.entries)
         report.chk_dup = checks.dup_ok
         report.chk_grand = checks.grand_ok
@@ -619,16 +600,15 @@ def load_matrix(path: str) -> dict:
         return json.load(fh)
 
 
-def run_campaign(matrix: dict, report_path: str, data_root: str | None = None,
-                 parallel: bool = False) -> list[RunReport]:
+def run_campaign(matrix: dict, report_path: str,
+                 data_root: str | None = None) -> list[RunReport]:
     """Run every (dataset, engine, query, matching) cell of the matrix.
 
     Datasets are generated (or reused) under `data_root`; static-engine
     cells transform each dataset once and share the measured overhead.  One
     CSV row per cell lands in report_path, and per-document byte sizes in
     `<report stem>-datasets.csv`.  Cell failures are recorded in-row and the
-    campaign continues.  `parallel` runs cells on a thread pool and is meant
-    for correctness-only sweeps: timings then include scheduling noise.
+    campaign continues.
     """
     data_root = data_root or matrix.get("data_dir") or "datasets"
     os.makedirs(data_root, exist_ok=True)
@@ -656,23 +636,13 @@ def run_campaign(matrix: dict, report_path: str, data_root: str | None = None,
             transform = engine_pedersen.transform_warehouse(d, out)
             overheads[spec.id] = (out, transform.overhead_ms)
 
-    cells = []
+    reports = []
     for (spec, d), engine, matching, query in product(
             zip(specs, dirs), engines, matchings, queries):
         run_dir, overhead = (overheads[spec.id] if engine == ENGINE_PEDERSEN
                              else (d, 0.0))
-        cells.append((spec, run_dir, engine, query, matching, overhead))
-
-    def execute(cell):
-        spec, run_dir, engine, query, matching, overhead = cell
-        return run_cell(spec, run_dir, engine, query, matching,
-                        repeats=repeats, warmup=warmup, overhead_ms=overhead)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(execute, cells))
-    else:
-        reports = [execute(cell) for cell in cells]
+        reports.append(run_cell(spec, run_dir, engine, query, matching,
+                                repeats=repeats, warmup=warmup, overhead_ms=overhead))
 
     write_report(report_path, reports)
     return reports

@@ -6,22 +6,36 @@ MIN/MAX/AVG at mixed levels; D1..D4 are the 1-to-4-dimension SUM cubes over
 the finest levels (day, type3, customer nation, supplier nation), the
 grouping ladder whose matching cost grows with dimension count.
 
-run_query streams the facts document once.  Each fact resolves to exactly
-one group key (via the query-time engine, or by plain cell reads over
-pretransformed data), is matched against the cube under the chosen
-strategy (a faithful sequential scan comparing keys entry by entry, or a
-hash lookup), and contributes its measures exactly once.
+plan_query compiles a query against one warehouse: it reads the metadata,
+validates the query, picks the engine's resolver and loads (or takes) the
+grouped dimensions' indexes.  The plan's `key(fact)` is the fact's group key
+(via the query-time engine, or by plain cell reads over pretransformed
+data) and `values(fact)` its measures; run_query, the correctness check and
+the double-counting control all group facts through it.
+
+run_query streams the facts document once, in one phase-timed loop.  Each
+fact's key is matched against the cube under the chosen strategy (a
+faithful sequential scan comparing keys entry by entry, or a hash lookup),
+and the fact contributes its measures exactly once.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import engine_pedersen, engine_qbs, xmlio
 from .errors import ConfigurationError, QueryError, ReferentialError
-from .model import DimensionInstance, DwModel, F_QUANTITY, F_TOTALAMOUNT, FactRecord
+from .model import (
+    DimensionInstance,
+    DimensionSchema,
+    DwModel,
+    F_QUANTITY,
+    F_TOTALAMOUNT,
+    FactRecord,
+)
 
 AGGREGATES = ("SUM", "MIN", "MAX", "AVG")
 
@@ -54,9 +68,13 @@ def validate_query(query: Query, model: DwModel) -> None:
         raise QueryError(f"unknown aggregate {query.aggregate!r}")
     if not query.measures:
         raise QueryError(f"query {query.id!r} selects no measures")
+    # A fact record carries exactly these two measures, whatever else the
+    # metadata declares.
     for measure in query.measures:
-        if measure not in model.measures:
+        if measure not in model.measures or measure not in (F_QUANTITY, F_TOTALAMOUNT):
             raise QueryError(f"unknown measure {measure!r}")
+    if len(set(query.measures)) != len(query.measures):
+        raise QueryError(f"query {query.id!r} selects a measure twice")
     seen = set()
     for dim_id, level in query.grouping:
         if dim_id in seen:
@@ -282,15 +300,6 @@ class ResultCube:
         }
 
 
-def match_group(key: tuple, cube: ResultCube, strategy: str | None = None) -> Entry:
-    """Locate (or create) the entry whose key equals `key` under the cube's
-    strategy; equal keys always land on the same entry."""
-    if strategy is not None and strategy != cube.matching:
-        raise QueryError(
-            f"cube was built for {cube.matching!r} matching, not {strategy!r}")
-    return cube.entry_for(key)
-
-
 # --- query execution ---------------------------------------------------------
 
 
@@ -298,27 +307,18 @@ def match_group(key: tuple, cube: ResultCube, strategy: str | None = None) -> En
 class QueryTiming:
     """Wall-clock run breakdown in milliseconds.
 
-    Phase fields are None unless the run was instrumented: the query-time
-    engine embeds summarizability work inside execution, so by default only
-    totals are reported.
+    `query_ms` is the whole fact stream; the four phases split it: reading
+    each fact, resolving its group key (where the query-time engine does its
+    summarizability work), matching the key to a cube entry, and
+    aggregating.  `load_ms` is 0 when the query was given its indexes.
     """
 
     load_ms: float
     query_ms: float
-    read_ms: float | None = None
-    resolve_ms: float | None = None
-    match_ms: float | None = None
-    agg_ms: float | None = None
-
-
-def _values_getter(measures: tuple[str, ...]):
-    if measures == (F_QUANTITY, F_TOTALAMOUNT):
-        return lambda fact: (fact.f_quantity, fact.f_totalamount)
-    if measures == (F_QUANTITY,):
-        return lambda fact: (fact.f_quantity,)
-    if measures == (F_TOTALAMOUNT,):
-        return lambda fact: (fact.f_totalamount,)
-    raise QueryError(f"unknown measures {measures!r}")
+    read_ms: float
+    resolve_ms: float
+    match_ms: float
+    agg_ms: float
 
 
 def grouped_instance(index: dict[str, DimensionInstance], fact: FactRecord,
@@ -331,18 +331,39 @@ def grouped_instance(index: dict[str, DimensionInstance], fact: FactRecord,
     return inst
 
 
-def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
-              matching: str = MATCH_HASH, instrument: bool = False,
-              indexes: xmlio.Indexes | None = None,
-              ) -> tuple[ResultCube, QueryTiming]:
-    """Stream the facts once and build the query's result cube.
+@dataclass(frozen=True)
+class QueryPlan:
+    """A query compiled against one warehouse; built by plan_query.
+
+    `steps` holds one (dim_id, level, schema, index) per grouped dimension,
+    in grouping order; `values(fact)` is the fact's measure tuple, in
+    `query.measures` order.
+    """
+
+    query: Query
+    model: DwModel
+    indexes: xmlio.Indexes
+    steps: tuple[tuple[str, str | None, DimensionSchema, dict[str, DimensionInstance]], ...]
+    resolve: Callable[[DimensionInstance, str | None, DimensionSchema], object]
+    values: Callable[[FactRecord], tuple[float, ...]]
+    load_ms: float
+
+    def key(self, fact: FactRecord) -> tuple:
+        """The fact's group key: one component per grouped dimension."""
+        resolve = self.resolve
+        return tuple(resolve(grouped_instance(index, fact, dim_id), level, schema)
+                     for dim_id, level, schema, index in self.steps)
+
+
+def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
+               indexes: xmlio.Indexes | None = None) -> QueryPlan:
+    """Compile `query` against the warehouse in `in_dir`.
 
     `engine` picks how group membership is resolved: "qbs" resolves complex
     hierarchies on the fly; "pedersen" expects transform_warehouse output and
-    reads plain cells.  `matching` picks the group-matching strategy.
-    `indexes` are the grouped dimensions' indexes from an earlier
-    xmlio.load_dimensions; without them the query loads them itself, and
-    only then is `load_ms` non-zero.
+    reads plain cells.  `indexes` are the grouped dimensions' indexes from an
+    earlier plan; without them the plan loads them itself, and only then is
+    `load_ms` non-zero.
     """
     if engine == ENGINE_QBS:
         resolve = engine_qbs.resolve_component
@@ -353,31 +374,33 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
 
     model = xmlio.read_metadata(in_dir)
     validate_query(query, model)
-    values_of = _values_getter(query.measures)
 
     load_ms = 0.0
     if indexes is None:
         t0 = time.perf_counter()
         indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
         load_ms = (time.perf_counter() - t0) * 1000.0
+    steps = tuple((dim_id, level, model.dimension(dim_id), indexes[dim_id])
+                  for dim_id, level in query.grouping)
+    # Called once per fact: attrgetter reads the fields in C, but gives a
+    # bare value, not a 1-tuple, for a single name.
+    get = operator.attrgetter(*query.measures)
+    values = get if len(query.measures) > 1 else lambda fact: (get(fact),)
+    return QueryPlan(query, model, indexes, steps, resolve, values, load_ms)
 
-    plan = [(dim_id, level, model.dimension(dim_id), indexes[dim_id])
-            for dim_id, level in query.grouping]
+
+def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
+              matching: str = MATCH_HASH, indexes: xmlio.Indexes | None = None,
+              ) -> tuple[ResultCube, QueryTiming]:
+    """Stream the facts once and build the query's result cube.
+
+    `engine` and `indexes` as for plan_query; `matching` picks the
+    group-matching strategy.
+    """
+    plan = plan_query(query, in_dir, engine, indexes)
+    key_of, values_of = plan.key, plan.values
     cube = ResultCube(query, matching)
-    facts = xmlio.iter_facts(in_dir, model)
-
-    if not instrument:
-        t0 = time.perf_counter()
-        for fact in facts:
-            components = [resolve(grouped_instance(index, fact, dim_id), level, schema)
-                          for dim_id, level, schema, index in plan]
-            values = values_of(fact)
-            cube.observe_fact(values)
-            cube.contribute(tuple(components), values)
-        query_ms = (time.perf_counter() - t0) * 1000.0
-        cube.close()
-        return cube, QueryTiming(load_ms, query_ms)
-
+    facts = xmlio.iter_facts(in_dir, plan.model)
     read_s = resolve_s = match_s = agg_s = 0.0
     pc = time.perf_counter
     start = pc()
@@ -388,8 +411,7 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
         read_s += t1 - t0
         if fact is None:
             break
-        key = tuple(resolve(grouped_instance(index, fact, dim_id), level, schema)
-                    for dim_id, level, schema, index in plan)
+        key = key_of(fact)
         t2 = pc()
         resolve_s += t2 - t1
         entry = cube.entry_for(key)
@@ -402,5 +424,5 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
         agg_s += pc() - t3
     query_ms = (pc() - start) * 1000.0
     cube.close()
-    return cube, QueryTiming(load_ms, query_ms, read_s * 1000.0, resolve_s * 1000.0,
+    return cube, QueryTiming(plan.load_ms, query_ms, read_s * 1000.0, resolve_s * 1000.0,
                              match_s * 1000.0, agg_s * 1000.0)

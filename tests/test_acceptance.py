@@ -222,7 +222,7 @@ def test_criterion_8_matching_cost_trend(tmp_path_factory):
         timings = []
         for _ in range(runs):
             _, timing = run_query(get_query(query_id), out, engine="qbs",
-                                  matching=matching, instrument=True)
+                                  matching=matching)
             timings.append(timing)
         return sorted(timings, key=lambda t: t.query_ms)[len(timings) // 2]
 

@@ -97,6 +97,12 @@ class TestTransformAndRun:
                        "--query", "X9") == 0
         assert "X9" in capsys.readouterr().out
 
+    def test_measures_in_any_order(self, cli_dataset, tmp_path, capsys):
+        wl = tmp_path / "reversed.workload"
+        wl.write_text("X SUM f_totalamount,f_quantity date.day\n")
+        assert run_cli("run", "--in", cli_dataset, "--workload", str(wl)) == 0
+        assert "checks ok" in capsys.readouterr().out
+
     def test_failed_query_keeps_every_row(self, cli_dataset, tmp_path, capsys):
         wl = tmp_path / "mixed.workload"
         wl.write_text("X1 SUM f_quantity date.week\nX2 SUM f_quantity date.year\n")

@@ -2,20 +2,17 @@
 
 import pytest
 
-from conftest import (
-    COMPLEX_SUPPLIER,
-    FOUR_ROW_SUPPLIER,
-    make_instance,
-    reference_sale_warehouse,
-)
+from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
 from xwbench.engine_qbs import (
     OTHER,
     component_label,
     label_component,
     resolve_component,
-    resolve_group,
 )
 from xwbench.errors import QueryError, ReferentialError
+from xwbench.model import F_QUANTITY
+from xwbench.workload import Query, plan_query
+from xwbench.xmlio import iter_facts
 
 
 class TestResolveComponent:
@@ -54,31 +51,31 @@ class TestResolveComponent:
 
 
 class TestResolveGroup:
-    def test_reference_fact_under_avg_grouping(self, model):
-        warehouse = reference_sale_warehouse()
+    """A fact's group key, as every engine path computes it: plan_query's key."""
+
+    @staticmethod
+    def key(reference_dir, grouping, indexes=None):
+        plan = plan_query(Query("X", "SUM", (F_QUANTITY,), grouping), reference_dir,
+                          indexes=indexes)
+        (fact,) = iter_facts(reference_dir, plan.model)
+        return plan.key(fact)
+
+    def test_reference_fact_under_avg_grouping(self, reference_dir):
         grouping = (("supplier", "region"), ("part", "type1"),
                     ("customer", "region"), ("date", "year"))
-        key = resolve_group(warehouse.facts[0], grouping,
-                            warehouse.instance_index(), model)
+        key = self.key(reference_dir, grouping)
         assert key == ("EUROPE", "TIN", "AMERICA", "1998")
 
-    def test_empty_grouping_is_the_unit_key(self, model):
-        warehouse = reference_sale_warehouse()
-        key = resolve_group(warehouse.facts[0], (), warehouse.instance_index(), model)
-        assert key == ()
+    def test_empty_grouping_is_the_unit_key(self, reference_dir):
+        assert self.key(reference_dir, ()) == ()
 
-    def test_dangling_reference(self, model):
-        warehouse = reference_sale_warehouse()
-        index = warehouse.instance_index()
-        index["part"].clear()
+    def test_dangling_reference(self, reference_dir):
         with pytest.raises(ReferentialError):
-            resolve_group(warehouse.facts[0], (("part", "type3"),), index, model)
+            self.key(reference_dir, (("part", "type3"),), indexes={"part": {}})
 
-    def test_unknown_dimension(self, model):
-        warehouse = reference_sale_warehouse()
+    def test_unknown_dimension(self, reference_dir):
         with pytest.raises(QueryError):
-            resolve_group(warehouse.facts[0], (("store", "city"),),
-                          warehouse.instance_index(), model)
+            self.key(reference_dir, (("store", "city"),))
 
 
 class TestLabels:

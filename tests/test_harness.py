@@ -12,7 +12,7 @@ import pytest
 from conftest import single_sale_warehouse
 from xwbench import xmlio
 from xwbench.engine_qbs import OTHER
-from xwbench.errors import OracleScopeError, ReferentialError
+from xwbench.errors import ConfigurationError, OracleScopeError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import (
     DatasetSpec,
@@ -29,7 +29,13 @@ from xwbench.harness import (
     write_report,
     REPORT_COLUMNS,
 )
-from xwbench.workload import ResultCube, get_query, run_query, standard_workload
+from xwbench.workload import (
+    ResultCube,
+    get_query,
+    parse_query_line,
+    run_query,
+    standard_workload,
+)
 from xwbench.xmlio import write_warehouse
 
 
@@ -62,6 +68,23 @@ class TestCheckCorrectness:
         report = check_correctness(norm, out_dir, query)
         assert not report.grand_ok
         assert report.dup_ok
+
+    def test_unknown_engine_is_configuration_error(self, complex_300):
+        _, out_dir, _ = complex_300
+        query = get_query("D1")
+        with pytest.raises(ConfigurationError):
+            check_correctness(ResultCube(query), out_dir, query, engine="turbo")
+
+    def test_measures_in_any_order(self, tmp_path):
+        out_dir = str(tmp_path / "complex")
+        generate_warehouse(GeneratorConfig(200, 50, 50, 4, seed=3, output_dir=out_dir))
+        query = parse_query_line("X SUM f_totalamount,f_quantity date.day")
+        cube, _ = run_query(query, out_dir)
+        assert cubes_match(cube, oracle_cube(out_dir, query))[0]
+        assert check_correctness(cube, out_dir, query).passed
+        report = run_cell(DatasetSpec("complex", 200), out_dir, "qbs", query, "hash",
+                          repeats=1, warmup=0)
+        assert report.error is None and report.checks_passed
 
     def test_double_counting_engine_fails_on_nonstrict_data(self, grid_1k):
         """The deliberately broken engine is caught on every non-strict set."""
@@ -414,23 +437,6 @@ class TestCampaign:
         # rerunning with the same seeds regenerates byte-identical datasets
         run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data2"))
         assert sizes_path.read_text() == first
-
-    def test_parallel_mode_produces_the_same_rows(self, tmp_path):
-        matrix = {
-            "datasets": [{"id": "tiny", "facts": 80, "seed": 2}],
-            "engines": ["qbs"],
-            "matching": ["hash", "scan"],
-            "queries": ["D1", "D2"],
-            "repeats": 1,
-            "warmup": 0,
-        }
-        serial = run_campaign(matrix, str(tmp_path / "a.csv"),
-                              data_root=str(tmp_path / "data"))
-        parallel = run_campaign(matrix, str(tmp_path / "b.csv"),
-                                data_root=str(tmp_path / "data"), parallel=True)
-        key = lambda r: (r.dataset, r.engine, r.matching, r.query)
-        assert [key(r) for r in serial] == [key(r) for r in parallel]
-        assert all(r.checks_passed for r in parallel)
 
     def test_matrix_loads_from_json(self, tmp_path):
         from xwbench.harness import load_matrix
