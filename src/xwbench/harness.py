@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 from . import engine_pedersen, xmlio
 from .engine_qbs import OTHER, OTHER_LABEL, label_component
-from .errors import BenchmarkError, DocumentError, OracleScopeError
+from .errors import BenchmarkError, ConfigurationError, DocumentError, OracleScopeError
 from .generator import GeneratorConfig, generate_warehouse
 from .model import HierarchyKind, classify_instance, default_model
 from .workload import (
@@ -37,7 +37,6 @@ from .workload import (
     Query,
     ResultCube,
     get_query,
-    grouped_instance,
     plan_query,
     run_query,
     standard_workload,
@@ -87,32 +86,32 @@ class CorrectnessReport:
 def check_correctness(cube: Any, in_dir: str, query: Query,
                       engine: str = ENGINE_QBS,
                       indexes: xmlio.Indexes | None = None,
+                      facts: xmlio.FactColumns | None = None,
                       ) -> CorrectnessReport:
     """Evaluate the qualitative metric against an independent recount pass.
 
-    The recount re-streams the facts document, groups every fact through
-    its own `engine` plan (plan_query's key and values, as run_query does)
-    and rebuilds per-group count/sum/min/max in plain lists, then checks the
+    The recount walks the fact columns, groups every fact through its own
+    `engine` plan (plan_query's key and values, as run_query does) and
+    rebuilds per-group count/sum/min/max in plain lists, then checks the
     cube against them; it shares nothing with ResultCube, matching or
-    aggregation.  Only the grouped dimensions' indexes may be shared with
-    the query that built the cube (`indexes`, as run_cell does); without
-    them the check loads its own.  Failures are report content, not
-    exceptions; a dangling reference raises ReferentialError and an unknown
-    engine ConfigurationError.
+    aggregation.  Only the grouped dimensions' indexes and the fact columns
+    may be shared with the query that built the cube (`indexes` and
+    `facts`, as run_cell does); without them the check loads its own.
+    Failures are report content, not exceptions; a dangling reference
+    raises ReferentialError and an unknown engine ConfigurationError.
     """
     norm = normalize_cube(cube)
     notes: list[str] = []
 
-    plan = plan_query(query, in_dir, engine, indexes)
+    plan = plan_query(query, in_dir, engine, indexes, facts)
     recount: dict[tuple, list] = {}  # key -> [count, sums, mins, maxs]
-    fact_count = 0
+    fact_count = len(plan.facts)
     grand = [0.0] * len(query.measures)
-    for fact in xmlio.iter_facts(in_dir, plan.model):
-        fact_count += 1
-        values = plan.values(fact)
+    for pos in range(fact_count):
+        values = plan.values(pos)
         for i, v in enumerate(values):
             grand[i] += v
-        key = plan.key(fact)
+        key = plan.key(pos)
         slot = recount.get(key)
         if slot is None:
             recount[key] = [1, list(values), list(values), list(values)]
@@ -334,23 +333,24 @@ def qbs_view_of_pedersen(cube: Any) -> dict:
 
 def double_counting_cube(in_dir: str, query: Query,
                          indexes: xmlio.Indexes | None = None,
+                         facts: xmlio.FactColumns | None = None,
                          ) -> ResultCube:
     """Deliberately broken engine: every non-strict row aggregates separately.
 
     Each fact contributes once per combination of its instances' row-level
     values instead of once per fused group, re-creating the double counting
     the summarizability engines exist to prevent.  Negative control for the
-    correctness checker; never a benchmark subject.  `indexes` as for
-    plan_query.
+    correctness checker; never a benchmark subject.  `indexes` and `facts`
+    as for plan_query.
     """
-    plan = plan_query(query, in_dir, ENGINE_QBS, indexes)
+    plan = plan_query(query, in_dir, ENGINE_QBS, indexes, facts)
     cube = ResultCube(query, MATCH_HASH)
-    for fact in xmlio.iter_facts(in_dir, plan.model):
-        values = plan.values(fact)
+    for i in range(len(plan.facts)):
+        values = plan.values(i)
         cube.observe_fact(values)
         alternatives = []
-        for dim_id, level, _, index in plan.steps:
-            inst = grouped_instance(index, fact, dim_id)
+        for level, _, index, ordinals in plan.steps:
+            inst = index[ordinals[i] - 1]
             if level is None:
                 alternatives.append([inst.instance_id])
             else:
@@ -516,8 +516,9 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
              overhead_ms: float = 0.0) -> RunReport:
     """One campaign cell: warm-up run discarded, median-of-`repeats` timing.
 
-    The grouped dimensions are loaded once, timed as `load_ms`, and shared by
-    every run of the query and by the correctness check.
+    The grouped dimensions and the facts are each read once, timed as
+    `load_ms` and `read_ms`, and shared by every run of the query and by the
+    correctness check.
     """
     report = RunReport(
         dataset=spec.id, regime=spec.regime, facts=spec.facts,
@@ -528,28 +529,30 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
     # The naive control groups like qbs, so its cube is checked as qbs's.
     plan_engine = ENGINE_QBS if engine == ENGINE_NAIVE else engine
     try:
+        if repeats < 1:
+            raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
         plan = plan_query(query, run_dir, plan_engine)
         report.load_ms = plan.load_ms
+        report.read_ms = plan.read_ms
+        shared = {"indexes": plan.indexes, "facts": plan.facts}
         if engine == ENGINE_NAIVE:
             start = time.perf_counter()
-            cube = double_counting_cube(run_dir, query, plan.indexes)
+            cube = double_counting_cube(run_dir, query, **shared)
             report.query_ms = (time.perf_counter() - start) * 1000.0
         else:
             timings = []
             cube = None
             for i in range(warmup + repeats):
                 cube, timing = run_query(query, run_dir, engine=engine, matching=matching,
-                                         indexes=plan.indexes)
+                                         **shared)
                 if i >= warmup:
                     timings.append(timing)
             timing = sorted(timings, key=lambda t: t.query_ms)[len(timings) // 2]
             report.query_ms = timing.query_ms
-            report.read_ms = timing.read_ms
             report.resolve_ms = timing.resolve_ms
             report.match_ms = timing.match_ms
             report.agg_ms = timing.agg_ms
-        checks = check_correctness(cube, run_dir, query, engine=plan_engine,
-                                   indexes=plan.indexes)
+        checks = check_correctness(cube, run_dir, query, engine=plan_engine, **shared)
         report.groups = len(cube.entries)
         report.chk_dup = checks.dup_ok
         report.chk_grand = checks.grand_ok

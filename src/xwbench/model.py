@@ -259,10 +259,6 @@ class Warehouse:
     instances: dict[str, list[DimensionInstance]]
     generation: GenerationInfo | None = field(default=None, compare=False)
 
-    def instance_index(self) -> dict[str, dict[str, DimensionInstance]]:
-        return {dim: {inst.instance_id: inst for inst in insts}
-                for dim, insts in self.instances.items()}
-
     def iter_all_instances(self) -> Iterable[tuple[DimensionSchema, DimensionInstance]]:
         for schema in self.model.dimensions:
             for inst in self.instances[schema.id]:

@@ -8,12 +8,13 @@ grouping ladder whose matching cost grows with dimension count.
 
 plan_query compiles a query against one warehouse: it reads the metadata,
 validates the query, picks the engine's resolver and loads (or takes) the
-grouped dimensions' indexes.  The plan's `key(fact)` is the fact's group key
-(via the query-time engine, or by plain cell reads over pretransformed
-data) and `values(fact)` its measures; run_query, the correctness check and
-the double-counting control all group facts through it.
+grouped dimensions' indexes and the fact columns (xmlio.load_facts).  The
+plan's `key(i)` is the group key of the fact at column position i (via the
+query-time engine, or by plain cell reads over pretransformed data) and
+`values(i)` its measures; run_query, the correctness check and the
+double-counting control all group facts through it.
 
-run_query streams the facts document once, in one phase-timed loop.  Each
+run_query walks the fact columns once, in one phase-timed loop.  Each
 fact's key is matched against the cube under the chosen strategy (a
 faithful sequential scan comparing keys entry by entry, or a hash lookup),
 and the fact contributes its measures exactly once.
@@ -21,20 +22,18 @@ and the fact contributes its measures exactly once.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import engine_pedersen, engine_qbs, xmlio
-from .errors import ConfigurationError, QueryError, ReferentialError
+from .errors import ConfigurationError, QueryError
 from .model import (
     DimensionInstance,
     DimensionSchema,
     DwModel,
     F_QUANTITY,
     F_TOTALAMOUNT,
-    FactRecord,
 )
 
 AGGREGATES = ("SUM", "MIN", "MAX", "AVG")
@@ -307,10 +306,11 @@ class ResultCube:
 class QueryTiming:
     """Wall-clock run breakdown in milliseconds.
 
-    `query_ms` is the whole fact stream; the four phases split it: reading
-    each fact, resolving its group key (where the query-time engine does its
-    summarizability work), matching the key to a cube entry, and
-    aggregating.  `load_ms` is 0 when the query was given its indexes.
+    `load_ms` loads the grouped dimensions and `read_ms` the fact columns;
+    both are 0 when the query was given them.  `query_ms` is the walk over
+    the facts; three phases split it: resolving each fact's group key
+    (where the query-time engine does its summarizability work), matching
+    the key to a cube entry, and aggregating.
     """
 
     load_ms: float
@@ -321,49 +321,46 @@ class QueryTiming:
     agg_ms: float
 
 
-def grouped_instance(index: dict[str, DimensionInstance], fact: FactRecord,
-                     dim_id: str) -> DimensionInstance:
-    """The instance `fact` references in a grouped dimension's index."""
-    ref = fact.dim_refs[dim_id]
-    inst = index.get(ref)
-    if inst is None:
-        raise ReferentialError(f"fact {fact.fact_id!r} references missing instance {ref!r}")
-    return inst
-
-
 @dataclass(frozen=True)
 class QueryPlan:
     """A query compiled against one warehouse; built by plan_query.
 
-    `steps` holds one (dim_id, level, schema, index) per grouped dimension,
-    in grouping order; `values(fact)` is the fact's measure tuple, in
-    `query.measures` order.
+    `steps` holds one (level, schema, index, ordinals) per grouped
+    dimension, in grouping order, where `ordinals` is the dimension's column
+    of `facts`; `key(i)` and `values(i)` read the fact at position i, the
+    values as a tuple in `query.measures` order.
     """
 
     query: Query
     model: DwModel
     indexes: xmlio.Indexes
-    steps: tuple[tuple[str, str | None, DimensionSchema, dict[str, DimensionInstance]], ...]
+    facts: xmlio.FactColumns
+    steps: tuple[tuple[str | None, DimensionSchema, list[DimensionInstance],
+                       Sequence[int]], ...]
     resolve: Callable[[DimensionInstance, str | None, DimensionSchema], object]
-    values: Callable[[FactRecord], tuple[float, ...]]
+    values: Callable[[int], tuple[float, ...]]
     load_ms: float
+    read_ms: float
 
-    def key(self, fact: FactRecord) -> tuple:
-        """The fact's group key: one component per grouped dimension."""
+    def key(self, i: int) -> tuple:
+        """The group key of fact i: one component per grouped dimension."""
         resolve = self.resolve
-        return tuple(resolve(grouped_instance(index, fact, dim_id), level, schema)
-                     for dim_id, level, schema, index in self.steps)
+        return tuple([resolve(index[ordinals[i] - 1], level, schema)
+                      for level, schema, index, ordinals in self.steps])
 
 
 def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
-               indexes: xmlio.Indexes | None = None) -> QueryPlan:
+               indexes: xmlio.Indexes | None = None,
+               facts: xmlio.FactColumns | None = None) -> QueryPlan:
     """Compile `query` against the warehouse in `in_dir`.
 
     `engine` picks how group membership is resolved: "qbs" resolves complex
     hierarchies on the fly; "pedersen" expects transform_warehouse output and
-    reads plain cells.  `indexes` are the grouped dimensions' indexes from an
-    earlier plan; without them the plan loads them itself, and only then is
-    `load_ms` non-zero.
+    reads plain cells.  `indexes` and `facts` are the grouped dimensions'
+    indexes and the fact columns from an earlier plan; the plan loads what
+    it is not given, and only then is `load_ms` or `read_ms` non-zero.
+    Every reference to a grouped dimension is range-checked here, so a
+    dangling one raises ReferentialError before any fact is grouped.
     """
     if engine == ENGINE_QBS:
         resolve = engine_qbs.resolve_component
@@ -375,54 +372,62 @@ def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     model = xmlio.read_metadata(in_dir)
     validate_query(query, model)
 
-    load_ms = 0.0
+    load_ms = read_ms = 0.0
     if indexes is None:
         t0 = time.perf_counter()
         indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
         load_ms = (time.perf_counter() - t0) * 1000.0
-    steps = tuple((dim_id, level, model.dimension(dim_id), indexes[dim_id])
-                  for dim_id, level in query.grouping)
-    # Called once per fact: attrgetter reads the fields in C, but gives a
-    # bare value, not a 1-tuple, for a single name.
-    get = operator.attrgetter(*query.measures)
-    values = get if len(query.measures) > 1 else lambda fact: (get(fact),)
-    return QueryPlan(query, model, indexes, steps, resolve, values, load_ms)
+    if facts is None:
+        t0 = time.perf_counter()
+        facts = xmlio.load_facts(in_dir, model, query.grouped_dimensions)
+        read_ms = (time.perf_counter() - t0) * 1000.0
+    steps = []
+    for dim_id, level in query.grouping:
+        facts.check_refs(dim_id, len(indexes[dim_id]))
+        steps.append((level, model.dimension(dim_id), indexes[dim_id],
+                      facts.ordinals[dim_id]))
+    # Called once per fact: a fact carries two measures, and validate_query
+    # admits each at most once.
+    columns = [facts.measures[m] for m in query.measures]
+    if len(columns) == 1:
+        (only,) = columns
+        values = lambda i: (only[i],)
+    else:
+        first, second = columns
+        values = lambda i: (first[i], second[i])
+    return QueryPlan(query, model, indexes, facts, tuple(steps), resolve, values,
+                     load_ms, read_ms)
 
 
 def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
               matching: str = MATCH_HASH, indexes: xmlio.Indexes | None = None,
+              facts: xmlio.FactColumns | None = None,
               ) -> tuple[ResultCube, QueryTiming]:
-    """Stream the facts once and build the query's result cube.
+    """Walk the facts once and build the query's result cube.
 
-    `engine` and `indexes` as for plan_query; `matching` picks the
+    `engine`, `indexes` and `facts` as for plan_query; `matching` picks the
     group-matching strategy.
     """
-    plan = plan_query(query, in_dir, engine, indexes)
-    key_of, values_of = plan.key, plan.values
+    plan = plan_query(query, in_dir, engine, indexes, facts)
+    key_of, values_of, aggregate = plan.key, plan.values, query.aggregate
     cube = ResultCube(query, matching)
-    facts = xmlio.iter_facts(in_dir, plan.model)
-    read_s = resolve_s = match_s = agg_s = 0.0
+    resolve_s = match_s = agg_s = 0.0
     pc = time.perf_counter
-    start = pc()
-    while True:
-        t0 = pc()
-        fact = next(facts, None)
+    start = t0 = pc()
+    for i in range(len(plan.facts)):
+        key = key_of(i)
         t1 = pc()
-        read_s += t1 - t0
-        if fact is None:
-            break
-        key = key_of(fact)
-        t2 = pc()
-        resolve_s += t2 - t1
+        resolve_s += t1 - t0
         entry = cube.entry_for(key)
-        t3 = pc()
-        match_s += t3 - t2
-        values = values_of(fact)
+        t2 = pc()
+        match_s += t2 - t1
+        values = values_of(i)
         cube.observe_fact(values)
         entry.support += 1
-        aggregate_step(entry, values, query.aggregate)
-        agg_s += pc() - t3
+        aggregate_step(entry, values, aggregate)
+        t0 = pc()
+        agg_s += t0 - t2
     query_ms = (pc() - start) * 1000.0
     cube.close()
-    return cube, QueryTiming(plan.load_ms, query_ms, read_s * 1000.0, resolve_s * 1000.0,
+    return cube, QueryTiming(plan.load_ms, query_ms, plan.read_ms, resolve_s * 1000.0,
                              match_s * 1000.0, agg_s * 1000.0)

@@ -9,14 +9,19 @@ Readers feed each document in fixed 64 KiB chunks to an xml.etree XMLParser
 whose target validates every element as it starts and builds the output
 records directly: no Element tree and no event objects are made, so parsing
 leaves little for the cyclic GC to track, and no whole document is ever held.
-Instance ids are dense per dimension (part#1..part#N), which lets the
-fact/instance join be checked in constant memory.
+Instance ids are dense per dimension (part#1..part#N): a fact's reference
+is the instance's 1-based ordinal, so an index is a list in document order
+and the fact/instance join is a range check, in constant memory.
+load_facts keeps the facts document as columns (one array of ordinals per
+loaded dimension, one per measure) rather than as one record per fact.
 """
 
 from __future__ import annotations
 
 import os
 import xml.etree.ElementTree as ET
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import DocumentError, ReferentialError
@@ -24,6 +29,8 @@ from .model import (
     DimensionInstance,
     DimensionSchema,
     DwModel,
+    F_QUANTITY,
+    F_TOTALAMOUNT,
     FactRecord,
     LevelRow,
     Warehouse,
@@ -32,8 +39,9 @@ from .model import (
 
 METADATA_FILE = "dw-model.xml"
 
-# Dimension id -> instance id -> instance: the query-time join.
-Indexes = dict[str, dict[str, DimensionInstance]]
+# Dimension id -> its instances in document order: instance `dim#n` sits at
+# position n - 1, so a fact's ordinal joins it to its instance.
+Indexes = dict[str, list[DimensionInstance]]
 XML_DECL = "<?xml version='1.0' encoding='UTF-8'?>\n"
 
 _ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "'": "&apos;"}
@@ -371,21 +379,63 @@ def iter_facts(in_dir: str, model: DwModel) -> Iterator[FactRecord]:
 def load_dimensions(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> Indexes:
     """Materialize the indexes of the dimensions named in `dim_ids`; no
     other dimension document is read."""
-    return {
-        schema.id: {inst.instance_id: inst for inst in iter_instances(in_dir, schema)}
-        for schema in model.dimensions
-        if schema.id in dim_ids
-    }
+    return {schema.id: list(iter_instances(in_dir, schema))
+            for schema in model.dimensions if schema.id in dim_ids}
 
 
 def _ref_ordinal(ref: str, dim_id: str, path: str) -> int:
+    """The ordinal n of `ref`, which must read `{dim_id}#{n}` with n in ASCII
+    digits and no leading zero: one spelling per instance, as written."""
     prefix = f"{dim_id}#"
-    if not ref.startswith(prefix):
-        raise ReferentialError(f"{path}: dangling dimref {ref!r} for dimension {dim_id!r}")
+    digits = ref[len(prefix):]
+    if (ref.startswith(prefix) and digits.isdigit() and digits.isascii()
+            and digits[0] != "0"):
+        return int(digits)
+    raise ReferentialError(f"{path}: dangling dimref {ref!r} for dimension {dim_id!r}")
+
+
+@dataclass(frozen=True)
+class FactColumns:
+    """The facts document column-wise, in document order: per loaded
+    dimension, each fact's referenced instance ordinal (1-based); per
+    measure, each fact's value."""
+
+    path: str
+    ordinals: dict[str, array]
+    measures: dict[str, array]
+
+    def __len__(self) -> int:
+        return len(self.measures[F_QUANTITY])
+
+    def check_refs(self, dim_id: str, count: int) -> None:
+        """Raise ReferentialError if a fact references past the `count`
+        instances of `dim_id`."""
+        column = self.ordinals[dim_id]
+        if column and (top := max(column)) > count:
+            raise ReferentialError(
+                f"{self.path}: sale {column.index(top) + 1} references missing "
+                f"instance '{dim_id}#{top}'")
+
+
+def load_facts(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> FactColumns:
+    """Read the facts document into columns, keeping the references to the
+    dimensions named in `dim_ids` only."""
+    path = os.path.join(in_dir, model.fact_path)
+    ordinals = {dim_id: array("q") for dim_id in model.dimension_ids if dim_id in dim_ids}
+    quantity, amount = array("q"), array("d")
+    joins = [(dim_id, column.append) for dim_id, column in ordinals.items()]
+    add_quantity, add_amount = quantity.append, amount.append
     try:
-        return int(ref[len(prefix):])
-    except ValueError:
-        raise ReferentialError(f"{path}: dangling dimref {ref!r} for dimension {dim_id!r}")
+        for fact in iter_facts(in_dir, model):
+            add_quantity(fact.f_quantity)
+            add_amount(fact.f_totalamount)
+            refs = fact.dim_refs
+            for dim_id, add in joins:
+                add(_ref_ordinal(refs[dim_id], dim_id, path))
+    except OverflowError as exc:
+        raise DocumentError(
+            f"{path}: sale {fact.fact_id!r} holds a number beyond 64 bits") from exc
+    return FactColumns(path, ordinals, {F_QUANTITY: quantity, F_TOTALAMOUNT: amount})
 
 
 def stream_warehouse(in_dir: str, visitor) -> None:

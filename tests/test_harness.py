@@ -259,15 +259,21 @@ class TestReports:
 
 @pytest.fixture()
 def parse_counts(monkeypatch):
-    """Counts xmlio.iter_instances calls per dimension while the test runs."""
+    """Counts xmlio.iter_instances calls per dimension, and xmlio.iter_facts
+    calls under "facts", while the test runs."""
     parses = Counter()
-    real = xmlio.iter_instances
+    real_instances, real_facts = xmlio.iter_instances, xmlio.iter_facts
 
-    def counting(in_dir, schema):
+    def counting_instances(in_dir, schema):
         parses[schema.id] += 1
-        return real(in_dir, schema)
+        return real_instances(in_dir, schema)
 
-    monkeypatch.setattr(xmlio, "iter_instances", counting)
+    def counting_facts(in_dir, model):
+        parses["facts"] += 1
+        return real_facts(in_dir, model)
+
+    monkeypatch.setattr(xmlio, "iter_instances", counting_instances)
+    monkeypatch.setattr(xmlio, "iter_facts", counting_facts)
     return parses
 
 
@@ -277,38 +283,40 @@ class TestCellLoading:
         report = run_cell(spec, out_dir, "qbs", get_query("D2"), "hash",
                           repeats=3, warmup=1)
         assert report.error is None and report.checks_passed
-        assert report.load_ms > 0
-        assert parse_counts == {"part": 1, "date": 1}
+        assert report.load_ms > 0 and report.read_ms > 0
+        assert parse_counts == {"part": 1, "date": 1, "facts": 1}
 
     def test_naive_cell_parses_only_its_grouped_dimension(self, complex_300, parse_counts):
         spec, out_dir, _ = complex_300
         report = run_cell(spec, out_dir, "naive", get_query("D1"), "hash",
                           repeats=3, warmup=1)
-        assert report.error is None
-        assert parse_counts == {"date": 1}
+        assert report.error is None and report.read_ms > 0
+        assert parse_counts == {"date": 1, "facts": 1}
 
     def test_standalone_query_loads_its_grouped_dimensions(self, complex_300,
                                                            parse_counts):
         _, out_dir, _ = complex_300
         query = get_query("D3")
         cube, timing = run_query(query, out_dir)
-        assert parse_counts == {"part": 1, "customer": 1, "date": 1}
-        assert timing.load_ms > 0
+        assert parse_counts == {"part": 1, "customer": 1, "date": 1, "facts": 1}
+        assert timing.load_ms > 0 and timing.read_ms > 0
         assert check_correctness(cube, out_dir, query).passed
-        assert parse_counts == {"part": 2, "customer": 2, "date": 2}
+        assert parse_counts == {"part": 2, "customer": 2, "date": 2, "facts": 2}
 
     def test_shared_indexes_are_not_reloaded(self, complex_300, parse_counts):
         _, out_dir, _ = complex_300
         query = get_query("D1")
-        indexes = xmlio.load_dimensions(out_dir, xmlio.read_metadata(out_dir),
-                                        query.grouped_dimensions)
-        assert set(indexes) == {"date"}
-        cube, timing = run_query(query, out_dir, indexes=indexes)
-        assert timing.load_ms == 0.0
-        assert check_correctness(cube, out_dir, query, indexes=indexes).passed
-        naive = double_counting_cube(out_dir, query, indexes)
+        model = xmlio.read_metadata(out_dir)
+        indexes = xmlio.load_dimensions(out_dir, model, query.grouped_dimensions)
+        facts = xmlio.load_facts(out_dir, model, query.grouped_dimensions)
+        assert set(indexes) == set(facts.ordinals) == {"date"}
+        assert len(facts) == 300
+        cube, timing = run_query(query, out_dir, indexes=indexes, facts=facts)
+        assert timing.load_ms == timing.read_ms == 0.0
+        assert check_correctness(cube, out_dir, query, indexes=indexes, facts=facts).passed
+        naive = double_counting_cube(out_dir, query, indexes, facts)
         assert cubes_match(cube, naive)[0]
-        assert parse_counts == {"date": 1}
+        assert parse_counts == {"date": 1, "facts": 1}
 
 
     @pytest.mark.parametrize("engine, matching", [("qbs", "hash"), ("qbs", "scan"),
@@ -327,8 +335,8 @@ class TestCellLoading:
 
     @pytest.mark.parametrize("engine", ["qbs", "pedersen"])
     def test_shared_indexes_stay_untouched(self, complex_300, tmp_path, engine):
-        """The records are slotted, not frozen: reading shared indexes must not
-        change them."""
+        """The records are slotted, not frozen, and the columns are mutable
+        arrays: reading shared indexes and columns must not change them."""
         from xwbench.engine_pedersen import transform_warehouse
 
         _, in_dir, _ = complex_300
@@ -337,15 +345,17 @@ class TestCellLoading:
             transform_warehouse(complex_300[1], in_dir)
         model = xmlio.read_metadata(in_dir)
         indexes = xmlio.load_dimensions(in_dir, model, model.dimension_ids)
+        facts = xmlio.load_facts(in_dir, model, model.dimension_ids)
         for query in standard_workload():
             for matching in ("hash", "scan"):
                 cube, _ = run_query(query, in_dir, engine=engine, matching=matching,
-                                    indexes=indexes)
+                                    indexes=indexes, facts=facts)
             assert check_correctness(cube, in_dir, query, engine=engine,
-                                     indexes=indexes).passed
+                                     indexes=indexes, facts=facts).passed
             if engine == "qbs":
-                double_counting_cube(in_dir, query, indexes)
+                double_counting_cube(in_dir, query, indexes, facts)
         assert indexes == xmlio.load_dimensions(in_dir, model, model.dimension_ids)
+        assert facts == xmlio.load_facts(in_dir, model, model.dimension_ids)
 
 
 class TestCellFailures:
@@ -368,11 +378,37 @@ class TestCellFailures:
         assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
 
     def test_dangling_reference_is_referential_error(self, dangling_dir):
+        """A reference past the instance count is caught by the range check
+        of every path that groups facts, and the message names it."""
         query = get_query("D1")
-        with pytest.raises(ReferentialError):
+        with pytest.raises(ReferentialError, match="'date#99999'"):
+            run_query(query, dangling_dir)
+        with pytest.raises(ReferentialError, match="'date#99999'"):
             double_counting_cube(dangling_dir, query)
-        with pytest.raises(ReferentialError):
+        with pytest.raises(ReferentialError, match="'date#99999'"):
             check_correctness(ResultCube(query), dangling_dir, query)
+
+    @pytest.mark.parametrize("repeats, warmup", [(0, 0), (0, 1), (-1, 3)])
+    def test_no_timed_run_is_recorded_as_configuration_error(self, reference_dir,
+                                                             repeats, warmup):
+        report = run_cell(DatasetSpec("ref", 1), reference_dir, "qbs", get_query("D1"),
+                          "hash", repeats=repeats, warmup=warmup)
+        assert report.error == f"repeats must be at least 1, got {repeats}"
+        assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
+
+    @pytest.mark.parametrize("old, new", [
+        ("idref='part#1'", "idref='part#99999999999999999999'"),
+        ("<f_quantity>100<", "<f_quantity>99999999999999999999<"),
+    ])
+    def test_number_beyond_the_columns_is_recorded(self, reference_dir, old, new):
+        path = os.path.join(reference_dir, "f_sale.xml")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
+        report = run_cell(DatasetSpec("huge", 1), reference_dir, "qbs", get_query("Q21"),
+                          "hash", repeats=1, warmup=0)
+        assert report.error == f"{path}: sale 'sale#1' holds a number beyond 64 bits"
 
     def test_missing_warehouse_directory_is_recorded(self, tmp_path):
         spec = DatasetSpec("absent", 10)
@@ -437,6 +473,18 @@ class TestCampaign:
         # rerunning with the same seeds regenerates byte-identical datasets
         run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data2"))
         assert sizes_path.read_text() == first
+
+    def test_campaign_without_timed_runs_completes_with_err_rows(self, tmp_path):
+        matrix = {"datasets": [{"id": "tiny", "facts": 20, "seed": 9}],
+                  "engines": ["qbs", "pedersen"], "queries": ["D1", "Q21"],
+                  "repeats": 0, "warmup": 0}
+        report_path = tmp_path / "campaign.csv"
+        reports = run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data"))
+        assert len(reports) == 4
+        assert all(r.error == "repeats must be at least 1, got 0" for r in reports)
+        with open(report_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 and all(row["chk_grand"] == "ERR" for row in rows)
 
     def test_matrix_loads_from_json(self, tmp_path):
         from xwbench.harness import load_matrix

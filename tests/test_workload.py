@@ -202,8 +202,8 @@ class TestRunQuery:
         assert key == ("part#1", "customer#1", "supplier#1", "date#1")
         assert entry.values("SUM") == (100, 2800.0)
         assert entry.support == 1
-        phases = (timing.read_ms, timing.resolve_ms, timing.match_ms, timing.agg_ms)
-        assert all(phase >= 0 for phase in phases)
+        phases = (timing.resolve_ms, timing.match_ms, timing.agg_ms)
+        assert all(phase >= 0 for phase in phases) and timing.read_ms > 0
         assert sum(phases) <= timing.query_ms
 
     def test_empty_warehouse_yields_empty_cube(self, tmp_path):

@@ -95,6 +95,18 @@ class TestFactsDocument:
         assert "<dimension id='part'/>" in (tmp_path / "d_part.xml").read_text()
         assert read_warehouse(str(tmp_path)) == empty
 
+    def test_fact_columns_hold_every_fact_in_order(self, complex_300, model):
+        _, out_dir, warehouse = complex_300
+        facts = xmlio.load_facts(out_dir, model, ("part", "date"))
+        assert len(facts) == len(warehouse.facts) == 300
+        assert set(facts.ordinals) == {"part", "date"}
+        for dim_id, column in facts.ordinals.items():
+            assert list(column) == [int(f.dim_refs[dim_id].partition("#")[2])
+                                    for f in warehouse.facts]
+        assert list(facts.measures["f_quantity"]) == [f.f_quantity for f in warehouse.facts]
+        assert list(facts.measures["f_totalamount"]) == [f.f_totalamount
+                                                         for f in warehouse.facts]
+
 
 class TestRoundTrip:
     def test_generated_complex_warehouse(self, complex_300):
@@ -166,6 +178,20 @@ class TestStreaming:
         path.write_text(path.read_text().replace("idref='part#1'", "idref='part#99'"))
         with pytest.raises(ReferentialError, match="part#99"):
             stream_warehouse(reference_dir, Recorder())
+
+    @pytest.mark.parametrize("ref", ["part#01", "part#+1", "part#1_0", "part# 1",
+                                     "part#١", "part#", "part#0"])
+    def test_malformed_dimref_is_referential_error(self, reference_dir, ref):
+        """Only `part#<n>` in ASCII digits without a leading zero joins; every
+        reader rejects what int() alone would accept."""
+        from xwbench.workload import get_query, run_query
+
+        path = pathlib.Path(reference_dir, "f_sale.xml")
+        path.write_text(path.read_text().replace("idref='part#1'", f"idref='{ref}'"))
+        with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
+            stream_warehouse(reference_dir, Recorder())
+        with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
+            run_query(get_query("Q21"), reference_dir)
 
     def test_out_of_sequence_instance_id_rejected(self, reference_dir):
         path = pathlib.Path(reference_dir, "d_part.xml")
