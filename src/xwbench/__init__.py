@@ -64,7 +64,7 @@ from .workload import (
     run_query,
     standard_workload,
 )
-from .xmlio import read_metadata, read_warehouse, stream_warehouse, write_metadata
+from .xmlio import read_metadata, read_warehouse, write_metadata
 
 __version__ = "0.1.0"
 
@@ -81,6 +81,6 @@ __all__ = [
     "make_strict", "oracle_cube", "qbs_view_of_pedersen",
     "read_metadata", "read_warehouse", "resolve_component",
     "run_campaign", "run_query", "select_targets", "standard_matrix",
-    "standard_workload", "stream_warehouse", "transform_warehouse",
+    "standard_workload", "transform_warehouse",
     "write_metadata",
 ]

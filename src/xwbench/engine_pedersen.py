@@ -8,7 +8,7 @@ member list) and declares a `<level>_fused` level between the level and its
 parent in the rewritten metadata.  Because the fused value also occupies the
 original level position of the single output row, the groups a query forms
 over transformed data coincide exactly with the query-time engine's fused
-components under the same naming.
+components under the same naming, which both take from engine_qbs.
 
 Facts are never touched; the preprocessing cost is the overhead the harness
 reports separately from query time.
@@ -21,16 +21,12 @@ import shutil
 import time
 from dataclasses import dataclass, replace
 
+from .engine_qbs import OTHER_LABEL, fused_label
 from .errors import ConfigurationError, QueryError
 from . import xmlio
 from .model import DimensionInstance, DimensionSchema, LevelRow
 
-PLACEHOLDER = "Other"
 FUSED_SUFFIX = "_fused"
-
-
-def fused_label(values) -> str:
-    return "+".join(sorted(values))
 
 
 def make_covering(inst: DimensionInstance, schema: DimensionSchema) -> DimensionInstance:
@@ -38,7 +34,7 @@ def make_covering(inst: DimensionInstance, schema: DimensionSchema) -> Dimension
     if not inst.has_absent_cell(schema):
         return inst
     rows = tuple(
-        LevelRow({level: row.cells.get(level, PLACEHOLDER) for level in schema.levels})
+        LevelRow({level: row.cells.get(level, OTHER_LABEL) for level in schema.levels})
         for row in inst.rows
     )
     return DimensionInstance(inst.instance_id, inst.dimension_id, rows)

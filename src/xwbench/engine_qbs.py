@@ -50,12 +50,17 @@ def resolve_component(inst: DimensionInstance, level: str | None,
     return frozenset(members)
 
 
+def fused_label(members) -> str:
+    """A fused component's label, also the static engine's fused value."""
+    return "+".join(sorted(members))
+
+
 def component_label(component: Component) -> str:
     """Canonical printable form; fused members sort lexicographically."""
     if component is OTHER:
         return OTHER_LABEL
     if isinstance(component, frozenset):
-        return "+".join(sorted(component))
+        return fused_label(component)
     return component
 
 

@@ -14,7 +14,7 @@ full block, so a 50% setting marks one instance out of every two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, EligibilityError
 from . import xmlio
@@ -42,12 +42,7 @@ LEVEL_REMOVAL_ODDS = 2
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """The four scaling parameters plus seed and output location.
-
-    `customer_nonstrict` optionally adds customer instances to the
-    non-strict-eligible pool (multi-valued at nation); off by default so the
-    regime statistics stay interpretable over part and supplier alone.
-    """
+    """The four scaling parameters plus seed and output location."""
 
     fact_number: int
     incomplete_percentage: int = 0
@@ -55,7 +50,6 @@ class GeneratorConfig:
     nonstrict_number: int = 0
     seed: int = 0
     output_dir: str | None = None
-    customer_nonstrict: bool = False
 
     @property
     def regime(self) -> HierarchyKind:
@@ -212,18 +206,14 @@ def generate_warehouse(cfg: GeneratorConfig, model: DwModel | None = None,
         facts.append(FactRecord(f"sale#{i}", quantity, (quantity * price_cents) / 100.0, refs))
 
     # Non-strict pass: targets are drawn among eligible instances only.
-    eligible_dims = [s.id for s in model.dimensions
-                     if s.nonstrict_eligible or (cfg.customer_nonstrict and s.id == "customer")]
+    eligible_dims = [s.id for s in model.dimensions if s.nonstrict_eligible]
     nonstrict_ids: set[str] = set()
     if cfg.nonstrict_percentage > 0 and n > 0:
         eligible_seq = [(dim, i) for i in range(n) for dim in eligible_dims]
         for pos in sorted(select_targets(len(eligible_seq), cfg.nonstrict_percentage, rng)):
             dim, i = eligible_seq[pos]
-            schema = model.dimension(dim)
-            if cfg.customer_nonstrict and dim == "customer":
-                schema = replace(schema, nonstrict_eligible=True)
             instances[dim][i] = gen_nonstrict(cfg.nonstrict_number, instances[dim][i],
-                                              schema, rng, pools)
+                                              model.dimension(dim), rng, pools)
             nonstrict_ids.add(instances[dim][i].instance_id)
 
     # Incompleteness pass.  In the complex regime targets come from the

@@ -19,7 +19,6 @@ import csv
 import math
 import os
 import time
-import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from itertools import product
@@ -27,7 +26,8 @@ from typing import Any, Sequence
 
 from . import engine_pedersen, xmlio
 from .engine_qbs import OTHER, OTHER_LABEL, label_component
-from .errors import BenchmarkError, ConfigurationError, DocumentError, OracleScopeError
+from .errors import (BenchmarkError, ConfigurationError, DocumentError, OracleScopeError,
+                     ReferentialError)
 from .generator import GeneratorConfig, generate_warehouse
 from .model import HierarchyKind, classify_instance, default_model
 from .workload import (
@@ -180,7 +180,7 @@ def check_correctness(cube: Any, in_dir: str, query: Query,
 # --- brute-force oracle ------------------------------------------------------
 
 
-def _dom_rows(path: str, dim_id: str) -> list[list[dict[str, str]]]:
+def _dom_rows(path: str) -> list[list[dict[str, str]]]:
     root = ET.parse(path).getroot()
     instances = []
     for inst in root.findall("instance"):
@@ -195,25 +195,33 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     DOM-parses every document, recomputes each fact's fused/OTHER component
     from raw rows, groups into plain dicts and aggregates with independent
     arithmetic (fsum for averages).  Returns the normalized comparison form.
-    Refuses warehouses beyond fact_limit facts.
+    Refuses warehouses beyond fact_limit facts.  A fact joins instance n of
+    a grouped dimension only through the ref `{dim_id}#{n}`, spelled so and
+    with n within the instance count, as the readers require.
     """
     meta = ET.parse(os.path.join(in_dir, xmlio.METADATA_FILE)).getroot().find("fact")
     if meta is None:
         raise DocumentError(f"{in_dir}: metadata lacks a fact element")
     dim_paths = {d.get("idref"): d.get("path") for d in meta.findall("dimension")}
 
-    sales_root = ET.parse(os.path.join(in_dir, meta.get("path", "f_sale.xml"))).getroot()
+    sales_path = os.path.join(in_dir, meta.get("path", "f_sale.xml"))
+    sales_root = ET.parse(sales_path).getroot()
     sales = sales_root.findall("sale")
     if len(sales) > fact_limit:
         raise OracleScopeError(
             f"{len(sales)} facts exceed the oracle's {fact_limit}-fact capacity")
 
-    rows_by_dim = {dim_id: _dom_rows(os.path.join(in_dir, path), dim_id)
+    rows_by_dim = {dim_id: _dom_rows(os.path.join(in_dir, path))
                    for dim_id, path in dim_paths.items()}
 
-    def component(dim_id: str, ordinal: int, level: str | None):
+    def component(dim_id: str, ref: str, level: str | None):
+        digits = ref.rpartition("#")[2]
+        ordinal = int(digits) if digits.isdigit() else 0
+        if ref != f"{dim_id}#{ordinal}" or not 1 <= ordinal <= len(rows_by_dim[dim_id]):
+            raise ReferentialError(
+                f"{sales_path}: dangling dimref {ref!r} for dimension {dim_id!r}")
         if level is None:
-            return f"{dim_id}#{ordinal}"
+            return ref
         members = {row.get(level, OTHER_LABEL) for row in rows_by_dim[dim_id][ordinal - 1]}
         if members == {OTHER_LABEL}:
             return OTHER
@@ -234,7 +242,7 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
         for i, v in enumerate(values):
             grand[i] += v
         key = tuple(
-            component(dim_id, int(refs[dim_id].rpartition("#")[2]), level)
+            component(dim_id, refs[dim_id], level)
             for dim_id, level in query.grouping
         )
         if key not in groups:
@@ -360,34 +368,6 @@ def double_counting_cube(in_dir: str, query: Query,
             cube.contribute(combo, values)
     cube.close()
     return cube
-
-
-# --- memory probe ---------------------------------------------------------
-
-
-class _CountingVisitor:
-    def __init__(self):
-        self.facts = 0
-        self.instances = 0
-
-    def visit_instance(self, schema, inst):
-        self.instances += 1
-
-    def visit_fact(self, fact):
-        self.facts += 1
-
-
-def stream_memory_high_water(in_dir: str) -> tuple[int, int, int]:
-    """Peak traced allocation while streaming the warehouse with a counting
-    visitor; returns (peak_bytes, facts, instances)."""
-    visitor = _CountingVisitor()
-    tracemalloc.start()
-    try:
-        xmlio.stream_warehouse(in_dir, visitor)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, visitor.facts, visitor.instances
 
 
 # --- datasets and campaign -------------------------------------------------

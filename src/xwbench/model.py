@@ -124,9 +124,6 @@ class LevelRow:
 
     cells: Mapping[str, str]
 
-    def value(self, level: str) -> str | None:
-        return self.cells.get(level)
-
 
 @dataclass(slots=True)
 class DimensionInstance:

@@ -11,7 +11,7 @@ records directly: no Element tree and no event objects are made, so parsing
 leaves little for the cyclic GC to track, and no whole document is ever held.
 Instance ids are dense per dimension (part#1..part#N): a fact's reference
 is the instance's 1-based ordinal, so an index is a list in document order
-and the fact/instance join is a range check, in constant memory.
+and the fact/instance join is a range check (FactColumns.check_refs).
 load_facts keeps the facts document as columns (one array of ordinals per
 loaded dimension, one per measure) rather than as one record per fact.
 """
@@ -22,7 +22,7 @@ import os
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import DocumentError, ReferentialError
 from .model import (
@@ -436,36 +436,6 @@ def load_facts(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> FactCol
         raise DocumentError(
             f"{path}: sale {fact.fact_id!r} holds a number beyond 64 bits") from exc
     return FactColumns(path, ordinals, {F_QUANTITY: quantity, F_TOTALAMOUNT: amount})
-
-
-def stream_warehouse(in_dir: str, visitor) -> None:
-    """Visit every dimension instance, then every fact, in document order.
-
-    Memory stays bounded: documents are parsed incrementally and released,
-    and the fact->instance join is validated against per-dimension instance
-    counts (ids are dense), not an id table.  The visitor may implement
-    visit_instance(schema, instance) and/or visit_fact(fact).
-    """
-    model = read_metadata(in_dir)
-    visit_instance: Callable | None = getattr(visitor, "visit_instance", None)
-    visit_fact: Callable | None = getattr(visitor, "visit_fact", None)
-    counts: dict[str, int] = {}
-    for schema in model.dimensions:
-        n = 0
-        for inst in iter_instances(in_dir, schema):
-            n += 1
-            if visit_instance is not None:
-                visit_instance(schema, inst)
-        counts[schema.id] = n
-    facts_path = os.path.join(in_dir, model.fact_path)
-    for fact in iter_facts(in_dir, model):
-        for dim_id, ref in fact.dim_refs.items():
-            ordinal = _ref_ordinal(ref, dim_id, facts_path)
-            if not 1 <= ordinal <= counts[dim_id]:
-                raise ReferentialError(
-                    f"{facts_path}: fact {fact.fact_id!r} references missing instance {ref!r}")
-        if visit_fact is not None:
-            visit_fact(fact)
 
 
 def read_warehouse(in_dir: str) -> Warehouse:

@@ -126,6 +126,15 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "groups" in out and "support=" in out
 
+    def test_dangling_dimref_is_data_error(self, reference_dir, capsys):
+        path = os.path.join(reference_dir, "f_sale.xml")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("idref='part#1'", "idref='part#99'"))
+        assert run_cli("oracle", "--in", reference_dir, "--query", "D2") == 2
+        assert "'part#99'" in capsys.readouterr().err
+
 
 class TestCampaignCommand:
     def test_runs_matrix_file(self, tmp_path, capsys):

@@ -329,11 +329,7 @@ class TestGenerateWarehouse:
             else:
                 assert len(inst.rows) == 1
 
-    def test_customer_nonstrict_opt_in(self):
+    def test_customer_is_never_nonstrict(self):
         warehouse = generate_warehouse(GeneratorConfig(
-            100, nonstrict_percentage=100, nonstrict_number=2, seed=3,
-            customer_nonstrict=True))
-        assert any(len(i.rows) > 1 for i in warehouse.instances["customer"])
-        default = generate_warehouse(GeneratorConfig(
             100, nonstrict_percentage=100, nonstrict_number=2, seed=3))
-        assert all(len(i.rows) == 1 for i in default.instances["customer"])
+        assert all(len(i.rows) == 1 for i in warehouse.instances["customer"])

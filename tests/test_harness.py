@@ -5,12 +5,17 @@ import csv
 import dataclasses
 import json
 import os
+import re
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import single_sale_warehouse
 from xwbench import xmlio
+from xwbench.engine_pedersen import transform_warehouse
 from xwbench.engine_qbs import OTHER
 from xwbench.errors import ConfigurationError, OracleScopeError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
@@ -30,6 +35,8 @@ from xwbench.harness import (
     REPORT_COLUMNS,
 )
 from xwbench.workload import (
+    MATCH_HASH,
+    MATCH_SCAN,
     ResultCube,
     get_query,
     parse_query_line,
@@ -140,6 +147,21 @@ class TestOracle:
             equal, diffs = cubes_match(cube, oracle_cube(out_dir, query))
             assert equal, (query.id, diffs)
 
+    @pytest.mark.parametrize("ref", ["customer#01", "part#01", "part#+1", "part#0",
+                                     "part#99"])
+    def test_joins_only_refs_the_readers_accept(self, reference_dir, ref):
+        """A fact joins `part#<n>` exactly as written, with 1 <= n <= the
+        instance count, as in the readers the oracle checks."""
+        path = os.path.join(reference_dir, "f_sale.xml")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("idref='part#1'", f"idref='{ref}'"))
+        with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
+            oracle_cube(reference_dir, get_query("D2"))
+        with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
+            run_query(get_query("D2"), reference_dir)
+
     def test_capacity_guard(self, complex_300):
         _, out_dir, _ = complex_300
         with pytest.raises(OracleScopeError):
@@ -214,8 +236,6 @@ class TestOracle:
 
 class TestPedersenMapping:
     def test_label_keys_map_onto_components(self, complex_300, tmp_path):
-        from xwbench.engine_pedersen import transform_warehouse
-
         _, src, _ = complex_300
         out = str(tmp_path / "ped")
         transform_warehouse(src, out)
@@ -227,6 +247,33 @@ class TestPedersenMapping:
         assert equal, diffs
         assert any(isinstance(c, frozenset) for key in mapped["entries"] for c in key)
         assert any(c is OTHER for key in mapped["entries"] for c in key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(facts=st.integers(min_value=0, max_value=60),
+           incomplete=st.sampled_from([0, 5, 50, 100]),
+           nonstrict=st.sampled_from([0, 5, 50, 100]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_engines_and_oracle_agree_on_any_generated_warehouse(
+            self, facts, incomplete, nonstrict, k, seed):
+        """qbs, pedersen (mapped back onto components) and the oracle agree
+        on every standard query under both matchings, down to empty and
+        one-fact warehouses and 100% settings."""
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, ped = os.path.join(tmp, "raw"), os.path.join(tmp, "ped")
+            generate_warehouse(GeneratorConfig(
+                facts, incomplete_percentage=incomplete, nonstrict_percentage=nonstrict,
+                nonstrict_number=k, seed=seed, output_dir=raw))
+            transform_warehouse(raw, ped)
+            for query in standard_workload():
+                oracle = oracle_cube(raw, query)
+                for matching in (MATCH_HASH, MATCH_SCAN):
+                    qbs, _ = run_query(query, raw, engine="qbs", matching=matching)
+                    pedersen, _ = run_query(query, ped, engine="pedersen",
+                                            matching=matching)
+                    for equal, diffs in (cubes_match(qbs, qbs_view_of_pedersen(pedersen)),
+                                         cubes_match(qbs, oracle)):
+                        assert equal, (query.id, matching, diffs)
 
 
 class TestReports:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -16,6 +17,7 @@ from xwbench.errors import DocumentError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import _dom_rows
 from xwbench.model import LevelRow, Warehouse, default_model
+from xwbench.workload import get_query, run_query
 from xwbench.xmlio import (
     document_sizes,
     format_amount,
@@ -24,23 +26,10 @@ from xwbench.xmlio import (
     layout_files,
     read_metadata,
     read_warehouse,
-    stream_warehouse,
     write_dimension,
     write_metadata,
     write_warehouse,
 )
-
-
-class Recorder:
-    def __init__(self):
-        self.facts = []
-        self.instances = []
-
-    def visit_instance(self, schema, inst):
-        self.instances.append((schema.id, inst))
-
-    def visit_fact(self, fact):
-        self.facts.append(fact)
 
 
 class TestMetadata:
@@ -146,50 +135,37 @@ class TestRoundTrip:
         for schema in warehouse.model.dimensions:
             streamed = [[dict(row.cells) for row in inst.rows]
                         for inst in iter_instances(out, schema)]
-            assert streamed == _dom_rows(os.path.join(out, schema.path), schema.id)
+            assert streamed == _dom_rows(os.path.join(out, schema.path))
         assert read_warehouse(out) == warehouse
 
 
 class TestStreaming:
-    def test_visits_every_fact_and_instance_once(self, tmp_path):
-        out = tmp_path / "w"
-        generate_warehouse(GeneratorConfig(10, seed=4, output_dir=str(out)))
-        recorder = Recorder()
-        stream_warehouse(str(out), recorder)
-        assert len(recorder.facts) == 10
-        assert len(recorder.instances) == 40
-        assert len({i.instance_id for _, i in recorder.instances}) == 40
-
     def test_unknown_element_is_named(self, reference_dir):
         path = pathlib.Path(reference_dir, "d_part.xml")
         path.write_text(path.read_text().replace("<type2>ANODIZED</type2>",
                                                  "<color>RED</color>"))
         with pytest.raises(DocumentError, match="color"):
-            stream_warehouse(reference_dir, Recorder())
+            read_warehouse(reference_dir)
 
-    def test_malformed_document_reports_line(self, reference_dir):
+    def test_malformed_document_reports_line(self, reference_dir, model):
         path = pathlib.Path(reference_dir, "f_sale.xml")
         path.write_text(path.read_text().replace("</sales>", ""))
         with pytest.raises(DocumentError, match="line"):
-            stream_warehouse(reference_dir, Recorder())
+            xmlio.load_facts(reference_dir, model, ())
 
     def test_dangling_dimref_is_referential_error(self, reference_dir):
         path = pathlib.Path(reference_dir, "f_sale.xml")
         path.write_text(path.read_text().replace("idref='part#1'", "idref='part#99'"))
         with pytest.raises(ReferentialError, match="part#99"):
-            stream_warehouse(reference_dir, Recorder())
+            run_query(get_query("D2"), reference_dir)
 
     @pytest.mark.parametrize("ref", ["part#01", "part#+1", "part#1_0", "part# 1",
                                      "part#١", "part#", "part#0"])
     def test_malformed_dimref_is_referential_error(self, reference_dir, ref):
         """Only `part#<n>` in ASCII digits without a leading zero joins; every
         reader rejects what int() alone would accept."""
-        from xwbench.workload import get_query, run_query
-
         path = pathlib.Path(reference_dir, "f_sale.xml")
         path.write_text(path.read_text().replace("idref='part#1'", f"idref='{ref}'"))
-        with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
-            stream_warehouse(reference_dir, Recorder())
         with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
             run_query(get_query("Q21"), reference_dir)
 
@@ -197,7 +173,7 @@ class TestStreaming:
         path = pathlib.Path(reference_dir, "d_part.xml")
         path.write_text(path.read_text().replace("id='part#1'", "id='part#7'"))
         with pytest.raises(DocumentError, match="part#7"):
-            stream_warehouse(reference_dir, Recorder())
+            read_warehouse(reference_dir)
 
     @pytest.mark.parametrize("document, old, new, message", [
         ("d_part.xml", "<dimension id='part'>", "<dimension id='parts'>",
@@ -226,7 +202,7 @@ class TestStreaming:
         assert edited != text
         path.write_text(edited)
         with pytest.raises(DocumentError, match=re.escape(f"{document}: {message}")):
-            stream_warehouse(reference_dir, Recorder())
+            read_warehouse(reference_dir)
 
     def test_closing_a_reader_early_closes_its_document(self, reference_dir, model,
                                                         monkeypatch):
@@ -254,16 +230,21 @@ class TestSizes:
 
     def test_memory_high_water_is_sublinear(self, tmp_path):
         """Streaming peak stays near-flat while documents grow 100x."""
-        from xwbench.harness import stream_memory_high_water
-
         peaks = {}
         doc_bytes = {}
         for n in (100, 1000, 10000):
-            out = tmp_path / f"m{n}"
-            w = generate_warehouse(GeneratorConfig(n, seed=5, output_dir=str(out)))
-            peaks[n], facts, instances = stream_memory_high_water(str(out))
+            out = str(tmp_path / f"m{n}")
+            w = generate_warehouse(GeneratorConfig(n, seed=5, output_dir=out))
+            tracemalloc.start()
+            try:
+                instances = sum(1 for schema in w.model.dimensions
+                                for _ in iter_instances(out, schema))
+                facts = sum(1 for _ in iter_facts(out, w.model))
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             assert (facts, instances) == (n, 4 * n)
-            doc_bytes[n] = sum(document_sizes(str(out), w.model).values())
+            doc_bytes[n] = sum(document_sizes(out, w.model).values())
         assert doc_bytes[10000] > 50 * doc_bytes[100]
         assert peaks[1000] < 3 * peaks[100]
         assert peaks[10000] < 3 * peaks[100]
