@@ -20,6 +20,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .engine_qbs import OTHER_LABEL, fused_label
 from .errors import ConfigurationError, QueryError
@@ -139,21 +140,35 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
     return TransformReport(overhead_ms, covered, fused_count, fused_by_dim)
 
 
-def resolve_component_pretransformed(inst: DimensionInstance, level: str | None,
-                                     schema: DimensionSchema) -> str:
-    """Plain cell read over transformed data; anything else means the
-    warehouse was not transformed and the engine/warehouse pairing is wrong."""
+def resolve_column_pretransformed(index: Sequence[DimensionInstance],
+                                  ordinals: Sequence[int], level: str | None,
+                                  schema: DimensionSchema) -> list[str]:
+    """Plain cell reads over transformed data, of instance `index[o - 1]`
+    for every ordinal o; anything but one complete row means the warehouse
+    was not transformed and the engine/warehouse pairing is wrong."""
     if level is None:
-        return inst.instance_id
+        return [index[o - 1].instance_id for o in ordinals]
     if level not in schema.levels:
         raise QueryError(f"dimension {schema.id!r} has no level {level!r}")
-    if len(inst.rows) != 1:
-        raise ConfigurationError(
-            f"instance {inst.instance_id!r} has {len(inst.rows)} rows; "
-            "this warehouse is not the output of transform_warehouse")
-    value = inst.rows[0].cells.get(level)
-    if value is None:
-        raise ConfigurationError(
-            f"instance {inst.instance_id!r} is missing {level!r}; "
-            "this warehouse is not the output of transform_warehouse")
-    return value
+    column = []
+    append = column.append
+    for o in ordinals:
+        inst = index[o - 1]
+        rows = inst.rows
+        if len(rows) != 1:
+            raise ConfigurationError(
+                f"instance {inst.instance_id!r} has {len(rows)} rows; "
+                "this warehouse is not the output of transform_warehouse")
+        value = rows[0].cells.get(level)
+        if value is None:
+            raise ConfigurationError(
+                f"instance {inst.instance_id!r} is missing {level!r}; "
+                "this warehouse is not the output of transform_warehouse")
+        append(value)
+    return column
+
+
+def resolve_component_pretransformed(inst: DimensionInstance, level: str | None,
+                                     schema: DimensionSchema) -> str:
+    """One instance's cell at the grouped level (None = instance itself)."""
+    return resolve_column_pretransformed((inst,), (1,), level, schema)[0]

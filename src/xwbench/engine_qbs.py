@@ -1,8 +1,9 @@
 """Query-time summarizability resolution.
 
-Nothing is ever rewritten: while a query streams facts, each fact's group
-membership is resolved on the fly from the referenced instance's row array.
-Per grouped level the distinct member set decides the component: one member
+Nothing is ever rewritten: when a query runs, each fact's group membership
+is resolved on the fly from the referenced instance's row array, one grouped
+dimension's column of facts at a time (resolve_column).  Per grouped level
+the distinct member set decides the component: one member
 gives an atomic component, several collapse into a single fused component
 (set semantics, so member order never splits groups), and an instance with
 no value at all lands in the artificial OTHER component.  A row that is
@@ -13,7 +14,7 @@ covering+fusing produces, so both engines induce identical group partitions.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Union
+from typing import FrozenSet, Sequence, Union
 
 from .errors import QueryError
 from .model import DimensionInstance, DimensionSchema
@@ -36,18 +37,34 @@ OTHER = OtherGroup()
 Component = Union[str, FrozenSet[str], OtherGroup]
 
 
+def resolve_column(index: Sequence[DimensionInstance], ordinals: Sequence[int],
+                   level: str | None, schema: DimensionSchema) -> list[Component]:
+    """The component at the grouped level (None = the instance itself) of
+    instance `index[o - 1]`, for every ordinal o in `ordinals`."""
+    if level is None:
+        return [index[o - 1].instance_id for o in ordinals]
+    if level not in schema.levels:
+        raise QueryError(f"dimension {schema.id!r} has no level {level!r}")
+    column = []
+    append = column.append
+    for o in ordinals:
+        rows = index[o - 1].rows
+        if len(rows) == 1:
+            only = rows[0].cells.get(level, OTHER_LABEL)
+        else:
+            members = {row.cells.get(level, OTHER_LABEL) for row in rows}
+            if len(members) > 1:
+                append(frozenset(members))
+                continue
+            (only,) = members
+        append(OTHER if only == OTHER_LABEL else only)
+    return column
+
+
 def resolve_component(inst: DimensionInstance, level: str | None,
                       schema: DimensionSchema) -> Component:
     """The instance's component at the grouped level (None = instance itself)."""
-    if level is None:
-        return inst.instance_id
-    if level not in schema.levels:
-        raise QueryError(f"dimension {schema.id!r} has no level {level!r}")
-    members = {row.cells.get(level, OTHER_LABEL) for row in inst.rows}
-    if len(members) == 1:
-        only = next(iter(members))
-        return OTHER if only == OTHER_LABEL else only
-    return frozenset(members)
+    return resolve_column((inst,), (1,), level, schema)[0]
 
 
 def fused_label(members) -> str:

@@ -91,7 +91,7 @@ def check_correctness(cube: Any, in_dir: str, query: Query,
     """Evaluate the qualitative metric against an independent recount pass.
 
     The recount walks the fact columns, groups every fact through its own
-    `engine` plan (plan_query's key and values, as run_query does) and
+    `engine` plan (plan_query's keys and values, as run_query does) and
     rebuilds per-group count/sum/min/max in plain lists, then checks the
     cube against them; it shares nothing with ResultCube, matching or
     aggregation.  Only the grouped dimensions' indexes and the fact columns
@@ -107,11 +107,9 @@ def check_correctness(cube: Any, in_dir: str, query: Query,
     recount: dict[tuple, list] = {}  # key -> [count, sums, mins, maxs]
     fact_count = len(plan.facts)
     grand = [0.0] * len(query.measures)
-    for pos in range(fact_count):
-        values = plan.values(pos)
+    for key, values in zip(plan.keys(), plan.values()):
         for i, v in enumerate(values):
             grand[i] += v
-        key = plan.key(pos)
         slot = recount.get(key)
         if slot is None:
             recount[key] = [1, list(values), list(values), list(values)]
@@ -197,7 +195,9 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     arithmetic (fsum for averages).  Returns the normalized comparison form.
     Refuses warehouses beyond fact_limit facts.  A fact joins instance n of
     a grouped dimension only through the ref `{dim_id}#{n}`, spelled so and
-    with n within the instance count, as the readers require.
+    with n within the instance count, as the readers require; a sale that
+    lacks a dimension's ref or a measure, or whose measure does not parse,
+    raises DocumentError as it does in the readers.
     """
     meta = ET.parse(os.path.join(in_dir, xmlio.METADATA_FILE)).getroot().find("fact")
     if meta is None:
@@ -236,8 +236,16 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     for sale in sales:
         refs = {d.get("dim"): d.get("idref") for d in sale.findall("dimref")}
         raw = {m.tag: m.text for m in sale if m.tag != "dimref"}
-        values = [int(raw["f_quantity"]) if m == "f_quantity" else float(raw["f_totalamount"])
-                  for m in query.measures]
+        if dim_paths.keys() - refs.keys():
+            raise DocumentError(
+                f"{sales_path}: sale {sale.get('id')!r} must reference all dimensions")
+        try:
+            measures = {"f_quantity": int(raw["f_quantity"]),
+                        "f_totalamount": float(raw["f_totalamount"])}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DocumentError(
+                f"{sales_path}: sale {sale.get('id')!r} has bad measures") from exc
+        values = [measures[m] for m in query.measures]
         fact_count += 1
         for i, v in enumerate(values):
             grand[i] += v
@@ -353,8 +361,7 @@ def double_counting_cube(in_dir: str, query: Query,
     """
     plan = plan_query(query, in_dir, ENGINE_QBS, indexes, facts)
     cube = ResultCube(query, MATCH_HASH)
-    for i in range(len(plan.facts)):
-        values = plan.values(i)
+    for i, values in enumerate(plan.values()):
         cube.observe_fact(values)
         alternatives = []
         for level, _, index, ordinals in plan.steps:
@@ -589,9 +596,10 @@ def run_campaign(matrix: dict, report_path: str,
 
     Datasets are generated (or reused) under `data_root`; static-engine
     cells transform each dataset once and share the measured overhead.  One
-    CSV row per cell lands in report_path, and per-document byte sizes in
-    `<report stem>-datasets.csv`.  Cell failures are recorded in-row and the
-    campaign continues.
+    CSV row per cell lands in report_path, appended as the cell ends, so a
+    campaign that stops early keeps every row it computed; per-document byte
+    sizes go to `<report stem>-datasets.csv`.  Cell failures are recorded
+    in-row and the campaign continues.
     """
     data_root = data_root or matrix.get("data_dir") or "datasets"
     os.makedirs(data_root, exist_ok=True)
@@ -619,13 +627,14 @@ def run_campaign(matrix: dict, report_path: str,
             transform = engine_pedersen.transform_warehouse(d, out)
             overheads[spec.id] = (out, transform.overhead_ms)
 
+    write_report(report_path, [])
     reports = []
     for (spec, d), engine, matching, query in product(
             zip(specs, dirs), engines, matchings, queries):
         run_dir, overhead = (overheads[spec.id] if engine == ENGINE_PEDERSEN
                              else (d, 0.0))
-        reports.append(run_cell(spec, run_dir, engine, query, matching,
-                                repeats=repeats, warmup=warmup, overhead_ms=overhead))
-
-    write_report(report_path, reports)
+        report = run_cell(spec, run_dir, engine, query, matching,
+                          repeats=repeats, warmup=warmup, overhead_ms=overhead)
+        write_report(report_path, [report], append=True)
+        reports.append(report)
     return reports

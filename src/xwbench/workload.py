@@ -7,24 +7,25 @@ the finest levels (day, type3, customer nation, supplier nation), the
 grouping ladder whose matching cost grows with dimension count.
 
 plan_query compiles a query against one warehouse: it reads the metadata,
-validates the query, picks the engine's resolver and loads (or takes) the
-grouped dimensions' indexes and the fact columns (xmlio.load_facts).  The
-plan's `key(i)` is the group key of the fact at column position i (via the
-query-time engine, or by plain cell reads over pretransformed data) and
-`values(i)` its measures; run_query, the correctness check and the
-double-counting control all group facts through it.
+validates the query, picks the engine's column resolver and loads (or
+takes) the grouped dimensions' indexes and the fact columns
+(xmlio.load_facts).  The plan's `keys()` are the facts' group keys in fact
+order, resolved one grouped dimension's column at a time (by the query-time
+engine, or by plain cell reads over pretransformed data), and `values()`
+their measures; run_query, the correctness check and the double-counting
+control all group facts through it.
 
-run_query walks the fact columns once, in one phase-timed loop.  Each
-fact's key is matched against the cube under the chosen strategy (a
-faithful sequential scan comparing keys entry by entry, or a hash lookup),
-and the fact contributes its measures exactly once.
+run_query makes three timed passes over the fact columns: resolve every
+key, match every key to a cube entry under the chosen strategy (a faithful
+sequential scan comparing keys entry by entry, or a hash lookup), then
+aggregate, each fact contributing its measures exactly once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import engine_pedersen, engine_qbs, xmlio
 from .errors import ConfigurationError, QueryError
@@ -307,10 +308,10 @@ class QueryTiming:
     """Wall-clock run breakdown in milliseconds.
 
     `load_ms` loads the grouped dimensions and `read_ms` the fact columns;
-    both are 0 when the query was given them.  `query_ms` is the walk over
-    the facts; three phases split it: resolving each fact's group key
+    both are 0 when the query was given them.  `query_ms` is the sum of
+    three sequential passes over the facts: resolving every group key
     (where the query-time engine does its summarizability work), matching
-    the key to a cube entry, and aggregating.
+    every key to a cube entry, and aggregating.
     """
 
     load_ms: float
@@ -327,8 +328,7 @@ class QueryPlan:
 
     `steps` holds one (level, schema, index, ordinals) per grouped
     dimension, in grouping order, where `ordinals` is the dimension's column
-    of `facts`; `key(i)` and `values(i)` read the fact at position i, the
-    values as a tuple in `query.measures` order.
+    of `facts`; `resolve` is the engine's column resolver.
     """
 
     query: Query
@@ -337,16 +337,24 @@ class QueryPlan:
     facts: xmlio.FactColumns
     steps: tuple[tuple[str | None, DimensionSchema, list[DimensionInstance],
                        Sequence[int]], ...]
-    resolve: Callable[[DimensionInstance, str | None, DimensionSchema], object]
-    values: Callable[[int], tuple[float, ...]]
+    resolve: Callable[[Sequence[DimensionInstance], Sequence[int], str | None,
+                       DimensionSchema], list]
     load_ms: float
     read_ms: float
 
-    def key(self, i: int) -> tuple:
-        """The group key of fact i: one component per grouped dimension."""
+    def keys(self) -> list[tuple]:
+        """Every fact's group key, in fact order: one component per grouped
+        dimension, each dimension resolved as one column."""
+        if not self.steps:
+            return [()] * len(self.facts)
         resolve = self.resolve
-        return tuple([resolve(index[ordinals[i] - 1], level, schema)
-                      for level, schema, index, ordinals in self.steps])
+        return list(zip(*[resolve(index, ordinals, level, schema)
+                          for level, schema, index, ordinals in self.steps]))
+
+    def values(self) -> Iterator[tuple[float, ...]]:
+        """Every fact's measures, in fact order, as a tuple in
+        `query.measures` order."""
+        return zip(*[self.facts.measures[m] for m in self.query.measures])
 
 
 def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
@@ -363,9 +371,9 @@ def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     dangling one raises ReferentialError before any fact is grouped.
     """
     if engine == ENGINE_QBS:
-        resolve = engine_qbs.resolve_component
+        resolve = engine_qbs.resolve_column
     elif engine == ENGINE_PEDERSEN:
-        resolve = engine_pedersen.resolve_component_pretransformed
+        resolve = engine_pedersen.resolve_column_pretransformed
     else:
         raise ConfigurationError(f"unknown engine {engine!r}")
 
@@ -386,16 +394,7 @@ def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
         facts.check_refs(dim_id, len(indexes[dim_id]))
         steps.append((level, model.dimension(dim_id), indexes[dim_id],
                       facts.ordinals[dim_id]))
-    # Called once per fact: a fact carries two measures, and validate_query
-    # admits each at most once.
-    columns = [facts.measures[m] for m in query.measures]
-    if len(columns) == 1:
-        (only,) = columns
-        values = lambda i: (only[i],)
-    else:
-        first, second = columns
-        values = lambda i: (first[i], second[i])
-    return QueryPlan(query, model, indexes, facts, tuple(steps), resolve, values,
+    return QueryPlan(query, model, indexes, facts, tuple(steps), resolve,
                      load_ms, read_ms)
 
 
@@ -403,31 +402,30 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
               matching: str = MATCH_HASH, indexes: xmlio.Indexes | None = None,
               facts: xmlio.FactColumns | None = None,
               ) -> tuple[ResultCube, QueryTiming]:
-    """Walk the facts once and build the query's result cube.
+    """Build the query's result cube in three timed passes over the facts:
+    resolve every group key, match every key to a cube entry, aggregate.
 
     `engine`, `indexes` and `facts` as for plan_query; `matching` picks the
     group-matching strategy.
     """
     plan = plan_query(query, in_dir, engine, indexes, facts)
-    key_of, values_of, aggregate = plan.key, plan.values, query.aggregate
+    aggregate = query.aggregate
     cube = ResultCube(query, matching)
-    resolve_s = match_s = agg_s = 0.0
     pc = time.perf_counter
-    start = t0 = pc()
-    for i in range(len(plan.facts)):
-        key = key_of(i)
-        t1 = pc()
-        resolve_s += t1 - t0
-        entry = cube.entry_for(key)
-        t2 = pc()
-        match_s += t2 - t1
-        values = values_of(i)
-        cube.observe_fact(values)
+    t0 = pc()
+    keys = plan.keys()
+    t1 = pc()
+    entry_for = cube.entry_for
+    entries = [entry_for(key) for key in keys]
+    t2 = pc()
+    observe_fact = cube.observe_fact
+    for entry, values in zip(entries, plan.values()):
+        observe_fact(values)
         entry.support += 1
         aggregate_step(entry, values, aggregate)
-        t0 = pc()
-        agg_s += t0 - t2
-    query_ms = (pc() - start) * 1000.0
+    t3 = pc()
     cube.close()
-    return cube, QueryTiming(plan.load_ms, query_ms, plan.read_ms, resolve_s * 1000.0,
-                             match_s * 1000.0, agg_s * 1000.0)
+    resolve_ms, match_ms, agg_ms = ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0,
+                                    (t3 - t2) * 1000.0)
+    return cube, QueryTiming(plan.load_ms, resolve_ms + match_ms + agg_ms, plan.read_ms,
+                             resolve_ms, match_ms, agg_ms)

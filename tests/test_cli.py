@@ -135,6 +135,15 @@ class TestOracleCommand:
         assert run_cli("oracle", "--in", reference_dir, "--query", "D2") == 2
         assert "'part#99'" in capsys.readouterr().err
 
+    def test_malformed_sale_is_data_error(self, reference_dir, capsys):
+        path = os.path.join(reference_dir, "f_sale.xml")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("<f_quantity>100", "<f_quantity>many"))
+        assert run_cli("oracle", "--in", reference_dir, "--query", "D2") == 2
+        assert "'sale#1'" in capsys.readouterr().err
+
 
 class TestCampaignCommand:
     def test_runs_matrix_file(self, tmp_path, capsys):

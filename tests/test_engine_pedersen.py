@@ -12,10 +12,11 @@ from xwbench.engine_pedersen import (
     fused_levels_of,
     make_covering,
     make_strict,
+    resolve_column_pretransformed,
     resolve_component_pretransformed,
     transform_warehouse,
 )
-from xwbench.errors import ConfigurationError
+from xwbench.errors import ConfigurationError, QueryError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.model import HierarchyKind, classify_instance
 from xwbench.xmlio import iter_instances, layout_files, read_metadata
@@ -200,3 +201,9 @@ class TestPretransformedResolution:
         inst = make_instance("part", [{"type2": "ANODIZED", "type1": "TIN"}])
         with pytest.raises(ConfigurationError):
             resolve_component_pretransformed(inst, "type3", model.dimension("part"))
+
+    def test_column_resolver_rejects_an_unknown_level(self, model):
+        index = [make_instance("part", [{"type3": "LARGE", "type2": "ANODIZED",
+                                         "type1": "TIN"}])]
+        with pytest.raises(QueryError):
+            resolve_column_pretransformed(index, [1], "nation", model.dimension("part"))

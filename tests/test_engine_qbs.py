@@ -7,6 +7,7 @@ from xwbench.engine_qbs import (
     OTHER,
     component_label,
     label_component,
+    resolve_column,
     resolve_component,
 )
 from xwbench.errors import QueryError, ReferentialError
@@ -48,16 +49,31 @@ class TestResolveComponent:
         with pytest.raises(QueryError):
             resolve_component(inst, "type3", model.dimension("supplier"))
 
+    def test_column_resolver_rejects_an_unknown_level(self, model):
+        index = [make_instance("supplier", FOUR_ROW_SUPPLIER)]
+        with pytest.raises(QueryError):
+            resolve_column(index, [1, 1], "type3", model.dimension("supplier"))
+
+    def test_column_holds_one_component_per_ordinal(self, model):
+        index = [make_instance("supplier", FOUR_ROW_SUPPLIER, 1),
+                 make_instance("supplier", [{"region": "ASIA"}], 2),
+                 make_instance("supplier", [{"nation": "INDIA", "region": "ASIA"}], 3)]
+        schema = model.dimension("supplier")
+        assert resolve_column(index, [3, 1, 2, 3], "nation", schema) == [
+            "INDIA", frozenset({"FRANCE", "GERMANY"}), OTHER, "INDIA"]
+        assert resolve_column(index, [2, 1], None, schema) == ["supplier#2", "supplier#1"]
+
 
 class TestResolveGroup:
-    """A fact's group key, as every engine path computes it: plan_query's key."""
+    """A fact's group key, as every engine path computes it: plan_query's keys."""
 
     @staticmethod
     def key(reference_dir, grouping, indexes=None):
         plan = plan_query(Query("X", "SUM", (F_QUANTITY,), grouping), reference_dir,
                           indexes=indexes)
         assert len(plan.facts) == 1
-        return plan.key(0)
+        (key,) = plan.keys()
+        return key
 
     def test_reference_fact_under_avg_grouping(self, reference_dir):
         grouping = (("supplier", "region"), ("part", "type1"),

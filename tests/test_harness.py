@@ -17,7 +17,8 @@ from conftest import single_sale_warehouse
 from xwbench import xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.engine_qbs import OTHER
-from xwbench.errors import ConfigurationError, OracleScopeError, ReferentialError
+from xwbench.errors import (ConfigurationError, DocumentError, OracleScopeError,
+                            ReferentialError)
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import (
     DatasetSpec,
@@ -160,6 +161,23 @@ class TestOracle:
         with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
             oracle_cube(reference_dir, get_query("D2"))
         with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
+            run_query(get_query("D2"), reference_dir)
+
+    @pytest.mark.parametrize("old, new", [
+        ("<dimref dim='date' idref='date#1'/>", ""),
+        ("f_totalamount>", "f_total>"),
+        ("<f_quantity>100", "<f_quantity>many"),
+    ], ids=["missing-dimref", "renamed-measure", "unparsable-measure"])
+    def test_malformed_sale_is_document_error(self, reference_dir, old, new):
+        """A sale the readers reject as malformed, the oracle rejects too."""
+        path = os.path.join(reference_dir, "f_sale.xml")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
+        with pytest.raises(DocumentError, match="'sale#1'"):
+            oracle_cube(reference_dir, get_query("D2"))
+        with pytest.raises(DocumentError):
             run_query(get_query("D2"), reference_dir)
 
     def test_capacity_guard(self, complex_300):
@@ -532,6 +550,30 @@ class TestCampaign:
         with open(report_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 and all(row["chk_grand"] == "ERR" for row in rows)
+
+    def test_rows_survive_a_campaign_that_stops(self, tmp_path, monkeypatch):
+        """Each row is on disk as its cell ends, before the next cell runs."""
+        from xwbench import harness
+
+        real_run_cell, calls = harness.run_cell, []
+
+        def failing_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("stopped")
+            return real_run_cell(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", failing_third)
+        matrix = {"datasets": [{"id": "tiny", "facts": 20, "seed": 9}],
+                  "engines": ["qbs"], "queries": ["D1", "D2", "D3", "D4"],
+                  "repeats": 1, "warmup": 0}
+        report_path = tmp_path / "campaign.csv"
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data"))
+        with open(report_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == REPORT_COLUMNS
+        assert [row[REPORT_COLUMNS.index("query")] for row in rows[1:]] == ["D1", "D2"]
 
     def test_matrix_loads_from_json(self, tmp_path):
         from xwbench.harness import load_matrix

@@ -1,18 +1,21 @@
 """Workload definition, cube building, matching strategies, query runs."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xwbench.engine_pedersen import transform_warehouse
-from xwbench.engine_qbs import OTHER
+from xwbench.engine_qbs import OTHER, component_label
 from xwbench.errors import ConfigurationError, QueryError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import cubes_match
 from xwbench.model import F_QUANTITY, F_TOTALAMOUNT
 from xwbench.workload import (
+    MATCH_HASH,
+    MATCH_SCAN,
     Entry,
     Query,
     ResultCube,
@@ -281,3 +284,56 @@ def test_sum_min_max_avg_agree_with_builtins(values):
         for v in values:
             aggregate_step(entry, (v,), aggregate)
         assert entry.values(aggregate)[0] == pytest.approx(expected, rel=1e-12)
+
+
+# sha256 of each standard query's canonical cube over the golden-bytes
+# warehouse GeneratorConfig(200, 50, 50, 3, seed=7): qbs over the raw
+# documents and pedersen over their transform, under either matching, all
+# give the same cube.  The cross-engine and oracle tests only compare cubes
+# with each other; these digests tie every cell to fixed keys, supports and
+# sums in fact order.
+GOLDEN_CUBES = {
+    "Q21": "41c89842377eb7b5248f209591c00fa032ba56503914c64d9877cdef827ba582",
+    "Q22": "ab2f0ac76f775147e90d0e5d00b8ac580b0b8915410688a676dfbac3917f9664",
+    "Q23": "9ad41936801daa98f8c00fa7a344f18cbdb8bceed151d98f6896b8f1a0b5f749",
+    "Q24": "6a9b7fc8946ac0b4b4dac8dc983967a292b2ef89ed18a3f5d742801355835081",
+    "D1": "3f10514912cd3a42f30a49290358cce8941f92f231cc8206b1d6d2f528287759",
+    "D2": "9d6025631efcb1c6a4b0e6a29b2c8f6925aa770ae1852bd33ac46bb22040fa0b",
+    "D3": "cd3b1b70d3867ffba9b34fe16155c04ab4751cb389b3a1e2f6beddaa95bae438",
+    "D4": "ef68fa57ff67fa6d35357c665a79b66ce68db7a2032537caf21b16dfb8b42e1a",
+}
+
+
+def canonical_cube(cube) -> str:
+    """A cube's normalized form with keys as component labels (a frozenset's
+    repr order depends on the hash seed), entries sorted and floats as repr."""
+    norm = cube.normalize()
+    entries = sorted(((tuple(component_label(c) for c in key), record)
+                      for key, record in norm["entries"].items()),
+                     key=lambda item: item[0])
+    lines = [norm["query"], norm["aggregate"], repr(norm["measures"]),
+             repr(norm["fact_count"]), repr(sorted(norm["grand_totals"].items()))]
+    for key, record in entries:
+        lines.append(f"{key!r} {record['support']!r} "
+                     f"{sorted(record['values'].items())!r}")
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def golden_warehouse(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-cubes")
+    raw, ped = str(root / "raw"), str(root / "ped")
+    generate_warehouse(GeneratorConfig(200, 50, 50, 3, seed=7, output_dir=raw))
+    transform_warehouse(raw, ped)
+    return {"qbs": raw, "pedersen": ped}
+
+
+@pytest.mark.parametrize("matching", [MATCH_HASH, MATCH_SCAN])
+@pytest.mark.parametrize("engine", ["qbs", "pedersen"])
+def test_cubes_match_golden_digests(golden_warehouse, engine, matching):
+    digests = {}
+    for query in standard_workload():
+        cube, _ = run_query(query, golden_warehouse[engine], engine=engine,
+                            matching=matching)
+        digests[query.id] = hashlib.sha256(canonical_cube(cube).encode()).hexdigest()
+    assert digests == GOLDEN_CUBES
