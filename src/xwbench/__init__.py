@@ -12,7 +12,7 @@ from .engine_pedersen import (
     make_strict,
     transform_warehouse,
 )
-from .engine_qbs import OTHER, component_label, resolve_component
+from .engine_qbs import OTHER, component_label
 from .errors import (
     BenchmarkError,
     ConfigurationError,
@@ -79,7 +79,7 @@ __all__ = [
     "cubes_match", "default_model", "gen_complex", "gen_incomplete",
     "gen_nonstrict", "generate_warehouse", "load_workload", "make_covering",
     "make_strict", "oracle_cube", "qbs_view_of_pedersen",
-    "read_metadata", "read_warehouse", "resolve_component",
+    "read_metadata", "read_warehouse",
     "run_campaign", "run_query", "select_targets", "standard_matrix",
     "standard_workload", "transform_warehouse",
     "write_metadata",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .engine_qbs import OTHER_LABEL, fused_label
-from .errors import ConfigurationError, QueryError
+from .errors import ConfigurationError
 from . import xmlio
 from .model import DimensionInstance, DimensionSchema, LevelRow
 
@@ -141,15 +141,12 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
 
 
 def resolve_column_pretransformed(index: Sequence[DimensionInstance],
-                                  ordinals: Sequence[int], level: str | None,
-                                  schema: DimensionSchema) -> list[str]:
+                                  ordinals: Sequence[int], level: str | None) -> list[str]:
     """Plain cell reads over transformed data, of instance `index[o - 1]`
     for every ordinal o; anything but one complete row means the warehouse
     was not transformed and the engine/warehouse pairing is wrong."""
     if level is None:
         return [index[o - 1].instance_id for o in ordinals]
-    if level not in schema.levels:
-        raise QueryError(f"dimension {schema.id!r} has no level {level!r}")
     column = []
     append = column.append
     for o in ordinals:
@@ -166,9 +163,3 @@ def resolve_column_pretransformed(index: Sequence[DimensionInstance],
                 "this warehouse is not the output of transform_warehouse")
         append(value)
     return column
-
-
-def resolve_component_pretransformed(inst: DimensionInstance, level: str | None,
-                                     schema: DimensionSchema) -> str:
-    """One instance's cell at the grouped level (None = instance itself)."""
-    return resolve_column_pretransformed((inst,), (1,), level, schema)[0]

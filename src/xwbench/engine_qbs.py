@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Sequence, Union
 
-from .errors import QueryError
-from .model import DimensionInstance, DimensionSchema
+from .model import DimensionInstance
 
 OTHER_LABEL = "Other"
 
@@ -38,13 +37,12 @@ Component = Union[str, FrozenSet[str], OtherGroup]
 
 
 def resolve_column(index: Sequence[DimensionInstance], ordinals: Sequence[int],
-                   level: str | None, schema: DimensionSchema) -> list[Component]:
+                   level: str | None) -> list[Component]:
     """The component at the grouped level (None = the instance itself) of
-    instance `index[o - 1]`, for every ordinal o in `ordinals`."""
+    instance `index[o - 1]`, for every ordinal o in `ordinals`; the level is
+    one the query's validation found in the dimension's schema."""
     if level is None:
         return [index[o - 1].instance_id for o in ordinals]
-    if level not in schema.levels:
-        raise QueryError(f"dimension {schema.id!r} has no level {level!r}")
     column = []
     append = column.append
     for o in ordinals:
@@ -59,12 +57,6 @@ def resolve_column(index: Sequence[DimensionInstance], ordinals: Sequence[int],
             (only,) = members
         append(OTHER if only == OTHER_LABEL else only)
     return column
-
-
-def resolve_component(inst: DimensionInstance, level: str | None,
-                      schema: DimensionSchema) -> Component:
-    """The instance's component at the grouped level (None = instance itself)."""
-    return resolve_column((inst,), (1,), level, schema)[0]
 
 
 def fused_label(members) -> str:

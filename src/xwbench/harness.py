@@ -10,7 +10,9 @@ contributing value.
 Verification machinery lives here too: a brute-force oracle that
 materializes the whole warehouse and regroups it exhaustively (sharing no
 code with the streaming query path), a deliberately broken double-counting
-engine used as a negative control, and the report CSV emission.
+engine used as a negative control, and the report CSV emission.  A cell
+compiles its query once (workload.plan_query) and hands that plan to every
+run, to the check and to the control.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .workload import (
     ENGINE_QBS,
     MATCH_HASH,
     Query,
+    QueryPlan,
     ResultCube,
     get_query,
     plan_query,
@@ -83,27 +86,20 @@ class CorrectnessReport:
         return self.dup_ok and self.grand_ok and self.avg_ok and self.minmax_ok
 
 
-def check_correctness(cube: Any, in_dir: str, query: Query,
-                      engine: str = ENGINE_QBS,
-                      indexes: xmlio.Indexes | None = None,
-                      facts: xmlio.FactColumns | None = None,
-                      ) -> CorrectnessReport:
+def check_correctness(cube: Any, plan: QueryPlan) -> CorrectnessReport:
     """Evaluate the qualitative metric against an independent recount pass.
 
-    The recount walks the fact columns, groups every fact through its own
-    `engine` plan (plan_query's keys and values, as run_query does) and
-    rebuilds per-group count/sum/min/max in plain lists, then checks the
-    cube against them; it shares nothing with ResultCube, matching or
-    aggregation.  Only the grouped dimensions' indexes and the fact columns
-    may be shared with the query that built the cube (`indexes` and
-    `facts`, as run_cell does); without them the check loads its own.
-    Failures are report content, not exceptions; a dangling reference
-    raises ReferentialError and an unknown engine ConfigurationError.
+    The recount resolves every fact's group key again through `plan` (the
+    plan_query result the cube's query was compiled to, whose keys and
+    values run_query groups too) and rebuilds per-group count/sum/min/max
+    in plain lists, then checks the cube against them; it shares nothing
+    with ResultCube, matching or aggregation.  Failures are report content,
+    not exceptions.
     """
     norm = normalize_cube(cube)
     notes: list[str] = []
 
-    plan = plan_query(query, in_dir, engine, indexes, facts)
+    query = plan.query
     recount: dict[tuple, list] = {}  # key -> [count, sums, mins, maxs]
     fact_count = len(plan.facts)
     grand = [0.0] * len(query.measures)
@@ -347,24 +343,21 @@ def qbs_view_of_pedersen(cube: Any) -> dict:
 # --- negative control ----------------------------------------------------
 
 
-def double_counting_cube(in_dir: str, query: Query,
-                         indexes: xmlio.Indexes | None = None,
-                         facts: xmlio.FactColumns | None = None,
-                         ) -> ResultCube:
+def double_counting_cube(plan: QueryPlan) -> ResultCube:
     """Deliberately broken engine: every non-strict row aggregates separately.
 
     Each fact contributes once per combination of its instances' row-level
     values instead of once per fused group, re-creating the double counting
     the summarizability engines exist to prevent.  Negative control for the
-    correctness checker; never a benchmark subject.  `indexes` and `facts`
-    as for plan_query.
+    correctness checker; never a benchmark subject.  It reads the grouped
+    instances of the `plan` (a plan_query result) row by row, never its
+    resolver.
     """
-    plan = plan_query(query, in_dir, ENGINE_QBS, indexes, facts)
-    cube = ResultCube(query, MATCH_HASH)
+    cube = ResultCube(plan.query, MATCH_HASH)
     for i, values in enumerate(plan.values()):
         cube.observe_fact(values)
         alternatives = []
-        for level, _, index, ordinals in plan.steps:
+        for level, index, ordinals in plan.steps:
             inst = index[ordinals[i] - 1]
             if level is None:
                 alternatives.append([inst.instance_id])
@@ -373,7 +366,6 @@ def double_counting_cube(in_dir: str, query: Query,
                     [row.cells.get(level, OTHER) for row in inst.rows])
         for combo in product(*alternatives):
             cube.contribute(combo, values)
-    cube.close()
     return cube
 
 
@@ -498,40 +490,43 @@ class RunReport:
         return [fmt(getattr(self, col)) for col in REPORT_COLUMNS]
 
 
-def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
-             matching: str, repeats: int = 3, warmup: int = 1,
-             overhead_ms: float = 0.0) -> RunReport:
-    """One campaign cell: warm-up run discarded, median-of-`repeats` timing.
-
-    The grouped dimensions and the facts are each read once, timed as
-    `load_ms` and `read_ms`, and shared by every run of the query and by the
-    correctness check.
-    """
-    report = RunReport(
+def _cell_report(spec: DatasetSpec, engine: str, query: Query, matching: str,
+                 overhead_ms: float = 0.0) -> RunReport:
+    """A cell's report row before anything is measured."""
+    return RunReport(
         dataset=spec.id, regime=spec.regime, facts=spec.facts,
         incomplete_pct=spec.incomplete, nonstrict_pct=spec.nonstrict,
         nonstrict_num=spec.nonstrict_number, engine=engine, matching=matching,
         query=query.id, overhead_ms=overhead_ms if engine == ENGINE_PEDERSEN else 0.0,
     )
-    # The naive control groups like qbs, so its cube is checked as qbs's.
-    plan_engine = ENGINE_QBS if engine == ENGINE_NAIVE else engine
+
+
+def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
+             matching: str, repeats: int = 3, warmup: int = 1,
+             overhead_ms: float = 0.0) -> RunReport:
+    """One campaign cell: warm-up run discarded, median-of-`repeats` timing.
+
+    The query is compiled once (plan_query, which reads the grouped
+    dimensions and the facts, timed as `load_ms` and `read_ms`), and that
+    plan is shared by every run of the query and by the correctness check.
+    """
+    report = _cell_report(spec, engine, query, matching, overhead_ms)
     try:
         if repeats < 1:
             raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
-        plan = plan_query(query, run_dir, plan_engine)
+        # The naive control groups like qbs, so its cube is checked as qbs's.
+        plan = plan_query(query, run_dir, ENGINE_QBS if engine == ENGINE_NAIVE else engine)
         report.load_ms = plan.load_ms
         report.read_ms = plan.read_ms
-        shared = {"indexes": plan.indexes, "facts": plan.facts}
         if engine == ENGINE_NAIVE:
             start = time.perf_counter()
-            cube = double_counting_cube(run_dir, query, **shared)
+            cube = double_counting_cube(plan)
             report.query_ms = (time.perf_counter() - start) * 1000.0
         else:
             timings = []
             cube = None
             for i in range(warmup + repeats):
-                cube, timing = run_query(query, run_dir, engine=engine, matching=matching,
-                                         **shared)
+                cube, timing = run_query(query, run_dir, matching=matching, plan=plan)
                 if i >= warmup:
                     timings.append(timing)
             timing = sorted(timings, key=lambda t: t.query_ms)[len(timings) // 2]
@@ -539,7 +534,7 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
             report.resolve_ms = timing.resolve_ms
             report.match_ms = timing.match_ms
             report.agg_ms = timing.agg_ms
-        checks = check_correctness(cube, run_dir, query, engine=plan_engine, **shared)
+        checks = check_correctness(cube, plan)
         report.groups = len(cube.entries)
         report.chk_dup = checks.dup_ok
         report.chk_grand = checks.grand_ok
@@ -599,7 +594,8 @@ def run_campaign(matrix: dict, report_path: str,
     CSV row per cell lands in report_path, appended as the cell ends, so a
     campaign that stops early keeps every row it computed; per-document byte
     sizes go to `<report stem>-datasets.csv`.  Cell failures are recorded
-    in-row and the campaign continues.
+    in-row and the campaign continues; a transform that fails is recorded
+    so in that dataset's static-engine rows alone.
     """
     data_root = data_root or matrix.get("data_dir") or "datasets"
     os.makedirs(data_root, exist_ok=True)
@@ -620,21 +616,28 @@ def run_campaign(matrix: dict, report_path: str,
     if specs:
         write_dataset_sizes(f"{stem}-datasets.csv", specs, dirs)
 
-    overheads: dict[str, tuple[str, float]] = {}
+    transforms: dict[str, tuple[str, float] | BenchmarkError] = {}
     if ENGINE_PEDERSEN in engines:
         for spec, d in zip(specs, dirs):
             out = d + "-pedersen"
-            transform = engine_pedersen.transform_warehouse(d, out)
-            overheads[spec.id] = (out, transform.overhead_ms)
+            try:
+                transforms[spec.id] = (
+                    out, engine_pedersen.transform_warehouse(d, out).overhead_ms)
+            except BenchmarkError as exc:
+                transforms[spec.id] = exc
 
     write_report(report_path, [])
     reports = []
     for (spec, d), engine, matching, query in product(
             zip(specs, dirs), engines, matchings, queries):
-        run_dir, overhead = (overheads[spec.id] if engine == ENGINE_PEDERSEN
-                             else (d, 0.0))
-        report = run_cell(spec, run_dir, engine, query, matching,
-                          repeats=repeats, warmup=warmup, overhead_ms=overhead)
+        target = transforms[spec.id] if engine == ENGINE_PEDERSEN else (d, 0.0)
+        if isinstance(target, BenchmarkError):
+            report = _cell_report(spec, engine, query, matching)
+            report.error = str(target)
+        else:
+            run_dir, overhead = target
+            report = run_cell(spec, run_dir, engine, query, matching,
+                              repeats=repeats, warmup=warmup, overhead_ms=overhead)
         write_report(report_path, [report], append=True)
         reports.append(report)
     return reports

@@ -7,13 +7,13 @@ the finest levels (day, type3, customer nation, supplier nation), the
 grouping ladder whose matching cost grows with dimension count.
 
 plan_query compiles a query against one warehouse: it reads the metadata,
-validates the query, picks the engine's column resolver and loads (or
-takes) the grouped dimensions' indexes and the fact columns
-(xmlio.load_facts).  The plan's `keys()` are the facts' group keys in fact
-order, resolved one grouped dimension's column at a time (by the query-time
-engine, or by plain cell reads over pretransformed data), and `values()`
-their measures; run_query, the correctness check and the double-counting
-control all group facts through it.
+validates the query, picks the engine's column resolver and loads the
+grouped dimensions' indexes and the fact columns (xmlio.load_facts).  The
+plan's `keys()` are the facts' group keys in fact order, resolved one
+grouped dimension's column at a time (by the query-time engine, or by plain
+cell reads over pretransformed data), and `values()` their measures;
+run_query, the correctness check and the double-counting control all group
+facts through a plan, and a campaign cell compiles one plan for all of them.
 
 run_query makes three timed passes over the fact columns: resolve every
 key, match every key to a cube entry under the chosen strategy (a faithful
@@ -29,13 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import engine_pedersen, engine_qbs, xmlio
 from .errors import ConfigurationError, QueryError
-from .model import (
-    DimensionInstance,
-    DimensionSchema,
-    DwModel,
-    F_QUANTITY,
-    F_TOTALAMOUNT,
-)
+from .model import DimensionInstance, DwModel, F_QUANTITY, F_TOTALAMOUNT
 
 AGGREGATES = ("SUM", "MIN", "MAX", "AVG")
 
@@ -224,6 +218,7 @@ class ResultCube:
     The hash strategy locates entries by key digest; the scan strategy keeps
     insertion-ordered keys and compares each candidate key whole against the
     probe (the expensive matching the benchmark is designed to expose).
+    Under either strategy `entries` maps every group key to its entry.
     """
 
     def __init__(self, query: Query, matching: str = MATCH_HASH):
@@ -233,10 +228,9 @@ class ResultCube:
         self.matching = matching
         self.fact_count = 0
         self.grand_totals = [0.0] * len(query.measures)
-        self._entries: dict[tuple, Entry] = {}
+        self.entries: dict[tuple, Entry] = {}
         self._scan_keys: list[tuple] = []
         self._scan_entries: list[Entry] = []
-        self._closed = False
 
     def observe_fact(self, values: Sequence[float]) -> None:
         self.fact_count += 1
@@ -245,10 +239,10 @@ class ResultCube:
 
     def entry_for(self, key: tuple) -> Entry:
         if self.matching == MATCH_HASH:
-            entry = self._entries.get(key)
+            entry = self.entries.get(key)
             if entry is None:
                 entry = Entry(self.query.aggregate, len(self.query.measures))
-                self._entries[key] = entry
+                self.entries[key] = entry
             return entry
         try:
             return self._scan_entries[self._scan_keys.index(key)]
@@ -256,27 +250,13 @@ class ResultCube:
             entry = Entry(self.query.aggregate, len(self.query.measures))
             self._scan_keys.append(key)
             self._scan_entries.append(entry)
+            self.entries[key] = entry
             return entry
 
     def contribute(self, key: tuple, values: Sequence[float]) -> Entry:
         entry = self.entry_for(key)
         entry.support += 1
         return aggregate_step(entry, values, self.query.aggregate)
-
-    def close(self) -> "ResultCube":
-        if not self._closed and self.matching == MATCH_SCAN:
-            for key, entry in zip(self._scan_keys, self._scan_entries):
-                if key in self._entries:
-                    raise QueryError(f"duplicate group key {key!r}")
-                self._entries[key] = entry
-        self._closed = True
-        return self
-
-    @property
-    def entries(self) -> dict[tuple, Entry]:
-        if not self._closed:
-            self.close()
-        return self._entries
 
     def normalize(self) -> dict:
         """Comparison form shared with the independent oracle."""
@@ -307,8 +287,8 @@ class ResultCube:
 class QueryTiming:
     """Wall-clock run breakdown in milliseconds.
 
-    `load_ms` loads the grouped dimensions and `read_ms` the fact columns;
-    both are 0 when the query was given them.  `query_ms` is the sum of
+    `load_ms` and `read_ms` are the plan's: loading the grouped dimensions
+    and reading the fact columns, once per plan.  `query_ms` is the sum of
     three sequential passes over the facts: resolving every group key
     (where the query-time engine does its summarizability work), matching
     every key to a cube entry, and aggregating.
@@ -324,21 +304,18 @@ class QueryTiming:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A query compiled against one warehouse; built by plan_query.
+    """A query compiled against one warehouse; built by plan_query, and
+    shared by every run, check and control over that warehouse.
 
-    `steps` holds one (level, schema, index, ordinals) per grouped
+    `steps` holds one (level, index, ordinals) per grouped
     dimension, in grouping order, where `ordinals` is the dimension's column
     of `facts`; `resolve` is the engine's column resolver.
     """
 
     query: Query
-    model: DwModel
-    indexes: xmlio.Indexes
     facts: xmlio.FactColumns
-    steps: tuple[tuple[str | None, DimensionSchema, list[DimensionInstance],
-                       Sequence[int]], ...]
-    resolve: Callable[[Sequence[DimensionInstance], Sequence[int], str | None,
-                       DimensionSchema], list]
+    steps: tuple[tuple[str | None, list[DimensionInstance], Sequence[int]], ...]
+    resolve: Callable[[Sequence[DimensionInstance], Sequence[int], str | None], list]
     load_ms: float
     read_ms: float
 
@@ -348,8 +325,8 @@ class QueryPlan:
         if not self.steps:
             return [()] * len(self.facts)
         resolve = self.resolve
-        return list(zip(*[resolve(index, ordinals, level, schema)
-                          for level, schema, index, ordinals in self.steps]))
+        return list(zip(*[resolve(index, ordinals, level)
+                          for level, index, ordinals in self.steps]))
 
     def values(self) -> Iterator[tuple[float, ...]]:
         """Every fact's measures, in fact order, as a tuple in
@@ -357,18 +334,16 @@ class QueryPlan:
         return zip(*[self.facts.measures[m] for m in self.query.measures])
 
 
-def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
-               indexes: xmlio.Indexes | None = None,
-               facts: xmlio.FactColumns | None = None) -> QueryPlan:
-    """Compile `query` against the warehouse in `in_dir`.
+def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS) -> QueryPlan:
+    """Compile `query` against the warehouse in `in_dir`, loading the
+    grouped dimensions' indexes (timed as `load_ms`) and the fact columns
+    (`read_ms`).
 
     `engine` picks how group membership is resolved: "qbs" resolves complex
     hierarchies on the fly; "pedersen" expects transform_warehouse output and
-    reads plain cells.  `indexes` and `facts` are the grouped dimensions'
-    indexes and the fact columns from an earlier plan; the plan loads what
-    it is not given, and only then is `load_ms` or `read_ms` non-zero.
-    Every reference to a grouped dimension is range-checked here, so a
-    dangling one raises ReferentialError before any fact is grouped.
+    reads plain cells.  Every reference to a grouped dimension is
+    range-checked here, so a dangling one raises ReferentialError before any
+    fact is grouped.
     """
     if engine == ENGINE_QBS:
         resolve = engine_qbs.resolve_column
@@ -380,35 +355,32 @@ def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     model = xmlio.read_metadata(in_dir)
     validate_query(query, model)
 
-    load_ms = read_ms = 0.0
-    if indexes is None:
-        t0 = time.perf_counter()
-        indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
-        load_ms = (time.perf_counter() - t0) * 1000.0
-    if facts is None:
-        t0 = time.perf_counter()
-        facts = xmlio.load_facts(in_dir, model, query.grouped_dimensions)
-        read_ms = (time.perf_counter() - t0) * 1000.0
+    t0 = time.perf_counter()
+    indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
+    t1 = time.perf_counter()
+    facts = xmlio.load_facts(in_dir, model, query.grouped_dimensions)
+    t2 = time.perf_counter()
     steps = []
     for dim_id, level in query.grouping:
         facts.check_refs(dim_id, len(indexes[dim_id]))
-        steps.append((level, model.dimension(dim_id), indexes[dim_id],
-                      facts.ordinals[dim_id]))
-    return QueryPlan(query, model, indexes, facts, tuple(steps), resolve,
-                     load_ms, read_ms)
+        steps.append((level, indexes[dim_id], facts.ordinals[dim_id]))
+    return QueryPlan(query, facts, tuple(steps), resolve,
+                     (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
 
 
 def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
-              matching: str = MATCH_HASH, indexes: xmlio.Indexes | None = None,
-              facts: xmlio.FactColumns | None = None,
+              matching: str = MATCH_HASH, plan: QueryPlan | None = None,
               ) -> tuple[ResultCube, QueryTiming]:
     """Build the query's result cube in three timed passes over the facts:
     resolve every group key, match every key to a cube entry, aggregate.
 
-    `engine`, `indexes` and `facts` as for plan_query; `matching` picks the
-    group-matching strategy.
+    `engine` as for plan_query; `matching` picks the group-matching
+    strategy.  A `plan` from plan_query is run as given, and its query is
+    the one run; without one, `query` is compiled against `in_dir`.
     """
-    plan = plan_query(query, in_dir, engine, indexes, facts)
+    if plan is None:
+        plan = plan_query(query, in_dir, engine)
+    query = plan.query
     aggregate = query.aggregate
     cube = ResultCube(query, matching)
     pc = time.perf_counter
@@ -424,7 +396,6 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
         entry.support += 1
         aggregate_step(entry, values, aggregate)
     t3 = pc()
-    cube.close()
     resolve_ms, match_ms, agg_ms = ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0,
                                     (t3 - t2) * 1000.0)
     return cube, QueryTiming(plan.load_ms, resolve_ms + match_ms + agg_ms, plan.read_ms,

@@ -20,7 +20,7 @@ from xwbench.harness import (
     run_campaign,
 )
 from xwbench.model import HierarchyKind, classify_instance
-from xwbench.workload import get_query, run_query, standard_workload
+from xwbench.workload import get_query, plan_query, run_query, standard_workload
 from xwbench.xmlio import document_sizes
 
 LAYOUT = ["dw-model.xml", "f_sale.xml", "d_part.xml", "d_customer.xml",
@@ -196,14 +196,14 @@ def test_criterion_7_correctness_metric(grid_1k, cube_cache):
     for dataset_id, (spec, out_dir) in grid_1k.items():
         for query in standard_workload():
             cube = qbs_cube(cube_cache, dataset_id, out_dir, query)
-            report = check_correctness(cube, out_dir, query, engine="qbs")
+            report = check_correctness(cube, plan_query(query, out_dir, engine="qbs"))
             assert report.passed, (dataset_id, query.id, report.notes[:3])
 
     query = get_query("D4")
     for dataset_id in NONSTRICT_DATASETS:
         _, out_dir = grid_1k[dataset_id]
-        naive = double_counting_cube(out_dir, query)
-        report = check_correctness(naive, out_dir, query, engine="qbs")
+        plan = plan_query(query, out_dir, engine="qbs")
+        report = check_correctness(double_counting_cube(plan), plan)
         assert not report.grand_ok, dataset_id
     announce(7, "all cells pass the checker; the double-counting control "
                 "fails the grand-total check on every non-strict dataset")

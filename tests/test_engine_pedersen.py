@@ -13,10 +13,9 @@ from xwbench.engine_pedersen import (
     make_covering,
     make_strict,
     resolve_column_pretransformed,
-    resolve_component_pretransformed,
     transform_warehouse,
 )
-from xwbench.errors import ConfigurationError, QueryError
+from xwbench.errors import ConfigurationError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.model import HierarchyKind, classify_instance
 from xwbench.xmlio import iter_instances, layout_files, read_metadata
@@ -184,26 +183,19 @@ def test_generated_and_transformed_documents_match_golden_bytes(tmp_path):
 
 
 class TestPretransformedResolution:
-    def test_plain_cell_read(self, model):
+    def test_plain_cell_read(self):
         inst = make_instance("supplier", [{"nation": "FRANCE+GERMANY",
                                            "nation_fused": "FRANCE+GERMANY",
                                            "region": "EUROPE"}])
-        ext = extended_schema(model.dimension("supplier"), {"nation"})
-        assert resolve_component_pretransformed(inst, "nation", ext) == "FRANCE+GERMANY"
-        assert resolve_component_pretransformed(inst, None, ext) == "supplier#1"
+        assert resolve_column_pretransformed([inst], [1], "nation") == ["FRANCE+GERMANY"]
+        assert resolve_column_pretransformed([inst], [1], None) == ["supplier#1"]
 
-    def test_untransformed_multi_row_is_a_mismatch(self, model):
+    def test_untransformed_multi_row_is_a_mismatch(self):
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
         with pytest.raises(ConfigurationError):
-            resolve_component_pretransformed(inst, "nation", model.dimension("supplier"))
+            resolve_column_pretransformed([inst], [1], "nation")
 
-    def test_untransformed_hole_is_a_mismatch(self, model):
+    def test_untransformed_hole_is_a_mismatch(self):
         inst = make_instance("part", [{"type2": "ANODIZED", "type1": "TIN"}])
         with pytest.raises(ConfigurationError):
-            resolve_component_pretransformed(inst, "type3", model.dimension("part"))
-
-    def test_column_resolver_rejects_an_unknown_level(self, model):
-        index = [make_instance("part", [{"type3": "LARGE", "type2": "ANODIZED",
-                                         "type1": "TIN"}])]
-        with pytest.raises(QueryError):
-            resolve_column_pretransformed(index, [1], "nation", model.dimension("part"))
+            resolve_column_pretransformed([inst], [1], "type3")

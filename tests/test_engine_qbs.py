@@ -1,5 +1,7 @@
 """Query-time resolution: component semantics and group keys."""
 
+import os
+
 import pytest
 
 from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
@@ -8,7 +10,6 @@ from xwbench.engine_qbs import (
     component_label,
     label_component,
     resolve_column,
-    resolve_component,
 )
 from xwbench.errors import QueryError, ReferentialError
 from xwbench.model import F_QUANTITY
@@ -16,61 +17,48 @@ from xwbench.workload import Query, plan_query
 
 
 class TestResolveComponent:
-    def test_multi_nation_array_fuses(self, model):
+    def test_multi_nation_array_fuses(self):
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
-        component = resolve_component(inst, "nation", model.dimension("supplier"))
-        assert component == frozenset({"FRANCE", "GERMANY"})
+        assert resolve_column([inst], [1], "nation") == [frozenset({"FRANCE", "GERMANY"})]
 
-    def test_rows_agreeing_at_level_collapse_to_atomic(self, model):
+    def test_rows_agreeing_at_level_collapse_to_atomic(self):
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
-        assert resolve_component(inst, "region", model.dimension("supplier")) == "EUROPE"
+        assert resolve_column([inst], [1], "region") == ["EUROPE"]
 
-    def test_missing_level_goes_to_other(self, model):
+    def test_missing_level_goes_to_other(self):
         inst = make_instance("part", [{"type2": "ANODIZED", "type1": "TIN"}])
-        assert resolve_component(inst, "type3", model.dimension("part")) is OTHER
+        assert resolve_column([inst], [1], "type3") == [OTHER]
 
-    def test_single_row_present_value_is_atomic(self, model):
+    def test_single_row_present_value_is_atomic(self):
         inst = make_instance("customer", [{"nation": "UNITED STATES",
                                            "region": "AMERICA"}])
-        assert resolve_component(inst, "region", model.dimension("customer")) == "AMERICA"
+        assert resolve_column([inst], [1], "region") == ["AMERICA"]
 
-    def test_mixed_present_and_absent_rows_fuse_with_placeholder(self, model):
+    def test_mixed_present_and_absent_rows_fuse_with_placeholder(self):
         # matches what covering-then-fusing produces on the same instance
         inst = make_instance("supplier", COMPLEX_SUPPLIER)
-        component = resolve_component(inst, "nation", model.dimension("supplier"))
-        assert component == frozenset({"FRANCE", "GERMANY", "INDIA", "Other"})
+        assert resolve_column([inst], [1], "nation") == [
+            frozenset({"FRANCE", "GERMANY", "INDIA", "Other"})]
 
-    def test_instance_granularity(self, model):
+    def test_instance_granularity(self):
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER, ordinal=9)
-        assert resolve_component(inst, None, model.dimension("supplier")) == "supplier#9"
+        assert resolve_column([inst], [1], None) == ["supplier#9"]
 
-    def test_unknown_level_is_query_error(self, model):
-        inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
-        with pytest.raises(QueryError):
-            resolve_component(inst, "type3", model.dimension("supplier"))
-
-    def test_column_resolver_rejects_an_unknown_level(self, model):
-        index = [make_instance("supplier", FOUR_ROW_SUPPLIER)]
-        with pytest.raises(QueryError):
-            resolve_column(index, [1, 1], "type3", model.dimension("supplier"))
-
-    def test_column_holds_one_component_per_ordinal(self, model):
+    def test_column_holds_one_component_per_ordinal(self):
         index = [make_instance("supplier", FOUR_ROW_SUPPLIER, 1),
                  make_instance("supplier", [{"region": "ASIA"}], 2),
                  make_instance("supplier", [{"nation": "INDIA", "region": "ASIA"}], 3)]
-        schema = model.dimension("supplier")
-        assert resolve_column(index, [3, 1, 2, 3], "nation", schema) == [
+        assert resolve_column(index, [3, 1, 2, 3], "nation") == [
             "INDIA", frozenset({"FRANCE", "GERMANY"}), OTHER, "INDIA"]
-        assert resolve_column(index, [2, 1], None, schema) == ["supplier#2", "supplier#1"]
+        assert resolve_column(index, [2, 1], None) == ["supplier#2", "supplier#1"]
 
 
 class TestResolveGroup:
     """A fact's group key, as every engine path computes it: plan_query's keys."""
 
     @staticmethod
-    def key(reference_dir, grouping, indexes=None):
-        plan = plan_query(Query("X", "SUM", (F_QUANTITY,), grouping), reference_dir,
-                          indexes=indexes)
+    def key(reference_dir, grouping):
+        plan = plan_query(Query("X", "SUM", (F_QUANTITY,), grouping), reference_dir)
         assert len(plan.facts) == 1
         (key,) = plan.keys()
         return key
@@ -85,8 +73,13 @@ class TestResolveGroup:
         assert self.key(reference_dir, ()) == ()
 
     def test_dangling_reference(self, reference_dir):
-        with pytest.raises(ReferentialError):
-            self.key(reference_dir, (("part", "type3"),), indexes={"part": []})
+        path = os.path.join(reference_dir, "f_sale.xml")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("idref='part#1'", "idref='part#2'"))
+        with pytest.raises(ReferentialError, match="'part#2'"):
+            self.key(reference_dir, (("part", "type3"),))
 
     def test_unknown_dimension(self, reference_dir):
         with pytest.raises(QueryError):

@@ -25,6 +25,7 @@ from xwbench.harness import (
     check_correctness,
     cubes_match,
     double_counting_cube,
+    ensure_dataset,
     infer_regime,
     normalize_cube,
     oracle_cube,
@@ -38,9 +39,9 @@ from xwbench.harness import (
 from xwbench.workload import (
     MATCH_HASH,
     MATCH_SCAN,
-    ResultCube,
     get_query,
     parse_query_line,
+    plan_query,
     run_query,
     standard_workload,
 )
@@ -52,7 +53,7 @@ class TestCheckCorrectness:
         _, out_dir, _ = complex_300
         for query in standard_workload():
             cube, _ = run_query(query, out_dir)
-            report = check_correctness(cube, out_dir, query)
+            report = check_correctness(cube, plan_query(query, out_dir))
             assert report.passed, (query.id, report.notes)
 
     def test_pedersen_cubes_pass_every_check(self, complex_300, tmp_path):
@@ -63,7 +64,7 @@ class TestCheckCorrectness:
         transform_warehouse(src, out)
         for query in standard_workload():
             cube, _ = run_query(query, out, engine="pedersen")
-            report = check_correctness(cube, out, query, engine="pedersen")
+            report = check_correctness(cube, plan_query(query, out, engine="pedersen"))
             assert report.passed, (query.id, report.notes)
 
     def test_perturbed_group_sum_fails_grand_total(self, complex_300):
@@ -73,15 +74,16 @@ class TestCheckCorrectness:
         norm = copy.deepcopy(cube.normalize())
         key = next(iter(norm["entries"]))
         norm["entries"][key]["values"]["f_quantity"] += 1
-        report = check_correctness(norm, out_dir, query)
+        report = check_correctness(norm, plan_query(query, out_dir))
         assert not report.grand_ok
         assert report.dup_ok
 
     def test_unknown_engine_is_configuration_error(self, complex_300):
+        """The check takes its engine from a plan, and no plan has an
+        unknown engine."""
         _, out_dir, _ = complex_300
-        query = get_query("D1")
         with pytest.raises(ConfigurationError):
-            check_correctness(ResultCube(query), out_dir, query, engine="turbo")
+            plan_query(get_query("D1"), out_dir, engine="turbo")
 
     def test_measures_in_any_order(self, tmp_path):
         out_dir = str(tmp_path / "complex")
@@ -89,7 +91,7 @@ class TestCheckCorrectness:
         query = parse_query_line("X SUM f_totalamount,f_quantity date.day")
         cube, _ = run_query(query, out_dir)
         assert cubes_match(cube, oracle_cube(out_dir, query))[0]
-        assert check_correctness(cube, out_dir, query).passed
+        assert check_correctness(cube, plan_query(query, out_dir)).passed
         report = run_cell(DatasetSpec("complex", 200), out_dir, "qbs", query, "hash",
                           repeats=1, warmup=0)
         assert report.error is None and report.checks_passed
@@ -99,16 +101,14 @@ class TestCheckCorrectness:
         for dataset_id in ("nonstrict5-1000", "nonstrict50-1000",
                            "complex5-1000", "complex50-1000"):
             _, out_dir = grid_1k[dataset_id]
-            query = get_query("D4")
-            naive = double_counting_cube(out_dir, query)
-            report = check_correctness(naive, out_dir, query)
+            plan = plan_query(get_query("D4"), out_dir)
+            report = check_correctness(double_counting_cube(plan), plan)
             assert not report.grand_ok, dataset_id
 
     def test_double_counting_engine_is_clean_on_simple_data(self, grid_1k):
         _, out_dir = grid_1k["simple-1000"]
-        query = get_query("D4")
-        naive = double_counting_cube(out_dir, query)
-        assert check_correctness(naive, out_dir, query).passed
+        plan = plan_query(get_query("D4"), out_dir)
+        assert check_correctness(double_counting_cube(plan), plan).passed
 
 
 class TestOracle:
@@ -324,10 +324,12 @@ class TestReports:
 
 @pytest.fixture()
 def parse_counts(monkeypatch):
-    """Counts xmlio.iter_instances calls per dimension, and xmlio.iter_facts
-    calls under "facts", while the test runs."""
+    """Counts xmlio.iter_instances calls per dimension, xmlio.iter_facts
+    calls under "facts" and xmlio.read_metadata calls under "metadata",
+    while the test runs."""
     parses = Counter()
     real_instances, real_facts = xmlio.iter_instances, xmlio.iter_facts
+    real_metadata = xmlio.read_metadata
 
     def counting_instances(in_dir, schema):
         parses[schema.id] += 1
@@ -337,8 +339,13 @@ def parse_counts(monkeypatch):
         parses["facts"] += 1
         return real_facts(in_dir, model)
 
+    def counting_metadata(in_dir):
+        parses["metadata"] += 1
+        return real_metadata(in_dir)
+
     monkeypatch.setattr(xmlio, "iter_instances", counting_instances)
     monkeypatch.setattr(xmlio, "iter_facts", counting_facts)
+    monkeypatch.setattr(xmlio, "read_metadata", counting_metadata)
     return parses
 
 
@@ -349,39 +356,40 @@ class TestCellLoading:
                           repeats=3, warmup=1)
         assert report.error is None and report.checks_passed
         assert report.load_ms > 0 and report.read_ms > 0
-        assert parse_counts == {"part": 1, "date": 1, "facts": 1}
+        assert parse_counts == {"part": 1, "date": 1, "facts": 1, "metadata": 1}
 
     def test_naive_cell_parses_only_its_grouped_dimension(self, complex_300, parse_counts):
         spec, out_dir, _ = complex_300
         report = run_cell(spec, out_dir, "naive", get_query("D1"), "hash",
                           repeats=3, warmup=1)
         assert report.error is None and report.read_ms > 0
-        assert parse_counts == {"date": 1, "facts": 1}
+        assert parse_counts == {"date": 1, "facts": 1, "metadata": 1}
 
     def test_standalone_query_loads_its_grouped_dimensions(self, complex_300,
                                                            parse_counts):
         _, out_dir, _ = complex_300
         query = get_query("D3")
         cube, timing = run_query(query, out_dir)
-        assert parse_counts == {"part": 1, "customer": 1, "date": 1, "facts": 1}
+        assert parse_counts == {"part": 1, "customer": 1, "date": 1, "facts": 1,
+                                "metadata": 1}
         assert timing.load_ms > 0 and timing.read_ms > 0
-        assert check_correctness(cube, out_dir, query).passed
-        assert parse_counts == {"part": 2, "customer": 2, "date": 2, "facts": 2}
+        assert check_correctness(cube, plan_query(query, out_dir)).passed
+        assert parse_counts == {"part": 2, "customer": 2, "date": 2, "facts": 2,
+                                "metadata": 2}
 
     def test_shared_indexes_are_not_reloaded(self, complex_300, parse_counts):
         _, out_dir, _ = complex_300
-        query = get_query("D1")
-        model = xmlio.read_metadata(out_dir)
-        indexes = xmlio.load_dimensions(out_dir, model, query.grouped_dimensions)
-        facts = xmlio.load_facts(out_dir, model, query.grouped_dimensions)
-        assert set(indexes) == set(facts.ordinals) == {"date"}
-        assert len(facts) == 300
-        cube, timing = run_query(query, out_dir, indexes=indexes, facts=facts)
-        assert timing.load_ms == timing.read_ms == 0.0
-        assert check_correctness(cube, out_dir, query, indexes=indexes, facts=facts).passed
-        naive = double_counting_cube(out_dir, query, indexes, facts)
+        plan = plan_query(get_query("D1"), out_dir)
+        assert set(plan.facts.ordinals) == {"date"}
+        assert len(plan.facts) == 300
+        loaded = Counter(parse_counts)
+        assert loaded == {"date": 1, "facts": 1, "metadata": 1}
+        cube, timing = run_query(plan.query, out_dir, plan=plan)
+        assert (timing.load_ms, timing.read_ms) == (plan.load_ms, plan.read_ms)
+        assert check_correctness(cube, plan).passed
+        naive = double_counting_cube(plan)
         assert cubes_match(cube, naive)[0]
-        assert parse_counts == {"date": 1, "facts": 1}
+        assert parse_counts == loaded
 
 
     @pytest.mark.parametrize("engine, matching", [("qbs", "hash"), ("qbs", "scan"),
@@ -391,7 +399,7 @@ class TestCellLoading:
         query = get_query("D3")
         report = run_cell(spec, out_dir, engine, query, matching, repeats=1, warmup=0)
         if engine == "naive":
-            cube = double_counting_cube(out_dir, query)
+            cube = double_counting_cube(plan_query(query, out_dir))
         else:
             cube, _ = run_query(query, out_dir, matching=matching)
         assert report.error is None
@@ -401,26 +409,21 @@ class TestCellLoading:
     @pytest.mark.parametrize("engine", ["qbs", "pedersen"])
     def test_shared_indexes_stay_untouched(self, complex_300, tmp_path, engine):
         """The records are slotted, not frozen, and the columns are mutable
-        arrays: reading shared indexes and columns must not change them."""
-        from xwbench.engine_pedersen import transform_warehouse
-
+        arrays: running, checking and controlling a plan must not change its
+        indexes or columns."""
         _, in_dir, _ = complex_300
         if engine == "pedersen":
             in_dir = str(tmp_path / "ped")
             transform_warehouse(complex_300[1], in_dir)
-        model = xmlio.read_metadata(in_dir)
-        indexes = xmlio.load_dimensions(in_dir, model, model.dimension_ids)
-        facts = xmlio.load_facts(in_dir, model, model.dimension_ids)
         for query in standard_workload():
+            plan = plan_query(query, in_dir, engine)
             for matching in ("hash", "scan"):
-                cube, _ = run_query(query, in_dir, engine=engine, matching=matching,
-                                    indexes=indexes, facts=facts)
-            assert check_correctness(cube, in_dir, query, engine=engine,
-                                     indexes=indexes, facts=facts).passed
+                cube, _ = run_query(query, in_dir, matching=matching, plan=plan)
+            assert check_correctness(cube, plan).passed
             if engine == "qbs":
-                double_counting_cube(in_dir, query, indexes, facts)
-        assert indexes == xmlio.load_dimensions(in_dir, model, model.dimension_ids)
-        assert facts == xmlio.load_facts(in_dir, model, model.dimension_ids)
+                double_counting_cube(plan)
+            fresh = plan_query(query, in_dir, engine)
+            assert (plan.steps, plan.facts) == (fresh.steps, fresh.facts)
 
 
 class TestCellFailures:
@@ -443,15 +446,14 @@ class TestCellFailures:
         assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
 
     def test_dangling_reference_is_referential_error(self, dangling_dir):
-        """A reference past the instance count is caught by the range check
-        of every path that groups facts, and the message names it."""
+        """A reference past the instance count is caught by plan_query's
+        range check, which every path that groups facts goes through, and
+        the message names it."""
         query = get_query("D1")
         with pytest.raises(ReferentialError, match="'date#99999'"):
             run_query(query, dangling_dir)
         with pytest.raises(ReferentialError, match="'date#99999'"):
-            double_counting_cube(dangling_dir, query)
-        with pytest.raises(ReferentialError, match="'date#99999'"):
-            check_correctness(ResultCube(query), dangling_dir, query)
+            plan_query(query, dangling_dir)
 
     @pytest.mark.parametrize("repeats, warmup", [(0, 0), (0, 1), (-1, 3)])
     def test_no_timed_run_is_recorded_as_configuration_error(self, reference_dir,
@@ -574,6 +576,30 @@ class TestCampaign:
             rows = list(csv.reader(fh))
         assert rows[0] == REPORT_COLUMNS
         assert [row[REPORT_COLUMNS.index("query")] for row in rows[1:]] == ["D1", "D2"]
+
+    def test_unreadable_dataset_fails_only_its_pedersen_rows(self, tmp_path):
+        """A dataset the transform cannot read records the error in its
+        pedersen rows; its qbs cells and the other dataset still run."""
+        data_root = tmp_path / "data"
+        bad = DatasetSpec("bad", 20, seed=9)
+        part_path = os.path.join(ensure_dataset(bad, str(data_root)), "d_part.xml")
+        with open(part_path, "a", encoding="utf-8") as fh:
+            fh.write("<junk/>")
+        matrix = {"datasets": [{"id": "good", "facts": 20, "seed": 9},
+                               dataclasses.asdict(bad)],
+                  "engines": ["qbs", "pedersen"], "queries": ["D1"],
+                  "repeats": 1, "warmup": 0}
+        report_path = tmp_path / "campaign.csv"
+        reports = run_campaign(matrix, str(report_path), data_root=str(data_root))
+        failed = [(r.dataset, r.engine) for r in reports if r.error is not None]
+        assert failed == [("bad", "pedersen")]
+        assert part_path in reports[-1].error
+        assert all(r.checks_passed for r in reports[:3])
+        with open(report_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["dataset"], row["engine"], row["chk_grand"]) for row in rows] == [
+            ("good", "qbs", "1"), ("good", "pedersen", "1"),
+            ("bad", "qbs", "1"), ("bad", "pedersen", "ERR")]
 
     def test_matrix_loads_from_json(self, tmp_path):
         from xwbench.harness import load_matrix

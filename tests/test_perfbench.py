@@ -1,16 +1,20 @@
-"""The hooks perfbench's tracer installs: every name it patches still exists,
-a traced cell counts what it should, and uninstalling restores the program."""
+"""perfbench against the program: every name its tracer patches still
+exists, a traced cell counts what it should, uninstalling restores the
+program, and a small run of the benchmark itself is correct."""
 
+import dataclasses
 import importlib.util
 import os
+import sys
 
 from xwbench import engine_pedersen, engine_qbs, generator, harness, workload, xmlio
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  os.path.join(PERFBENCH, "spans.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -37,3 +41,24 @@ def test_tracer_counts_a_scan_cell_and_restores_every_hook(complex_300):
     for owner in owners:
         after = vars(owner)
         assert all(after[name] is value for name, value in before[owner].items()), owner
+
+
+def test_benchmark_runs_a_small_complex_workload_correctly(monkeypatch, tmp_path):
+    """One untimed pass of every complex-hash cell over 200 facts, with the
+    benchmark's cross-checks, through perfbench/run.py as it stands."""
+    monkeypatch.setitem(sys.modules, "spans", load_spans())
+    # run.py's dataclasses look their module up in sys.modules as it loads.
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  os.path.join(PERFBENCH, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "perfbench_run", run)
+    spec.loader.exec_module(run)
+    # import_program puts src/ on sys.path; monkeypatch restores sys.path.
+    monkeypatch.syspath_prepend(run.SRC)
+    run.WORKLOADS["complex-200"] = dataclasses.replace(run.WORKLOADS["complex-hash"],
+                                                       facts=200)
+    bench = run.Bench(run.import_program(), "complex-200", 42, seconds=0, trace=False,
+                      work=str(tmp_path))
+    result, _ = bench.run()
+    assert result["correct"] and result["failed"] == 0
+    assert result["attempted"] == len(bench.cells) == 16

@@ -264,6 +264,17 @@ class TestRunQuery:
             for key in cube.entries:
                 assert all(isinstance(c, str) for c in key)
 
+    def test_unknown_level_is_query_error(self, complex_300, tmp_path):
+        """A level the grouped dimension lacks is rejected before any fact is
+        grouped, on the raw warehouse and on the transformed one alike."""
+        _, src, _ = complex_300
+        out = str(tmp_path / "ped")
+        transform_warehouse(src, out)
+        query = Query("X", "SUM", (F_QUANTITY,), (("supplier", "type3"),))
+        for in_dir, engine in ((src, "qbs"), (out, "pedersen")):
+            with pytest.raises(QueryError, match="'supplier' has no level 'type3'"):
+                run_query(query, in_dir, engine=engine)
+
     def test_unknown_engine_and_instrumented_phases(self, reference_dir):
         with pytest.raises(ConfigurationError):
             run_query(get_query("D1"), reference_dir, engine="turbo")
