@@ -49,7 +49,6 @@ from .model import (
     DwModel,
     FactRecord,
     HierarchyKind,
-    LevelRow,
     ValuePools,
     Warehouse,
     classify_instance,
@@ -72,7 +71,7 @@ __all__ = [
     "BenchmarkError", "ConfigurationError", "CorrectnessReport", "DEFAULT_POOLS",
     "DatasetSpec", "DimensionInstance", "DimensionSchema", "DocumentError",
     "DwModel", "EligibilityError", "FactRecord", "GeneratorConfig",
-    "HierarchyKind", "LevelRow", "OTHER", "OracleScopeError", "Query",
+    "HierarchyKind", "OTHER", "OracleScopeError", "Query",
     "QueryError", "QueryTiming", "ReferentialError", "ResultCube", "RunReport",
     "StructuralError", "TransformReport", "ValuePools", "Warehouse",
     "aggregate_step", "check_correctness", "classify_instance", "component_label",

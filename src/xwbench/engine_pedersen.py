@@ -25,7 +25,7 @@ from typing import Sequence
 from .engine_qbs import OTHER_LABEL, fused_label
 from .errors import ConfigurationError
 from . import xmlio
-from .model import DimensionInstance, DimensionSchema, LevelRow
+from .model import DimensionInstance, DimensionSchema
 
 FUSED_SUFFIX = "_fused"
 
@@ -34,11 +34,9 @@ def make_covering(inst: DimensionInstance, schema: DimensionSchema) -> Dimension
     """Fill every absent cell with the shared placeholder value."""
     if not inst.has_absent_cell(schema):
         return inst
-    rows = tuple(
-        LevelRow({level: row.cells.get(level, OTHER_LABEL) for level in schema.levels})
-        for row in inst.rows
-    )
-    return DimensionInstance(inst.instance_id, inst.dimension_id, rows)
+    rows = tuple({level: row.get(level, OTHER_LABEL) for level in schema.levels}
+                 for row in inst.rows)
+    return DimensionInstance(inst.instance_id, rows)
 
 
 def make_strict(inst: DimensionInstance, schema: DimensionSchema) -> DimensionInstance:
@@ -55,17 +53,17 @@ def make_strict(inst: DimensionInstance, schema: DimensionSchema) -> DimensionIn
         return inst
     cells: dict[str, str] = {}
     for level in schema.levels:
-        distinct = {row.cells[level] for row in inst.rows}
+        distinct = {row[level] for row in inst.rows}
         value = fused_label(distinct) if len(distinct) > 1 else next(iter(distinct))
         cells[level] = value
         if len(distinct) > 1:
             cells[level + FUSED_SUFFIX] = value
-    return DimensionInstance(inst.instance_id, inst.dimension_id, (LevelRow(cells),))
+    return DimensionInstance(inst.instance_id, (cells,))
 
 
 def fused_levels_of(inst: DimensionInstance, schema: DimensionSchema) -> set[str]:
     """Original levels whose values got fused in a make_strict result."""
-    extra = set(inst.rows[0].cells) - set(schema.levels) if len(inst.rows) == 1 else set()
+    extra = set(inst.rows[0]) - set(schema.levels) if len(inst.rows) == 1 else set()
     return {name[: -len(FUSED_SUFFIX)] for name in extra if name.endswith(FUSED_SUFFIX)}
 
 
@@ -122,11 +120,10 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
             # so every row is complete over the extended chain.
             filled = []
             for inst in out_instances:
-                cells = dict(inst.rows[0].cells)
+                cells = dict(inst.rows[0])
                 for level in dim_fused:
                     cells.setdefault(level + FUSED_SUFFIX, cells[level])
-                filled.append(DimensionInstance(inst.instance_id, inst.dimension_id,
-                                                (LevelRow(cells),)))
+                filled.append(DimensionInstance(inst.instance_id, (cells,)))
             out_instances = filled
             fused_by_dim[schema.id] = tuple(
                 lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))
@@ -156,7 +153,7 @@ def resolve_column_pretransformed(index: Sequence[DimensionInstance],
             raise ConfigurationError(
                 f"instance {inst.instance_id!r} has {len(rows)} rows; "
                 "this warehouse is not the output of transform_warehouse")
-        value = rows[0].cells.get(level)
+        value = rows[0].get(level)
         if value is None:
             raise ConfigurationError(
                 f"instance {inst.instance_id!r} is missing {level!r}; "

@@ -48,9 +48,9 @@ def resolve_column(index: Sequence[DimensionInstance], ordinals: Sequence[int],
     for o in ordinals:
         rows = index[o - 1].rows
         if len(rows) == 1:
-            only = rows[0].cells.get(level, OTHER_LABEL)
+            only = rows[0].get(level, OTHER_LABEL)
         else:
-            members = {row.cells.get(level, OTHER_LABEL) for row in rows}
+            members = {row.get(level, OTHER_LABEL) for row in rows}
             if len(members) > 1:
                 append(frozenset(members))
                 continue

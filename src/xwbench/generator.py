@@ -5,7 +5,9 @@ in each of the four dimensions); incomplete_percentage and
 nonstrict_percentage set how often instances are complexified;
 nonstrict_number sets the row-array size of a non-strict instance.  The
 regimes follow from the percentages: simple (0/0), incomplete only,
-non-strict only, and complex (both).
+non-strict only, and complex (both).  The warehouse always has the sales
+model's four dimensions (model.default_model), with values drawn from
+model.DEFAULT_POOLS, and every row is a plain level -> value dict.
 
 Selection is stratified: the instance sequence is cut into consecutive
 blocks of round(100/percentage) and exactly one uniform pick is made per
@@ -22,22 +24,15 @@ from .model import (
     DEFAULT_POOLS,
     DimensionInstance,
     DimensionSchema,
-    DwModel,
     FactRecord,
     GenerationInfo,
     HierarchyKind,
-    LevelRow,
     ValuePools,
     Warehouse,
     date_levels,
     default_model,
 )
 from .rng import SplitMix64
-
-# Per-level removal probability for each incompleteness pass (Alg. 1 only says
-# the level is "randomly determined"); 1/2 keeps the retry loop short while
-# still allowing several levels to drop in one pass.
-LEVEL_REMOVAL_ODDS = 2
 
 
 @dataclass(frozen=True)
@@ -53,13 +48,7 @@ class GeneratorConfig:
 
     @property
     def regime(self) -> HierarchyKind:
-        if self.incomplete_percentage > 0 and self.nonstrict_percentage > 0:
-            return HierarchyKind.COMPLEX
-        if self.incomplete_percentage > 0:
-            return HierarchyKind.INCOMPLETE
-        if self.nonstrict_percentage > 0:
-            return HierarchyKind.NONSTRICT
-        return HierarchyKind.SIMPLE
+        return HierarchyKind.of(self.nonstrict_percentage > 0, self.incomplete_percentage > 0)
 
     def validate(self) -> None:
         if self.fact_number < 0:
@@ -118,11 +107,13 @@ def _draw_row(dim_id: str, rng: SplitMix64, pools: ValuePools) -> dict[str, str]
 def gen_incomplete(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstance:
     """Remove at least one level value (Alg. 1 semantics).
 
-    Each pass offers every present cell an independent 1-in-2 removal;
-    passes repeat until something was removed, so a single-level instance
-    always loses that level.  Rows are never added or dropped.
+    Each pass offers every present cell an independent 1-in-2 removal (Alg. 1
+    only says the level is "randomly determined"; 1/2 keeps the retry loop
+    short and still lets several levels drop in one pass); passes repeat
+    until something was removed, so a single-level instance always loses
+    that level.  Rows are never added or dropped.
     """
-    rows = [dict(row.cells) for row in inst.rows]
+    rows = [dict(row) for row in inst.rows]
     if not any(rows):
         raise ValueError(f"instance {inst.instance_id!r} has no present cell to remove")
     removed = False
@@ -132,8 +123,7 @@ def gen_incomplete(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstanc
                 if rng.flip():
                     del row[level]
                     removed = True
-    return DimensionInstance(inst.instance_id, inst.dimension_id,
-                             tuple(LevelRow(row) for row in rows))
+    return DimensionInstance(inst.instance_id, tuple(rows))
 
 
 def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: DimensionSchema,
@@ -148,8 +138,8 @@ def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: Dimens
     if not schema.nonstrict_eligible:
         raise EligibilityError(
             f"dimension {schema.id!r} cannot be non-strict")
-    rows = tuple(LevelRow(_draw_row(schema.id, rng, pools)) for _ in range(nonstrict_number))
-    return DimensionInstance(inst.instance_id, inst.dimension_id, rows)
+    rows = tuple(_draw_row(schema.id, rng, pools) for _ in range(nonstrict_number))
+    return DimensionInstance(inst.instance_id, rows)
 
 
 def gen_complex(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstance:
@@ -162,21 +152,20 @@ def gen_complex(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstance:
     if len(inst.rows) < 2:
         raise ValueError(f"instance {inst.instance_id!r} is not non-strict")
     rows = list(inst.rows)
-    candidates = [i for i, row in enumerate(rows) if row.cells]
+    candidates = [i for i, row in enumerate(rows) if row]
     if not candidates:
         raise ValueError(f"instance {inst.instance_id!r} has no present cell to remove")
     selected = False
     while not selected:
         for i in candidates:
             if rng.flip():
-                one_row = DimensionInstance(inst.instance_id, inst.dimension_id, (rows[i],))
+                one_row = DimensionInstance(inst.instance_id, (rows[i],))
                 rows[i] = gen_incomplete(one_row, rng).rows[0]
                 selected = True
-    return DimensionInstance(inst.instance_id, inst.dimension_id, tuple(rows))
+    return DimensionInstance(inst.instance_id, tuple(rows))
 
 
-def generate_warehouse(cfg: GeneratorConfig, model: DwModel | None = None,
-                       pools: ValuePools | None = None) -> Warehouse:
+def generate_warehouse(cfg: GeneratorConfig) -> Warehouse:
     """Generate (and persist, when output_dir is set) one seeded warehouse.
 
     The draw order is fixed (per fact: part row, customer row, supplier
@@ -185,10 +174,7 @@ def generate_warehouse(cfg: GeneratorConfig, model: DwModel | None = None,
     documents.
     """
     cfg.validate()
-    if model is None:
-        model = default_model()
-    if pools is None:
-        pools = DEFAULT_POOLS
+    model = default_model()
     rng = SplitMix64(cfg.seed)
     n = cfg.fact_number
 
@@ -198,8 +184,8 @@ def generate_warehouse(cfg: GeneratorConfig, model: DwModel | None = None,
         refs = {}
         for schema in model.dimensions:
             inst_id = f"{schema.id}#{i}"
-            cells = _draw_row(schema.id, rng, pools)
-            instances[schema.id].append(DimensionInstance(inst_id, schema.id, (LevelRow(cells),)))
+            row = _draw_row(schema.id, rng, DEFAULT_POOLS)
+            instances[schema.id].append(DimensionInstance(inst_id, (row,)))
             refs[schema.id] = inst_id
         quantity = 1 + rng.below(100)
         price_cents = 100 + rng.below(9901)  # uniform price in [1.00, 100.00]
@@ -213,7 +199,7 @@ def generate_warehouse(cfg: GeneratorConfig, model: DwModel | None = None,
         for pos in sorted(select_targets(len(eligible_seq), cfg.nonstrict_percentage, rng)):
             dim, i = eligible_seq[pos]
             instances[dim][i] = gen_nonstrict(cfg.nonstrict_number, instances[dim][i],
-                                              model.dimension(dim), rng, pools)
+                                              model.dimension(dim), rng, DEFAULT_POOLS)
             nonstrict_ids.add(instances[dim][i].instance_id)
 
     # Incompleteness pass.  In the complex regime targets come from the

@@ -2,10 +2,12 @@
 
 The warehouse describes retail sales: a `sale` fact carries two measures
 (f_quantity, f_totalamount) and references one instance in each of four
-dimensions (part, customer, supplier, date).  A dimension instance holds a
-row array: several rows encode non-strictness (an instance rolling up to
-several parents), a missing level value inside a row encodes incompleteness.
-Everything downstream (generator, engines, workload) consumes these types.
+dimensions (part, customer, supplier, date).  A dimension instance is its
+id and its row array, each row a plain dict from level to value: several
+rows encode non-strictness (an instance rolling up to several parents), a
+level missing from a row encodes incompleteness.  HierarchyKind.of is the
+one rule that names the regime those two facts give.  Everything downstream
+(generator, engines, workload) consumes these types.
 """
 
 from __future__ import annotations
@@ -67,23 +69,27 @@ class HierarchyKind(Enum):
     NONSTRICT = "nonstrict"
     COMPLEX = "complex"
 
+    @classmethod
+    def of(cls, multi: bool, absent: bool) -> HierarchyKind:
+        """The regime of data that has multi-valued (several-row) instances
+        when `multi`, and missing level values when `absent`."""
+        if multi:
+            return cls.COMPLEX if absent else cls.NONSTRICT
+        return cls.INCOMPLETE if absent else cls.SIMPLE
+
 
 @dataclass(frozen=True)
 class DimensionSchema:
     """One dimension's identity, document path, and level chain.
 
     `levels` runs finest to coarsest.  `nonstrict_eligible` marks the
-    dimensions whose instances may hold several rows; the eligible levels
-    record where multi-valuing may appear (part: every level; customer and
-    supplier: nation only, since a nation belongs to exactly one region;
-    date: nowhere).
+    dimensions whose instances may hold several rows (part and supplier).
     """
 
     id: str
     path: str
     levels: tuple[str, ...]
     nonstrict_eligible: bool
-    nonstrict_eligible_levels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -106,33 +112,25 @@ class DwModel:
         return tuple(s.id for s in self.dimensions)
 
 
-# The three per-record types below are built once per parsed, generated or
-# transformed row, instance and fact, so they are slotted, not frozen: a
-# frozen __init__ costs about 420 ns against 140 ns for a slotted one (three
-# fields, CPython 3.11).  Frozen was only shallow anyway (`cells` and
-# `dim_refs` are plain dicts, which also made the records unhashable).  Treat
-# them as immutable: build a new record instead of assigning to a field.
-@dataclass(slots=True)
-class LevelRow:
-    """One row of an instance's row array: present level values only.
-
-    A level absent from `cells` is an incompleteness hole.  An empty mapping
-    is the degenerate fully-absent row (e.g. an anonymous customer once every
-    level was removed); absence of the whole dimension is recognised at
-    instance granularity, not by dropping the fact's reference.
-    """
-
-    cells: Mapping[str, str]
-
-
+# The two record types below are built once per parsed, generated or
+# transformed instance and fact, so they are slotted, not frozen: a frozen
+# __init__ costs about 420 ns against 140 ns for a slotted one (three fields,
+# CPython 3.11).  Frozen would only be shallow anyway (`rows` holds plain
+# dicts and `dim_refs` is one).  Treat them as immutable: build a new record
+# instead of assigning to a field.
 @dataclass(slots=True)
 class DimensionInstance:
+    """One instance and its row array.  A row maps level to value, present
+    values only: a level absent from a row is an incompleteness hole, and
+    `{}` is the degenerate fully-absent row (e.g. an anonymous customer once
+    every level was removed); absence of the whole dimension is recognised
+    at instance granularity, not by dropping the fact's reference."""
+
     instance_id: str
-    dimension_id: str
-    rows: tuple[LevelRow, ...]
+    rows: tuple[dict[str, str], ...]
 
     def has_absent_cell(self, schema: DimensionSchema) -> bool:
-        return any(len(row.cells) < len(schema.levels) for row in self.rows)
+        return any(len(row) < len(schema.levels) for row in self.rows)
 
 
 @dataclass(slots=True)
@@ -174,9 +172,6 @@ class ValuePools:
     def day(self, index: int) -> date:
         return self.date_first + timedelta(days=index)
 
-    def part_level_values(self, level: str) -> tuple[str, ...]:
-        return {"type3": self.type3, "type2": self.type2, "type1": self.type1}[level]
-
 
 DEFAULT_POOLS = ValuePools(
     type3=PART_TYPE3,
@@ -198,40 +193,26 @@ def date_levels(d: date) -> dict[str, str]:
 def default_model() -> DwModel:
     """The fixed 4-dimension, 2-measure sales model."""
     dimensions = (
-        DimensionSchema("part", "d_part.xml", ("type3", "type2", "type1"), True,
-                        ("type3", "type2", "type1")),
-        DimensionSchema("customer", "d_customer.xml", ("nation", "region"), False, ("nation",)),
-        DimensionSchema("supplier", "d_supplier.xml", ("nation", "region"), True, ("nation",)),
-        DimensionSchema("date", "d_date.xml", ("day", "month", "year"), False, ()),
+        DimensionSchema("part", "d_part.xml", ("type3", "type2", "type1"), True),
+        DimensionSchema("customer", "d_customer.xml", ("nation", "region"), False),
+        DimensionSchema("supplier", "d_supplier.xml", ("nation", "region"), True),
+        DimensionSchema("date", "d_date.xml", ("day", "month", "year"), False),
     )
     return DwModel("sale", "f_sale.xml", dimensions, (F_QUANTITY, F_TOTALAMOUNT))
 
 
 def classify_instance(inst: DimensionInstance, schema: DimensionSchema) -> HierarchyKind:
-    """Assign the instance exactly one of the four hierarchy kinds.
-
-    Multi-row with no hole -> NONSTRICT; single-row with a hole ->
-    INCOMPLETE; multi-row with a hole -> COMPLEX; otherwise SIMPLE.
-    """
+    """Assign the instance exactly one of the four hierarchy kinds: several
+    rows make it non-strict, a hole makes it incomplete (HierarchyKind.of)."""
     declared = set(schema.levels)
-    absent = False
     for row in inst.rows:
-        for level in row.cells:
+        for level in row:
             if level not in declared:
                 raise StructuralError(
                     f"instance {inst.instance_id!r} carries undeclared level {level!r} "
                     f"for dimension {schema.id!r}"
                 )
-        if len(row.cells) < len(schema.levels):
-            absent = True
-    multi = len(inst.rows) > 1
-    if multi and absent:
-        return HierarchyKind.COMPLEX
-    if multi:
-        return HierarchyKind.NONSTRICT
-    if absent:
-        return HierarchyKind.INCOMPLETE
-    return HierarchyKind.SIMPLE
+    return HierarchyKind.of(len(inst.rows) > 1, inst.has_absent_cell(schema))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .model import (
     F_QUANTITY,
     F_TOTALAMOUNT,
     FactRecord,
-    LevelRow,
     Warehouse,
     default_model,
 )
@@ -126,9 +125,9 @@ def write_dimension(schema: DimensionSchema, instances: Iterable[DimensionInstan
         body.append(f"  <instance id='{inst.instance_id}'>\n")
         for row in inst.rows:
             cells = [
-                f"      <{level}>{_esc(row.cells[level])}</{level}>\n"
+                f"      <{level}>{_esc(row[level])}</{level}>\n"
                 for level in schema.levels
-                if level in row.cells
+                if level in row
             ]
             if cells:
                 body.append("    <row>\n")
@@ -191,19 +190,17 @@ def read_metadata(in_dir: str) -> DwModel:
         raise DocumentError(f"{path}: missing fact element")
     # Non-strict eligibility is intrinsic to the sales model (a property of
     # what the dimensions mean), so it is taken from the model, not the file.
-    known = {schema.id: schema for schema in default_model().dimensions}
+    eligible = {schema.id for schema in default_model().dimensions if schema.nonstrict_eligible}
     dimensions = []
     measures = []
     for child in fact:
         if child.tag == "dimension":
             dim_id = child.get("idref", "")
-            ref = known.get(dim_id)
             dimensions.append(DimensionSchema(
                 id=dim_id,
                 path=child.get("path", ""),
                 levels=_chain_levels(child, path),
-                nonstrict_eligible=ref.nonstrict_eligible if ref else False,
-                nonstrict_eligible_levels=ref.nonstrict_eligible_levels if ref else (),
+                nonstrict_eligible=dim_id in eligible,
             ))
         elif child.tag == "measure":
             measures.append(child.get("id", ""))
@@ -254,7 +251,7 @@ class _DimensionTarget:
         self.depth = 0
         self.ordinal = 0
         self.inst_id: str | None = None
-        self.rows: list[LevelRow] = []
+        self.rows: list[dict[str, str]] = []
         self.cells: dict[str, str] = {}
         # Text arrives in pieces (expat splits it at entity references and
         # chunk edges); a cell's value is the join of the pieces since its start.
@@ -283,7 +280,7 @@ class _DimensionTarget:
         if depth == 3:
             self.cells[tag] = "".join(self.text)
         elif depth == 2:
-            self.rows.append(LevelRow(self.cells))
+            self.rows.append(self.cells)
         elif depth == 1:
             self.ordinal += 1
             expected = f"{self.dim_id}#{self.ordinal}"
@@ -292,7 +289,7 @@ class _DimensionTarget:
                                     f"out of sequence (expected {expected!r})")
             if not self.rows:
                 raise DocumentError(f"{self.path}: instance {self.inst_id!r} has no rows")
-            self.records.append(DimensionInstance(self.inst_id, self.dim_id, tuple(self.rows)))
+            self.records.append(DimensionInstance(self.inst_id, tuple(self.rows)))
             self.text.clear()
 
     def close(self) -> None:

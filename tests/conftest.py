@@ -9,7 +9,6 @@ from xwbench.harness import DatasetSpec, ensure_dataset, standard_matrix
 from xwbench.model import (
     DimensionInstance,
     FactRecord,
-    LevelRow,
     Warehouse,
     default_model,
 )
@@ -17,8 +16,7 @@ from xwbench.xmlio import write_warehouse
 
 
 def make_instance(dim: str, rows: list[dict[str, str]], ordinal: int = 1) -> DimensionInstance:
-    return DimensionInstance(f"{dim}#{ordinal}", dim,
-                             tuple(LevelRow(dict(r)) for r in rows))
+    return DimensionInstance(f"{dim}#{ordinal}", tuple(dict(r) for r in rows))
 
 
 def single_sale_warehouse(part_rows, customer_rows, supplier_rows, date_rows,

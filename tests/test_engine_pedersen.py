@@ -25,8 +25,7 @@ class TestMakeCovering:
     def test_fills_removed_level_with_placeholder(self, model):
         inst = make_instance("part", [{"type2": "ANODIZED", "type1": "TIN"}])
         out = make_covering(inst, model.dimension("part"))
-        assert out.rows[0].cells == {"type3": "Other", "type2": "ANODIZED",
-                                     "type1": "TIN"}
+        assert out.rows[0] == {"type3": "Other", "type2": "ANODIZED", "type1": "TIN"}
 
     def test_complete_instance_unchanged(self, model):
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
@@ -35,7 +34,7 @@ class TestMakeCovering:
     def test_fully_anonymous_row(self, model):
         inst = make_instance("customer", [{}])
         out = make_covering(inst, model.dimension("customer"))
-        assert out.rows[0].cells == {"nation": "Other", "region": "Other"}
+        assert out.rows[0] == {"nation": "Other", "region": "Other"}
 
     def test_covering_removes_all_incompleteness(self, model):
         warehouse = generate_warehouse(GeneratorConfig(
@@ -52,9 +51,9 @@ class TestMakeStrict:
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
         out = make_strict(inst, schema)
         assert len(out.rows) == 1
-        assert out.rows[0].cells["nation"] == "FRANCE+GERMANY"
-        assert out.rows[0].cells["nation_fused"] == "FRANCE+GERMANY"
-        assert out.rows[0].cells["region"] == "EUROPE"
+        assert out.rows[0]["nation"] == "FRANCE+GERMANY"
+        assert out.rows[0]["nation_fused"] == "FRANCE+GERMANY"
+        assert out.rows[0]["region"] == "EUROPE"
         assert fused_levels_of(out, schema) == {"nation"}
 
     def test_single_row_is_a_fixed_point(self, model):
@@ -72,8 +71,8 @@ class TestMakeStrict:
         schema = model.dimension("supplier")
         out = make_strict(make_covering(make_instance("supplier", COMPLEX_SUPPLIER),
                                         schema), schema)
-        assert out.rows[0].cells["nation"] == "FRANCE+GERMANY+INDIA+Other"
-        assert out.rows[0].cells["region"] == "ASIA+EUROPE+Other"
+        assert out.rows[0]["nation"] == "FRANCE+GERMANY+INDIA+Other"
+        assert out.rows[0]["region"] == "ASIA+EUROPE+Other"
 
     def test_extended_schema_insertion_points(self, model):
         ext = extended_schema(model.dimension("supplier"), {"nation"})

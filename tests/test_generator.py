@@ -106,12 +106,12 @@ class TestGenIncomplete:
         inst = make_instance("part", [{"type3": "LARGE", "type2": "ANODIZED",
                                        "type1": "TIN"}])
         out = gen_incomplete(inst, ScriptedRng([1, 0, 0]))
-        assert out.rows[0].cells == {"type2": "ANODIZED", "type1": "TIN"}
+        assert out.rows[0] == {"type2": "ANODIZED", "type1": "TIN"}
 
     def test_single_level_instance_loses_it(self):
         inst = make_instance("part", [{"type1": "TIN"}])
         out = gen_incomplete(inst, SplitMix64(0))
-        assert out.rows[0].cells == {}
+        assert out.rows[0] == {}
 
     def test_only_removals_never_mutations(self):
         rng = SplitMix64(9)
@@ -119,8 +119,8 @@ class TestGenIncomplete:
             inst = fresh_part(rng.next_u64() % 1000)
             out = gen_incomplete(inst, rng)
             assert len(out.rows) == len(inst.rows)
-            before = inst.rows[0].cells
-            after = out.rows[0].cells
+            before = inst.rows[0]
+            after = out.rows[0]
             assert set(after) < set(before)
             assert all(before[level] == value for level, value in after.items())
 
@@ -142,7 +142,7 @@ class TestGenIncomplete:
             "part", [{"type3": "LARGE", "type2": "ANODIZED", "type1": "TIN"}])
         for _ in range(trials):
             out = gen_incomplete(template, rng)
-            counts[3 - len(out.rows[0].cells)] += 1
+            counts[3 - len(out.rows[0])] += 1
         for k, probability in expected.items():
             assert counts[k] / trials == pytest.approx(probability, abs=0.02)
 
@@ -153,7 +153,7 @@ class TestGenNonstrict:
         out = gen_nonstrict(4, inst, model.dimension("supplier"), SplitMix64(3),
                             DEFAULT_POOLS)
         assert len(out.rows) == 4
-        assert all(set(row.cells) == {"nation", "region"} for row in out.rows)
+        assert all(set(row) == {"nation", "region"} for row in out.rows)
 
     def test_two_rows_is_the_minimum(self, model):
         inst = make_instance("part", [{"type3": "LARGE", "type2": "ANODIZED",
@@ -172,7 +172,7 @@ class TestGenNonstrict:
         for _ in range(1000):
             out = gen_nonstrict(2, inst, schema, rng, DEFAULT_POOLS)
             for row in out.rows:
-                assert row.cells["region"] == DEFAULT_POOLS.region_of(row.cells["nation"])
+                assert row["region"] == DEFAULT_POOLS.region_of(row["nation"])
 
     def test_ineligible_dimensions_refuse(self, model):
         date_inst = make_instance("date", [{"day": "1998-06-25", "month": "1998-06",
@@ -195,8 +195,8 @@ class TestGenComplex:
         # select row 0, remove its region; select row 1, remove its nation
         script = [1, 0, 1] + [1, 1, 0]
         out = gen_complex(inst, ScriptedRng(script))
-        assert out.rows[0].cells == {"nation": "FRANCE"}
-        assert out.rows[1].cells == {"region": "ASIA"}
+        assert out.rows[0] == {"nation": "FRANCE"}
+        assert out.rows[1] == {"region": "ASIA"}
 
     def test_row_count_preserved_and_untouched_rows_unchanged(self, model):
         rng = SplitMix64(5)
@@ -208,9 +208,9 @@ class TestGenComplex:
             for before, after in zip(inst.rows, out.rows):
                 if before != after:
                     changed += 1
-                    assert set(after.cells) < set(before.cells)
+                    assert set(after) < set(before)
                 else:
-                    assert after.cells == before.cells
+                    assert after == before
             assert changed >= 1
 
     def test_always_classifies_complex(self, model):
@@ -266,8 +266,8 @@ class TestGenerateWarehouse:
             nonstrict_number=4, seed=11))
         for inst in warehouse.instances["part"]:
             for row in inst.rows:
-                for level, value in row.cells.items():
-                    assert value in DEFAULT_POOLS.part_level_values(level)
+                for level, value in row.items():
+                    assert value in getattr(DEFAULT_POOLS, level)
 
     def test_incompleteness_only_removes_values(self):
         base = generate_warehouse(GeneratorConfig(300, seed=13))
@@ -276,9 +276,9 @@ class TestGenerateWarehouse:
         for dim in base.instances:
             for before, after in zip(base.instances[dim], holey.instances[dim]):
                 assert len(after.rows) == 1
-                assert set(after.rows[0].cells) <= set(before.rows[0].cells)
-                for level, value in after.rows[0].cells.items():
-                    assert before.rows[0].cells[level] == value
+                assert set(after.rows[0]) <= set(before.rows[0])
+                for level, value in after.rows[0].items():
+                    assert before.rows[0][level] == value
 
     def test_regime_purity_selection_logs(self):
         n = 300

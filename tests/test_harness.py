@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import pathlib
 import re
 import tempfile
 from collections import Counter
@@ -21,6 +22,7 @@ from xwbench.errors import (ConfigurationError, DocumentError, OracleScopeError,
                             ReferentialError)
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import (
+    DATASET_FILES,
     DatasetSpec,
     check_correctness,
     cubes_match,
@@ -95,6 +97,40 @@ class TestCheckCorrectness:
         report = run_cell(DatasetSpec("complex", 200), out_dir, "qbs", query, "hash",
                           repeats=1, warmup=0)
         assert report.error is None and report.checks_passed
+
+    def test_group_keys_that_print_alike_fail_dup(self, tmp_path):
+        """A real nation 'FRANCE+GERMANY' and the fused {FRANCE, GERMANY}
+        are two groups of the cube that the report prints as one label."""
+        from xwbench.model import FactRecord, Warehouse, default_model
+        from conftest import make_instance
+
+        model = default_model()
+        plain_rows = {
+            "part": [{"type3": "LARGE", "type2": "ANODIZED", "type1": "TIN"}],
+            "customer": [{"nation": "FRANCE", "region": "EUROPE"}],
+            "date": [{"day": "1998-06-25", "month": "1998-06", "year": "1998"}],
+        }
+        instances = {dim: [make_instance(dim, rows, i) for i in (1, 2)]
+                     for dim, rows in plain_rows.items()}
+        instances["supplier"] = [
+            make_instance("supplier", [{"nation": "FRANCE+GERMANY", "region": "EUROPE"}], 1),
+            make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"},
+                                       {"nation": "GERMANY", "region": "EUROPE"}], 2),
+        ]
+        facts = [FactRecord(f"sale#{i}", 10 * i, 100.0 * i,
+                            {d: f"{d}#{i}" for d in model.dimension_ids}) for i in (1, 2)]
+        out = str(tmp_path / "alike")
+        write_warehouse(Warehouse(model, facts, instances), out)
+
+        query = parse_query_line("X SUM f_quantity supplier.nation")
+        cube, _ = run_query(query, out)
+        assert set(cube.entries) == {("FRANCE+GERMANY",),
+                                     (frozenset({"FRANCE", "GERMANY"}),)}
+        assert cubes_match(cube, oracle_cube(out, query))[0]
+        report = check_correctness(cube, plan_query(query, out))
+        assert not report.dup_ok
+        assert report.grand_ok and report.avg_ok and report.minmax_ok
+        assert report.notes == ("1 group key prints like another",)
 
     def test_double_counting_engine_fails_on_nonstrict_data(self, grid_1k):
         """The deliberately broken engine is caught on every non-strict set."""
@@ -491,6 +527,59 @@ class TestCellFailures:
                           get_query("D1"), "hash", repeats=1, warmup=0)
         assert report.error == f"{date_path}: cannot read: Is a directory"
         assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
+
+
+class TestEnsureDataset:
+    def _fresh(self, tmp_path, spec):
+        """The six documents a fresh generation of `spec` writes."""
+        out = str(tmp_path / "fresh")
+        generate_warehouse(spec.config(out))
+        return self._documents(out)
+
+    def _documents(self, out_dir):
+        return {name: pathlib.Path(out_dir, name).read_bytes() for name in DATASET_FILES}
+
+    def test_new_seed_under_the_same_id_regenerates(self, tmp_path):
+        root = str(tmp_path / "data")
+        ensure_dataset(DatasetSpec("d", 50, seed=1), root)
+        spec = DatasetSpec("d", 50, seed=2)
+        out_dir = ensure_dataset(spec, root)
+        assert self._documents(out_dir) == self._fresh(tmp_path, spec)
+
+    def test_more_facts_under_the_same_id_regenerates(self, tmp_path):
+        root = str(tmp_path / "data")
+        ensure_dataset(DatasetSpec("d", 50, seed=1), root)
+        out_dir = ensure_dataset(DatasetSpec("d", 80, seed=1), root)
+        assert len(xmlio.read_warehouse(out_dir).facts) == 80
+
+    def test_stampless_layout_is_regenerated(self, tmp_path):
+        """A layout written by the generator alone carries no stamp, so an
+        emptied document in it is never benchmarked."""
+        root = str(tmp_path / "data")
+        spec = DatasetSpec("d", 50, seed=1)
+        out_dir = os.path.join(root, spec.id)
+        generate_warehouse(spec.config(out_dir))
+        open(os.path.join(out_dir, "d_date.xml"), "w").close()
+        assert ensure_dataset(spec, root) == out_dir
+        assert self._documents(out_dir) == self._fresh(tmp_path, spec)
+
+    def test_matching_layout_is_reused(self, tmp_path):
+        root = str(tmp_path / "data")
+        spec = DatasetSpec("d", 50, seed=1)
+        out_dir = ensure_dataset(spec, root)
+        with open(os.path.join(out_dir, "f_sale.xml"), "a", encoding="utf-8") as fh:
+            fh.write("<!-- kept -->")
+        assert ensure_dataset(spec, root) == out_dir
+        assert self._documents(out_dir)["f_sale.xml"].endswith(b"<!-- kept -->")
+        assert os.listdir(root) == [spec.id]
+
+    @pytest.mark.parametrize("dataset_id", ["", ".", "..", "a/b"])
+    def test_id_must_name_one_directory(self, tmp_path, dataset_id):
+        """The id names the directory that a regeneration replaces."""
+        (tmp_path / "data").mkdir()
+        with pytest.raises(ConfigurationError):
+            ensure_dataset(DatasetSpec(dataset_id, 10), str(tmp_path / "data"))
+        assert os.listdir(tmp_path) == ["data"]
 
 
 class TestCampaign:

@@ -36,11 +36,6 @@ class TestDefaultModel:
     def test_nonstrict_eligibility(self, model):
         eligible = {s.id for s in model.dimensions if s.nonstrict_eligible}
         assert eligible == {"part", "supplier"}
-        # nation may be multi-valued for geographic dimensions, region never.
-        assert model.dimension("supplier").nonstrict_eligible_levels == ("nation",)
-        assert model.dimension("customer").nonstrict_eligible_levels == ("nation",)
-        assert model.dimension("date").nonstrict_eligible_levels == ()
-        assert model.dimension("part").nonstrict_eligible_levels == ("type3", "type2", "type1")
 
 
 class TestValuePools:
@@ -72,6 +67,16 @@ class TestValuePools:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("multi, absent, kind", [
+        (False, False, HierarchyKind.SIMPLE),
+        (False, True, HierarchyKind.INCOMPLETE),
+        (True, False, HierarchyKind.NONSTRICT),
+        (True, True, HierarchyKind.COMPLEX),
+    ])
+    def test_regime_rule(self, multi, absent, kind):
+        """The one rule instances, generator configs and layouts are classified by."""
+        assert HierarchyKind.of(multi, absent) is kind
+
     def test_single_complete_row_is_simple(self, model):
         inst = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"}])
         assert classify_instance(inst, model.dimension("supplier")) is HierarchyKind.SIMPLE
@@ -121,7 +126,7 @@ def test_classification_partitions(inst):
     schema = default_model().dimension("supplier")
     kind = classify_instance(inst, schema)
     multi = len(inst.rows) > 1
-    absent = any(len(row.cells) < 2 for row in inst.rows)
+    absent = any(len(row) < 2 for row in inst.rows)
     expected = {
         (False, False): HierarchyKind.SIMPLE,
         (False, True): HierarchyKind.INCOMPLETE,
