@@ -31,7 +31,8 @@ FUSED_SUFFIX = "_fused"
 
 
 def make_covering(inst: DimensionInstance, schema: DimensionSchema) -> DimensionInstance:
-    """Fill every absent cell with the shared placeholder value."""
+    """Fill every absent cell with the shared placeholder value; an instance
+    with no absent cell is returned as is."""
     if not inst.has_absent_cell(schema):
         return inst
     rows = tuple({level: row.get(level, OTHER_LABEL) for level in schema.levels}
@@ -106,9 +107,10 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
         out_instances = []
         dim_fused: set[str] = set()
         for inst in xmlio.iter_instances(dir_in, schema):
-            if inst.has_absent_cell(schema):
+            covering = make_covering(inst, schema)
+            if covering is not inst:
                 covered += 1
-            strict = make_strict(make_covering(inst, schema), schema)
+            strict = make_strict(covering, schema)
             inst_fused = fused_levels_of(strict, schema)
             if inst_fused:
                 fused_count += 1

@@ -24,6 +24,7 @@ import os
 import shutil
 import tempfile
 import time
+import traceback
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -39,10 +40,10 @@ from .workload import (
     ENGINE_PEDERSEN,
     ENGINE_QBS,
     MATCH_HASH,
+    MATCH_SCAN,
     Query,
     QueryPlan,
     ResultCube,
-    get_query,
     plan_query,
     run_query,
     standard_workload,
@@ -396,6 +397,14 @@ class DatasetSpec:
     def regime(self) -> str:
         return self.config(None).regime.value
 
+    def validate(self) -> None:
+        """Raise ConfigurationError unless the id names one directory (a
+        regeneration replaces `data_root/<id>`) and the generator accepts
+        the parameters."""
+        if self.id in ("", ".", "..") or os.path.basename(self.id) != self.id:
+            raise ConfigurationError(f"dataset id {self.id!r} must name one directory")
+        self.config(None).validate()
+
     def config(self, out_dir: str | None) -> GeneratorConfig:
         return GeneratorConfig(
             fact_number=self.facts,
@@ -430,8 +439,7 @@ def ensure_dataset(spec: DatasetSpec, data_root: str) -> str:
     written last) match `spec`; otherwise generated afresh beside it,
     stamped and moved into place, so stale or half-written data is never
     benchmarked."""
-    if spec.id in ("", ".", "..") or os.path.basename(spec.id) != spec.id:
-        raise ConfigurationError(f"dataset id {spec.id!r} must name one directory")
+    spec.validate()
     out_dir = os.path.join(data_root, spec.id)
     stamp = json.dumps({k: v for k, v in asdict(spec.config(None)).items()
                         if k != "output_dir"}, sort_keys=True)
@@ -565,6 +573,12 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
         report.chk_minmax = checks.minmax_ok
     except BenchmarkError as exc:
         report.error = str(exc)
+    except Exception as exc:
+        # Anything else is a fault in the program; it too stays in its cell.
+        # KeyboardInterrupt is no Exception, so it still ends the campaign.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        report.error = (f"{type(exc).__name__}: {exc} "
+                        f"({os.path.basename(where.filename)}:{where.lineno})")
     return report
 
 
@@ -616,22 +630,40 @@ def run_campaign(matrix: dict, report_path: str,
     campaign that stops early keeps every row it computed; per-document byte
     sizes go to `<report stem>-datasets.csv`.  Cell failures are recorded
     in-row and the campaign continues; a transform that fails is recorded
-    so in that dataset's static-engine rows alone.
+    so in that dataset's static-engine rows alone.  The whole matrix is
+    checked first: a bad entry raises ConfigurationError before any dataset
+    or report is written.
     """
-    data_root = data_root or matrix.get("data_dir") or "datasets"
-    os.makedirs(data_root, exist_ok=True)
-    specs = [spec if isinstance(spec, DatasetSpec) else DatasetSpec(**spec)
-             for spec in matrix.get("datasets", [])]
+    try:
+        specs = [spec if isinstance(spec, DatasetSpec) else DatasetSpec(**spec)
+                 for spec in matrix.get("datasets", [])]
+        repeats = int(matrix.get("repeats", 3))
+        warmup = int(matrix.get("warmup", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad campaign matrix: {exc}") from exc
     engines = list(matrix.get("engines", [ENGINE_QBS, ENGINE_PEDERSEN]))
     matchings = list(matrix.get("matching", [MATCH_HASH]))
-    repeats = int(matrix.get("repeats", 3))
-    warmup = int(matrix.get("warmup", 1))
+    known = {query.id: query for query in standard_workload()}
     wanted = matrix.get("queries", "all")
-    if wanted == "all":
-        queries = standard_workload()
-    else:
-        queries = [get_query(qid) for qid in wanted]
+    query_ids = list(known) if wanted == "all" else list(wanted)
 
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
+    if warmup < 0:
+        raise ConfigurationError(f"warmup must be at least 0, got {warmup}")
+    for spec in specs:
+        spec.validate()
+    for kind, names, allowed in (
+            ("engine", engines, (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)),
+            ("matching", matchings, (MATCH_SCAN, MATCH_HASH)),
+            ("query", query_ids, known)):
+        for name in names:
+            if name not in allowed:
+                raise ConfigurationError(f"unknown {kind} {name!r} in the matrix")
+    queries = [known[query_id] for query_id in query_ids]
+
+    data_root = data_root or matrix.get("data_dir") or "datasets"
+    os.makedirs(data_root, exist_ok=True)
     dirs = [ensure_dataset(spec, data_root) for spec in specs]
     stem, _ = os.path.splitext(report_path)
     if specs:

@@ -5,10 +5,13 @@ one document per dimension (d_part.xml, d_customer.xml, d_supplier.xml,
 d_date.xml).  The element grammar is documented in docs/document-grammar.md.
 Writers emit a fixed byte form (two-space indent, single-quoted attributes,
 fixed attribute order) so equal inputs give byte-identical documents.
-Readers feed each document in fixed 64 KiB chunks to an xml.etree XMLParser
+Readers feed each document in fixed 32 KiB chunks to an xml.etree XMLParser
 whose target validates every element as it starts and builds the output
 records directly: no Element tree and no event objects are made, so parsing
 leaves little for the cyclic GC to track, and no whole document is ever held.
+Equal level values read from one dimension document share one str object,
+so the indexes hold each distinct value once and equal group-key components
+compare by identity.
 Instance ids are dense per dimension (part#1..part#N): a fact's reference
 is the instance's 1-based ordinal, so an index is a list in document order
 and the fact/instance join is a range check (FactColumns.check_refs).
@@ -214,7 +217,10 @@ def read_metadata(in_dir: str) -> DwModel:
 # work (one read, one feed, one hand-over of finished records) vanishes
 # against parsing, small enough that the buffer and the records finished
 # within one chunk stay a few hundred KiB whatever the document's size.
-_CHUNK_BYTES = 64 * 1024
+# 32 KiB parses no slower than 64 KiB and leaves room in a stream's peak for
+# the shared-value table, which holds each distinct value of the document
+# (about 2,600 strings for the days, months and years of d_date.xml).
+_CHUNK_BYTES = 32 * 1024
 
 
 def _stream(path: str, target) -> Iterator:
@@ -257,6 +263,9 @@ class _DimensionTarget:
         # chunk edges); a cell's value is the join of the pieces since its start.
         self.text: list[str] = []
         self.data = self.text.append
+        # The first object read for each distinct value: every equal value
+        # of this document is stored as that one object.
+        self.shared = {}.setdefault
 
     def start(self, tag: str, attrib: dict[str, str]) -> None:
         depth = self.depth
@@ -278,7 +287,8 @@ class _DimensionTarget:
     def end(self, tag: str) -> None:
         self.depth = depth = self.depth - 1
         if depth == 3:
-            self.cells[tag] = "".join(self.text)
+            value = "".join(self.text)
+            self.cells[tag] = self.shared(value, value)
         elif depth == 2:
             self.rows.append(self.cells)
         elif depth == 1:

@@ -630,17 +630,30 @@ class TestCampaign:
         run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data2"))
         assert sizes_path.read_text() == first
 
-    def test_campaign_without_timed_runs_completes_with_err_rows(self, tmp_path):
-        matrix = {"datasets": [{"id": "tiny", "facts": 20, "seed": 9}],
-                  "engines": ["qbs", "pedersen"], "queries": ["D1", "Q21"],
-                  "repeats": 0, "warmup": 0}
-        report_path = tmp_path / "campaign.csv"
-        reports = run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data"))
-        assert len(reports) == 4
-        assert all(r.error == "repeats must be at least 1, got 0" for r in reports)
-        with open(report_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4 and all(row["chk_grand"] == "ERR" for row in rows)
+    @pytest.mark.parametrize("change", [
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": "bad", "facts": -1}]},
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": "a/b", "facts": 10}]},
+        {"datasets": [{"id": "ok", "facts": 10},
+                      {"id": "bad", "facts": 10, "nonstrict": 50}]},
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": "bad", "fact": 10}]},
+        {"repeats": 0},
+        {"repeats": "two"},
+        {"warmup": -1},
+        {"engines": ["qbs", "bogus"]},
+        {"matching": ["scan", "bogus"]},
+        {"queries": ["D1", "Q99"]},
+    ], ids=["facts", "id", "nonstrict_number", "unknown_key", "repeats",
+            "repeats_text", "warmup", "engine", "matching", "query"])
+    def test_bad_matrix_is_rejected_before_generation(self, tmp_path, change):
+        """The whole matrix is checked before any dataset is generated or
+        any report is written."""
+        matrix = {"datasets": [{"id": "ok", "facts": 10}], "engines": ["qbs"],
+                  "queries": ["D1"], "repeats": 1, "warmup": 0, **change}
+        data_root = tmp_path / "data"
+        with pytest.raises(ConfigurationError):
+            run_campaign(matrix, str(tmp_path / "campaign.csv"), data_root=str(data_root))
+        assert not (data_root / "ok").exists()
+        assert not (tmp_path / "campaign.csv").exists()
 
     def test_rows_survive_a_campaign_that_stops(self, tmp_path, monkeypatch):
         """Each row is on disk as its cell ends, before the next cell runs."""
@@ -665,6 +678,43 @@ class TestCampaign:
             rows = list(csv.reader(fh))
         assert rows[0] == REPORT_COLUMNS
         assert [row[REPORT_COLUMNS.index("query")] for row in rows[1:]] == ["D1", "D2"]
+
+    def test_unexpected_error_stays_in_its_cell(self, tmp_path, monkeypatch):
+        """An exception that is no BenchmarkError is recorded, with its type,
+        in its cell's row, and the next cell still runs."""
+        from xwbench import harness
+
+        real_run_query = harness.run_query
+
+        def failing_d1(query, *args, **kwargs):
+            if query.id == "D1":
+                raise RuntimeError("boom")
+            return real_run_query(query, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_query", failing_d1)
+        matrix = {"datasets": [{"id": "tiny", "facts": 20, "seed": 9}],
+                  "engines": ["qbs"], "queries": ["D1", "D2"],
+                  "repeats": 1, "warmup": 0}
+        report_path = tmp_path / "campaign.csv"
+        reports = run_campaign(matrix, str(report_path), data_root=str(tmp_path / "data"))
+        assert [r.query for r in reports] == ["D1", "D2"]
+        assert reports[0].error.startswith("RuntimeError: boom")
+        assert reports[1].error is None and reports[1].checks_passed
+        with open(report_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["query"], row["chk_grand"]) for row in rows] == [
+            ("D1", "ERR"), ("D2", "1")]
+
+    def test_interrupt_leaves_its_cell(self, reference_dir, monkeypatch):
+        from xwbench import harness
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run_query", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cell(DatasetSpec("ref", 1), reference_dir, "qbs", get_query("D1"),
+                     "hash", repeats=1, warmup=0)
 
     def test_unreadable_dataset_fails_only_its_pedersen_rows(self, tmp_path):
         """A dataset the transform cannot read records the error in its

@@ -17,7 +17,7 @@ from xwbench.errors import DocumentError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import _dom_rows
 from xwbench.model import Warehouse, default_model
-from xwbench.workload import get_query, run_query
+from xwbench.workload import get_query, plan_query, run_query
 from xwbench.xmlio import (
     document_sizes,
     format_amount,
@@ -215,6 +215,28 @@ class TestStreaming:
                 reader.close()
             gc.collect()
         assert unraisable == []
+
+
+class TestSharedValues:
+    """Equal level values read from one dimension document are one object,
+    so equal group-key components compare by identity."""
+
+    def test_equal_level_values_are_one_object(self, complex_300, model):
+        _, out_dir, _ = complex_300
+        indexes = xmlio.load_dimensions(out_dir, model, model.dimension_ids)
+        for schema in model.dimensions:
+            for level in schema.levels:
+                vals = [row[level] for inst in indexes[schema.id] for row in inst.rows
+                        if level in row]
+                assert len(set(vals)) < len(vals), (schema.id, level)
+                assert len({id(v) for v in vals}) == len(set(vals)), (schema.id, level)
+
+    def test_d3_key_components_are_shared(self, grid_1k):
+        _, in_dir = grid_1k["simple-1000"]
+        keys = plan_query(get_query("D3"), in_dir).keys()
+        for position in range(3):
+            components = [key[position] for key in keys]
+            assert len({id(c) for c in components}) <= len(set(components)), position
 
 
 class TestSizes:
