@@ -148,12 +148,13 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     query = get_query(args.query)
     cube = harness.oracle_cube(args.in_dir, query)
-    print(f"{query.id}: {cube['fact_count']} facts, {len(cube['entries'])} groups")
-    for key in sorted(cube["entries"], key=lambda k: [component_label(c) for c in k]):
-        entry = cube["entries"][key]
+    print(f"{query.id}: {cube.fact_count} facts, {len(cube.entries)} groups")
+    for key in sorted(cube.entries, key=lambda k: [component_label(c) for c in k]):
+        entry = cube.entries[key]
         label = " | ".join(component_label(c) for c in key) or "(grand total)"
-        values = ", ".join(f"{m}={entry['values'][m]:g}" for m in cube["measures"])
-        print(f"  [{label}] support={entry['support']} {values}")
+        values = ", ".join(f"{m}={v:g}"
+                           for m, v in zip(query.measures, entry.values(query.aggregate)))
+        print(f"  [{label}] support={entry.support} {values}")
     return EXIT_OK
 
 

@@ -29,6 +29,10 @@ class OtherGroup:
     def __repr__(self) -> str:
         return "OTHER"
 
+    def __reduce__(self) -> str:
+        # Copies and unpickled keys name the module's one OTHER.
+        return "OTHER"
+
 
 OTHER = OtherGroup()
 

@@ -88,8 +88,12 @@ def stratified_count(total: int, percentage: int) -> int:
     return total // max(1, round(100 / percentage))
 
 
-def _draw_row(dim_id: str, rng: SplitMix64, pools: ValuePools) -> dict[str, str]:
-    """One complete, uniformly drawn level assignment for the dimension."""
+def _draw_row(dim_id: str, rng: SplitMix64, pools: ValuePools,
+              days: dict[int, dict[str, str]]) -> dict[str, str]:
+    """One complete, uniformly drawn level assignment for the dimension.
+
+    `days` memoizes each drawn calendar day's level values by day index, so
+    the rows of one generation share one string per distinct value."""
     if dim_id == "part":
         return {
             "type3": rng.choice(pools.type3),
@@ -100,7 +104,11 @@ def _draw_row(dim_id: str, rng: SplitMix64, pools: ValuePools) -> dict[str, str]
         nation = rng.choice(pools.nations)
         return {"nation": nation, "region": pools.region_of(nation)}
     if dim_id == "date":
-        return date_levels(pools.day(rng.below(pools.day_count)))
+        index = rng.below(pools.day_count)
+        levels = days.get(index)
+        if levels is None:
+            levels = days[index] = date_levels(pools.day(index))
+        return dict(levels)
     raise ValueError(f"unknown dimension {dim_id!r}")
 
 
@@ -138,7 +146,7 @@ def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: Dimens
     if not schema.nonstrict_eligible:
         raise EligibilityError(
             f"dimension {schema.id!r} cannot be non-strict")
-    rows = tuple(_draw_row(schema.id, rng, pools) for _ in range(nonstrict_number))
+    rows = tuple(_draw_row(schema.id, rng, pools, {}) for _ in range(nonstrict_number))
     return DimensionInstance(inst.instance_id, rows)
 
 
@@ -180,11 +188,12 @@ def generate_warehouse(cfg: GeneratorConfig) -> Warehouse:
 
     instances: dict[str, list[DimensionInstance]] = {s.id: [] for s in model.dimensions}
     facts: list[FactRecord] = []
+    days: dict[int, dict[str, str]] = {}
     for i in range(1, n + 1):
         refs = {}
         for schema in model.dimensions:
             inst_id = f"{schema.id}#{i}"
-            row = _draw_row(schema.id, rng, DEFAULT_POOLS)
+            row = _draw_row(schema.id, rng, DEFAULT_POOLS, days)
             instances[schema.id].append(DimensionInstance(inst_id, (row,)))
             refs[schema.id] = inst_id
         quantity = 1 + rng.below(100)

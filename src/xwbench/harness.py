@@ -12,7 +12,8 @@ materializes the whole warehouse and regroups it exhaustively (sharing no
 code with the streaming query path), a deliberately broken double-counting
 engine used as a negative control, and the report CSV emission.  A cell
 compiles its query once (workload.plan_query) and hands that plan to every
-run, to the check and to the control.
+run, to the check and to the control.  Every cube, the oracle's included,
+is a workload.ResultCube, and the checks and comparisons read it in place.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import shutil
 import tempfile
@@ -28,7 +30,7 @@ import traceback
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, field
 from itertools import product
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import engine_pedersen, xmlio
 from .engine_qbs import OTHER, OTHER_LABEL, component_label, label_component
@@ -41,6 +43,7 @@ from .workload import (
     ENGINE_QBS,
     MATCH_HASH,
     MATCH_SCAN,
+    Entry,
     Query,
     QueryPlan,
     ResultCube,
@@ -68,10 +71,6 @@ DATASET_FILES = xmlio.layout_files(default_model())
 STAMP_FILE = "dataset-stamp.json"
 
 
-def normalize_cube(cube: Any) -> dict:
-    return cube if isinstance(cube, dict) else cube.normalize()
-
-
 def _close(a: float, b: float, rel_tol: float = REL_TOL) -> bool:
     return math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-12)
 
@@ -92,23 +91,40 @@ class CorrectnessReport:
         return self.dup_ok and self.grand_ok and self.avg_ok and self.minmax_ok
 
 
-def check_correctness(cube: Any, plan: QueryPlan) -> CorrectnessReport:
+def _printed_duplicates(entries: dict[tuple, object]) -> int:
+    """How many group keys print like another key.  Only keys holding a
+    fused set or OTHER are labelled: an all-string key prints as itself.
+    The labels are dropped on return, so they never share a memory peak with
+    the check's recount."""
+    labelled = [key for key in entries if not all(isinstance(c, str) for c in key)]
+    labels = {tuple(map(component_label, key)) for key in labelled}
+    return len(labelled) - len(labels) + sum(label in entries for label in labels)
+
+
+def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     """Evaluate the qualitative metric against an independent recount pass.
 
     The recount resolves every fact's group key again through `plan` (the
     plan_query result the cube's query was compiled to, whose keys and
-    values run_query groups too) and rebuilds per-group count/sum/min/max
-    in plain lists, then checks the cube against them; it shares nothing
-    with ResultCube, matching or aggregation.  `dup_ok` fails when two of the
-    cube's group keys print the same (component_label per component), as a
-    real value "A+B" and the fused set {A, B} do.  Failures are report
-    content, not exceptions.
+    values run_query groups too) and keeps per group, in one plain list, its
+    count and the one statistic the aggregate needs (sums for SUM and AVG,
+    minima for MIN, maxima for MAX); it shares nothing with matching or
+    aggregation.  The cube is read in place, never copied.  `dup_ok` fails
+    when two of the cube's group keys print the same (component_label per
+    component), as a real value "A+B" and the fused set {A, B} do.
+    Failures are report content, not exceptions.
     """
-    norm = normalize_cube(cube)
     notes: list[str] = []
+    entries = cube.entries
+    duplicates = _printed_duplicates(entries)
+    dup_ok = not duplicates
+    if not dup_ok:
+        notes.append(f"{duplicates} group key prints like another")
 
     query = plan.query
-    recount: dict[tuple, list] = {}  # key -> [count, sums, mins, maxs]
+    aggregate = query.aggregate
+    fold = {"MIN": min, "MAX": max}.get(aggregate, operator.add)
+    recount: dict[tuple, list] = {}  # key -> [count, statistic per measure...]
     fact_count = len(plan.facts)
     grand = [0.0] * len(query.measures)
     for key, values in zip(plan.keys(), plan.values()):
@@ -116,67 +132,58 @@ def check_correctness(cube: Any, plan: QueryPlan) -> CorrectnessReport:
             grand[i] += v
         slot = recount.get(key)
         if slot is None:
-            recount[key] = [1, list(values), list(values), list(values)]
+            recount[key] = [1, *values]
         else:
             slot[0] += 1
-            for i, v in enumerate(values):
-                slot[1][i] += v
-                if v < slot[2][i]:
-                    slot[2][i] = v
-                if v > slot[3][i]:
-                    slot[3][i] = v
+            for i, v in enumerate(values, 1):
+                slot[i] = fold(slot[i], v)
 
-    entries = norm["entries"]
-    labels = {tuple(component_label(c) for c in key) for key in entries}
-    dup_ok = len(labels) == len(entries)
-    if not dup_ok:
-        notes.append(f"{len(entries) - len(labels)} group key prints like another")
-
-    grand_ok = norm["fact_count"] == fact_count
+    grand_ok = cube.fact_count == fact_count
     if not grand_ok:
-        notes.append(f"fact count {norm['fact_count']} != {fact_count}")
-    support_total = sum(e["support"] for e in entries.values())
+        notes.append(f"fact count {cube.fact_count} != {fact_count}")
+    support_total = sum(e.support for e in entries.values())
     if support_total != fact_count:
         grand_ok = False
         notes.append(f"support total {support_total} != fact count {fact_count}")
-    if set(entries) != set(recount):
+    if entries.keys() != recount.keys():
         grand_ok = False
         notes.append("group keys differ from recount")
-    if norm["aggregate"] in ("SUM", "AVG"):
-        source = "values" if norm["aggregate"] == "SUM" else "sums"
+    if aggregate in ("SUM", "AVG"):
         for i, measure in enumerate(query.measures):
-            total = sum(e[source][measure] for e in entries.values())
+            if aggregate == "SUM":
+                total = sum(e.states[i] for e in entries.values())
+            else:
+                total = sum(e.states[i].total for e in entries.values())
             if not _close(total, grand[i]):
                 grand_ok = False
                 notes.append(f"{measure}: group total {total} != grand total {grand[i]}")
 
     avg_ok = True
-    if norm["aggregate"] == "AVG":
+    if aggregate == "AVG":
         for key, entry in entries.items():
             slot = recount.get(key)
             if slot is None:
                 avg_ok = False
                 continue
-            if entry["support"] != slot[0]:
+            if entry.support != slot[0]:
                 avg_ok = False
-                notes.append(f"{key}: support {entry['support']} != count {slot[0]}")
+                notes.append(f"{key}: support {entry.support} != count {slot[0]}")
             for i, measure in enumerate(query.measures):
-                if not _close(entry["values"][measure], slot[1][i] / slot[0]):
+                if not _close(entry.states[i].value, slot[1 + i] / slot[0]):
                     avg_ok = False
                     notes.append(f"{key}/{measure}: average mismatch")
 
     minmax_ok = True
-    if norm["aggregate"] in ("MIN", "MAX"):
-        bound = 2 if norm["aggregate"] == "MIN" else 3
+    if aggregate in ("MIN", "MAX"):
         for key, entry in entries.items():
             slot = recount.get(key)
             if slot is None:
                 minmax_ok = False
                 continue
             for i, measure in enumerate(query.measures):
-                if entry["values"][measure] != slot[bound][i]:
+                if entry.states[i] != slot[1 + i]:
                     minmax_ok = False
-                    notes.append(f"{key}/{measure}: not the {norm['aggregate']} value")
+                    notes.append(f"{key}/{measure}: not the {aggregate} value")
 
     return CorrectnessReport(dup_ok, grand_ok, avg_ok, minmax_ok, tuple(notes))
 
@@ -193,17 +200,18 @@ def _dom_rows(path: str) -> list[list[dict[str, str]]]:
     return instances
 
 
-def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) -> dict:
+def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) -> ResultCube:
     """Reference cube by full materialization and exhaustive regrouping.
 
     DOM-parses every document, recomputes each fact's fused/OTHER component
     from raw rows, groups into plain dicts and aggregates with independent
-    arithmetic (fsum for averages).  Returns the normalized comparison form.
-    Refuses warehouses beyond fact_limit facts.  A fact joins instance n of
-    a grouped dimension only through the ref `{dim_id}#{n}`, spelled so and
-    with n within the instance count, as the readers require; a sale that
-    lacks a dimension's ref or a measure, or whose measure does not parse,
-    raises DocumentError as it does in the readers.
+    arithmetic (fsum for averages), then sets a ResultCube's entries from
+    the results directly, never through entry_for, contribute or
+    aggregate_step.  Refuses warehouses beyond fact_limit facts.  A fact joins
+    instance n of a grouped dimension only through the ref `{dim_id}#{n}`,
+    spelled so and with n within the instance count, as the readers
+    require; a sale that lacks a dimension's ref or a measure, or whose
+    measure does not parse, raises DocumentError as it does in the readers.
     """
     meta = ET.parse(os.path.join(in_dir, xmlio.METADATA_FILE)).getroot().find("fact")
     if meta is None:
@@ -236,8 +244,6 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
         return frozenset(members)
 
     groups: dict[tuple, list[list[float]]] = {}
-    order: list[tuple] = []
-    fact_count = 0
     grand = [0.0] * len(query.measures)
     for sale in sales:
         refs = {d.get("dim"): d.get("idref") for d in sale.findall("dimref")}
@@ -252,102 +258,94 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
             raise DocumentError(
                 f"{sales_path}: sale {sale.get('id')!r} has bad measures") from exc
         values = [measures[m] for m in query.measures]
-        fact_count += 1
         for i, v in enumerate(values):
             grand[i] += v
         key = tuple(
             component(dim_id, refs[dim_id], level)
             for dim_id, level in query.grouping
         )
-        if key not in groups:
-            groups[key] = [[] for _ in query.measures]
-            order.append(key)
-        for i, v in enumerate(values):
-            groups[key][i].append(v)
+        columns = groups.get(key)
+        if columns is None:
+            columns = groups[key] = [[] for _ in query.measures]
+        for column, v in zip(columns, values):
+            column.append(v)
 
-    entries = {}
-    for key in order:
-        columns = groups[key]
-        record = {"support": len(columns[0]), "values": {}}
-        if query.aggregate == "AVG":
-            record["sums"] = {}
-        for i, measure in enumerate(query.measures):
-            column = columns[i]
+    cube = ResultCube(query)
+    cube.fact_count = len(sales)
+    cube.grand_totals = grand
+    for key, columns in groups.items():
+        entry = cube.entries[key] = Entry(query.aggregate, len(columns))
+        entry.support = len(columns[0])
+        for i, column in enumerate(columns):
             if query.aggregate == "SUM":
                 total = 0.0
                 for v in column:
                     total += v
-                record["values"][measure] = total
+                entry.states[i] = total
             elif query.aggregate == "MIN":
-                record["values"][measure] = min(column)
+                entry.states[i] = min(column)
             elif query.aggregate == "MAX":
-                record["values"][measure] = max(column)
+                entry.states[i] = max(column)
             else:
-                record["sums"][measure] = math.fsum(column)
-                record["values"][measure] = math.fsum(column) / len(column)
-        entries[key] = record
-
-    return {
-        "query": query.id,
-        "aggregate": query.aggregate,
-        "measures": list(query.measures),
-        "fact_count": fact_count,
-        "grand_totals": dict(zip(query.measures, grand)),
-        "entries": entries,
-    }
+                entry.states[i].total = math.fsum(column)
+                entry.states[i].count = len(column)
+    return cube
 
 
 # --- cube comparison ---------------------------------------------------------
 
 
-def cubes_match(a: Any, b: Any, rel_tol: float = REL_TOL) -> tuple[bool, list[str]]:
-    """Entry-wise cube equality: exact for SUM/MIN/MAX and supports,
-    rel_tol for AVG values.  Returns (equal, differences)."""
-    na, nb = normalize_cube(a), normalize_cube(b)
+def cubes_match(a: ResultCube, b: ResultCube,
+                rel_tol: float = REL_TOL) -> tuple[bool, list[str]]:
+    """Entry-wise cube equality, read in place: exact for SUM/MIN/MAX and
+    supports, rel_tol for AVG values.  Returns (equal, differences)."""
     diffs: list[str] = []
-    if na["aggregate"] != nb["aggregate"] or na["measures"] != nb["measures"]:
+    aggregate, measures = a.query.aggregate, a.query.measures
+    if (aggregate, measures) != (b.query.aggregate, b.query.measures):
         diffs.append("query shapes differ")
         return False, diffs
-    if na["fact_count"] != nb["fact_count"]:
-        diffs.append(f"fact counts differ: {na['fact_count']} != {nb['fact_count']}")
-    for measure in na["measures"]:
-        if not _close(na["grand_totals"][measure], nb["grand_totals"][measure], rel_tol):
+    if a.fact_count != b.fact_count:
+        diffs.append(f"fact counts differ: {a.fact_count} != {b.fact_count}")
+    for measure, ta, tb in zip(measures, a.grand_totals, b.grand_totals):
+        if not _close(ta, tb, rel_tol):
             diffs.append(f"grand total {measure} differs")
-    only_a = set(na["entries"]) - set(nb["entries"])
-    only_b = set(nb["entries"]) - set(na["entries"])
+    only_a = [key for key in a.entries if key not in b.entries]
+    only_b = [key for key in b.entries if key not in a.entries]
     if only_a:
-        diffs.append(f"{len(only_a)} groups only in first (e.g. {next(iter(only_a))!r})")
+        diffs.append(f"{len(only_a)} groups only in first (e.g. {only_a[0]!r})")
     if only_b:
-        diffs.append(f"{len(only_b)} groups only in second (e.g. {next(iter(only_b))!r})")
-    exact = na["aggregate"] != "AVG"
-    for key in set(na["entries"]) & set(nb["entries"]):
-        ea, eb = na["entries"][key], nb["entries"][key]
-        if ea["support"] != eb["support"]:
+        diffs.append(f"{len(only_b)} groups only in second (e.g. {only_b[0]!r})")
+    exact = aggregate != "AVG"
+    for key, ea in a.entries.items():
+        eb = b.entries.get(key)
+        if eb is None:
+            continue
+        if ea.support != eb.support:
             diffs.append(f"{key!r}: supports differ")
-        for measure in na["measures"]:
-            va, vb = ea["values"][measure], eb["values"][measure]
+        for measure, va, vb in zip(measures, ea.values(aggregate), eb.values(aggregate)):
             if (va != vb) if exact else not _close(va, vb, rel_tol):
                 diffs.append(f"{key!r}/{measure}: {va!r} != {vb!r}")
     return not diffs, diffs
 
 
-def qbs_view_of_pedersen(cube: Any) -> dict:
+def qbs_view_of_pedersen(cube: ResultCube) -> ResultCube:
     """Re-key a cube computed over transformed data into query-time components.
 
     The static engine's groups are atomic labels; "Other" maps onto OTHER
     and '+'-joined fused labels onto fused member sets, the shared naming
-    both engines were designed around.
+    both engines were designed around.  The view is a hash cube that shares
+    the entries and totals of `cube`.
     """
-    norm = dict(normalize_cube(cube))
-    mapped = {}
-    for key, entry in norm["entries"].items():
+    view = ResultCube(cube.query)
+    view.fact_count = cube.fact_count
+    view.grand_totals = cube.grand_totals
+    for key, entry in cube.entries.items():
         new_key = tuple(
             label_component(c) if isinstance(c, str) else c for c in key)
-        if new_key in mapped:
+        if new_key in view.entries:
             raise BenchmarkError(f"label mapping collides on {new_key!r}")
-        mapped[new_key] = entry
-    norm["entries"] = mapped
-    return norm
+        view.entries[new_key] = entry
+    return view
 
 
 # --- negative control ----------------------------------------------------

@@ -213,12 +213,16 @@ def aggregate_step(entry: Entry, values: Sequence[float], aggregate: str) -> Ent
 
 
 class ResultCube:
-    """Group keys mapped to aggregates, built under a matching strategy.
+    """Group keys mapped to aggregates, built under a matching strategy; the
+    one cube form, which run_query, the oracle and the negative control
+    build and the checks read in place.
 
     The hash strategy locates entries by key digest; the scan strategy keeps
     insertion-ordered keys and compares each candidate key whole against the
     probe (the expensive matching the benchmark is designed to expose).
-    Under either strategy `entries` maps every group key to its entry.
+    Under either strategy `entries` maps every group key to its entry, in
+    first-seen order; `fact_count` and `grand_totals` (per measure, in
+    `query.measures` order) cover every fact observed.
     """
 
     def __init__(self, query: Query, matching: str = MATCH_HASH):
@@ -257,27 +261,6 @@ class ResultCube:
         entry = self.entry_for(key)
         entry.support += 1
         return aggregate_step(entry, values, self.query.aggregate)
-
-    def normalize(self) -> dict:
-        """Comparison form shared with the independent oracle."""
-        entries = {}
-        for key, entry in self.entries.items():
-            record = {
-                "support": entry.support,
-                "values": dict(zip(self.query.measures, entry.values(self.query.aggregate))),
-            }
-            if self.query.aggregate == "AVG":
-                record["sums"] = dict(zip(self.query.measures,
-                                          (s.total for s in entry.states)))
-            entries[key] = record
-        return {
-            "query": self.query.id,
-            "aggregate": self.query.aggregate,
-            "measures": list(self.query.measures),
-            "fact_count": self.fact_count,
-            "grand_totals": dict(zip(self.query.measures, self.grand_totals)),
-            "entries": entries,
-        }
 
 
 # --- query execution ---------------------------------------------------------

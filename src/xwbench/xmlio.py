@@ -4,7 +4,9 @@ A warehouse directory holds dw-model.xml (metadata), f_sale.xml (facts) and
 one document per dimension (d_part.xml, d_customer.xml, d_supplier.xml,
 d_date.xml).  The element grammar is documented in docs/document-grammar.md.
 Writers emit a fixed byte form (two-space indent, single-quoted attributes,
-fixed attribute order) so equal inputs give byte-identical documents.
+fixed attribute order) so equal inputs give byte-identical documents, and
+write each sale and instance as soon as it is formatted, so no whole
+document is held in memory.
 Readers feed each document in fixed 32 KiB chunks to an xml.etree XMLParser
 whose target validates every element as it starts and builds the output
 records directly: no Element tree and no event objects are made, so parsing
@@ -95,60 +97,57 @@ def format_amount(value: float) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-def write_facts(model: DwModel, facts: Iterable[FactRecord], out_dir: str) -> str:
-    parts = [XML_DECL]
-    body = []
-    for fact in facts:
-        body.append(f"  <sale id='{fact.fact_id}'>\n")
-        body.append(f"    <f_quantity>{fact.f_quantity}</f_quantity>\n")
-        body.append(f"    <f_totalamount>{format_amount(fact.f_totalamount)}</f_totalamount>\n")
-        for schema in model.dimensions:
-            body.append(
-                f"    <dimref dim='{schema.id}' idref='{fact.dim_refs[schema.id]}'/>\n"
-            )
-        body.append("  </sale>\n")
-    if body:
-        parts.append("<sales>\n")
-        parts.extend(body)
-        parts.append("</sales>\n")
-    else:
-        parts.append("<sales/>\n")
-    path = os.path.join(out_dir, model.fact_path)
+def _write_document(path: str, root: str, attrs: str, bodies: Iterator[str]) -> str:
+    """Write the declaration and the root element around `bodies`, each
+    written as soon as it is made; a root with no body is self-closed."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(parts)
+        fh.write(XML_DECL)
+        first = next(bodies, None)
+        if first is None:
+            fh.write(f"<{root}{attrs}/>\n")
+        else:
+            fh.write(f"<{root}{attrs}>\n")
+            fh.write(first)
+            fh.writelines(bodies)
+            fh.write(f"</{root}>\n")
     return path
+
+
+def write_facts(model: DwModel, facts: Iterable[FactRecord], out_dir: str) -> str:
+    """The facts document, written one sale at a time."""
+    dim_ids = model.dimension_ids
+    sales = (f"  <sale id='{fact.fact_id}'>\n"
+             f"    <f_quantity>{fact.f_quantity}</f_quantity>\n"
+             f"    <f_totalamount>{format_amount(fact.f_totalamount)}</f_totalamount>\n"
+             + "".join([f"    <dimref dim='{dim_id}' idref='{fact.dim_refs[dim_id]}'/>\n"
+                        for dim_id in dim_ids])
+             + "  </sale>\n"
+             for fact in facts)
+    return _write_document(os.path.join(out_dir, model.fact_path), "sales", "", sales)
+
+
+def _instance_text(inst: DimensionInstance, levels: tuple[str, ...]) -> str:
+    parts = [f"  <instance id='{inst.instance_id}'>\n"]
+    for row in inst.rows:
+        cells = [f"      <{level}>{_esc(row[level])}</{level}>\n"
+                 for level in levels if level in row]
+        if cells:
+            parts.append("    <row>\n")
+            parts.extend(cells)
+            parts.append("    </row>\n")
+        else:
+            parts.append("    <row/>\n")
+    parts.append("  </instance>\n")
+    return "".join(parts)
 
 
 def write_dimension(schema: DimensionSchema, instances: Iterable[DimensionInstance],
                     out_dir: str) -> str:
-    """One document per dimension; rows keep schema level order, holes are omitted."""
-    parts = [XML_DECL]
-    body = []
-    for inst in instances:
-        body.append(f"  <instance id='{inst.instance_id}'>\n")
-        for row in inst.rows:
-            cells = [
-                f"      <{level}>{_esc(row[level])}</{level}>\n"
-                for level in schema.levels
-                if level in row
-            ]
-            if cells:
-                body.append("    <row>\n")
-                body.extend(cells)
-                body.append("    </row>\n")
-            else:
-                body.append("    <row/>\n")
-        body.append("  </instance>\n")
-    if body:
-        parts.append(f"<dimension id='{schema.id}'>\n")
-        parts.extend(body)
-        parts.append("</dimension>\n")
-    else:
-        parts.append(f"<dimension id='{schema.id}'/>\n")
-    path = os.path.join(out_dir, schema.path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(parts)
-    return path
+    """One document per dimension, written one instance at a time; rows keep
+    schema level order, holes are omitted."""
+    return _write_document(os.path.join(out_dir, schema.path), "dimension",
+                           f" id='{schema.id}'",
+                           (_instance_text(inst, schema.levels) for inst in instances))
 
 
 def write_warehouse(warehouse: Warehouse, out_dir: str) -> None:

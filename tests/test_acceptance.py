@@ -215,21 +215,23 @@ def test_criterion_8_matching_cost_trend(tmp_path_factory):
 
     # harness discipline: one warm-up run excluded, then median-of-3 for the
     # hash cells whose compared totals are close; the scan cells' signal is
-    # orders of magnitude above timer noise and runs once.
-    run_query(get_query("D1"), out, engine="qbs", matching="hash")
-
-    def timed(query_id, matching, runs):
+    # orders of magnitude above timer noise and runs once.  As in a campaign
+    # cell, each query is compiled once and its plan shared by all its runs.
+    def timed(plan, matching, runs):
         timings = []
         for _ in range(runs):
-            _, timing = run_query(get_query(query_id), out, engine="qbs",
-                                  matching=matching)
+            _, timing = run_query(plan.query, out, engine="qbs", matching=matching,
+                                  plan=plan)
             timings.append(timing)
         return sorted(timings, key=lambda t: t.query_ms)[len(timings) // 2]
 
     timings = {}
     for query_id in ("D1", "D3", "D4"):
-        timings[(query_id, "hash")] = timed(query_id, "hash", 3)
-        timings[(query_id, "scan")] = timed(query_id, "scan", 1)
+        plan = plan_query(get_query(query_id), out, engine="qbs")
+        if query_id == "D1":
+            run_query(plan.query, out, engine="qbs", matching="hash", plan=plan)
+        timings[(query_id, "hash")] = timed(plan, "hash", 3)
+        timings[(query_id, "scan")] = timed(plan, "scan", 1)
 
     d4_ratio = timings[("D4", "scan")].match_ms / timings[("D4", "hash")].match_ms
     assert d4_ratio >= 5.0, f"scan/hash D4 matching ratio {d4_ratio:.1f}"

@@ -1,6 +1,8 @@
 """Query-time resolution: component semantics and group keys."""
 
+import copy
 import os
+import pickle
 
 import pytest
 
@@ -97,6 +99,16 @@ class TestLabels:
         assert label_component("FRANCE+GERMANY") == frozenset({"FRANCE", "GERMANY"})
         assert label_component("Other") is OTHER
         assert label_component("EUROPE+Other") == frozenset({"EUROPE", "Other"})
+
+    def test_other_survives_copies_and_pickling(self):
+        """OTHER is compared by identity, so every copy of a key must keep
+        the one object."""
+        key = ("FRANCE", OTHER, frozenset({"A", "B"}))
+        for copied in (copy.copy(OTHER), copy.deepcopy(OTHER),
+                       pickle.loads(pickle.dumps(OTHER))):
+            assert copied is OTHER
+        assert copy.deepcopy(key)[1] is OTHER
+        assert pickle.loads(pickle.dumps(key)) == key
 
     def test_fused_equality_is_set_equality(self):
         assert frozenset({"A", "B"}) == frozenset({"B", "A"})

@@ -251,6 +251,21 @@ class TestGenerateWarehouse:
         for name in layout_files(wa.model):
             assert filecmp.cmp(str(a / name), str(b / name), shallow=False), name
 
+    def test_equal_date_values_are_one_object(self):
+        """Each drawn calendar day's level values are built once per
+        generation, and every row is still a dict of its own."""
+        warehouse = generate_warehouse(GeneratorConfig(3000, seed=8))
+        rows = [row for inst in warehouse.instances["date"] for row in inst.rows]
+        first = {}
+        for row in rows:
+            drawn = first.setdefault(row["day"], row)
+            assert all(row[level] is drawn[level] for level in ("day", "month", "year"))
+        assert len(first) < len(rows)
+        assert len({id(row) for row in rows}) == len(rows)
+        second = generate_warehouse(GeneratorConfig(3000, seed=8))
+        assert second.instances["date"] == warehouse.instances["date"]
+        assert second.instances["date"][0].rows[0]["year"] is not rows[0]["year"]
+
     def test_measures_in_range(self):
         warehouse = generate_warehouse(GeneratorConfig(500, seed=8))
         for fact in warehouse.facts:

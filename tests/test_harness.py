@@ -6,8 +6,10 @@ import dataclasses
 import json
 import os
 import pathlib
+import pickle
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -29,7 +31,6 @@ from xwbench.harness import (
     double_counting_cube,
     ensure_dataset,
     infer_regime,
-    normalize_cube,
     oracle_cube,
     qbs_view_of_pedersen,
     run_campaign,
@@ -73,12 +74,24 @@ class TestCheckCorrectness:
         _, out_dir, _ = complex_300
         query = get_query("D2")
         cube, _ = run_query(query, out_dir)
-        norm = copy.deepcopy(cube.normalize())
-        key = next(iter(norm["entries"]))
-        norm["entries"][key]["values"]["f_quantity"] += 1
-        report = check_correctness(norm, plan_query(query, out_dir))
+        perturbed = copy.deepcopy(cube)
+        entry = next(iter(perturbed.entries.values()))
+        entry.states[0] += 1
+        report = check_correctness(perturbed, plan_query(query, out_dir))
         assert not report.grand_ok
         assert report.dup_ok
+        assert check_correctness(cube, plan_query(query, out_dir)).passed
+
+    def test_deep_copied_cube_keeps_its_other_groups(self, complex_300):
+        """A copied cube's OTHER components are still OTHER, so the copy
+        checks and matches like the cube it was copied from."""
+        _, out_dir, _ = complex_300
+        query = get_query("D4")
+        cube, _ = run_query(query, out_dir)
+        assert any(c is OTHER for key in cube.entries for c in key)
+        for copied in (copy.deepcopy(cube), pickle.loads(pickle.dumps(cube))):
+            assert cubes_match(cube, copied)[0]
+            assert check_correctness(copied, plan_query(query, out_dir)).passed
 
     def test_unknown_engine_is_configuration_error(self, complex_300):
         """The check takes its engine from a plan, and no plan has an
@@ -146,14 +159,38 @@ class TestCheckCorrectness:
         plan = plan_query(get_query("D4"), out_dir)
         assert check_correctness(double_counting_cube(plan), plan).passed
 
+    @pytest.mark.parametrize("incomplete, nonstrict", [(0, 0), (50, 50)],
+                             ids=["simple", "complex50"])
+    def test_check_adds_less_memory_than_the_query(self, tmp_path, incomplete, nonstrict):
+        """The check reads the cube in place: the peak it adds over the cube
+        stays below the peak of the query that built it."""
+        out = str(tmp_path / "w")
+        generate_warehouse(GeneratorConfig(2000, incomplete, nonstrict, 4 if nonstrict else 0,
+                                           seed=3, output_dir=out))
+        for query_id in ("D4", "Q24"):
+            plan = plan_query(get_query(query_id), out)
+            tracemalloc.start()
+            try:
+                cube, _ = run_query(plan.query, out, plan=plan)
+                _, query_peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                held, _ = tracemalloc.get_traced_memory()
+                report = check_correctness(cube, plan)
+                _, check_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.passed, (query_id, report.notes)
+            assert check_peak - held < 1.5 * query_peak, (query_id, check_peak - held,
+                                                          query_peak)
+
 
 class TestOracle:
     def test_single_fact_cube(self, reference_dir):
         cube = oracle_cube(reference_dir, get_query("Q21"))
-        assert cube["fact_count"] == 1
-        ((key, entry),) = cube["entries"].items()
+        assert cube.fact_count == 1
+        ((key, entry),) = cube.entries.items()
         assert key == ("part#1", "customer#1", "supplier#1", "date#1")
-        assert entry["values"] == {"f_quantity": 100, "f_totalamount": 2800.0}
+        assert entry.values("SUM") == (100, 2800.0)
 
     def test_multi_nation_supplier_forms_one_fused_group(self, tmp_path):
         """A two-nation supplier makes one fused group, never two atomics."""
@@ -172,10 +209,10 @@ class TestOracle:
         write_warehouse(warehouse, str(out))
         query = get_query("Q22")  # groups supplier at nation
         cube = oracle_cube(str(out), query)
-        assert len(cube["entries"]) == 1
-        ((key, entry),) = cube["entries"].items()
+        assert len(cube.entries) == 1
+        ((key, entry),) = cube.entries.items()
         assert key[2] == frozenset({"FRANCE", "GERMANY"})
-        assert entry["support"] == 1
+        assert entry.support == 1
 
     def test_matches_run_query_on_a_complex_warehouse(self, complex_300):
         _, out_dir, _ = complex_300
@@ -264,22 +301,23 @@ class TestOracle:
                       ("supplier", "nation")))
         cube = oracle_cube(str(out), sums)
         fused = frozenset({"FRANCE", "GERMANY"})
-        assert cube["fact_count"] == 3
-        assert cube["grand_totals"] == {"f_quantity": 22}
-        assert cube["entries"] == {
-            ("LARGE", "FRANCE", fused): {"support": 1, "values": {"f_quantity": 10}},
-            ("LARGE", OTHER, fused): {"support": 1, "values": {"f_quantity": 5}},
-            ("SMALL", "FRANCE", "INDIA"): {"support": 1, "values": {"f_quantity": 7}},
+        assert cube.fact_count == 3
+        assert cube.grand_totals == [22]
+        assert {key: (entry.support, entry.values("SUM"))
+                for key, entry in cube.entries.items()} == {
+            ("LARGE", "FRANCE", fused): (1, (10,)),
+            ("LARGE", OTHER, fused): (1, (5,)),
+            ("SMALL", "FRANCE", "INDIA"): (1, (7,)),
         }
 
         avgs = Query("H2", "AVG", ("f_totalamount",), (("supplier", "nation"),))
         cube = oracle_cube(str(out), avgs)
-        assert set(cube["entries"]) == {(fused,), ("INDIA",)}
-        assert cube["entries"][(fused,)]["support"] == 2
-        assert cube["entries"][(fused,)]["values"]["f_totalamount"] == \
-               pytest.approx(75.25, rel=1e-12)
-        assert cube["entries"][("INDIA",)]["values"]["f_totalamount"] == \
-               pytest.approx(70.25, rel=1e-12)
+        assert set(cube.entries) == {(fused,), ("INDIA",)}
+        assert cube.entries[(fused,)].support == 2
+        assert cube.entries[(fused,)].values("AVG") == \
+               pytest.approx((75.25,), rel=1e-12)
+        assert cube.entries[("INDIA",)].values("AVG") == \
+               pytest.approx((70.25,), rel=1e-12)
 
         # the streaming engine agrees with the hand computation too
         for query in (sums, avgs):
@@ -299,8 +337,8 @@ class TestPedersenMapping:
         mapped = qbs_view_of_pedersen(ped)
         equal, diffs = cubes_match(qbs, mapped)
         assert equal, diffs
-        assert any(isinstance(c, frozenset) for key in mapped["entries"] for c in key)
-        assert any(c is OTHER for key in mapped["entries"] for c in key)
+        assert any(isinstance(c, frozenset) for key in mapped.entries for c in key)
+        assert any(c is OTHER for key in mapped.entries for c in key)
 
     @settings(max_examples=40, deadline=None)
     @given(facts=st.integers(min_value=0, max_value=60),
@@ -440,7 +478,7 @@ class TestCellLoading:
             cube, _ = run_query(query, out_dir, matching=matching)
         assert report.error is None
         assert report.groups > 1
-        assert report.groups == len(normalize_cube(cube)["entries"])
+        assert report.groups == len(cube.entries)
 
     @pytest.mark.parametrize("engine", ["qbs", "pedersen"])
     def test_shared_indexes_stay_untouched(self, complex_300, tmp_path, engine):

@@ -316,17 +316,18 @@ GOLDEN_CUBES = {
 
 
 def canonical_cube(cube) -> str:
-    """A cube's normalized form with keys as component labels (a frozenset's
-    repr order depends on the hash seed), entries sorted and floats as repr."""
-    norm = cube.normalize()
-    entries = sorted(((tuple(component_label(c) for c in key), record)
-                      for key, record in norm["entries"].items()),
+    """A cube's text with keys as component labels (a frozenset's repr order
+    depends on the hash seed), entries sorted, measures paired with their
+    values and floats as repr."""
+    query = cube.query
+    entries = sorted(((tuple(component_label(c) for c in key), entry)
+                      for key, entry in cube.entries.items()),
                      key=lambda item: item[0])
-    lines = [norm["query"], norm["aggregate"], repr(norm["measures"]),
-             repr(norm["fact_count"]), repr(sorted(norm["grand_totals"].items()))]
-    for key, record in entries:
-        lines.append(f"{key!r} {record['support']!r} "
-                     f"{sorted(record['values'].items())!r}")
+    lines = [query.id, query.aggregate, repr(list(query.measures)),
+             repr(cube.fact_count), repr(sorted(zip(query.measures, cube.grand_totals)))]
+    for key, entry in entries:
+        lines.append(f"{key!r} {entry.support!r} "
+                     f"{sorted(zip(query.measures, entry.values(query.aggregate)))!r}")
     return "\n".join(lines)
 
 

@@ -269,3 +269,18 @@ class TestSizes:
         assert doc_bytes[10000] > 50 * doc_bytes[100]
         assert peaks[1000] < 3 * peaks[100]
         assert peaks[10000] < 3 * peaks[100]
+
+    def test_writer_memory_is_flat(self, tmp_path):
+        """The writers stream each sale and instance as it is formatted: the
+        peak of writing a warehouse stays near-flat while it grows 100x.  The
+        warehouse is built before tracing starts."""
+        peaks = {}
+        for n in (100, 10_000):
+            warehouse = generate_warehouse(GeneratorConfig(n, 50, 50, 3, seed=5))
+            tracemalloc.start()
+            try:
+                write_warehouse(warehouse, str(tmp_path / f"w{n}"))
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[10_000] < 3 * peaks[100], peaks
