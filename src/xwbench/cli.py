@@ -12,6 +12,7 @@ then exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -89,7 +90,11 @@ def _cmd_generate(args) -> int:
     except ConfigurationError as exc:
         print(f"xwbench generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # A stamp left by an earlier generation must not outlive a failed one.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(args.out, harness.STAMP_FILE))
     warehouse = generate_warehouse(cfg)
+    harness.stamp_dataset(cfg, args.out)
     sizes = xmlio.document_sizes(args.out, warehouse.model)
     print(f"generated {len(warehouse.facts)} facts "
           f"({4 * len(warehouse.facts)} dimension instances), "
@@ -113,20 +118,26 @@ def _cmd_run(args) -> int:
     queries = load_workload(args.workload) if args.workload else standard_workload()
     if args.query != "all":
         queries = [get_query(args.query, queries)]
-    regime = harness.infer_regime(args.in_dir)
-    dataset = DatasetSpec(id=args.in_dir.rstrip("/").rpartition("/")[2] or args.in_dir,
-                          facts=0)
+    dataset_id = args.in_dir.rstrip("/").rpartition("/")[2] or args.in_dir
+    stamp = harness.read_stamp(args.in_dir)
+    if stamp is None:
+        regime = harness.infer_regime(args.in_dir)
+        dataset = DatasetSpec(id=dataset_id, facts=0)
+    else:
+        dataset = DatasetSpec(dataset_id, stamp.fact_number, stamp.incomplete_percentage,
+                              stamp.nonstrict_percentage, stamp.nonstrict_number, stamp.seed)
     reports: list[RunReport] = []
     failed = errored = False
     for query in queries:
         report = harness.run_cell(dataset, args.in_dir, args.engine, query,
                                   args.matching, repeats=1, warmup=0)
-        # Standalone layouts carry no generator provenance.
-        report.regime = regime
-        report.facts = None
-        report.incomplete_pct = None
-        report.nonstrict_pct = None
-        report.nonstrict_num = None
+        if stamp is None:
+            # Without a stamp only the regime can be told, by a sweep.
+            report.regime = regime
+            report.facts = None
+            report.incomplete_pct = None
+            report.nonstrict_pct = None
+            report.nonstrict_num = None
         reports.append(report)
         if report.error is not None:
             errored = True

@@ -91,7 +91,12 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
 
     The output directory gets transformed dimension documents, extended
     metadata listing the inserted fused levels, and a byte-identical copy of
-    the facts document.  Transforming already-transformed data is a no-op.
+    the facts document.  An instance of one complete row is already covering
+    and strict, so it is written as read; only the others go through
+    make_covering and make_strict.  Where a dimension gains fused levels,
+    each instance's own value fills the singleton fusion in place, on the
+    row dicts this call read or built.  Transforming already-transformed
+    data is a no-op.
     """
     if os.path.abspath(dir_in) == os.path.abspath(dir_out):
         raise ConfigurationError("transform requires distinct input and output directories")
@@ -106,27 +111,33 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
     for schema in model.dimensions:
         out_instances = []
         dim_fused: set[str] = set()
+        width = len(schema.levels)
         for inst in xmlio.iter_instances(dir_in, schema):
+            rows = inst.rows
+            # The reader rejects undeclared levels, so a full-width row
+            # holds every declared one.
+            if len(rows) == 1 and len(rows[0]) == width:
+                out_instances.append(inst)
+                continue
             covering = make_covering(inst, schema)
             if covering is not inst:
                 covered += 1
             strict = make_strict(covering, schema)
-            inst_fused = fused_levels_of(strict, schema)
-            if inst_fused:
-                fused_count += 1
-                dim_fused |= inst_fused
+            if strict is not covering:
+                inst_fused = fused_levels_of(strict, schema)
+                if inst_fused:
+                    fused_count += 1
+                    dim_fused |= inst_fused
             out_instances.append(strict)
         ext = extended_schema(schema, dim_fused)
         if dim_fused:
             # Unfused instances carry the singleton fusion (their own value)
-            # so every row is complete over the extended chain.
-            filled = []
+            # so every row is complete over the extended chain.  No row dict
+            # here is shared: the reader or a helper built each in this call.
             for inst in out_instances:
-                cells = dict(inst.rows[0])
+                cells = inst.rows[0]
                 for level in dim_fused:
                     cells.setdefault(level + FUSED_SUFFIX, cells[level])
-                filled.append(DimensionInstance(inst.instance_id, (cells,)))
-            out_instances = filled
             fused_by_dim[schema.id] = tuple(
                 lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))
         xmlio.write_dimension(ext, out_instances, dir_out)

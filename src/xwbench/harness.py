@@ -66,7 +66,7 @@ REPORT_COLUMNS = [
 ORACLE_FACT_LIMIT = 10_000
 
 # The six-document layout every generated dataset has, and the stamp file
-# ensure_dataset writes beside it.
+# ensure_dataset and `xwbench generate` write beside it.
 DATASET_FILES = xmlio.layout_files(default_model())
 STAMP_FILE = "dataset-stamp.json"
 
@@ -106,7 +106,8 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
 
     The recount resolves every fact's group key again through `plan` (the
     plan_query result the cube's query was compiled to, whose keys and
-    values run_query groups too) and keeps per group, in one plain list, its
+    values run_query groups too), takes the keys one at a time as they are
+    zipped from the columns, and keeps per group, in one plain list, its
     count and the one statistic the aggregate needs (sums for SUM and AVG,
     minima for MIN, maxima for MAX); it shares nothing with matching or
     aggregation.  The cube is read in place, never copied.  `dup_ok` fails
@@ -431,26 +432,40 @@ def standard_matrix(facts: int = 1000, seed: int = 42,
     return specs
 
 
+def stamp_dataset(cfg: GeneratorConfig, out_dir: str) -> None:
+    """Write the provenance of a dataset generated by `cfg` into `out_dir`:
+    the generator config minus the output path."""
+    stamp = {k: v for k, v in asdict(cfg).items() if k != "output_dir"}
+    with open(os.path.join(out_dir, STAMP_FILE), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(stamp, sort_keys=True))
+
+
+def read_stamp(in_dir: str) -> GeneratorConfig | None:
+    """The config `in_dir` was generated from, or None when it carries no
+    readable stamp (a transform's output, or a layout from another tool)."""
+    try:
+        with open(os.path.join(in_dir, STAMP_FILE), encoding="utf-8") as fh:
+            return GeneratorConfig(**json.load(fh))
+    except (OSError, ValueError, TypeError):
+        return None
+
+
 def ensure_dataset(spec: DatasetSpec, data_root: str) -> str:
     """The directory `data_root/<spec.id>`, reused only while all six
-    documents and its stamp (the generator config minus the output path,
-    written last) match `spec`; otherwise generated afresh beside it,
-    stamped and moved into place, so stale or half-written data is never
-    benchmarked."""
+    documents and its stamp (stamp_dataset, written last) match `spec`;
+    otherwise generated afresh beside it, stamped and moved into place, so
+    stale or half-written data is never benchmarked."""
     spec.validate()
     out_dir = os.path.join(data_root, spec.id)
-    stamp = json.dumps({k: v for k, v in asdict(spec.config(None)).items()
-                        if k != "output_dir"}, sort_keys=True)
-    if all(os.path.exists(os.path.join(out_dir, name)) for name in (*DATASET_FILES, STAMP_FILE)):
-        with open(os.path.join(out_dir, STAMP_FILE), encoding="utf-8") as fh:
-            if fh.read() == stamp:
-                return out_dir
+    cfg = spec.config(None)
+    if (all(os.path.exists(os.path.join(out_dir, name)) for name in DATASET_FILES)
+            and read_stamp(out_dir) == cfg):
+        return out_dir
     os.makedirs(data_root, exist_ok=True)
     tmp_dir = tempfile.mkdtemp(prefix=f".{spec.id}-", dir=data_root)
     try:
         generate_warehouse(spec.config(tmp_dir))
-        with open(os.path.join(tmp_dir, STAMP_FILE), "w", encoding="utf-8") as fh:
-            fh.write(stamp)
+        stamp_dataset(cfg, tmp_dir)
         shutil.rmtree(out_dir, ignore_errors=True)
         os.replace(tmp_dir, out_dir)
     except BaseException:

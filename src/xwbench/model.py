@@ -130,7 +130,12 @@ class DimensionInstance:
     rows: tuple[dict[str, str], ...]
 
     def has_absent_cell(self, schema: DimensionSchema) -> bool:
-        return any(len(row) < len(schema.levels) for row in self.rows)
+        """Whether some row is shorter than the level chain, i.e. has a hole."""
+        width = len(schema.levels)
+        for row in self.rows:
+            if len(row) < width:
+                return True
+        return False
 
 
 @dataclass(slots=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import engine_pedersen, engine_qbs, xmlio
@@ -302,14 +303,16 @@ class QueryPlan:
     load_ms: float
     read_ms: float
 
-    def keys(self) -> list[tuple]:
+    def keys(self) -> Iterator[tuple]:
         """Every fact's group key, in fact order: one component per grouped
-        dimension, each dimension resolved as one column."""
+        dimension, each dimension resolved as one column when called.  The
+        keys are zipped from the columns as they are read, so a consumer
+        that does not keep them never holds them all."""
         if not self.steps:
-            return [()] * len(self.facts)
+            return repeat((), len(self.facts))
         resolve = self.resolve
-        return list(zip(*[resolve(index, ordinals, level)
-                          for level, index, ordinals in self.steps]))
+        return zip(*[resolve(index, ordinals, level)
+                     for level, index, ordinals in self.steps])
 
     def values(self) -> Iterator[tuple[float, ...]]:
         """Every fact's measures, in fact order, as a tuple in
@@ -368,7 +371,7 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     cube = ResultCube(query, matching)
     pc = time.perf_counter
     t0 = pc()
-    keys = plan.keys()
+    keys = list(plan.keys())
     t1 = pc()
     entry_for = cube.entry_for
     entries = [entry_for(key) for key in keys]

@@ -3,10 +3,16 @@
 import csv
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from xwbench.cli import main
+from xwbench.harness import STAMP_FILE, DatasetSpec, ensure_dataset
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -44,6 +50,13 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             run_cli("explode")
         assert exc.value.code == 1
+
+    def test_runs_as_a_module(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "xwbench", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "generate" in done.stdout and "campaign" in done.stdout
 
 
 @pytest.fixture()
@@ -118,6 +131,48 @@ class TestTransformAndRun:
 
     def test_unknown_query_is_data_error(self, cli_dataset):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q99") == 2
+
+
+def _report_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+PROVENANCE = ("regime", "facts", "incomplete_pct", "nonstrict_pct", "nonstrict_num")
+
+
+class TestProvenance:
+    def test_generate_writes_the_campaign_stamp(self, cli_dataset, tmp_path):
+        """`generate` stamps its output as ensure_dataset does, so a campaign
+        reuses it under the same id and parameters."""
+        spec = DatasetSpec("complex", 200, incomplete=50, nonstrict=50,
+                           nonstrict_number=2, seed=3)
+        fresh = ensure_dataset(spec, str(tmp_path / "fresh"))
+        assert (pathlib.Path(cli_dataset, STAMP_FILE).read_text(encoding="utf-8")
+                == pathlib.Path(fresh, STAMP_FILE).read_text(encoding="utf-8"))
+        before = os.stat(os.path.join(cli_dataset, "f_sale.xml")).st_mtime_ns
+        assert ensure_dataset(spec, os.path.dirname(cli_dataset)) == cli_dataset
+        assert os.stat(os.path.join(cli_dataset, "f_sale.xml")).st_mtime_ns == before
+
+    def test_run_reports_the_stamped_parameters(self, cli_dataset, tmp_path):
+        report = str(tmp_path / "report.csv")
+        assert run_cli("run", "--in", cli_dataset, "--query", "D1",
+                       "--report", report) == 0
+        (row,) = _report_rows(report)
+        assert [row[c] for c in PROVENANCE] == ["complex", "200", "50", "50", "2"]
+
+    @pytest.mark.parametrize("stamp", [None, "{"], ids=["missing", "unreadable"])
+    def test_run_without_a_stamp_infers_the_regime(self, cli_dataset, tmp_path, stamp):
+        path = pathlib.Path(cli_dataset, STAMP_FILE)
+        if stamp is None:
+            path.unlink()
+        else:
+            path.write_text(stamp, encoding="utf-8")
+        report = str(tmp_path / "report.csv")
+        assert run_cli("run", "--in", cli_dataset, "--query", "D1",
+                       "--report", report) == 0
+        (row,) = _report_rows(report)
+        assert [row[c] for c in PROVENANCE] == ["complex", "", "", "", ""]
 
 
 class TestOracleCommand:

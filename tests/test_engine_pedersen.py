@@ -3,11 +3,17 @@
 import filecmp
 import hashlib
 import os
+import tempfile
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
+from xwbench import engine_pedersen
 from xwbench.engine_pedersen import (
+    FUSED_SUFFIX,
     extended_schema,
     fused_levels_of,
     make_covering,
@@ -144,6 +150,82 @@ class TestTransformWarehouse:
         _, src, _ = complex_300
         with pytest.raises(ConfigurationError):
             transform_warehouse(src, src)
+
+
+class TestTransformShortcuts:
+    """The transform writes complete single-row instances as read and fills
+    singleton fusions in place; neither may change what it writes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(facts=st.integers(min_value=0, max_value=60),
+           incomplete=st.sampled_from([0, 5, 50, 100]),
+           nonstrict=st.sampled_from([0, 5, 50, 100]),
+           k=st.integers(min_value=2, max_value=4),
+           seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_every_instance_is_its_helpers_result(self, facts, incomplete, nonstrict,
+                                                  k, seed):
+        """Each written instance is make_strict(make_covering(inst)) plus the
+        singleton `_fused` cells of its dimension's fused levels, and the
+        report counts what those helpers did."""
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, out = os.path.join(tmp, "raw"), os.path.join(tmp, "out")
+            generate_warehouse(GeneratorConfig(
+                facts, incomplete_percentage=incomplete, nonstrict_percentage=nonstrict,
+                nonstrict_number=k, seed=seed, output_dir=raw))
+            report = transform_warehouse(raw, out)
+            out_model = read_metadata(out)
+            covered = fused = 0
+            for schema in read_metadata(raw).dimensions:
+                written = list(iter_instances(out, out_model.dimension(schema.id)))
+                expected = []
+                dim_fused: set[str] = set()
+                for inst in iter_instances(raw, schema):
+                    covering = make_covering(inst, schema)
+                    strict = make_strict(covering, schema)
+                    covered += covering is not inst
+                    inst_fused = fused_levels_of(strict, schema)
+                    fused += bool(inst_fused)
+                    dim_fused |= inst_fused
+                    expected.append(strict)
+                for inst in expected:
+                    cells = inst.rows[0]
+                    for level in dim_fused:
+                        cells.setdefault(level + FUSED_SUFFIX, cells[level])
+                assert written == expected, schema.id
+                assert report.fused_levels.get(schema.id, ()) == tuple(
+                    level for level in extended_schema(schema, dim_fused).levels
+                    if level.endswith(FUSED_SUFFIX)), schema.id
+            assert (report.instances_covered, report.instances_fused) == (covered, fused)
+
+    @staticmethod
+    def _count_helper_calls(monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        for name in ("make_covering", "make_strict"):
+            def counted(*args, _real=getattr(engine_pedersen, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(engine_pedersen, name, counted)
+        return calls
+
+    def test_simple_warehouse_calls_no_helper(self, tmp_path, monkeypatch):
+        """Every instance of a simple warehouse is one complete row, so none
+        is covered or fused (a per-instance pass made 400 calls of each)."""
+        src = tmp_path / "simple"
+        generate_warehouse(GeneratorConfig(100, seed=23, output_dir=str(src)))
+        calls = self._count_helper_calls(monkeypatch)
+        transform_warehouse(str(src), str(tmp_path / "out"))
+        assert calls == Counter()
+
+    def test_only_instances_needing_work_reach_the_helpers(self, complex_300, tmp_path,
+                                                           monkeypatch):
+        _, src, _ = complex_300
+        model = read_metadata(src)
+        needing = sum(1 for schema in model.dimensions for inst in iter_instances(src, schema)
+                      if len(inst.rows) > 1 or inst.has_absent_cell(schema))
+        calls = self._count_helper_calls(monkeypatch)
+        transform_warehouse(src, str(tmp_path / "ped"))
+        assert needing > 0
+        assert calls == Counter(make_covering=needing, make_strict=needing)
 
 
 # sha256 of every document generated for GeneratorConfig(200, 50, 50, 3,

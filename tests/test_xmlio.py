@@ -233,7 +233,7 @@ class TestSharedValues:
 
     def test_d3_key_components_are_shared(self, grid_1k):
         _, in_dir = grid_1k["simple-1000"]
-        keys = plan_query(get_query("D3"), in_dir).keys()
+        keys = list(plan_query(get_query("D3"), in_dir).keys())
         for position in range(3):
             components = [key[position] for key in keys]
             assert len({id(c) for c in components}) <= len(set(components)), position
