@@ -28,6 +28,7 @@ import tempfile
 import time
 import traceback
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Sequence
@@ -71,8 +72,8 @@ DATASET_FILES = xmlio.layout_files(default_model())
 STAMP_FILE = "dataset-stamp.json"
 
 
-def _close(a: float, b: float, rel_tol: float = REL_TOL) -> bool:
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-12)
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=1e-12)
 
 
 # --- qualitative metric ------------------------------------------------------
@@ -151,45 +152,42 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
         notes.append("group keys differ from recount")
     if aggregate in ("SUM", "AVG"):
         for i, measure in enumerate(query.measures):
-            if aggregate == "SUM":
-                total = sum(e.states[i] for e in entries.values())
-            else:
-                total = sum(e.states[i].total for e in entries.values())
+            total = sum(e.states[i] for e in entries.values())
             if not _close(total, grand[i]):
                 grand_ok = False
                 notes.append(f"{measure}: group total {total} != grand total {grand[i]}")
 
-    avg_ok = True
-    if aggregate == "AVG":
+    # One pass over the groups: chk_avg compares AVG with the recounted sum
+    # over count, chk_minmax MIN and MAX with the recounted extreme.
+    avg_ok = minmax_ok = True
+    if aggregate != "SUM":
+        average = aggregate == "AVG"
+        mismatch = "average mismatch" if average else f"not the {aggregate} value"
+        ok = True
         for key, entry in entries.items():
             slot = recount.get(key)
             if slot is None:
-                avg_ok = False
+                ok = False
                 continue
-            if entry.support != slot[0]:
-                avg_ok = False
-                notes.append(f"{key}: support {entry.support} != count {slot[0]}")
-            for i, measure in enumerate(query.measures):
-                if not _close(entry.states[i].value, slot[1 + i] / slot[0]):
-                    avg_ok = False
-                    notes.append(f"{key}/{measure}: average mismatch")
-
-    minmax_ok = True
-    if aggregate in ("MIN", "MAX"):
-        for key, entry in entries.items():
-            slot = recount.get(key)
-            if slot is None:
-                minmax_ok = False
-                continue
-            for i, measure in enumerate(query.measures):
-                if entry.states[i] != slot[1 + i]:
-                    minmax_ok = False
-                    notes.append(f"{key}/{measure}: not the {aggregate} value")
+            count = slot[0]
+            if average and entry.support != count:
+                ok = False
+                notes.append(f"{key}: support {entry.support} != count {count}")
+            for measure, value, statistic in zip(query.measures, entry.values(aggregate),
+                                                 slot[1:]):
+                if not (_close(value, statistic / count) if average else value == statistic):
+                    ok = False
+                    notes.append(f"{key}/{measure}: {mismatch}")
+        avg_ok, minmax_ok = (ok, True) if average else (True, ok)
 
     return CorrectnessReport(dup_ok, grand_ok, avg_ok, minmax_ok, tuple(notes))
 
 
 # --- brute-force oracle ------------------------------------------------------
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def _dom_rows(path: str) -> list[list[dict[str, str]]]:
@@ -211,8 +209,9 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     aggregate_step.  Refuses warehouses beyond fact_limit facts.  A fact joins
     instance n of a grouped dimension only through the ref `{dim_id}#{n}`,
     spelled so and with n within the instance count, as the readers
-    require; a sale that lacks a dimension's ref or a measure, or whose
-    measure does not parse, raises DocumentError as it does in the readers.
+    require; a sale that does not reference each dimension exactly once, or
+    whose quantity is not ASCII digits or whose amount not ASCII digits with
+    two after the point, raises DocumentError as it does in the readers.
     """
     meta = ET.parse(os.path.join(in_dir, xmlio.METADATA_FILE)).getroot().find("fact")
     if meta is None:
@@ -247,17 +246,18 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     groups: dict[tuple, list[list[float]]] = {}
     grand = [0.0] * len(query.measures)
     for sale in sales:
-        refs = {d.get("dim"): d.get("idref") for d in sale.findall("dimref")}
-        raw = {m.tag: m.text for m in sale if m.tag != "dimref"}
-        if dim_paths.keys() - refs.keys():
-            raise DocumentError(
-                f"{sales_path}: sale {sale.get('id')!r} must reference all dimensions")
-        try:
-            measures = {"f_quantity": int(raw["f_quantity"]),
-                        "f_totalamount": float(raw["f_totalamount"])}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(
-                f"{sales_path}: sale {sale.get('id')!r} has bad measures") from exc
+        dimrefs = sale.findall("dimref")
+        refs = {d.get("dim"): d.get("idref") for d in dimrefs}
+        raw = {m.tag: m.text or "" for m in sale if m.tag != "dimref"}
+        if refs.keys() != dim_paths.keys() or len(refs) != len(dimrefs):
+            raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} must reference "
+                                f"each dimension exactly once")
+        quantity = raw.get("f_quantity", "")
+        whole, point, cents = raw.get("f_totalamount", "").partition(".")
+        if not (_digits(quantity) and _digits(whole) and point and len(cents) == 2
+                and _digits(cents)):
+            raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} has bad measures")
+        measures = {"f_quantity": int(quantity), "f_totalamount": float(f"{whole}.{cents}")}
         values = [measures[m] for m in query.measures]
         for i, v in enumerate(values):
             grand[i] += v
@@ -288,18 +288,16 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
             elif query.aggregate == "MAX":
                 entry.states[i] = max(column)
             else:
-                entry.states[i].total = math.fsum(column)
-                entry.states[i].count = len(column)
+                entry.states[i] = math.fsum(column)
     return cube
 
 
 # --- cube comparison ---------------------------------------------------------
 
 
-def cubes_match(a: ResultCube, b: ResultCube,
-                rel_tol: float = REL_TOL) -> tuple[bool, list[str]]:
+def cubes_match(a: ResultCube, b: ResultCube) -> tuple[bool, list[str]]:
     """Entry-wise cube equality, read in place: exact for SUM/MIN/MAX and
-    supports, rel_tol for AVG values.  Returns (equal, differences)."""
+    supports, REL_TOL for AVG values.  Returns (equal, differences)."""
     diffs: list[str] = []
     aggregate, measures = a.query.aggregate, a.query.measures
     if (aggregate, measures) != (b.query.aggregate, b.query.measures):
@@ -308,7 +306,7 @@ def cubes_match(a: ResultCube, b: ResultCube,
     if a.fact_count != b.fact_count:
         diffs.append(f"fact counts differ: {a.fact_count} != {b.fact_count}")
     for measure, ta, tb in zip(measures, a.grand_totals, b.grand_totals):
-        if not _close(ta, tb, rel_tol):
+        if not _close(ta, tb):
             diffs.append(f"grand total {measure} differs")
     only_a = [key for key in a.entries if key not in b.entries]
     only_b = [key for key in b.entries if key not in a.entries]
@@ -324,7 +322,7 @@ def cubes_match(a: ResultCube, b: ResultCube,
         if ea.support != eb.support:
             diffs.append(f"{key!r}: supports differ")
         for measure, va, vb in zip(measures, ea.values(aggregate), eb.values(aggregate)):
-            if (va != vb) if exact else not _close(va, vb, rel_tol):
+            if (va != vb) if exact else not _close(va, vb):
                 diffs.append(f"{key!r}/{measure}: {va!r} != {vb!r}")
     return not diffs, diffs
 
@@ -666,6 +664,13 @@ def run_campaign(matrix: dict, report_path: str,
         raise ConfigurationError(f"warmup must be at least 0, got {warmup}")
     for spec in specs:
         spec.validate()
+    # Each dataset, and under pedersen its transform, owns one directory.
+    owned = [spec.id for spec in specs]
+    if ENGINE_PEDERSEN in engines:
+        owned += [f"{spec.id}-pedersen" for spec in specs]
+    for name, uses in Counter(owned).items():
+        if uses > 1:
+            raise ConfigurationError(f"two datasets of the matrix write to {name!r}")
     for kind, names, allowed in (
             ("engine", engines, (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)),
             ("matching", matchings, (MATCH_SCAN, MATCH_HASH)),

@@ -18,7 +18,8 @@ facts through a plan, and a campaign cell compiles one plan for all of them.
 run_query makes three timed passes over the fact columns: resolve every
 key, match every key to a cube entry under the chosen strategy (a faithful
 sequential scan comparing keys entry by entry, or a hash lookup), then
-aggregate, each fact contributing its measures exactly once.
+aggregate: aggregate_step adds each fact exactly once to its entry's support
+and to one running statistic per measure (AVG keeps SUM's sum).
 """
 
 from __future__ import annotations
@@ -149,52 +150,29 @@ def load_workload(path: str) -> list[Query]:
 # --- cubes -------------------------------------------------------------------
 
 
-class AvgState:
-    """Compensated running sum plus count; finalized to sum/count at close."""
-
-    __slots__ = ("total", "_c", "count")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        y = value - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-        self.count += 1
-
-    @property
-    def value(self) -> float:
-        return self.total / self.count
-
-
 class Entry:
-    """One cube entry: per-measure aggregate state plus support count."""
+    """One cube entry: its support (how many facts it holds) and one running
+    statistic per measure, the sum for SUM and AVG, the least value for MIN
+    and the greatest for MAX."""
 
     __slots__ = ("support", "states")
 
     def __init__(self, aggregate: str, width: int):
         self.support = 0
-        if aggregate == "SUM":
-            self.states = [0.0] * width
-        elif aggregate == "AVG":
-            self.states = [AvgState() for _ in range(width)]
-        else:
-            self.states = [None] * width
+        self.states = [None if aggregate in ("MIN", "MAX") else 0.0] * width
 
     def values(self, aggregate: str) -> tuple[float, ...]:
+        """The entry's aggregate per measure; AVG is the sum over the support."""
         if aggregate == "AVG":
-            return tuple(state.value for state in self.states)
+            return tuple(total / self.support for total in self.states)
         return tuple(self.states)
 
 
 def aggregate_step(entry: Entry, values: Sequence[float], aggregate: str) -> Entry:
-    """Fold one fact's measure values into the entry."""
+    """Fold one fact into the entry: its measure values into the statistics,
+    and the fact itself into the support."""
     states = entry.states
-    if aggregate == "SUM":
+    if aggregate == "SUM" or aggregate == "AVG":
         for i, v in enumerate(values):
             states[i] += v
     elif aggregate == "MIN":
@@ -205,11 +183,9 @@ def aggregate_step(entry: Entry, values: Sequence[float], aggregate: str) -> Ent
         for i, v in enumerate(values):
             if states[i] is None or v > states[i]:
                 states[i] = v
-    elif aggregate == "AVG":
-        for i, v in enumerate(values):
-            states[i].add(v)
     else:
         raise QueryError(f"unknown aggregate {aggregate!r}")
+    entry.support += 1
     return entry
 
 
@@ -259,9 +235,7 @@ class ResultCube:
             return entry
 
     def contribute(self, key: tuple, values: Sequence[float]) -> Entry:
-        entry = self.entry_for(key)
-        entry.support += 1
-        return aggregate_step(entry, values, self.query.aggregate)
+        return aggregate_step(self.entry_for(key), values, self.query.aggregate)
 
 
 # --- query execution ---------------------------------------------------------
@@ -379,7 +353,6 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     observe_fact = cube.observe_fact
     for entry, values in zip(entries, plan.values()):
         observe_fact(values)
-        entry.support += 1
         aggregate_step(entry, values, aggregate)
     t3 = pc()
     resolve_ms, match_ms, agg_ms = ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0,

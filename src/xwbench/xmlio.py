@@ -24,6 +24,7 @@ loaded dimension, one per measure) rather than as one record per fact.
 from __future__ import annotations
 
 import os
+import re
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass
@@ -305,9 +306,16 @@ class _DimensionTarget:
         pass
 
 
+# The measures' spellings, as write_facts writes them: a quantity in ASCII
+# digits, an amount in ASCII digits with exactly two after the point.
+_QUANTITY = re.compile(r"[0-9]+").fullmatch
+_AMOUNT = re.compile(r"[0-9]+\.[0-9]{2}").fullmatch
+
+
 class _FactsTarget:
     """Parser target for the facts document: checks every element name as it
-    starts and finishes one FactRecord per closed sale."""
+    starts and finishes one FactRecord per closed sale, whose measures are
+    spelled as written and which references each dimension exactly once."""
 
     def __init__(self, path: str, model: DwModel):
         self.path = path
@@ -329,7 +337,11 @@ class _FactsTarget:
             if tag in self.measures:
                 self.text.clear()
             elif tag == "dimref":
-                self.refs[attrib.get("dim", "")] = attrib.get("idref", "")
+                dim = attrib.get("dim", "")
+                if dim in self.refs:
+                    raise DocumentError(f"{self.path}: sale {self.fact_id!r} "
+                                        f"references dimension {dim!r} twice")
+                self.refs[dim] = attrib.get("idref", "")
             else:
                 raise DocumentError(f"{self.path}: unknown element {tag!r}")
         elif depth == 1 and tag == "sale":
@@ -353,13 +365,11 @@ class _FactsTarget:
                             f"{self.path}: dimref to unknown dimension {dim!r}")
                 raise DocumentError(
                     f"{self.path}: sale {self.fact_id!r} must reference all dimensions")
-            try:
-                quantity = int(self.values["f_quantity"])
-                amount = float(self.values["f_totalamount"])
-            except (KeyError, ValueError) as exc:
-                raise DocumentError(
-                    f"{self.path}: sale {self.fact_id!r} has bad measures") from exc
-            self.records.append(FactRecord(self.fact_id, quantity, amount, refs))
+            quantity = self.values.get("f_quantity", "")
+            amount = self.values.get("f_totalamount", "")
+            if not (_QUANTITY(quantity) and _AMOUNT(amount)):
+                raise DocumentError(f"{self.path}: sale {self.fact_id!r} has bad measures")
+            self.records.append(FactRecord(self.fact_id, int(quantity), float(amount), refs))
             self.text.clear()
 
     def close(self) -> None:

@@ -259,7 +259,19 @@ class TestOracle:
         ("<dimref dim='date' idref='date#1'/>", ""),
         ("f_totalamount>", "f_total>"),
         ("<f_quantity>100", "<f_quantity>many"),
-    ], ids=["missing-dimref", "renamed-measure", "unparsable-measure"])
+        ("<f_quantity>100", "<f_quantity>-5"),
+        ("<f_quantity>100", "<f_quantity>1_000"),
+        ("<f_quantity>100<", "<f_quantity> 7 <"),
+        ("<f_totalamount>2800.00", "<f_totalamount>nan"),
+        ("<f_totalamount>2800.00", "<f_totalamount>inf"),
+        ("<f_totalamount>2800.00", "<f_totalamount>1e3"),
+        ("<f_totalamount>2800.00", "<f_totalamount>2800.000"),
+        ("<dimref dim='date' idref='date#1'/>", "<dimref dim='date' idref='date#1'/>" * 2),
+        ("<dimref dim='date' idref='date#1'/>",
+         "<dimref dim='date' idref='date#1'/><dimref dim='shop' idref='shop#1'/>"),
+    ], ids=["missing-dimref", "renamed-measure", "unparsable-measure", "negative-quantity",
+            "underscored-quantity", "spaced-quantity", "nan-amount", "inf-amount",
+            "exponent-amount", "three-decimal-amount", "repeated-dimref", "unknown-dimref"])
     def test_malformed_sale_is_document_error(self, reference_dir, old, new):
         """A sale the readers reject as malformed, the oracle rejects too."""
         path = os.path.join(reference_dir, "f_sale.xml")
@@ -271,6 +283,20 @@ class TestOracle:
             oracle_cube(reference_dir, get_query("D2"))
         with pytest.raises(DocumentError):
             run_query(get_query("D2"), reference_dir)
+
+    def test_avg_keeps_within_1e_12_of_the_fsum_oracle(self, grid_1k):
+        """AVG's plain running sum, divided by the support, stays far inside
+        the checks' tolerance of the oracle's fsum on a complex warehouse."""
+        _, out_dir = grid_1k["complex50-1000"]
+        query = get_query("Q24")
+        cube, _ = run_query(query, out_dir)
+        reference = oracle_cube(out_dir, query)
+        assert cube.entries.keys() == reference.entries.keys()
+        for key, entry in cube.entries.items():
+            expected = reference.entries[key]
+            assert entry.support == expected.support, key
+            assert entry.values("AVG") == pytest.approx(expected.values("AVG"),
+                                                        rel=1e-12, abs=0), key
 
     def test_capacity_guard(self, complex_300):
         _, out_dir, _ = complex_300
@@ -710,6 +736,25 @@ class TestCampaign:
         with pytest.raises(ConfigurationError):
             run_campaign(matrix, str(tmp_path / "campaign.csv"), data_root=str(data_root))
         assert not (data_root / "ok").exists()
+        assert not (tmp_path / "campaign.csv").exists()
+
+    @pytest.mark.parametrize("datasets, engines", [
+        ([{"id": "x", "facts": 10}, {"id": "x", "facts": 20}], ["qbs"]),
+        ([{"id": "x-pedersen", "facts": 10},
+          {"id": "x", "facts": 20, "incomplete": 50, "nonstrict": 50,
+           "nonstrict_number": 4}], ["qbs", "pedersen"]),
+    ], ids=["same-id", "id-of-a-transform"])
+    def test_colliding_dataset_ids_are_rejected_before_generation(self, tmp_path,
+                                                                  datasets, engines):
+        """Two datasets of one campaign never share a directory: a second
+        `x` would be measured on the first's data, and `x`'s transform would
+        overwrite a dataset `x-pedersen`."""
+        matrix = {"datasets": datasets, "engines": engines, "queries": ["D1"],
+                  "repeats": 1, "warmup": 0}
+        data_root = tmp_path / "data"
+        with pytest.raises(ConfigurationError, match="x"):
+            run_campaign(matrix, str(tmp_path / "campaign.csv"), data_root=str(data_root))
+        assert not data_root.exists()
         assert not (tmp_path / "campaign.csv").exists()
 
     def test_rows_survive_a_campaign_that_stops(self, tmp_path, monkeypatch):

@@ -43,9 +43,9 @@ def test_tracer_counts_a_scan_cell_and_restores_every_hook(complex_300):
         assert all(after[name] is value for name, value in before[owner].items()), owner
 
 
-def test_benchmark_runs_a_small_complex_workload_correctly(monkeypatch, tmp_path):
-    """One untimed pass of every complex-hash cell over 200 facts, with the
-    benchmark's cross-checks, through perfbench/run.py as it stands."""
+def small_bench(monkeypatch, tmp_path, trace: bool):
+    """perfbench/run.py as it stands, with its complex-hash workload cut to
+    200 facts and one pass (two under tracing: untraced, then traced)."""
     monkeypatch.setitem(sys.modules, "spans", load_spans())
     # run.py's dataclasses look their module up in sys.modules as it loads.
     spec = importlib.util.spec_from_file_location("perfbench_run",
@@ -57,8 +57,23 @@ def test_benchmark_runs_a_small_complex_workload_correctly(monkeypatch, tmp_path
     monkeypatch.syspath_prepend(run.SRC)
     run.WORKLOADS["complex-200"] = dataclasses.replace(run.WORKLOADS["complex-hash"],
                                                        facts=200)
-    bench = run.Bench(run.import_program(), "complex-200", 42, seconds=0, trace=False,
-                      work=str(tmp_path))
+    return run.Bench(run.import_program(), "complex-200", 42, seconds=0, trace=trace,
+                     work=str(tmp_path))
+
+
+def test_benchmark_runs_a_small_complex_workload_correctly(monkeypatch, tmp_path):
+    """One untimed pass of every complex-hash cell over 200 facts, with the
+    benchmark's cross-checks."""
+    bench = small_bench(monkeypatch, tmp_path, trace=False)
     result, _ = bench.run()
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] == len(bench.cells) == 16
+
+
+def test_traced_benchmark_counts_every_resolution(monkeypatch, tmp_path):
+    """A traced pass reads its resolution counts off the qbs cubes' keys and
+    supports: 200 facts times the 26 dimensions the eight queries group."""
+    bench = small_bench(monkeypatch, tmp_path, trace=True)
+    result, _ = bench.run()
+    assert result["correct"] and result["failed"] == 0
+    assert result["metrics"]["engine_qbs.resolve_calls"]["value"] == 5200

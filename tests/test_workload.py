@@ -124,12 +124,13 @@ class TestAggregateStep:
         assert entry.values("MAX") == (100,)
 
     def test_avg_is_total_over_count(self):
+        """AVG keeps SUM's running sum; the count is the entry's support."""
         entry = Entry("AVG", 1)
         aggregate_step(entry, (10,), "AVG")
         aggregate_step(entry, (20,), "AVG")
-        assert entry.states[0].total == 30
-        assert entry.states[0].count == 2
-        assert entry.values("AVG") == (15,)
+        assert entry.states == [30.0]
+        assert entry.support == 2
+        assert entry.values("AVG") == (15.0,)
 
     def test_sum_matches_independent_summation(self):
         from xwbench.rng import SplitMix64

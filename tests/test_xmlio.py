@@ -192,6 +192,15 @@ class TestStreaming:
          "sale 'sale#1' has bad measures"),
         ("f_sale.xml", "<f_quantity>100</f_quantity>",
          "<f_quantity><n>100</n></f_quantity>", "unknown element 'n'"),
+        # Measures must be spelled as written, not as int() or float() read.
+        *[("f_sale.xml", "<f_quantity>100</f_quantity>", f"<f_quantity>{q}</f_quantity>",
+           "sale 'sale#1' has bad measures") for q in ("-5", "1_000", " 7 ")],
+        *[("f_sale.xml", "<f_totalamount>2800.00</f_totalamount>",
+           f"<f_totalamount>{a}</f_totalamount>", "sale 'sale#1' has bad measures")
+          for a in ("nan", "inf", "1e3", "2800.000")],
+        ("f_sale.xml", "<dimref dim='date' idref='date#1'/>",
+         "<dimref dim='date' idref='date#1'/><dimref dim='date' idref='date#1'/>",
+         "sale 'sale#1' references dimension 'date' twice"),
     ])
     def test_invalid_document_is_rejected_by_message(self, reference_dir, document,
                                                      old, new, message):
