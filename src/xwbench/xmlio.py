@@ -7,10 +7,15 @@ Writers emit a fixed byte form (two-space indent, single-quoted attributes,
 fixed attribute order) so equal inputs give byte-identical documents, and
 write each sale and instance as soon as it is formatted, so no whole
 document is held in memory.
-Readers feed each document in fixed 32 KiB chunks to an xml.etree XMLParser
-whose target validates every element as it starts and builds the output
-records directly: no Element tree and no event objects are made, so parsing
-leaves little for the cyclic GC to track, and no whole document is ever held.
+Readers take each document in fixed 32 KiB chunks and hand over the records
+finished in a chunk before reading the next, so no whole document is ever
+held.  A document in exactly the writers' byte form is read one regex match
+per instance or sale, with no Python call per element.  At the first text not
+in that form the XML reader reads the document from its start: an xml.etree
+XMLParser whose target validates every element as it starts and builds the
+records directly (no Element tree, no event objects).  It skips the records
+already handed over, so any other well-formed spelling gives the same
+records, and a broken document the same errors, as the XML reader alone.
 Equal level values read from one dimension document share one str object,
 so the indexes hold each distinct value once and equal group-key components
 compare by identity.
@@ -23,11 +28,15 @@ loaded dimension, one per measure) rather than as one record per fact.
 
 from __future__ import annotations
 
+import codecs
 import os
 import re
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, islice
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
 from .errors import DocumentError, ReferentialError
@@ -213,13 +222,14 @@ def read_metadata(in_dir: str) -> DwModel:
                    tuple(dimensions), tuple(measures))
 
 
-# Bytes handed to the parser per feed: large enough that the per-feed Python
-# work (one read, one feed, one hand-over of finished records) vanishes
-# against parsing, small enough that the buffer and the records finished
-# within one chunk stay a few hundred KiB whatever the document's size.
-# 32 KiB parses no slower than 64 KiB and leaves room in a stream's peak for
-# the shared-value table, which holds each distinct value of the document
-# (about 2,600 strings for the days, months and years of d_date.xml).
+# Bytes read per chunk, by both readers: large enough that the per-chunk
+# Python work (one read, one feed or regex pass, one hand-over of finished
+# records) vanishes against parsing, small enough that the buffer and the
+# records finished within one chunk stay a few hundred KiB whatever the
+# document's size.  32 KiB parses no slower than 64 KiB and leaves room in a
+# stream's peak for the shared-value table, which holds each distinct value of
+# the document (about 2,600 strings for the days, months and years of
+# d_date.xml).
 _CHUNK_BYTES = 32 * 1024
 
 
@@ -249,7 +259,7 @@ class _DimensionTarget:
     """Parser target for one dimension document: checks every element name as
     it starts and finishes one DimensionInstance per closed instance."""
 
-    def __init__(self, path: str, schema: DimensionSchema):
+    def __init__(self, path: str, schema: DimensionSchema, shared: dict[str, str]):
         self.path = path
         self.dim_id = schema.id
         self.declared = frozenset(schema.levels)
@@ -265,7 +275,7 @@ class _DimensionTarget:
         self.data = self.text.append
         # The first object read for each distinct value: every equal value
         # of this document is stored as that one object.
-        self.shared = {}.setdefault
+        self.shared = shared.setdefault
 
     def start(self, tag: str, attrib: dict[str, str]) -> None:
         depth = self.depth
@@ -308,22 +318,27 @@ class _DimensionTarget:
 
 # The measures' spellings, as write_facts writes them: a quantity in ASCII
 # digits, an amount in ASCII digits with exactly two after the point.
-_QUANTITY = re.compile(r"[0-9]+").fullmatch
-_AMOUNT = re.compile(r"[0-9]+\.[0-9]{2}").fullmatch
+_QUANTITY_FORM = "[0-9]+"
+_AMOUNT_FORM = r"[0-9]+\.[0-9]{2}"
+_QUANTITY = re.compile(_QUANTITY_FORM).fullmatch
+_AMOUNT = re.compile(_AMOUNT_FORM).fullmatch
 
 
 class _FactsTarget:
     """Parser target for the facts document: checks every element name as it
-    starts and finishes one FactRecord per closed sale, whose measures are
-    spelled as written and which references each dimension exactly once."""
+    starts and finishes one FactRecord per closed sale, whose measures come
+    once each, in declared order and before every dimref, are spelled as
+    written, and which references each dimension exactly once."""
 
     def __init__(self, path: str, model: DwModel):
         self.path = path
         self.dim_ids = frozenset(model.dimension_ids)
-        self.measures = frozenset(model.measures)
+        self.ranks = {measure: rank for rank, measure in enumerate(model.measures)}
         self.records: list[FactRecord] = []
         self.depth = 0
         self.fact_id = ""
+        # The lowest rank the sale's next measure may have.
+        self.next_rank = 0
         self.values: dict[str, str] = {}
         self.refs: dict[str, str] = {}
         # As in _DimensionTarget: a measure's value is the join of its pieces.
@@ -334,7 +349,12 @@ class _FactsTarget:
         depth = self.depth
         self.depth = depth + 1
         if depth == 2:
-            if tag in self.measures:
+            if tag in self.ranks:
+                rank = self.ranks[tag]
+                if rank < self.next_rank or self.refs:
+                    raise DocumentError(f"{self.path}: sale {self.fact_id!r} "
+                                        f"repeats or misplaces measure {tag!r}")
+                self.next_rank = rank + 1
                 self.text.clear()
             elif tag == "dimref":
                 dim = attrib.get("dim", "")
@@ -346,6 +366,7 @@ class _FactsTarget:
                 raise DocumentError(f"{self.path}: unknown element {tag!r}")
         elif depth == 1 and tag == "sale":
             self.fact_id = attrib.get("id", "")
+            self.next_rank = 0
             self.values = {}
             self.refs = {}
         elif depth != 0 or tag != "sales":
@@ -376,6 +397,186 @@ class _FactsTarget:
         pass
 
 
+# --- the writers' byte form, one regex match per record ----------------------
+#
+# A document in exactly the byte form the writers emit is read without the
+# XML parser: one compiled regex matches a whole instance or sale, so no
+# Python call is made per element.  At the first text not in that form the
+# XML reader takes over (see _read), so other spellings read as before.
+
+# XML Char less '<', '>', '&' and '\r' (which XML reads as '\n'): a
+# character that stands for itself in text.  Classes are written negated:
+# spelled as ranges of what they allow, each costs milliseconds to compile.
+_CHAR = "[^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]"
+# Text as _esc writes it, unrolled: a per-character alternation costs as
+# much as the XML parser.  (No atomic groups: Python 3.10 has none.)
+_TEXT = f"{_CHAR}*(?:(?:{'|'.join(_ESCAPES.values())}){_CHAR}*)*"
+# A single-quoted attribute value that XML reads as written: Char less '<',
+# '&', "'" and the tab and line ends it would turn into spaces.
+_ATTR = "[^<&'\x00-\x1f\ud800-\udfff\ufffe\uffff]*"
+_PLAIN_ATTR = re.compile(_ATTR).fullmatch
+# Text this long without a record's end is not in the writers' form, or
+# holds a record too long to wait for: either way the XML reader reads it,
+# so a document in another spelling is never buffered whole.
+_RECORD_LIMIT = 256 * 1024
+
+
+def _rows(levels: tuple[str, ...], value: str) -> str:
+    """A row as _instance_text writes it, each cell's text after its tag
+    name matching `value`."""
+    cells = "".join(f"(?:      <{level}{value}</{level}>\n)?"
+                    for level in map(re.escape, levels))
+    return f"    <row/>\n|    <row>\n{cells}    </row>\n"
+
+
+def _unescape(text: str) -> str:
+    """Undo _esc: '&amp;' last, as it was escaped first."""
+    for raw, ref in reversed(_ESCAPES.items()):
+        text = text.replace(ref, raw)
+    return text
+
+
+# A captured cell is '>' and its text, so a present empty cell is truthy
+# and an absent one (captured as '') is not.
+_CELL_TEXT = itemgetter(slice(1, None))
+
+
+class _Shared(dict):
+    """Value -> the first object read for it in one document; a value not
+    seen before is added as itself."""
+
+    def __missing__(self, value: str) -> str:
+        self[value] = value
+        return value
+
+
+def _written(path: str, root: str, attrs: str, last: str, records) -> Iterator:
+    """Read the document at `path` as the writers write it: the declaration,
+    then `root` with `attrs` around records that each end with the line
+    `last`, or the root self-closed.  `records(text, start, end)` makes the
+    records written in text[start:end], or returns None if that text is not
+    in their form.  Yield them as a list per chunk; yield None and stop at
+    the first text not in that form, bytes not UTF-8 or an OSError."""
+    opening = f"{XML_DECL}<{root}{attrs}>\n"
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    # `start` is where the next record begins: past the opening until the
+    # first records are handed over, which drops it from `text`.
+    text, start = "", len(opening)
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_CHUNK_BYTES):
+                text += decode(chunk)
+                at = text.rfind(last, start)
+                if at < 0:
+                    if len(text) > _RECORD_LIMIT:
+                        break
+                    continue
+                if start and not text.startswith(opening):
+                    break
+                end = at + len(last)
+                found = records(text, start, end)
+                if found is None:
+                    break
+                text, start = text[end:], 0
+                yield found
+            else:
+                text += decode(b"", True)
+                if text == (f"{XML_DECL}<{root}{attrs}/>\n" if start else f"</{root}>\n"):
+                    return
+    except (OSError, UnicodeDecodeError):
+        pass
+    yield None
+
+
+def _written_instances(path: str, schema: DimensionSchema, shared: _Shared) -> Iterator:
+    """_written for one dimension document: instances `dim#1`, `dim#2`, ...
+    in sequence, rows holding cells in schema order.  Instances are matched
+    one at a time and their rows found in place, so no copy of a chunk's
+    text is held beside its records.  A dimension id XML would not read as
+    written gets no fast path."""
+    dim_id, levels = schema.id, schema.levels
+    if not _PLAIN_ATTR(dim_id):
+        return iter([None])
+    instances = re.compile(f"  <instance id='({re.escape(dim_id)}#[0-9]+)'>\n"
+                           f"(?:{_rows(levels, '>' + _TEXT)})+  </instance>\n").finditer
+    # Rows are found only in instances already matched whole, so any text
+    # up to the next tag is a cell's.
+    rows_of = re.compile(_rows(levels, "(>[^<]*)")).findall
+    value = shared.__getitem__
+    ordinal = 0
+
+    def records(text: str, pos: int, end: int) -> list[DimensionInstance] | None:
+        nonlocal ordinal
+        out = []
+        for match in instances(text, pos, end):
+            ordinal += 1
+            inst_id = match[1]
+            if match.start() != pos or inst_id != f"{dim_id}#{ordinal}":
+                return None
+            body, pos = match.end(1), match.end()
+            if text.find("&", body, pos) < 0:
+                rows = [dict(compress(zip(levels, map(value, map(_CELL_TEXT, cells))), cells))
+                        for cells in rows_of(text, body, pos)]
+            else:
+                rows = [{level: value(_unescape(cell[1:]))
+                         for level, cell in zip(levels, cells) if cell}
+                        for cells in rows_of(text, body, pos)]
+            out.append(DimensionInstance(inst_id, tuple(rows)))
+        return out if pos == end else None
+
+    return _written(path, "dimension", f" id='{dim_id}'", "  </instance>\n", records)
+
+
+def _written_facts(path: str, model: DwModel) -> Iterator:
+    """_written for the facts document: each sale's measures, then one dimref
+    per dimension in metadata order.  A model by which the XML reader would
+    read such a sale differently (measures declared in another order, a
+    dimension declared twice or with an id XML would not read as written)
+    gets no fast path."""
+    dim_ids = model.dimension_ids
+    if (model.measures[:2] != (F_QUANTITY, F_TOTALAMOUNT) or len(set(dim_ids)) < len(dim_ids)
+            or not all(map(_PLAIN_ATTR, dim_ids))):
+        return iter([None])
+    # A sale as write_facts writes it, a NUL (which no plain id holds) in
+    # place of each field: a match is this fixed text plus its fields.
+    fixed = ("  <sale id='\0'>\n"
+             f"    <{F_QUANTITY}>\0</{F_QUANTITY}>\n"
+             f"    <{F_TOTALAMOUNT}>\0</{F_TOTALAMOUNT}>\n"
+             + "".join(f"    <dimref dim='{dim_id}' idref='\0'/>\n" for dim_id in dim_ids)
+             + "  </sale>\n").split("\0")
+    fields = (_ATTR, _QUANTITY_FORM, _AMOUNT_FORM) + (_ATTR,) * len(dim_ids)
+    sales = re.compile(re.escape(fixed[0]) + "".join(
+        f"({field})" + re.escape(text) for field, text in zip(fields, fixed[1:]))).findall
+    fixed_length = sum(map(len, fixed))
+
+    def records(text: str, start: int, end: int) -> list[FactRecord] | None:
+        found = sales(text, start, end)
+        # findall skips what does not match: the matches tile the text only
+        # if their lengths add up to it.
+        if fixed_length * len(found) + sum(map(len, chain.from_iterable(found))) != end - start:
+            return None
+        return [FactRecord(sale[0], int(sale[1]), float(sale[2]), dict(zip(dim_ids, sale[3:])))
+                for sale in found]
+
+    return _written(path, "sales", "", "  </sale>\n", records)
+
+
+def _read(path: str, written: Iterator, target) -> Iterator:
+    """Hand over the records `written` reads, chunk by chunk; where it stops,
+    read the document again with the XML reader driving `target()`, drop
+    the records already handed over and hand over the rest, so any other
+    spelling reads, and fails, as the XML reader alone reads it."""
+    handed = 0
+    for records in written:
+        if records is None:
+            yield from islice(_stream(path, target()), handed, None)
+            return
+        yield from records
+        handed += len(records)
+        # As in _stream: a chunk's records are let go before the next is read.
+        records.clear()
+
+
 def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionInstance]:
     """Stream one dimension document in document order, validating strictly.
 
@@ -383,13 +584,15 @@ def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionIn
     unknown element anywhere in the document is rejected by name.
     """
     path = os.path.join(in_dir, schema.path)
-    return _stream(path, _DimensionTarget(path, schema))
+    shared = _Shared()
+    return _read(path, _written_instances(path, schema, shared),
+                 partial(_DimensionTarget, path, schema, shared))
 
 
 def iter_facts(in_dir: str, model: DwModel) -> Iterator[FactRecord]:
     """Stream the facts document in document order, validating strictly."""
     path = os.path.join(in_dir, model.fact_path)
-    return _stream(path, _FactsTarget(path, model))
+    return _read(path, _written_facts(path, model), partial(_FactsTarget, path, model))
 
 
 def load_dimensions(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> Indexes:

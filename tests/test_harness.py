@@ -269,9 +269,18 @@ class TestOracle:
         ("<dimref dim='date' idref='date#1'/>", "<dimref dim='date' idref='date#1'/>" * 2),
         ("<dimref dim='date' idref='date#1'/>",
          "<dimref dim='date' idref='date#1'/><dimref dim='shop' idref='shop#1'/>"),
+        ("<f_quantity>100</f_quantity>",
+         "<f_quantity>100</f_quantity><f_quantity>7</f_quantity>"),
+        ("<f_quantity>100</f_quantity>\n    <f_totalamount>2800.00</f_totalamount>",
+         "<f_totalamount>2800.00</f_totalamount>\n    <f_quantity>100</f_quantity>"),
+        ("<f_quantity>100</f_quantity>\n    <f_totalamount>2800.00</f_totalamount>\n"
+         "    <dimref dim='part' idref='part#1'/>",
+         "<dimref dim='part' idref='part#1'/>\n    <f_quantity>100</f_quantity>\n"
+         "    <f_totalamount>2800.00</f_totalamount>"),
     ], ids=["missing-dimref", "renamed-measure", "unparsable-measure", "negative-quantity",
             "underscored-quantity", "spaced-quantity", "nan-amount", "inf-amount",
-            "exponent-amount", "three-decimal-amount", "repeated-dimref", "unknown-dimref"])
+            "exponent-amount", "three-decimal-amount", "repeated-dimref", "unknown-dimref",
+            "repeated-measure", "swapped-measures", "measures-after-dimref"])
     def test_malformed_sale_is_document_error(self, reference_dir, old, new):
         """A sale the readers reject as malformed, the oracle rejects too."""
         path = os.path.join(reference_dir, "f_sale.xml")

@@ -2,21 +2,27 @@
 
 import dataclasses
 import gc
+import itertools
 import os
 import pathlib
 import re
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from xwbench import xmlio
+from xwbench.engine_pedersen import transform_warehouse
 from xwbench.errors import DocumentError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import _dom_rows
-from xwbench.model import Warehouse, default_model
+from xwbench.model import DimensionInstance, FactRecord, Warehouse, default_model
 from xwbench.workload import get_query, plan_query, run_query
 from xwbench.xmlio import (
     document_sizes,
@@ -201,6 +207,13 @@ class TestStreaming:
         ("f_sale.xml", "<dimref dim='date' idref='date#1'/>",
          "<dimref dim='date' idref='date#1'/><dimref dim='date' idref='date#1'/>",
          "sale 'sale#1' references dimension 'date' twice"),
+        # A sale is (f_quantity, f_totalamount, dimref+): a measure read twice
+        # or after a dimref is not silently taken.
+        ("f_sale.xml", "<f_quantity>100</f_quantity>",
+         "<f_quantity>100</f_quantity><f_quantity>7</f_quantity>",
+         "sale 'sale#1' repeats or misplaces measure 'f_quantity'"),
+        ("f_sale.xml", re.compile(r"(    <f_quantity>100</f_quantity>\n)(.*)(  </sale>)", re.S),
+         r"\2\1\3", "sale 'sale#1' repeats or misplaces measure 'f_quantity'"),
     ])
     def test_invalid_document_is_rejected_by_message(self, reference_dir, document,
                                                      old, new, message):
@@ -246,6 +259,189 @@ class TestSharedValues:
         for position in range(3):
             components = [key[position] for key in keys]
             assert len({id(c) for c in components}) <= len(set(components)), position
+
+
+def _outcome(read):
+    """The records `read()` streams, or the type and message of the error it
+    raises."""
+    try:
+        return list(read())
+    except DocumentError as exc:
+        return type(exc), str(exc)
+
+
+def _xml_reader(path, target):
+    """The XML reader alone, driving `target` over the document at `path`."""
+    return lambda: xmlio._stream(path, target)
+
+
+def _readers(out, model):
+    """Per document: (name, what the readers stream, what the XML reader
+    alone streams)."""
+    for schema in model.dimensions:
+        path = os.path.join(out, schema.path)
+        yield (schema.path, lambda schema=schema: iter_instances(out, schema),
+               _xml_reader(path, xmlio._DimensionTarget(path, schema, {})))
+    path = os.path.join(out, model.fact_path)
+    yield (model.fact_path, lambda: iter_facts(out, model),
+           _xml_reader(path, xmlio._FactsTarget(path, model)))
+
+
+def _no_xml_reader(*args):
+    raise AssertionError("the XML reader was used")
+
+
+# Text that XML, the writers' escaping or the fast path's character class
+# treat specially; drawn whole or as characters among any others.
+_AWKWARD = ["&", "<", ">", "'", '"', "]]>", "\r", "\r\n", "\t", "\n", " ", "é", "€",
+            "\U0001F600", "\uFFFD", "\uFFFE", "\x00", "&amp;", "A&B<C>'D"]
+
+
+def _warehouses(chars):
+    """Small warehouses of the default model whose level values and sale ids
+    are drawn from `chars`, with holes and multi-row instances."""
+    text = st.one_of(st.sampled_from(_AWKWARD + [""]), st.text(chars, max_size=6))
+
+    @st.composite
+    def draw_warehouse(draw):
+        model = default_model()
+        instances = {}
+        for schema in model.dimensions:
+            count = draw(st.integers(1, 3))
+            instances[schema.id] = [DimensionInstance(f"{schema.id}#{n}", tuple(
+                {level: draw(text) for level in schema.levels if draw(st.booleans())}
+                for _ in range(draw(st.integers(1, 3))))) for n in range(1, count + 1)]
+        facts = [FactRecord(draw(text), draw(st.integers(0, 10**6)),
+                            draw(st.integers(0, 10**8)) / 100,
+                            {dim_id: f"{dim_id}#{draw(st.integers(1, len(instances[dim_id])))}"
+                             for dim_id in model.dimension_ids})
+                 for _ in range(draw(st.integers(1, 3)))]
+        return Warehouse(model, facts, instances)
+
+    return draw_warehouse()
+
+
+# Any character UTF-8 can write, so also ones XML forbids or rewrites.
+_ANY_CHAR = st.characters(blacklist_categories=("Cs",))
+# XML characters that XML reads as written ('\r' is read as '\n').
+_XML_CHAR = st.one_of(st.sampled_from("\t\n"), st.characters(
+    min_codepoint=0x20, blacklist_categories=("Cs",), blacklist_characters="\ufffe\uffff"))
+
+
+class TestTwoReaders:
+    """A document in the writers' byte form is read one regex match per
+    record; the XML reader reads everything else.  Both give the same
+    records, and the same errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(warehouse=_warehouses(_ANY_CHAR), chunk=st.sampled_from([5, 97, 32 * 1024]))
+    def test_readers_agree_on_any_written_warehouse(self, warehouse, chunk):
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.object(xmlio, "_CHUNK_BYTES", chunk):
+            write_warehouse(warehouse, out)
+            for name, read, xml_read in _readers(out, warehouse.model):
+                records = _outcome(read)
+                assert records == _outcome(xml_read), name
+                if name != warehouse.model.fact_path and isinstance(records, list):
+                    values = [v for inst in records for row in inst.rows for v in row.values()]
+                    assert len({id(v) for v in values}) == len(set(values)), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(warehouse=_warehouses(_XML_CHAR), chunk=st.sampled_from([5, 97, 32 * 1024]))
+    def test_fast_path_alone_reads_awkward_text(self, warehouse, chunk):
+        """Level values made of XML characters other than '\r' read back as
+        written with the XML reader out of reach.  (The writers do not escape
+        sale ids, so those stay plain.)"""
+        clean = re.compile("[\r\x00\ufffe]").sub
+        warehouse = Warehouse(
+            warehouse.model,
+            [dataclasses.replace(f, fact_id=f"sale#{n}")
+             for n, f in enumerate(warehouse.facts, 1)],
+            {dim_id: [dataclasses.replace(inst, rows=tuple(
+                {level: clean("", v) for level, v in row.items()} for row in inst.rows))
+                for inst in insts] for dim_id, insts in warehouse.instances.items()})
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.object(xmlio, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(xmlio, "_DimensionTarget", _no_xml_reader), \
+                mock.patch.object(xmlio, "_FactsTarget", _no_xml_reader):
+            write_warehouse(warehouse, out)
+            assert read_warehouse(out) == warehouse
+
+    @pytest.mark.parametrize("document, edit", [
+        ("d_part.xml", lambda t: t.replace("<instance id='part#12'>",
+                                           '<instance id="part#12">')),
+        ("d_part.xml", lambda t: t.replace("  <instance id='part#12'>",
+                                           "  <!-- a note -->\n  <instance id='part#12'>")),
+        ("d_customer.xml", lambda t: _from(t, "<instance id='customer#12'>",
+                                           lambda rest: rest.replace("\n", "\r\n"))),
+        ("d_supplier.xml", lambda t: t.replace("<instance id='supplier#12'>\n    <row>\n"
+                                               "      <nation>",
+                                               "<instance id='supplier#12'>\n    <row>\n"
+                                               "      <nation>&#38;")),
+        ("f_sale.xml", lambda t: _from(t, "<sale id='sale#12'>", lambda rest: re.sub(
+            r"(    <dimref dim='part'[^\n]*\n)(    <dimref dim='customer'[^\n]*\n)",
+            r"\2\1", rest, count=1))),
+        # Errors: the same exception and message, line numbers included.
+        ("d_date.xml", lambda t: t.replace("id='date#12'", "id='date#13'")),
+        ("d_part.xml", lambda t: _from(t, "<instance id='part#12'>",
+                                       lambda rest: rest.replace("</row>", "", 1))),
+        ("d_part.xml", lambda t: _from(t, "<instance id='part#12'>",
+                                       lambda rest: rest.replace("type2>", "color>", 2))),
+        ("d_date.xml", lambda t: _from(t, "<instance id='date#12'>",
+                                       lambda rest: rest.replace("-", "\udcff", 1))),
+        ("f_sale.xml", lambda t: _from(t, "<sale id='sale#12'>", lambda rest: re.sub(
+            r"<f_quantity>[0-9]+</f_quantity>", r"\g<0>\g<0>", rest, count=1))),
+    ], ids=["double-quotes", "comment", "crlf", "character-reference", "reordered-dimrefs",
+            "out-of-sequence", "unclosed-row", "unknown-element", "not-utf-8",
+            "repeated-measure"])
+    def test_edited_document_reads_as_the_xml_reader_reads_it(self, tmp_path, monkeypatch,
+                                                              document, edit):
+        """The fast path stops at the edit, after several 97-byte chunks; the
+        XML reader then gives what it gives alone."""
+        monkeypatch.setattr(xmlio, "_CHUNK_BYTES", 97)
+        out = str(tmp_path / "w")
+        write_warehouse(generate_warehouse(GeneratorConfig(
+            30, incomplete_percentage=50, nonstrict_percentage=50, nonstrict_number=3,
+            seed=4)), out)
+        path = pathlib.Path(out, document)
+        text = path.read_text(encoding="utf-8")
+        edited = edit(text)
+        assert edited != text
+        path.write_bytes(edited.encode("utf-8", "surrogateescape"))
+        model = read_metadata(out)
+        name, read, xml_read = next(r for r in _readers(out, model) if r[0] == document)
+        if document == model.fact_path:
+            written = xmlio._written_facts(str(path), model)
+        else:
+            written = xmlio._written_instances(str(path), model.dimension(document[2:-4]),
+                                               xmlio._Shared())
+        handed = sum(map(len, itertools.takewhile(lambda r: r is not None, written)))
+        assert 5 <= handed < 30
+        assert _outcome(read) == _outcome(xml_read)
+
+    @pytest.mark.parametrize("transformed", [False, True], ids=["generated", "transformed"])
+    def test_fast_path_reads_everything_the_writers_write(self, complex_300, tmp_path,
+                                                          monkeypatch, transformed):
+        """With the XML reader out of reach, loading and transforming a
+        complex warehouse, or its transform, still completes."""
+        _, in_dir, warehouse = complex_300
+        if transformed:
+            transform_warehouse(in_dir, str(tmp_path / "pedersen"))
+            in_dir = str(tmp_path / "pedersen")
+        monkeypatch.setattr(xmlio, "_DimensionTarget", _no_xml_reader)
+        monkeypatch.setattr(xmlio, "_FactsTarget", _no_xml_reader)
+        model = read_metadata(in_dir)
+        indexes = xmlio.load_dimensions(in_dir, model, model.dimension_ids)
+        assert [len(indexes[d]) for d in model.dimension_ids] == [
+            len(warehouse.instances[d]) for d in model.dimension_ids]
+        assert len(xmlio.load_facts(in_dir, model, model.dimension_ids)) == 300
+        transform_warehouse(in_dir, str(tmp_path / "again"))
+
+
+def _from(text, marker, edit):
+    """`text` with `edit` applied from `marker` on."""
+    at = text.index(marker)
+    return text[:at] + edit(text[at:])
 
 
 class TestSizes:
