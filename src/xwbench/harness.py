@@ -210,16 +210,18 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     instance n of a grouped dimension only through the ref `{dim_id}#{n}`,
     spelled so and with n within the instance count, as the readers
     require; a sale that does not reference each dimension exactly once,
-    that repeats a measure or gives one out of declared order or after a
-    dimref, or whose quantity is not ASCII digits or whose amount not ASCII
-    digits with two after the point, raises DocumentError as it does in the
-    readers.
+    that repeats a measure, gives one after a dimref or out of the order
+    f_quantity, f_totalamount, any other declared, or whose quantity is not
+    ASCII digits or whose amount not ASCII digits with two after the point,
+    raises DocumentError as it does in the readers.
     """
     meta = ET.parse(os.path.join(in_dir, xmlio.METADATA_FILE)).getroot().find("fact")
     if meta is None:
         raise DocumentError(f"{in_dir}: metadata lacks a fact element")
     dim_paths = {d.get("idref"): d.get("path") for d in meta.findall("dimension")}
     declared = [m.get("id") for m in meta.findall("measure")]
+    measure_order = [m for m in dict.fromkeys(["f_quantity", "f_totalamount", *declared])
+                     if m in declared]
 
     sales_path = os.path.join(in_dir, meta.get("path", "f_sale.xml"))
     sales_root = ET.parse(sales_path).getroot()
@@ -253,8 +255,8 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
         refs = {d.get("dim"): d.get("idref") for d in dimrefs}
         raw = {m.tag: m.text or "" for m in sale if m.tag != "dimref"}
         tags = [m.tag for m in sale]
-        # Measures come before every dimref, each once, in declared order.
-        ranks = [declared.index(tag) for tag in tags if tag in declared]
+        # Measures come before every dimref, each once, in measure_order.
+        ranks = [measure_order.index(tag) for tag in tags if tag in declared]
         first_ref = tags.index("dimref") if dimrefs else len(tags)
         if ranks != sorted(set(ranks)) or any(tag in declared for tag in tags[first_ref:]):
             raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} repeats or "

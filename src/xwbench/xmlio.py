@@ -35,8 +35,7 @@ import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice
-from operator import itemgetter
+from itertools import chain, islice
 from typing import Collection, Iterable, Iterator
 
 from .errors import DocumentError, ReferentialError
@@ -324,16 +323,24 @@ _QUANTITY = re.compile(_QUANTITY_FORM).fullmatch
 _AMOUNT = re.compile(_AMOUNT_FORM).fullmatch
 
 
+def _measure_ranks(declared: Iterable[str]) -> dict[str, int]:
+    """Each declared measure's place in a sale: f_quantity, f_totalamount,
+    then any other in the order first declared.  The order is the writer's,
+    so it does not follow the order or repeats of the declaration."""
+    order = dict.fromkeys((F_QUANTITY, F_TOTALAMOUNT, *declared))
+    return {measure: rank for rank, measure in enumerate(order) if measure in declared}
+
+
 class _FactsTarget:
     """Parser target for the facts document: checks every element name as it
     starts and finishes one FactRecord per closed sale, whose measures come
-    once each, in declared order and before every dimref, are spelled as
+    once each, in the writer's order and before every dimref, are spelled as
     written, and which references each dimension exactly once."""
 
     def __init__(self, path: str, model: DwModel):
         self.path = path
         self.dim_ids = frozenset(model.dimension_ids)
-        self.ranks = {measure: rank for rank, measure in enumerate(model.measures)}
+        self.ranks = _measure_ranks(model.measures)
         self.records: list[FactRecord] = []
         self.depth = 0
         self.fact_id = ""
@@ -436,11 +443,6 @@ def _unescape(text: str) -> str:
     return text
 
 
-# A captured cell is '>' and its text, so a present empty cell is truthy
-# and an absent one (captured as '') is not.
-_CELL_TEXT = itemgetter(slice(1, None))
-
-
 class _Shared(dict):
     """Value -> the first object read for it in one document; a value not
     seen before is added as itself."""
@@ -500,8 +502,9 @@ def _written_instances(path: str, schema: DimensionSchema, shared: _Shared) -> I
     instances = re.compile(f"  <instance id='({re.escape(dim_id)}#[0-9]+)'>\n"
                            f"(?:{_rows(levels, '>' + _TEXT)})+  </instance>\n").finditer
     # Rows are found only in instances already matched whole, so any text
-    # up to the next tag is a cell's.
-    rows_of = re.compile(_rows(levels, "(>[^<]*)")).findall
+    # up to the next tag is a cell's.  A captured cell is '>' and its text,
+    # so a present empty cell is truthy and an absent one (None) is not.
+    rows_of = re.compile(_rows(levels, "(>[^<]*)")).finditer
     value = shared.__getitem__
     ordinal = 0
 
@@ -514,14 +517,10 @@ def _written_instances(path: str, schema: DimensionSchema, shared: _Shared) -> I
             if match.start() != pos or inst_id != f"{dim_id}#{ordinal}":
                 return None
             body, pos = match.end(1), match.end()
-            if text.find("&", body, pos) < 0:
-                rows = [dict(compress(zip(levels, map(value, map(_CELL_TEXT, cells))), cells))
-                        for cells in rows_of(text, body, pos)]
-            else:
-                rows = [{level: value(_unescape(cell[1:]))
-                         for level, cell in zip(levels, cells) if cell}
-                        for cells in rows_of(text, body, pos)]
-            out.append(DimensionInstance(inst_id, tuple(rows)))
+            out.append(DimensionInstance(inst_id, tuple(
+                {level: value(_unescape(cell[1:]) if "&" in cell else cell[1:])
+                 for level, cell in zip(levels, row.groups()) if cell}
+                for row in rows_of(text, body, pos))))
         return out if pos == end else None
 
     return _written(path, "dimension", f" id='{dim_id}'", "  </instance>\n", records)
@@ -530,12 +529,11 @@ def _written_instances(path: str, schema: DimensionSchema, shared: _Shared) -> I
 def _written_facts(path: str, model: DwModel) -> Iterator:
     """_written for the facts document: each sale's measures, then one dimref
     per dimension in metadata order.  A model by which the XML reader would
-    read such a sale differently (measures declared in another order, a
-    dimension declared twice or with an id XML would not read as written)
-    gets no fast path."""
+    read such a sale differently (a measure undeclared, a dimension declared
+    twice or with an id XML would not read as written) gets no fast path."""
     dim_ids = model.dimension_ids
-    if (model.measures[:2] != (F_QUANTITY, F_TOTALAMOUNT) or len(set(dim_ids)) < len(dim_ids)
-            or not all(map(_PLAIN_ATTR, dim_ids))):
+    if (not {F_QUANTITY, F_TOTALAMOUNT} <= set(model.measures)
+            or len(set(dim_ids)) < len(dim_ids) or not all(map(_PLAIN_ATTR, dim_ids))):
         return iter([None])
     # A sale as write_facts writes it, a NUL (which no plain id holds) in
     # place of each field: a match is this fixed text plus its fields.

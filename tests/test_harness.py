@@ -293,6 +293,36 @@ class TestOracle:
         with pytest.raises(DocumentError):
             run_query(get_query("D2"), reference_dir)
 
+    @pytest.mark.parametrize("declared", [("f_totalamount", "f_quantity"),
+                                          ("f_quantity", "f_totalamount", "f_quantity")],
+                             ids=["swapped", "repeated"])
+    def test_sale_measure_order_is_the_writers(self, reference_dir, declared):
+        """However the metadata orders or repeats the measures, a written sale
+        reads alike in both facts readers and the oracle, and one with its
+        measures swapped is rejected by all three."""
+        meta = pathlib.Path(reference_dir, xmlio.METADATA_FILE)
+        meta.write_text(re.sub("(    <measure id='[a-z_]+'/>\n)+",
+                               "".join(f"    <measure id='{m}'/>\n" for m in declared),
+                               meta.read_text()))
+        model = xmlio.read_metadata(reference_dir)
+        assert model.measures == declared
+        sales = pathlib.Path(reference_dir, model.fact_path)
+
+        def xml_reader():
+            return list(xmlio._stream(str(sales), xmlio._FactsTarget(str(sales), model)))
+
+        assert list(xmlio.iter_facts(reference_dir, model)) == xml_reader()
+        query = get_query("D2")
+        cube, _ = run_query(query, reference_dir)
+        assert cubes_match(cube, oracle_cube(reference_dir, query))[0]
+        sales.write_text(sales.read_text().replace(
+            "<f_quantity>100</f_quantity>\n    <f_totalamount>2800.00</f_totalamount>",
+            "<f_totalamount>2800.00</f_totalamount>\n    <f_quantity>100</f_quantity>"))
+        for read in (xml_reader, lambda: run_query(query, reference_dir),
+                     lambda: oracle_cube(reference_dir, query)):
+            with pytest.raises(DocumentError, match="'sale#1'"):
+                read()
+
     def test_avg_keeps_within_1e_12_of_the_fsum_oracle(self, grid_1k):
         """AVG's plain running sum, divided by the support, stays far inside
         the checks' tolerance of the oracle's fsum on a complex warehouse."""

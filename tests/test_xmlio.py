@@ -297,14 +297,20 @@ _AWKWARD = ["&", "<", ">", "'", '"', "]]>", "\r", "\r\n", "\t", "\n", " ", "é",
             "\U0001F600", "\uFFFD", "\uFFFE", "\x00", "&amp;", "A&B<C>'D"]
 
 
+# The default model, and one whose every dimension has a single level.
+_MODELS = [default_model(), dataclasses.replace(default_model(), dimensions=tuple(
+    dataclasses.replace(schema, levels=schema.levels[:1])
+    for schema in default_model().dimensions))]
+
+
 def _warehouses(chars):
-    """Small warehouses of the default model whose level values and sale ids
+    """Small warehouses of either of _MODELS whose level values and sale ids
     are drawn from `chars`, with holes and multi-row instances."""
     text = st.one_of(st.sampled_from(_AWKWARD + [""]), st.text(chars, max_size=6))
 
     @st.composite
     def draw_warehouse(draw):
-        model = default_model()
+        model = draw(st.sampled_from(_MODELS))
         instances = {}
         for schema in model.dimensions:
             count = draw(st.integers(1, 3))
