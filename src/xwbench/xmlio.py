@@ -7,15 +7,12 @@ Writers emit a fixed byte form (two-space indent, single-quoted attributes,
 fixed attribute order) so equal inputs give byte-identical documents, and
 write each sale and instance as soon as it is formatted, so no whole
 document is held in memory.
-Readers take each document in fixed 32 KiB chunks and hand over the records
-finished in a chunk before reading the next, so no whole document is ever
-held.  A document in exactly the writers' byte form is read one regex match
-per instance or sale, with no Python call per element.  At the first text not
-in that form the XML reader reads the document from its start: an xml.etree
-XMLParser whose target validates every element as it starts and builds the
-records directly (no Element tree, no event objects).  It skips the records
-already handed over, so any other well-formed spelling gives the same
-records, and a broken document the same errors, as the XML reader alone.
+Readers accept exactly that byte form, so every document they accept is
+well-formed XML, and read it one regex match per instance or sale, with no
+Python call per element.  They take each document in fixed 32 KiB
+chunks and hand over the records finished in a chunk before reading the
+next, so no whole document is ever held.  Any other text is rejected with a
+DocumentError naming its line.
 Equal level values read from one dimension document share one str object,
 so the indexes hold each distinct value once and equal group-key components
 compare by identity.
@@ -34,8 +31,7 @@ import re
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from typing import Collection, Iterable, Iterator
 
 from .errors import DocumentError, ReferentialError
@@ -206,10 +202,17 @@ def read_metadata(in_dir: str) -> DwModel:
     measures = []
     for child in fact:
         if child.tag == "dimension":
-            dim_id = child.get("idref", "")
+            dim_id, dim_path = child.get("idref", ""), child.get("path", "")
+            # The writers write ids and paths unescaped: one XML would not
+            # read as written has no written form.
+            if not (_PLAIN_ATTR(dim_id) and _PLAIN_ATTR(dim_path)):
+                raise DocumentError(f"{path}: dimension {dim_id!r} at {dim_path!r} "
+                                    "is not a plain attribute value")
+            if any(schema.id == dim_id for schema in dimensions):
+                raise DocumentError(f"{path}: dimension {dim_id!r} declared twice")
             dimensions.append(DimensionSchema(
                 id=dim_id,
-                path=child.get("path", ""),
+                path=dim_path,
                 levels=_chain_levels(child, path),
                 nonstrict_eligible=dim_id in eligible,
             ))
@@ -217,214 +220,39 @@ def read_metadata(in_dir: str) -> DwModel:
             measures.append(child.get("id", ""))
         else:
             raise DocumentError(f"{path}: unknown element {child.tag!r}")
+    if not {F_QUANTITY, F_TOTALAMOUNT} <= set(measures):
+        raise DocumentError(f"{path}: measures must include {F_QUANTITY!r} "
+                            f"and {F_TOTALAMOUNT!r}")
     return DwModel(fact.get("id", ""), fact.get("path", ""),
                    tuple(dimensions), tuple(measures))
 
 
-# Bytes read per chunk, by both readers: large enough that the per-chunk
-# Python work (one read, one feed or regex pass, one hand-over of finished
-# records) vanishes against parsing, small enough that the buffer and the
-# records finished within one chunk stay a few hundred KiB whatever the
-# document's size.  32 KiB parses no slower than 64 KiB and leaves room in a
-# stream's peak for the shared-value table, which holds each distinct value of
-# the document (about 2,600 strings for the days, months and years of
-# d_date.xml).
+# Bytes read per chunk: large enough that the per-chunk Python work (one
+# read, one regex pass, one hand-over of finished records) vanishes against
+# matching, small enough that the buffer and the records finished within one
+# chunk stay a few hundred KiB whatever the document's size.  32 KiB reads no
+# slower than 64 KiB and leaves room in a stream's peak for the shared-value
+# table, which holds each distinct value of the document (about 2,600
+# strings for the days, months and years of d_date.xml).
 _CHUNK_BYTES = 32 * 1024
-
-
-def _stream(path: str, target) -> Iterator:
-    """Feed the document at `path` to an XMLParser driving `target` and yield
-    the records the target finishes (`target.records`), chunk by chunk."""
-    parser = ET.XMLParser(target=target)
-    records = target.records
-    try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(_CHUNK_BYTES):
-                parser.feed(chunk)
-                if records:
-                    yield from records
-                    records.clear()
-        parser.close()
-        yield from records
-    except ET.ParseError as exc:
-        raise DocumentError(f"{path}: not well-formed at line {exc.position[0]}: {exc}") from exc
-    except FileNotFoundError as exc:
-        raise DocumentError(f"{path}: missing document") from exc
-    except OSError as exc:
-        raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
-
-
-class _DimensionTarget:
-    """Parser target for one dimension document: checks every element name as
-    it starts and finishes one DimensionInstance per closed instance."""
-
-    def __init__(self, path: str, schema: DimensionSchema, shared: dict[str, str]):
-        self.path = path
-        self.dim_id = schema.id
-        self.declared = frozenset(schema.levels)
-        self.records: list[DimensionInstance] = []
-        self.depth = 0
-        self.ordinal = 0
-        self.inst_id: str | None = None
-        self.rows: list[dict[str, str]] = []
-        self.cells: dict[str, str] = {}
-        # Text arrives in pieces (expat splits it at entity references and
-        # chunk edges); a cell's value is the join of the pieces since its start.
-        self.text: list[str] = []
-        self.data = self.text.append
-        # The first object read for each distinct value: every equal value
-        # of this document is stored as that one object.
-        self.shared = shared.setdefault
-
-    def start(self, tag: str, attrib: dict[str, str]) -> None:
-        depth = self.depth
-        self.depth = depth + 1
-        if depth == 3 and tag in self.declared:
-            self.text.clear()
-        elif depth == 2 and tag == "row":
-            self.cells = {}
-        elif depth == 1 and tag == "instance":
-            self.inst_id = attrib.get("id")
-            self.rows = []
-        elif depth == 0 and tag == "dimension":
-            if attrib.get("id") != self.dim_id:
-                raise DocumentError(f"{self.path}: dimension id {attrib.get('id')!r} "
-                                    f"does not match {self.dim_id!r}")
-        else:
-            raise DocumentError(f"{self.path}: unknown element {tag!r}")
-
-    def end(self, tag: str) -> None:
-        self.depth = depth = self.depth - 1
-        if depth == 3:
-            value = "".join(self.text)
-            self.cells[tag] = self.shared(value, value)
-        elif depth == 2:
-            self.rows.append(self.cells)
-        elif depth == 1:
-            self.ordinal += 1
-            expected = f"{self.dim_id}#{self.ordinal}"
-            if self.inst_id != expected:
-                raise DocumentError(f"{self.path}: instance id {self.inst_id!r} "
-                                    f"out of sequence (expected {expected!r})")
-            if not self.rows:
-                raise DocumentError(f"{self.path}: instance {self.inst_id!r} has no rows")
-            self.records.append(DimensionInstance(self.inst_id, tuple(self.rows)))
-            self.text.clear()
-
-    def close(self) -> None:
-        pass
-
-
-# The measures' spellings, as write_facts writes them: a quantity in ASCII
-# digits, an amount in ASCII digits with exactly two after the point.
-_QUANTITY_FORM = "[0-9]+"
-_AMOUNT_FORM = r"[0-9]+\.[0-9]{2}"
-_QUANTITY = re.compile(_QUANTITY_FORM).fullmatch
-_AMOUNT = re.compile(_AMOUNT_FORM).fullmatch
-
-
-def _measure_ranks(declared: Iterable[str]) -> dict[str, int]:
-    """Each declared measure's place in a sale: f_quantity, f_totalamount,
-    then any other in the order first declared.  The order is the writer's,
-    so it does not follow the order or repeats of the declaration."""
-    order = dict.fromkeys((F_QUANTITY, F_TOTALAMOUNT, *declared))
-    return {measure: rank for rank, measure in enumerate(order) if measure in declared}
-
-
-class _FactsTarget:
-    """Parser target for the facts document: checks every element name as it
-    starts and finishes one FactRecord per closed sale, whose measures come
-    once each, in the writer's order and before every dimref, are spelled as
-    written, and which references each dimension exactly once."""
-
-    def __init__(self, path: str, model: DwModel):
-        self.path = path
-        self.dim_ids = frozenset(model.dimension_ids)
-        self.ranks = _measure_ranks(model.measures)
-        self.records: list[FactRecord] = []
-        self.depth = 0
-        self.fact_id = ""
-        # The lowest rank the sale's next measure may have.
-        self.next_rank = 0
-        self.values: dict[str, str] = {}
-        self.refs: dict[str, str] = {}
-        # As in _DimensionTarget: a measure's value is the join of its pieces.
-        self.text: list[str] = []
-        self.data = self.text.append
-
-    def start(self, tag: str, attrib: dict[str, str]) -> None:
-        depth = self.depth
-        self.depth = depth + 1
-        if depth == 2:
-            if tag in self.ranks:
-                rank = self.ranks[tag]
-                if rank < self.next_rank or self.refs:
-                    raise DocumentError(f"{self.path}: sale {self.fact_id!r} "
-                                        f"repeats or misplaces measure {tag!r}")
-                self.next_rank = rank + 1
-                self.text.clear()
-            elif tag == "dimref":
-                dim = attrib.get("dim", "")
-                if dim in self.refs:
-                    raise DocumentError(f"{self.path}: sale {self.fact_id!r} "
-                                        f"references dimension {dim!r} twice")
-                self.refs[dim] = attrib.get("idref", "")
-            else:
-                raise DocumentError(f"{self.path}: unknown element {tag!r}")
-        elif depth == 1 and tag == "sale":
-            self.fact_id = attrib.get("id", "")
-            self.next_rank = 0
-            self.values = {}
-            self.refs = {}
-        elif depth != 0 or tag != "sales":
-            raise DocumentError(f"{self.path}: unknown element {tag!r}")
-
-    def end(self, tag: str) -> None:
-        self.depth = depth = self.depth - 1
-        if depth == 2:
-            if tag != "dimref":
-                self.values[tag] = "".join(self.text)
-        elif depth == 1:
-            refs = self.refs
-            if refs.keys() != self.dim_ids:
-                for dim in refs:
-                    if dim not in self.dim_ids:
-                        raise DocumentError(
-                            f"{self.path}: dimref to unknown dimension {dim!r}")
-                raise DocumentError(
-                    f"{self.path}: sale {self.fact_id!r} must reference all dimensions")
-            quantity = self.values.get("f_quantity", "")
-            amount = self.values.get("f_totalamount", "")
-            if not (_QUANTITY(quantity) and _AMOUNT(amount)):
-                raise DocumentError(f"{self.path}: sale {self.fact_id!r} has bad measures")
-            self.records.append(FactRecord(self.fact_id, int(quantity), float(amount), refs))
-            self.text.clear()
-
-    def close(self) -> None:
-        pass
-
-
-# --- the writers' byte form, one regex match per record ----------------------
-#
-# A document in exactly the byte form the writers emit is read without the
-# XML parser: one compiled regex matches a whole instance or sale, so no
-# Python call is made per element.  At the first text not in that form the
-# XML reader takes over (see _read), so other spellings read as before.
 
 # XML Char less '<', '>', '&' and '\r' (which XML reads as '\n'): a
 # character that stands for itself in text.  Classes are written negated:
 # spelled as ranges of what they allow, each costs milliseconds to compile.
 _CHAR = "[^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]"
 # Text as _esc writes it, unrolled: a per-character alternation costs as
-# much as the XML parser.  (No atomic groups: Python 3.10 has none.)
+# much as an XML parser.  (No atomic groups: Python 3.10 has none.)
 _TEXT = f"{_CHAR}*(?:(?:{'|'.join(_ESCAPES.values())}){_CHAR}*)*"
 # A single-quoted attribute value that XML reads as written: Char less '<',
 # '&', "'" and the tab and line ends it would turn into spaces.
 _ATTR = "[^<&'\x00-\x1f\ud800-\udfff\ufffe\uffff]*"
 _PLAIN_ATTR = re.compile(_ATTR).fullmatch
-# Text this long without a record's end is not in the writers' form, or
-# holds a record too long to wait for: either way the XML reader reads it,
-# so a document in another spelling is never buffered whole.
+# The measures' spellings, as write_facts writes them: a quantity in ASCII
+# digits, an amount in ASCII digits with exactly two after the point.
+_QUANTITY = "[0-9]+"
+_AMOUNT = r"[0-9]+\.[0-9]{2}"
+# Text this long without a record's end is rejected, so a document in
+# another spelling is never buffered whole.
 _RECORD_LIMIT = 256 * 1024
 
 
@@ -452,18 +280,46 @@ class _Shared(dict):
         return value
 
 
-def _written(path: str, root: str, attrs: str, last: str, records) -> Iterator:
+class _Unwritten(Exception):
+    """Raised at text[pos], where what the writers write ends: with the
+    error's own message, or with none to name the first line from there
+    that is not a line of the written form."""
+
+    def __init__(self, pos: int, message: str = ""):
+        super().__init__(pos, message)
+
+
+def _line_number(path: str, chars: int) -> int:
+    """The number of the line that holds character `chars` (0-based) of the
+    document at `path`."""
+    number = 1
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        while chars > 0 and (piece := fh.read(min(chars, _CHUNK_BYTES))):
+            number += piece.count("\n")
+            chars -= len(piece)
+    return number
+
+
+def _written(path: str, root: str, attrs: str, last: str, records,
+             lines: list[str]) -> Iterator:
     """Read the document at `path` as the writers write it: the declaration,
     then `root` with `attrs` around records that each end with the line
     `last`, or the root self-closed.  `records(text, start, end)` makes the
-    records written in text[start:end], or returns None if that text is not
-    in their form.  Yield them as a list per chunk; yield None and stop at
-    the first text not in that form, bytes not UTF-8 or an OSError."""
+    records written in text[start:end] and raises _Unwritten where one is
+    not in their form.  Hand them over chunk by chunk.
+
+    Anything else raises DocumentError naming the line.  Without a message
+    of its own, that is the first line that is neither a root line nor
+    matches one of the patterns `lines` (a record's other lines, their end
+    excluded); if every line is one of these but out of the written order,
+    it is the first line of the record, or of the opening or closing.
+    """
     opening = f"{XML_DECL}<{root}{attrs}>\n"
     decode = codecs.getincrementaldecoder("utf-8")().decode
     # `start` is where the next record begins: past the opening until the
-    # first records are handed over, which drops it from `text`.
-    text, start = "", len(opening)
+    # first records are handed over, which drops it from `text`.  `offset`
+    # counts the characters dropped.
+    text, start, offset = "", len(opening), 0
     try:
         with open(path, "rb") as fh:
             while chunk := fh.read(_CHUNK_BYTES):
@@ -471,70 +327,92 @@ def _written(path: str, root: str, attrs: str, last: str, records) -> Iterator:
                 at = text.rfind(last, start)
                 if at < 0:
                     if len(text) > _RECORD_LIMIT:
-                        break
+                        raise _Unwritten(start, f"no record ends within {_RECORD_LIMIT} "
+                                                "characters")
                     continue
                 if start and not text.startswith(opening):
-                    break
+                    raise _Unwritten(0)
                 end = at + len(last)
                 found = records(text, start, end)
-                if found is None:
-                    break
+                offset += end
                 text, start = text[end:], 0
-                yield found
-            else:
-                text += decode(b"", True)
-                if text == (f"{XML_DECL}<{root}{attrs}/>\n" if start else f"</{root}>\n"):
-                    return
-    except (OSError, UnicodeDecodeError):
-        pass
-    yield None
+                yield from found
+                # A chunk's records are let go before the next is read.
+                found.clear()
+            text += decode(b"", True)
+            if text != (f"{XML_DECL}<{root}{attrs}/>\n" if start else f"</{root}>\n"):
+                raise _Unwritten(0, "" if text else f"document ends before '</{root}>'")
+    except _Unwritten as stop:
+        pos, message = stop.args
+        if not message:
+            line = re.compile("(?:{})\n".format("|".join([
+                re.escape(XML_DECL[:-1]), re.escape(f"<{root}{attrs}") + "/?>",
+                re.escape(f"</{root}>"), re.escape(last[:-1]), *lines]))).match
+            end = text.find(last, pos)
+            end = len(text) if end < 0 else end + len(last)
+            at = pos
+            while at < end and (match := line(text, at, end)):
+                at = match.end()
+            pos, message = ((at, "not in the written form") if at < end
+                            else (pos, "lines not in the written order"))
+        found = text[pos:pos + 120].partition("\n")[0]
+        raise DocumentError(f"{path}: line {_line_number(path, offset + pos)}: {message}"
+                            + (f": {found!r}" if found else "")) from None
+    except UnicodeDecodeError as exc:
+        pos = offset + len(text) + len(exc.object[:exc.start].decode("utf-8"))
+        raise DocumentError(f"{path}: line {_line_number(path, pos)}: not UTF-8") from None
+    except FileNotFoundError as exc:
+        raise DocumentError(f"{path}: missing document") from exc
+    except OSError as exc:
+        raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
-def _written_instances(path: str, schema: DimensionSchema, shared: _Shared) -> Iterator:
-    """_written for one dimension document: instances `dim#1`, `dim#2`, ...
-    in sequence, rows holding cells in schema order.  Instances are matched
-    one at a time and their rows found in place, so no copy of a chunk's
-    text is held beside its records.  A dimension id XML would not read as
-    written gets no fast path."""
+def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionInstance]:
+    """Stream one dimension document in document order: instances `dim#1`,
+    `dim#2`, ... in sequence, rows holding cells in schema order.  Instances
+    are matched one at a time and their rows found in place, so no copy of a
+    chunk's text is held beside its records."""
+    path = os.path.join(in_dir, schema.path)
     dim_id, levels = schema.id, schema.levels
-    if not _PLAIN_ATTR(dim_id):
-        return iter([None])
     instances = re.compile(f"  <instance id='({re.escape(dim_id)}#[0-9]+)'>\n"
                            f"(?:{_rows(levels, '>' + _TEXT)})+  </instance>\n").finditer
     # Rows are found only in instances already matched whole, so any text
     # up to the next tag is a cell's.  A captured cell is '>' and its text,
     # so a present empty cell is truthy and an absent one (None) is not.
     rows_of = re.compile(_rows(levels, "(>[^<]*)")).finditer
-    value = shared.__getitem__
+    value = _Shared().__getitem__
     ordinal = 0
 
-    def records(text: str, pos: int, end: int) -> list[DimensionInstance] | None:
+    def records(text: str, pos: int, end: int) -> list[DimensionInstance]:
         nonlocal ordinal
         out = []
         for match in instances(text, pos, end):
+            if match.start() != pos:
+                break
             ordinal += 1
             inst_id = match[1]
-            if match.start() != pos or inst_id != f"{dim_id}#{ordinal}":
-                return None
+            if inst_id != f"{dim_id}#{ordinal}":
+                raise _Unwritten(pos, f"instance id {inst_id!r} out of sequence "
+                                      f"(expected '{dim_id}#{ordinal}')")
             body, pos = match.end(1), match.end()
             out.append(DimensionInstance(inst_id, tuple(
                 {level: value(_unescape(cell[1:]) if "&" in cell else cell[1:])
                  for level, cell in zip(levels, row.groups()) if cell}
                 for row in rows_of(text, body, pos))))
-        return out if pos == end else None
+        if pos != end:
+            raise _Unwritten(pos)
+        return out
 
-    return _written(path, "dimension", f" id='{dim_id}'", "  </instance>\n", records)
+    return _written(path, "dimension", f" id='{dim_id}'", "  </instance>\n", records, [
+        f"  <instance id='{re.escape(dim_id)}#[0-9]+'>", "    <row/?>", "    </row>",
+        *(f"      <{level}>{_TEXT}</{level}>" for level in map(re.escape, levels))])
 
 
-def _written_facts(path: str, model: DwModel) -> Iterator:
-    """_written for the facts document: each sale's measures, then one dimref
-    per dimension in metadata order.  A model by which the XML reader would
-    read such a sale differently (a measure undeclared, a dimension declared
-    twice or with an id XML would not read as written) gets no fast path."""
+def iter_facts(in_dir: str, model: DwModel) -> Iterator[FactRecord]:
+    """Stream the facts document in document order: each sale's measures,
+    then one dimref per dimension in metadata order."""
+    path = os.path.join(in_dir, model.fact_path)
     dim_ids = model.dimension_ids
-    if (not {F_QUANTITY, F_TOTALAMOUNT} <= set(model.measures)
-            or len(set(dim_ids)) < len(dim_ids) or not all(map(_PLAIN_ATTR, dim_ids))):
-        return iter([None])
     # A sale as write_facts writes it, a NUL (which no plain id holds) in
     # place of each field: a match is this fixed text plus its fields.
     fixed = ("  <sale id='\0'>\n"
@@ -542,55 +420,27 @@ def _written_facts(path: str, model: DwModel) -> Iterator:
              f"    <{F_TOTALAMOUNT}>\0</{F_TOTALAMOUNT}>\n"
              + "".join(f"    <dimref dim='{dim_id}' idref='\0'/>\n" for dim_id in dim_ids)
              + "  </sale>\n").split("\0")
-    fields = (_ATTR, _QUANTITY_FORM, _AMOUNT_FORM) + (_ATTR,) * len(dim_ids)
-    sales = re.compile(re.escape(fixed[0]) + "".join(
-        f"({field})" + re.escape(text) for field, text in zip(fields, fixed[1:]))).findall
+    fields = (_ATTR, _QUANTITY, _AMOUNT) + (_ATTR,) * len(dim_ids)
+    form = re.compile(re.escape(fixed[0]) + "".join(
+        f"({field})" + re.escape(text) for field, text in zip(fields, fixed[1:])))
+    sales = form.findall
     fixed_length = sum(map(len, fixed))
 
-    def records(text: str, start: int, end: int) -> list[FactRecord] | None:
+    def records(text: str, start: int, end: int) -> list[FactRecord]:
         found = sales(text, start, end)
         # findall skips what does not match: the matches tile the text only
         # if their lengths add up to it.
         if fixed_length * len(found) + sum(map(len, chain.from_iterable(found))) != end - start:
-            return None
+            while match := form.match(text, start, end):
+                start = match.end()
+            raise _Unwritten(start)
         return [FactRecord(sale[0], int(sale[1]), float(sale[2]), dict(zip(dim_ids, sale[3:])))
                 for sale in found]
 
-    return _written(path, "sales", "", "  </sale>\n", records)
-
-
-def _read(path: str, written: Iterator, target) -> Iterator:
-    """Hand over the records `written` reads, chunk by chunk; where it stops,
-    read the document again with the XML reader driving `target()`, drop
-    the records already handed over and hand over the rest, so any other
-    spelling reads, and fails, as the XML reader alone reads it."""
-    handed = 0
-    for records in written:
-        if records is None:
-            yield from islice(_stream(path, target()), handed, None)
-            return
-        yield from records
-        handed += len(records)
-        # As in _stream: a chunk's records are let go before the next is read.
-        records.clear()
-
-
-def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionInstance]:
-    """Stream one dimension document in document order, validating strictly.
-
-    Element names are checked as each element starts, at every depth, so an
-    unknown element anywhere in the document is rejected by name.
-    """
-    path = os.path.join(in_dir, schema.path)
-    shared = _Shared()
-    return _read(path, _written_instances(path, schema, shared),
-                 partial(_DimensionTarget, path, schema, shared))
-
-
-def iter_facts(in_dir: str, model: DwModel) -> Iterator[FactRecord]:
-    """Stream the facts document in document order, validating strictly."""
-    path = os.path.join(in_dir, model.fact_path)
-    return _read(path, _written_facts(path, model), partial(_FactsTarget, path, model))
+    return _written(path, "sales", "", "  </sale>\n", records, [
+        f"  <sale id='{_ATTR}'>", f"    <{F_QUANTITY}>{_QUANTITY}</{F_QUANTITY}>",
+        f"    <{F_TOTALAMOUNT}>{_AMOUNT}</{F_TOTALAMOUNT}>",
+        *(f"    <dimref dim='{re.escape(dim_id)}' idref='{_ATTR}'/>" for dim_id in dim_ids)])
 
 
 def load_dimensions(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> Indexes:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import itertools
 import os
 import pathlib
 import re
@@ -65,6 +64,20 @@ class TestMetadata:
     def test_unreadable_metadata_is_document_error(self, tmp_path):
         (tmp_path / "dw-model.xml").mkdir()
         with pytest.raises(DocumentError, match="dw-model.xml: cannot read: Is a directory"):
+            read_metadata(str(tmp_path))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("idref='part'", "idref='a&apos;b'", "dimension \"a'b\" at 'd_part.xml' is not a plain"),
+        ("path='d_date.xml'", "path='d&#9;date.xml'", "dimension 'date' at 'd\\tdate.xml' is not"),
+        ("idref='supplier'", "idref='customer'", "dimension 'customer' declared twice"),
+        ("    <measure id='f_totalamount'/>\n", "",
+         "measures must include 'f_quantity' and 'f_totalamount'"),
+    ], ids=["id-not-plain", "path-not-plain", "declared-twice", "measure-missing"])
+    def test_metadata_without_a_written_form_is_rejected(self, model, tmp_path, old, new,
+                                                         message):
+        path = pathlib.Path(write_metadata(model, str(tmp_path)))
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(DocumentError, match=re.escape(f"dw-model.xml: {message}")):
             read_metadata(str(tmp_path))
 
 
@@ -145,13 +158,6 @@ class TestRoundTrip:
 
 
 class TestStreaming:
-    def test_unknown_element_is_named(self, reference_dir):
-        path = pathlib.Path(reference_dir, "d_part.xml")
-        path.write_text(path.read_text().replace("<type2>ANODIZED</type2>",
-                                                 "<color>RED</color>"))
-        with pytest.raises(DocumentError, match="color"):
-            read_warehouse(reference_dir)
-
     def test_malformed_document_reports_line(self, reference_dir, model):
         path = pathlib.Path(reference_dir, "f_sale.xml")
         path.write_text(path.read_text().replace("</sales>", ""))
@@ -180,50 +186,68 @@ class TestStreaming:
         with pytest.raises(DocumentError, match="part#7"):
             read_warehouse(reference_dir)
 
-    @pytest.mark.parametrize("document, old, new, message", [
-        ("d_part.xml", "<dimension id='part'>", "<dimension id='parts'>",
-         "dimension id 'parts' does not match 'part'"),
-        ("d_supplier.xml", "dimension", "dim", "unknown element 'dim'"),
+    @pytest.mark.parametrize("document, old, new, line", [
+        ("d_part.xml", "<dimension id='part'>", "<dimension id='parts'>", 2),
+        ("d_part.xml", "<type2>ANODIZED</type2>", "<color>RED</color>", 6),
+        ("d_supplier.xml", "dimension", "dim", 2),
         ("d_customer.xml", "<nation>UNITED STATES</nation>",
-         "<nation>UNITED<b/>STATES</nation>", "unknown element 'b'"),
-        ("d_date.xml", re.compile(r"<row>.*</row>", re.S), "",
-         "instance 'date#1' has no rows"),
-        ("f_sale.xml", "dim='supplier'", "dim='shop'",
-         "dimref to unknown dimension 'shop'"),
-        ("f_sale.xml", "<dimref dim='date' idref='date#1'/>", "",
-         "sale 'sale#1' must reference all dimensions"),
-        ("f_sale.xml", "<f_quantity>100</f_quantity>", "<f_quantity>many</f_quantity>",
-         "sale 'sale#1' has bad measures"),
-        ("f_sale.xml", "<f_totalamount>2800.00</f_totalamount>", "",
-         "sale 'sale#1' has bad measures"),
-        ("f_sale.xml", "<f_quantity>100</f_quantity>",
-         "<f_quantity><n>100</n></f_quantity>", "unknown element 'n'"),
+         "<nation>UNITED<b/>STATES</nation>", 5),
+        ("d_date.xml", re.compile(r"<row>.*</row>", re.S), "", 4),
+        ("f_sale.xml", "dim='supplier'", "dim='shop'", 8),
+        ("f_sale.xml", "<dimref dim='date' idref='date#1'/>", "", 9),
+        ("f_sale.xml", "<f_quantity>100</f_quantity>", "<f_quantity>many</f_quantity>", 4),
+        ("f_sale.xml", "<f_totalamount>2800.00</f_totalamount>", "", 5),
+        ("f_sale.xml", "<f_quantity>100</f_quantity>", "<f_quantity><n>100</n></f_quantity>", 4),
         # Measures must be spelled as written, not as int() or float() read.
-        *[("f_sale.xml", "<f_quantity>100</f_quantity>", f"<f_quantity>{q}</f_quantity>",
-           "sale 'sale#1' has bad measures") for q in ("-5", "1_000", " 7 ")],
+        *[("f_sale.xml", "<f_quantity>100</f_quantity>", f"<f_quantity>{q}</f_quantity>", 4)
+          for q in ("-5", "1_000", " 7 ")],
         *[("f_sale.xml", "<f_totalamount>2800.00</f_totalamount>",
-           f"<f_totalamount>{a}</f_totalamount>", "sale 'sale#1' has bad measures")
-          for a in ("nan", "inf", "1e3", "2800.000")],
+           f"<f_totalamount>{a}</f_totalamount>", 5) for a in ("nan", "inf", "1e3", "2800.000")],
         ("f_sale.xml", "<dimref dim='date' idref='date#1'/>",
-         "<dimref dim='date' idref='date#1'/><dimref dim='date' idref='date#1'/>",
-         "sale 'sale#1' references dimension 'date' twice"),
+         "<dimref dim='date' idref='date#1'/><dimref dim='date' idref='date#1'/>", 9),
         # A sale is (f_quantity, f_totalamount, dimref+): a measure read twice
         # or after a dimref is not silently taken.
         ("f_sale.xml", "<f_quantity>100</f_quantity>",
-         "<f_quantity>100</f_quantity><f_quantity>7</f_quantity>",
-         "sale 'sale#1' repeats or misplaces measure 'f_quantity'"),
+         "<f_quantity>100</f_quantity><f_quantity>7</f_quantity>", 4),
         ("f_sale.xml", re.compile(r"(    <f_quantity>100</f_quantity>\n)(.*)(  </sale>)", re.S),
-         r"\2\1\3", "sale 'sale#1' repeats or misplaces measure 'f_quantity'"),
+         r"\2\1\3", 3),
     ])
     def test_invalid_document_is_rejected_by_message(self, reference_dir, document,
-                                                     old, new, message):
+                                                     old, new, line):
+        """The error names the line and the text found there: the first line
+        not in the written form, or, if every line is one the writers wrote
+        but not in their order, the first line of the record."""
         path = pathlib.Path(reference_dir, document)
         text = path.read_text()
         edited = old.sub(new, text) if isinstance(old, re.Pattern) else text.replace(old, new)
         assert edited != text
         path.write_text(edited)
-        with pytest.raises(DocumentError, match=re.escape(f"{document}: {message}")):
+        found = edited.split("\n")[line - 1]
+        problem = ("lines not in the written order" if found in text.split("\n")
+                   else "not in the written form")
+        with pytest.raises(DocumentError,
+                           match=re.escape(f"{document}: line {line}: {problem}: {found!r}")):
             read_warehouse(reference_dir)
+
+    @pytest.mark.parametrize("document", ["d_part.xml", "f_sale.xml"])
+    def test_missing_document_is_document_error(self, reference_dir, document):
+        os.remove(os.path.join(reference_dir, document))
+        with pytest.raises(DocumentError, match=re.escape(f"{document}: missing document")):
+            read_warehouse(reference_dir)
+
+    def test_record_without_an_end_is_not_buffered_whole(self, tmp_path, model, monkeypatch):
+        """A record with no end within the limit is rejected, although in
+        the written form, rather than read until it ends."""
+        monkeypatch.setattr(xmlio, "_CHUNK_BYTES", 97)
+        monkeypatch.setattr(xmlio, "_RECORD_LIMIT", 500)
+        write_dimension(model.dimension("part"), [
+            make_instance("part", [{"type3": "LARGE"}]),
+            make_instance("part", [{"type3": "LARGE", "type2": "ANODIZED"}] * 20, 2)],
+            str(tmp_path))
+        with pytest.raises(DocumentError, match=re.escape(
+                "d_part.xml: line 8: no record ends within 500 characters: "
+                "\"  <instance id='part#2'>\"")):
+            list(iter_instances(str(tmp_path), model.dimension("part")))
 
     def test_closing_a_reader_early_closes_its_document(self, reference_dir, model,
                                                         monkeypatch):
@@ -259,36 +283,6 @@ class TestSharedValues:
         for position in range(3):
             components = [key[position] for key in keys]
             assert len({id(c) for c in components}) <= len(set(components)), position
-
-
-def _outcome(read):
-    """The records `read()` streams, or the type and message of the error it
-    raises."""
-    try:
-        return list(read())
-    except DocumentError as exc:
-        return type(exc), str(exc)
-
-
-def _xml_reader(path, target):
-    """The XML reader alone, driving `target` over the document at `path`."""
-    return lambda: xmlio._stream(path, target)
-
-
-def _readers(out, model):
-    """Per document: (name, what the readers stream, what the XML reader
-    alone streams)."""
-    for schema in model.dimensions:
-        path = os.path.join(out, schema.path)
-        yield (schema.path, lambda schema=schema: iter_instances(out, schema),
-               _xml_reader(path, xmlio._DimensionTarget(path, schema, {})))
-    path = os.path.join(out, model.fact_path)
-    yield (model.fact_path, lambda: iter_facts(out, model),
-           _xml_reader(path, xmlio._FactsTarget(path, model)))
-
-
-def _no_xml_reader(*args):
-    raise AssertionError("the XML reader was used")
 
 
 # Text that XML, the writers' escaping or the fast path's character class
@@ -334,30 +328,36 @@ _XML_CHAR = st.one_of(st.sampled_from("\t\n"), st.characters(
     min_codepoint=0x20, blacklist_categories=("Cs",), blacklist_characters="\ufffe\uffff"))
 
 
-class TestTwoReaders:
-    """A document in the writers' byte form is read one regex match per
-    record; the XML reader reads everything else.  Both give the same
-    records, and the same errors."""
+class TestOneReader:
+    """The readers accept exactly the byte form the writers write, one regex
+    match per record, and reject anything else by its line."""
 
     @settings(max_examples=150, deadline=None)
     @given(warehouse=_warehouses(_ANY_CHAR), chunk=st.sampled_from([5, 97, 32 * 1024]))
-    def test_readers_agree_on_any_written_warehouse(self, warehouse, chunk):
+    def test_what_is_accepted_reads_back_as_written(self, warehouse, chunk):
+        """A document reads back exactly as written, its equal level values
+        one object, or raises DocumentError: no character reads as another."""
+        model = warehouse.model
         with tempfile.TemporaryDirectory() as out, \
                 mock.patch.object(xmlio, "_CHUNK_BYTES", chunk):
             write_warehouse(warehouse, out)
-            for name, read, xml_read in _readers(out, warehouse.model):
-                records = _outcome(read)
-                assert records == _outcome(xml_read), name
-                if name != warehouse.model.fact_path and isinstance(records, list):
-                    values = [v for inst in records for row in inst.rows for v in row.values()]
-                    assert len({id(v) for v in values}) == len(set(values)), name
+            for schema in (None, *model.dimensions):
+                try:
+                    records = list(iter_instances(out, schema) if schema else
+                                   iter_facts(out, model))
+                except DocumentError:
+                    continue
+                assert records == (warehouse.instances[schema.id] if schema else
+                                   warehouse.facts)
+                values = [v for inst in records for row in inst.rows
+                          for v in row.values()] if schema else []
+                assert len({id(v) for v in values}) == len(set(values))
 
     @settings(max_examples=60, deadline=None)
     @given(warehouse=_warehouses(_XML_CHAR), chunk=st.sampled_from([5, 97, 32 * 1024]))
     def test_fast_path_alone_reads_awkward_text(self, warehouse, chunk):
         """Level values made of XML characters other than '\r' read back as
-        written with the XML reader out of reach.  (The writers do not escape
-        sale ids, so those stay plain.)"""
+        written.  (The writers do not escape sale ids, so those stay plain.)"""
         clean = re.compile("[\r\x00\ufffe]").sub
         warehouse = Warehouse(
             warehouse.model,
@@ -367,43 +367,42 @@ class TestTwoReaders:
                 {level: clean("", v) for level, v in row.items()} for row in inst.rows))
                 for inst in insts] for dim_id, insts in warehouse.instances.items()})
         with tempfile.TemporaryDirectory() as out, \
-                mock.patch.object(xmlio, "_CHUNK_BYTES", chunk), \
-                mock.patch.object(xmlio, "_DimensionTarget", _no_xml_reader), \
-                mock.patch.object(xmlio, "_FactsTarget", _no_xml_reader):
+                mock.patch.object(xmlio, "_CHUNK_BYTES", chunk):
             write_warehouse(warehouse, out)
             assert read_warehouse(out) == warehouse
 
-    @pytest.mark.parametrize("document, edit", [
+    @pytest.mark.parametrize("document, edit, back", [
         ("d_part.xml", lambda t: t.replace("<instance id='part#12'>",
-                                           '<instance id="part#12">')),
+                                           '<instance id="part#12">'), 0),
         ("d_part.xml", lambda t: t.replace("  <instance id='part#12'>",
-                                           "  <!-- a note -->\n  <instance id='part#12'>")),
+                                           "  <!-- a note -->\n  <instance id='part#12'>"), 0),
         ("d_customer.xml", lambda t: _from(t, "<instance id='customer#12'>",
-                                           lambda rest: rest.replace("\n", "\r\n"))),
+                                           lambda rest: rest.replace("\n", "\r\n")), 0),
         ("d_supplier.xml", lambda t: t.replace("<instance id='supplier#12'>\n    <row>\n"
                                                "      <nation>",
                                                "<instance id='supplier#12'>\n    <row>\n"
-                                               "      <nation>&#38;")),
+                                               "      <nation>&#38;"), 0),
+        # Every line is one the writers write, out of order: the error names
+        # the sale's first line, three above the first line edited.
         ("f_sale.xml", lambda t: _from(t, "<sale id='sale#12'>", lambda rest: re.sub(
             r"(    <dimref dim='part'[^\n]*\n)(    <dimref dim='customer'[^\n]*\n)",
-            r"\2\1", rest, count=1))),
-        # Errors: the same exception and message, line numbers included.
-        ("d_date.xml", lambda t: t.replace("id='date#12'", "id='date#13'")),
+            r"\2\1", rest, count=1)), 3),
+        ("d_date.xml", lambda t: t.replace("id='date#12'", "id='date#13'"), 0),
         ("d_part.xml", lambda t: _from(t, "<instance id='part#12'>",
-                                       lambda rest: rest.replace("</row>", "", 1))),
+                                       lambda rest: rest.replace("</row>", "", 1)), 0),
         ("d_part.xml", lambda t: _from(t, "<instance id='part#12'>",
-                                       lambda rest: rest.replace("type2>", "color>", 2))),
+                                       lambda rest: rest.replace("type2>", "color>", 2)), 0),
         ("d_date.xml", lambda t: _from(t, "<instance id='date#12'>",
-                                       lambda rest: rest.replace("-", "\udcff", 1))),
+                                       lambda rest: rest.replace("-", "\udcff", 1)), 0),
         ("f_sale.xml", lambda t: _from(t, "<sale id='sale#12'>", lambda rest: re.sub(
-            r"<f_quantity>[0-9]+</f_quantity>", r"\g<0>\g<0>", rest, count=1))),
+            r"<f_quantity>[0-9]+</f_quantity>", r"\g<0>\g<0>", rest, count=1)), 0),
     ], ids=["double-quotes", "comment", "crlf", "character-reference", "reordered-dimrefs",
             "out-of-sequence", "unclosed-row", "unknown-element", "not-utf-8",
             "repeated-measure"])
-    def test_edited_document_reads_as_the_xml_reader_reads_it(self, tmp_path, monkeypatch,
-                                                              document, edit):
-        """The fast path stops at the edit, after several 97-byte chunks; the
-        XML reader then gives what it gives alone."""
+    def test_edited_document_is_rejected_at_its_line(self, tmp_path, monkeypatch,
+                                                     document, edit, back):
+        """The reader hands over the records before the edit, several
+        97-byte chunks of them, then names the edited line."""
         monkeypatch.setattr(xmlio, "_CHUNK_BYTES", 97)
         out = str(tmp_path / "w")
         write_warehouse(generate_warehouse(GeneratorConfig(
@@ -412,30 +411,26 @@ class TestTwoReaders:
         path = pathlib.Path(out, document)
         text = path.read_text(encoding="utf-8")
         edited = edit(text)
-        assert edited != text
         path.write_bytes(edited.encode("utf-8", "surrogateescape"))
+        line = next(n for n, (old, new) in enumerate(
+            zip(text.split("\n"), edited.split("\n")), 1) if old != new) - back
         model = read_metadata(out)
-        name, read, xml_read = next(r for r in _readers(out, model) if r[0] == document)
-        if document == model.fact_path:
-            written = xmlio._written_facts(str(path), model)
-        else:
-            written = xmlio._written_instances(str(path), model.dimension(document[2:-4]),
-                                               xmlio._Shared())
-        handed = sum(map(len, itertools.takewhile(lambda r: r is not None, written)))
-        assert 5 <= handed < 30
-        assert _outcome(read) == _outcome(xml_read)
+        handed = []
+        with pytest.raises(DocumentError, match=re.escape(f"{document}: line {line}: ")):
+            for record in (iter_facts(out, model) if document == model.fact_path else
+                           iter_instances(out, model.dimension(document[2:-4]))):
+                handed.append(record)
+        assert 5 <= len(handed) < 30
 
     @pytest.mark.parametrize("transformed", [False, True], ids=["generated", "transformed"])
     def test_fast_path_reads_everything_the_writers_write(self, complex_300, tmp_path,
-                                                          monkeypatch, transformed):
-        """With the XML reader out of reach, loading and transforming a
-        complex warehouse, or its transform, still completes."""
+                                                          transformed):
+        """Loading and transforming a complex warehouse, or its transform,
+        completes."""
         _, in_dir, warehouse = complex_300
         if transformed:
             transform_warehouse(in_dir, str(tmp_path / "pedersen"))
             in_dir = str(tmp_path / "pedersen")
-        monkeypatch.setattr(xmlio, "_DimensionTarget", _no_xml_reader)
-        monkeypatch.setattr(xmlio, "_FactsTarget", _no_xml_reader)
         model = read_metadata(in_dir)
         indexes = xmlio.load_dimensions(in_dir, model, model.dimension_ids)
         assert [len(indexes[d]) for d in model.dimension_ids] == [
@@ -461,10 +456,13 @@ class TestSizes:
             assert sizes[200][name] >= sizes[100][name], name
 
     def test_memory_high_water_is_sublinear(self, tmp_path):
-        """Streaming peak stays near-flat while documents grow 100x."""
+        """Streaming peak stays near-flat while documents grow 10x.  At 1,000
+        facts every document spans several chunks, so the base is a stream's
+        peak, not one whole document's (seed 5: 339 KB and 391 KB streaming,
+        1.5 MB and 13.9 MB reading each document whole)."""
         peaks = {}
         doc_bytes = {}
-        for n in (100, 1000, 10000):
+        for n in (1000, 10000):
             out = str(tmp_path / f"m{n}")
             w = generate_warehouse(GeneratorConfig(n, seed=5, output_dir=out))
             tracemalloc.start()
@@ -477,9 +475,10 @@ class TestSizes:
                 tracemalloc.stop()
             assert (facts, instances) == (n, 4 * n)
             doc_bytes[n] = sum(document_sizes(out, w.model).values())
-        assert doc_bytes[10000] > 50 * doc_bytes[100]
-        assert peaks[1000] < 3 * peaks[100]
-        assert peaks[10000] < 3 * peaks[100]
+        assert min(os.path.getsize(os.path.join(tmp_path, "m1000", name))
+                   for name in layout_files(w.model)[1:]) > 3 * xmlio._CHUNK_BYTES
+        assert doc_bytes[10000] > 9 * doc_bytes[1000]
+        assert peaks[10000] < 2 * peaks[1000], peaks
 
     def test_writer_memory_is_flat(self, tmp_path):
         """The writers stream each sale and instance as it is formatted: the
