@@ -20,7 +20,7 @@ from . import harness, xmlio
 from .engine_pedersen import transform_warehouse
 from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
-from .generator import GeneratorConfig, generate_warehouse
+from .generator import generate_warehouse
 from .harness import ENGINE_NAIVE, DatasetSpec, RunReport
 from .workload import ENGINE_PEDERSEN, ENGINE_QBS, get_query, load_workload, standard_workload
 
@@ -77,14 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    cfg = GeneratorConfig(
-        fact_number=args.facts,
-        incomplete_percentage=args.incomplete,
-        nonstrict_percentage=args.nonstrict,
-        nonstrict_number=args.nonstrict_number,
-        seed=args.seed,
-        output_dir=args.out,
-    )
+    cfg = DatasetSpec(args.out, args.facts, args.incomplete, args.nonstrict,
+                      args.nonstrict_number, args.seed).config(args.out)
     try:
         cfg.validate()
     except ConfigurationError as exc:
@@ -133,11 +127,8 @@ def _cmd_run(args) -> int:
                                   args.matching, repeats=1, warmup=0)
         if stamp is None:
             # Without a stamp only the regime can be told, by a sweep.
-            report.regime = regime
-            report.facts = None
-            report.incomplete_pct = None
-            report.nonstrict_pct = None
-            report.nonstrict_num = None
+            report.regime, report.facts = regime, None
+            report.incomplete_pct = report.nonstrict_pct = report.nonstrict_num = None
         reports.append(report)
         if report.error is not None:
             errored = True

@@ -191,12 +191,8 @@ def _digits(text: str) -> bool:
 
 
 def _dom_rows(path: str) -> list[list[dict[str, str]]]:
-    root = ET.parse(path).getroot()
-    instances = []
-    for inst in root.findall("instance"):
-        instances.append([{cell.tag: cell.text or "" for cell in row}
-                          for row in inst.findall("row")])
-    return instances
+    return [[{cell.tag: cell.text or "" for cell in row} for row in inst.findall("row")]
+            for inst in ET.parse(path).getroot().findall("instance")]
 
 
 def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) -> ResultCube:

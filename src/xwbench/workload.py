@@ -7,8 +7,9 @@ the finest levels (day, type3, customer nation, supplier nation), the
 grouping ladder whose matching cost grows with dimension count.
 
 plan_query compiles a query against one warehouse: it reads the metadata,
-validates the query, picks the engine's column resolver and loads the
-grouped dimensions' indexes and the fact columns (xmlio.load_facts).  The
+validates the query, picks the engine's column resolver and loads only what
+the query reads: each grouped dimension's index, its rows holding the
+grouped level alone, and the fact columns (xmlio.load_facts).  The
 plan's `keys()` are the facts' group keys in fact order, resolved one
 grouped dimension's column at a time (by the query-time engine, or by plain
 cell reads over pretransformed data), and `values()` their measures;
@@ -265,9 +266,11 @@ class QueryPlan:
     """A query compiled against one warehouse; built by plan_query, and
     shared by every run, check and control over that warehouse.
 
-    `steps` holds one (level, index, ordinals) per grouped
-    dimension, in grouping order, where `ordinals` is the dimension's column
-    of `facts`; `resolve` is the engine's column resolver.
+    `steps` holds one (level, index, ordinals) per grouped dimension, in
+    grouping order: `index` rows hold `level`'s cell only (none at instance
+    granularity), as dicts shared between rows that no one may change, and
+    `ordinals` is the dimension's column of `facts`; `resolve` is the
+    engine's column resolver, which still resolves membership per run.
     """
 
     query: Query
@@ -296,8 +299,9 @@ class QueryPlan:
 
 def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS) -> QueryPlan:
     """Compile `query` against the warehouse in `in_dir`, loading the
-    grouped dimensions' indexes (timed as `load_ms`) and the fact columns
-    (`read_ms`).
+    grouped dimensions' indexes projected onto the grouped levels (timed as
+    `load_ms`) and the fact columns, filled from the sale matches
+    (`read_ms`).  Nothing is resolved at load.
 
     `engine` picks how group membership is resolved: "qbs" resolves complex
     hierarchies on the fly; "pedersen" expects transform_warehouse output and
@@ -315,8 +319,10 @@ def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS) -> QueryPlan
     model = xmlio.read_metadata(in_dir)
     validate_query(query, model)
 
+    # A grouped dimension's rows keep its grouped level, or none at all.
+    keep = {dim_id: () if level is None else (level,) for dim_id, level in query.grouping}
     t0 = time.perf_counter()
-    indexes = xmlio.load_dimensions(in_dir, model, query.grouped_dimensions)
+    indexes = xmlio.load_dimensions(in_dir, model, keep)
     t1 = time.perf_counter()
     facts = xmlio.load_facts(in_dir, model, query.grouped_dimensions)
     t2 = time.perf_counter()

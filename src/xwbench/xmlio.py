@@ -2,37 +2,34 @@
 
 A warehouse directory holds dw-model.xml (metadata), f_sale.xml (facts) and
 one document per dimension (d_part.xml, d_customer.xml, d_supplier.xml,
-d_date.xml).  The element grammar is documented in docs/document-grammar.md.
-Writers emit a fixed byte form (two-space indent, single-quoted attributes,
-fixed attribute order) so equal inputs give byte-identical documents, and
-write each sale and instance as soon as it is formatted, so no whole
-document is held in memory.
-Readers accept exactly that byte form, so every document they accept is
-well-formed XML, and read it one regex match per instance or sale, with no
-Python call per element.  They take each document in fixed 32 KiB
-chunks and hand over the records finished in a chunk before reading the
-next, so no whole document is ever held.  Any other text is rejected with a
-DocumentError naming its line.
-Equal level values read from one dimension document share one str object,
-so the indexes hold each distinct value once and equal group-key components
-compare by identity.
+d_date.xml), in the grammar of docs/document-grammar.md.  Writers emit a
+fixed byte form (two-space indent, single-quoted attributes, fixed
+attribute order), one sale or instance at a time, and refuse a value that
+form cannot hold.  Readers accept exactly that form, so every document they
+accept is well-formed XML, one regex match per instance or sale.  They take
+each document in 32 KiB chunks and hand over a chunk's records before
+reading the next; any other text raises DocumentError naming its line.
 Instance ids are dense per dimension (part#1..part#N): a fact's reference
 is the instance's 1-based ordinal, so an index is a list in document order
 and the fact/instance join is a range check (FactColumns.check_refs).
-load_facts keeps the facts document as columns (one array of ordinals per
-loaded dimension, one per measure) rather than as one record per fact.
+A query's load reads only what it groups by: rows hold the grouped level
+alone, equal rows one shared dict, and load_facts fills its columns (one
+array of ordinals per loaded dimension, one per measure) straight from
+each chunk's matches.  Group membership is still resolved at query time.
+Equal level values read from one document share one str object.
 """
 
 from __future__ import annotations
 
 import codecs
+import operator
 import os
 import re
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import DocumentError, ReferentialError
 from .model import (
@@ -54,13 +51,43 @@ Indexes = dict[str, list[DimensionInstance]]
 XML_DECL = "<?xml version='1.0' encoding='UTF-8'?>\n"
 
 _ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "'": "&apos;"}
+# Characters with no written form: XML has no Char for them, or reads '\r'
+# as '\n'.  Classes are written negated: spelled as ranges of what they
+# allow, each costs milliseconds to compile.
+_NO_FORM = "\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff"
+# A single-quoted attribute value that XML reads as written: no '<', '&',
+# "'", nor the tab and line ends it would turn into spaces.
+_ATTR = f"[^<&'\t\n{_NO_FORM}]*"
+_PLAIN_ATTR = re.compile(_ATTR).fullmatch
+_HAS_NO_FORM = re.compile(f"[{_NO_FORM}]").search
 
 
-def _esc(value: str) -> str:
+def _is_plain(value: str) -> bool:
+    """Whether XML reads `value`, written unescaped as an attribute value, as
+    written.  Printable text without "'", '<' or '&' does: no regex is run."""
+    return ((value.isprintable() and "'" not in value and "<" not in value
+             and "&" not in value) or _PLAIN_ATTR(value) is not None)
+
+
+def _escape(value: str) -> str:
+    """`value` as written in text; ValueError if a character has no written form."""
+    if not value.isprintable() and _HAS_NO_FORM(value):
+        raise ValueError(f"level value {value!r} holds a character with no written form")
     if "&" in value or "<" in value or ">" in value or "'" in value:
-        for raw, rep in _ESCAPES.items():
-            value = value.replace(raw, rep)
+        for raw, ref in _ESCAPES.items():
+            value = value.replace(raw, ref)
     return value
+
+
+class _Table(dict):
+    """Key -> make(key), made once per key: one table per document."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        made = self[key] = self.make(key)
+        return made
 
 
 def layout_files(model: DwModel) -> list[str]:
@@ -69,28 +96,25 @@ def layout_files(model: DwModel) -> list[str]:
 
 def _level_chain(levels: tuple[str, ...]) -> str:
     """Nest levels finest-outermost: (a, b, c) -> <a><b><c/></b></a>."""
-    out = []
-    for name in levels[:-1]:
-        out.append(f"<{name}>")
-    out.append(f"<{levels[-1]}/>")
-    for name in reversed(levels[:-1]):
-        out.append(f"</{name}>")
-    return "".join(out)
+    return ("".join(f"<{name}>" for name in levels[:-1]) + f"<{levels[-1]}/>"
+            + "".join(f"</{name}>" for name in reversed(levels[:-1])))
 
 
 def write_metadata(model: DwModel, out_dir: str) -> str:
     """Emit dw-model.xml: fact element wrapping dimension chains and measures."""
+    path = os.path.join(out_dir, METADATA_FILE)
+    ids = [model.fact_id, model.fact_path, *model.measures,
+           *(name for schema in model.dimensions for name in (schema.id, schema.path))]
+    if (bad := next((name for name in ids if not _PLAIN_ATTR(name)), None)) is not None:
+        raise DocumentError(f"{path}: {bad!r} is not a plain attribute value")
     lines = [XML_DECL, "<dw-model>\n"]
     lines.append(f"  <fact id='{model.fact_id}' path='{model.fact_path}'>\n")
     for schema in model.dimensions:
-        lines.append(
-            f"    <dimension idref='{schema.id}' path='{schema.path}'>"
-            f"{_level_chain(schema.levels)}</dimension>\n"
-        )
+        lines.append(f"    <dimension idref='{schema.id}' path='{schema.path}'>"
+                     f"{_level_chain(schema.levels)}</dimension>\n")
     for measure in model.measures:
         lines.append(f"    <measure id='{measure}'/>\n")
     lines.append("  </fact>\n</dw-model>\n")
-    path = os.path.join(out_dir, METADATA_FILE)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
     return path
@@ -107,41 +131,57 @@ def _write_document(path: str, root: str, attrs: str, bodies: Iterator[str]) -> 
     written as soon as it is made; a root with no body is self-closed."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(XML_DECL)
-        first = next(bodies, None)
-        if first is None:
+        if (first := next(bodies, None)) is None:
             fh.write(f"<{root}{attrs}/>\n")
         else:
-            fh.write(f"<{root}{attrs}>\n")
-            fh.write(first)
+            fh.writelines([f"<{root}{attrs}>\n", first])
             fh.writelines(bodies)
             fh.write(f"</{root}>\n")
     return path
 
 
 def write_facts(model: DwModel, facts: Iterable[FactRecord], out_dir: str) -> str:
-    """The facts document, written one sale at a time."""
+    """The facts document, written one sale at a time; a sale whose id or a
+    reference is not a plain attribute value raises DocumentError."""
+    path = os.path.join(out_dir, model.fact_path)
     dim_ids = model.dimension_ids
-    sales = (f"  <sale id='{fact.fact_id}'>\n"
-             f"    <f_quantity>{fact.f_quantity}</f_quantity>\n"
-             f"    <f_totalamount>{format_amount(fact.f_totalamount)}</f_totalamount>\n"
-             + "".join([f"    <dimref dim='{dim_id}' idref='{fact.dim_refs[dim_id]}'/>\n"
-                        for dim_id in dim_ids])
-             + "  </sale>\n"
-             for fact in facts)
-    return _write_document(os.path.join(out_dir, model.fact_path), "sales", "", sales)
+    refs_of = operator.itemgetter(*dim_ids) if dim_ids else lambda refs: ()
+    # A sale's dimref lines, with a %s for each reference.
+    dimrefs = "".join(f"    <dimref dim='{dim_id.replace('%', '%%')}' idref='%s'/>\n"
+                      for dim_id in dim_ids)
+
+    def sales() -> Iterator[str]:
+        for fact in facts:
+            refs = refs_of(fact.dim_refs)
+            # Plainness is a property of each character: check the ids joined.
+            if not _is_plain(fact.fact_id + "".join(refs)):
+                raise DocumentError(f"{path}: sale {fact.fact_id!r} has an id or a "
+                                    "reference that is not a plain attribute value")
+            yield (f"  <sale id='{fact.fact_id}'>\n"
+                   f"    <f_quantity>{fact.f_quantity}</f_quantity>\n"
+                   f"    <f_totalamount>{format_amount(fact.f_totalamount)}</f_totalamount>\n"
+                   f"{dimrefs % refs}  </sale>\n")
+
+    return _write_document(path, "sales", "", sales())
 
 
-def _instance_text(inst: DimensionInstance, levels: tuple[str, ...]) -> str:
+def _instance_text(inst: DimensionInstance, levels: tuple[str, ...], path: str,
+                   escaped: _Table) -> str:
     parts = [f"  <instance id='{inst.instance_id}'>\n"]
-    for row in inst.rows:
-        cells = [f"      <{level}>{_esc(row[level])}</{level}>\n"
-                 for level in levels if level in row]
-        if cells:
-            parts.append("    <row>\n")
-            parts.extend(cells)
-            parts.append("    </row>\n")
-        else:
-            parts.append("    <row/>\n")
+    try:
+        if not _is_plain(inst.instance_id):
+            raise ValueError("its id is not a plain attribute value")
+        for row in inst.rows:
+            cells = [f"      <{level}>{escaped[row[level]]}</{level}>\n"
+                     for level in levels if level in row]
+            if cells:
+                parts.append("    <row>\n")
+                parts.extend(cells)
+                parts.append("    </row>\n")
+            else:
+                parts.append("    <row/>\n")
+    except ValueError as exc:
+        raise DocumentError(f"{path}: instance {inst.instance_id!r}: {exc}") from None
     parts.append("  </instance>\n")
     return "".join(parts)
 
@@ -149,10 +189,13 @@ def _instance_text(inst: DimensionInstance, levels: tuple[str, ...]) -> str:
 def write_dimension(schema: DimensionSchema, instances: Iterable[DimensionInstance],
                     out_dir: str) -> str:
     """One document per dimension, written one instance at a time; rows keep
-    schema level order, holes are omitted."""
-    return _write_document(os.path.join(out_dir, schema.path), "dimension",
-                           f" id='{schema.id}'",
-                           (_instance_text(inst, schema.levels) for inst in instances))
+    schema level order, holes are omitted.  An instance with an id or a level
+    value that has no written form raises DocumentError."""
+    path = os.path.join(out_dir, schema.path)
+    escaped = _Table(_escape)
+    return _write_document(path, "dimension", f" id='{schema.id}'",
+                           (_instance_text(inst, schema.levels, path, escaped)
+                            for inst in instances))
 
 
 def write_warehouse(warehouse: Warehouse, out_dir: str) -> None:
@@ -168,16 +211,13 @@ def write_warehouse(warehouse: Warehouse, out_dir: str) -> None:
 
 def _chain_levels(dim_elem: ET.Element, path: str) -> tuple[str, ...]:
     """Walk the single-child nesting back into a level list."""
-    levels: list[str] = []
-    node = dim_elem
-    while True:
-        children = list(node)
-        if not children:
-            return tuple(levels)
-        if len(children) > 1:
-            raise DocumentError(f"{path}: level chain under {node.tag!r} must nest singly")
+    levels, node = [], dim_elem
+    while len(children := list(node)) == 1:
         node = children[0]
         levels.append(node.tag)
+    if children:
+        raise DocumentError(f"{path}: level chain under {node.tag!r} must nest singly")
+    return tuple(levels)
 
 
 def read_metadata(in_dir: str) -> DwModel:
@@ -198,8 +238,7 @@ def read_metadata(in_dir: str) -> DwModel:
     # Non-strict eligibility is intrinsic to the sales model (a property of
     # what the dimensions mean), so it is taken from the model, not the file.
     eligible = {schema.id for schema in default_model().dimensions if schema.nonstrict_eligible}
-    dimensions = []
-    measures = []
+    dimensions, measures = [], []
     for child in fact:
         if child.tag == "dimension":
             dim_id, dim_path = child.get("idref", ""), child.get("path", "")
@@ -210,12 +249,8 @@ def read_metadata(in_dir: str) -> DwModel:
                                     "is not a plain attribute value")
             if any(schema.id == dim_id for schema in dimensions):
                 raise DocumentError(f"{path}: dimension {dim_id!r} declared twice")
-            dimensions.append(DimensionSchema(
-                id=dim_id,
-                path=dim_path,
-                levels=_chain_levels(child, path),
-                nonstrict_eligible=dim_id in eligible,
-            ))
+            dimensions.append(DimensionSchema(dim_id, dim_path, _chain_levels(child, path),
+                                              nonstrict_eligible=dim_id in eligible))
         elif child.tag == "measure":
             measures.append(child.get("id", ""))
         else:
@@ -229,64 +264,48 @@ def read_metadata(in_dir: str) -> DwModel:
 
 # Bytes read per chunk: large enough that the per-chunk Python work (one
 # read, one regex pass, one hand-over of finished records) vanishes against
-# matching, small enough that the buffer and the records finished within one
-# chunk stay a few hundred KiB whatever the document's size.  32 KiB reads no
-# slower than 64 KiB and leaves room in a stream's peak for the shared-value
-# table, which holds each distinct value of the document (about 2,600
-# strings for the days, months and years of d_date.xml).
+# matching, small enough that a chunk's buffer and records stay a few hundred
+# KiB.  32 KiB reads no slower than 64 KiB and leaves room in a stream's peak
+# for the shared-value table (about 2,600 strings for all of d_date.xml).
 _CHUNK_BYTES = 32 * 1024
 
-# XML Char less '<', '>', '&' and '\r' (which XML reads as '\n'): a
-# character that stands for itself in text.  Classes are written negated:
-# spelled as ranges of what they allow, each costs milliseconds to compile.
-_CHAR = "[^<>&\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]"
-# Text as _esc writes it, unrolled: a per-character alternation costs as
+# A character that stands for itself in text.
+_CHAR = f"[^<>&{_NO_FORM}]"
+# Text as _escape writes it, unrolled: a per-character alternation costs as
 # much as an XML parser.  (No atomic groups: Python 3.10 has none.)
 _TEXT = f"{_CHAR}*(?:(?:{'|'.join(_ESCAPES.values())}){_CHAR}*)*"
-# A single-quoted attribute value that XML reads as written: Char less '<',
-# '&', "'" and the tab and line ends it would turn into spaces.
-_ATTR = "[^<&'\x00-\x1f\ud800-\udfff\ufffe\uffff]*"
-_PLAIN_ATTR = re.compile(_ATTR).fullmatch
 # The measures' spellings, as write_facts writes them: a quantity in ASCII
 # digits, an amount in ASCII digits with exactly two after the point.
 _QUANTITY = "[0-9]+"
 _AMOUNT = r"[0-9]+\.[0-9]{2}"
+# An instance's ordinal as its id spells it: ASCII digits, no leading zero.
+_ORDINAL = "[1-9][0-9]*"
 # Text this long without a record's end is rejected, so a document in
 # another spelling is never buffered whole.
 _RECORD_LIMIT = 256 * 1024
 
 
-def _rows(levels: tuple[str, ...], value: str) -> str:
+def _rows(levels: tuple[str, ...], value: str, kept: Collection[str] | None = None) -> str:
     """A row as _instance_text writes it, each cell's text after its tag
-    name matching `value`."""
-    cells = "".join(f"(?:      <{level}{value}</{level}>\n)?"
-                    for level in map(re.escape, levels))
+    name matching `value` if its level is in `kept` (default: every level),
+    and any text up to the next tag if not."""
+    cells = "".join(f"(?:      <{re.escape(level)}"
+                    f"{value if kept is None or level in kept else '>[^<]*'}"
+                    f"</{re.escape(level)}>\n)?" for level in levels)
     return f"    <row/>\n|    <row>\n{cells}    </row>\n"
 
 
 def _unescape(text: str) -> str:
-    """Undo _esc: '&amp;' last, as it was escaped first."""
+    """Undo _escape: '&amp;' last, as it was escaped first."""
     for raw, ref in reversed(_ESCAPES.items()):
         text = text.replace(ref, raw)
     return text
 
 
-class _Shared(dict):
-    """Value -> the first object read for it in one document; a value not
-    seen before is added as itself."""
-
-    def __missing__(self, value: str) -> str:
-        self[value] = value
-        return value
-
-
 class _Unwritten(Exception):
-    """Raised at text[pos], where what the writers write ends: with the
-    error's own message, or with none to name the first line from there
-    that is not a line of the written form."""
-
-    def __init__(self, pos: int, message: str = ""):
-        super().__init__(pos, message)
+    """Raised with (pos, message) at text[pos], where what the writers write
+    ends: with the error's own message, or with "" to name the first line
+    from there that is not a line of the written form."""
 
 
 def _line_number(path: str, chars: int) -> int:
@@ -305,8 +324,8 @@ def _written(path: str, root: str, attrs: str, last: str, records,
     """Read the document at `path` as the writers write it: the declaration,
     then `root` with `attrs` around records that each end with the line
     `last`, or the root self-closed.  `records(text, start, end)` makes the
-    records written in text[start:end] and raises _Unwritten where one is
-    not in their form.  Hand them over chunk by chunk.
+    records written in text[start:end] (a list, cleared once handed over)
+    and raises _Unwritten where one is not in their form.  Hand them over chunk by chunk.
 
     Anything else raises DocumentError naming the line.  Without a message
     of its own, that is the first line that is neither a root line nor
@@ -331,7 +350,7 @@ def _written(path: str, root: str, attrs: str, last: str, records,
                                                 "characters")
                     continue
                 if start and not text.startswith(opening):
-                    raise _Unwritten(0)
+                    raise _Unwritten(0, "")
                 end = at + len(last)
                 found = records(text, start, end)
                 offset += end
@@ -367,20 +386,32 @@ def _written(path: str, root: str, attrs: str, last: str, records,
         raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
-def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionInstance]:
+def iter_instances(in_dir: str, schema: DimensionSchema,
+                   keep: Collection[str] | None = None) -> Iterator[DimensionInstance]:
     """Stream one dimension document in document order: instances `dim#1`,
     `dim#2`, ... in sequence, rows holding cells in schema order.  Instances
     are matched one at a time and their rows found in place, so no copy of a
-    chunk's text is held beside its records."""
+    chunk's text is held beside its records.  With `keep`, every level is
+    still checked, but rows hold only the levels in `keep`, and equal rows
+    are one dict, shared across instances, which no caller may change."""
     path = os.path.join(in_dir, schema.path)
     dim_id, levels = schema.id, schema.levels
     instances = re.compile(f"  <instance id='({re.escape(dim_id)}#[0-9]+)'>\n"
                            f"(?:{_rows(levels, '>' + _TEXT)})+  </instance>\n").finditer
     # Rows are found only in instances already matched whole, so any text
     # up to the next tag is a cell's.  A captured cell is '>' and its text,
-    # so a present empty cell is truthy and an absent one (None) is not.
-    rows_of = re.compile(_rows(levels, "(>[^<]*)")).finditer
-    value = _Shared().__getitem__
+    # so a present empty cell is truthy and an absent one ('') is not.
+    kept = levels if keep is None else tuple(level for level in levels if level in keep)
+    cells_of = re.compile(_rows(levels, "(>[^<]*)", kept)).findall
+    # str() of a str is itself: the first object read for each value.
+    value = _Table(str).__getitem__
+
+    def make_row(cells) -> dict[str, str]:
+        return {level: value(_unescape(cell[1:]) if "&" in cell else cell[1:])
+                for level, cell in zip(kept, (cells,) if isinstance(cells, str) else cells)
+                if cell}
+
+    row = make_row if keep is None else _Table(make_row).__getitem__
     ordinal = 0
 
     def records(text: str, pos: int, end: int) -> list[DimensionInstance]:
@@ -395,12 +426,11 @@ def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionIn
                 raise _Unwritten(pos, f"instance id {inst_id!r} out of sequence "
                                       f"(expected '{dim_id}#{ordinal}')")
             body, pos = match.end(1), match.end()
-            out.append(DimensionInstance(inst_id, tuple(
-                {level: value(_unescape(cell[1:]) if "&" in cell else cell[1:])
-                 for level, cell in zip(levels, row.groups()) if cell}
-                for row in rows_of(text, body, pos))))
+            # With no level kept, count rows: only their first lines start "    <row".
+            out.append(DimensionInstance(inst_id, tuple(map(row, cells_of(text, body, pos)))
+                       if kept else (row(()),) * text.count("\n    <row", body, pos)))
         if pos != end:
-            raise _Unwritten(pos)
+            raise _Unwritten(pos, "")
         return out
 
     return _written(path, "dimension", f" id='{dim_id}'", "  </instance>\n", records, [
@@ -408,57 +438,66 @@ def iter_instances(in_dir: str, schema: DimensionSchema) -> Iterator[DimensionIn
         *(f"      <{level}>{_TEXT}</{level}>" for level in map(re.escape, levels))])
 
 
-def iter_facts(in_dir: str, model: DwModel) -> Iterator[FactRecord]:
-    """Stream the facts document in document order: each sale's measures,
-    then one dimref per dimension in metadata order."""
-    path = os.path.join(in_dir, model.fact_path)
-    dim_ids = model.dimension_ids
-    # A sale as write_facts writes it, a NUL (which no plain id holds) in
-    # place of each field: a match is this fixed text plus its fields.
+def _sale_form(dim_ids: tuple[str, ...], joined: Collection[str] = ()):
+    """A sale as write_facts writes it, a reference to a dimension in
+    `joined` captured as its ordinal's digits: the pattern, and the length of
+    its fixed text, which a NUL (no plain id holds) splits at each field."""
     fixed = ("  <sale id='\0'>\n"
              f"    <{F_QUANTITY}>\0</{F_QUANTITY}>\n"
              f"    <{F_TOTALAMOUNT}>\0</{F_TOTALAMOUNT}>\n"
-             + "".join(f"    <dimref dim='{dim_id}' idref='\0'/>\n" for dim_id in dim_ids)
+             + "".join(f"    <dimref dim='{d}' idref='{d + '#' if d in joined else ''}\0'/>\n"
+                       for d in dim_ids)
              + "  </sale>\n").split("\0")
-    fields = (_ATTR, _QUANTITY, _AMOUNT) + (_ATTR,) * len(dim_ids)
-    form = re.compile(re.escape(fixed[0]) + "".join(
-        f"({field})" + re.escape(text) for field, text in zip(fields, fixed[1:])))
-    sales = form.findall
-    fixed_length = sum(map(len, fixed))
+    fields = (_ATTR, _QUANTITY, _AMOUNT, *(_ORDINAL if d in joined else _ATTR for d in dim_ids))
+    return re.compile(re.escape(fixed[0]) + "".join(
+        f"({field})" + re.escape(text) for field, text in zip(fields, fixed[1:]))
+    ), sum(map(len, fixed))
 
-    def records(text: str, start: int, end: int) -> list[FactRecord]:
-        found = sales(text, start, end)
+
+def iter_facts(in_dir: str, model: DwModel,
+               dim_ids: Collection[str] | None = None) -> Iterator:
+    """Stream the facts document in document order: each sale's measures,
+    then one dimref per dimension in metadata order, as a FactRecord.  With
+    `dim_ids`, hand over each chunk as columns of the sales' text instead
+    (ids, quantities, amounts, references), a reference to a dimension in
+    `dim_ids` as the n of `{dim_id}#{n}`; another spelling is a ReferentialError."""
+    path = os.path.join(in_dir, model.fact_path)
+    all_ids = model.dimension_ids
+    written, _ = _sale_form(all_ids)
+    form, fixed_length = _sale_form(all_ids, dim_ids or ())
+
+    def records(text: str, start: int, end: int) -> list:
+        found = form.findall(text, start, end)
         # findall skips what does not match: the matches tile the text only
         # if their lengths add up to it.
         if fixed_length * len(found) + sum(map(len, chain.from_iterable(found))) != end - start:
             while match := form.match(text, start, end):
                 start = match.end()
-            raise _Unwritten(start)
-        return [FactRecord(sale[0], int(sale[1]), float(sale[2]), dict(zip(dim_ids, sale[3:])))
+            # A sale in the written form but for a joined reference's spelling.
+            if dim_ids and (match := written.match(text, start, end)):
+                dim_id, ref = next(
+                    (d, ref) for d, ref in zip(all_ids, match.groups()[3:])
+                    if d in dim_ids and not re.fullmatch(f"{re.escape(d)}#{_ORDINAL}", ref))
+                raise ReferentialError(
+                    f"{path}: dangling dimref {ref!r} for dimension {dim_id!r}")
+            raise _Unwritten(start, "")
+        if dim_ids is not None:
+            return [tuple(zip(*found))]
+        return [FactRecord(sale[0], int(sale[1]), float(sale[2]), dict(zip(all_ids, sale[3:])))
                 for sale in found]
 
-    return _written(path, "sales", "", "  </sale>\n", records, [
-        f"  <sale id='{_ATTR}'>", f"    <{F_QUANTITY}>{_QUANTITY}</{F_QUANTITY}>",
-        f"    <{F_TOTALAMOUNT}>{_AMOUNT}</{F_TOTALAMOUNT}>",
-        *(f"    <dimref dim='{re.escape(dim_id)}' idref='{_ATTR}'/>" for dim_id in dim_ids)])
+    # A sale's lines but its last, each the written form's pattern for it.
+    return _written(path, "sales", "", "  </sale>\n", records,
+                    written.pattern.split(re.escape("\n"))[:-2])
 
 
-def load_dimensions(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> Indexes:
-    """Materialize the indexes of the dimensions named in `dim_ids`; no
-    other dimension document is read."""
-    return {schema.id: list(iter_instances(in_dir, schema))
-            for schema in model.dimensions if schema.id in dim_ids}
-
-
-def _ref_ordinal(ref: str, dim_id: str, path: str) -> int:
-    """The ordinal n of `ref`, which must read `{dim_id}#{n}` with n in ASCII
-    digits and no leading zero: one spelling per instance, as written."""
-    prefix = f"{dim_id}#"
-    digits = ref[len(prefix):]
-    if (ref.startswith(prefix) and digits.isdigit() and digits.isascii()
-            and digits[0] != "0"):
-        return int(digits)
-    raise ReferentialError(f"{path}: dangling dimref {ref!r} for dimension {dim_id!r}")
+def load_dimensions(in_dir: str, model: DwModel,
+                    dim_ids: Collection[str] | Mapping[str, Collection[str]]) -> Indexes:
+    """Materialize the indexes of the dimensions named in `dim_ids`; no other
+    dimension document is read.  A mapping names the levels each keeps."""
+    keep = dim_ids if isinstance(dim_ids, Mapping) else dict.fromkeys(dim_ids)
+    return {schema.id: list(iter_instances(in_dir, schema, keep[schema.id]))
+            for schema in model.dimensions if schema.id in keep}
 
 
 @dataclass(frozen=True)
@@ -486,22 +525,23 @@ class FactColumns:
 
 def load_facts(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> FactColumns:
     """Read the facts document into columns, keeping the references to the
-    dimensions named in `dim_ids` only."""
+    dimensions named in `dim_ids` only; each chunk extends them at once."""
     path = os.path.join(in_dir, model.fact_path)
     ordinals = {dim_id: array("q") for dim_id in model.dimension_ids if dim_id in dim_ids}
     quantity, amount = array("q"), array("d")
-    joins = [(dim_id, column.append) for dim_id, column in ordinals.items()]
-    add_quantity, add_amount = quantity.append, amount.append
-    try:
-        for fact in iter_facts(in_dir, model):
-            add_quantity(fact.f_quantity)
-            add_amount(fact.f_totalamount)
-            refs = fact.dim_refs
-            for dim_id, add in joins:
-                add(_ref_ordinal(refs[dim_id], dim_id, path))
-    except OverflowError as exc:
-        raise DocumentError(
-            f"{path}: sale {fact.fact_id!r} holds a number beyond 64 bits") from exc
+    # Each column, how its text is read, and the field it is read from.
+    fills = [(quantity, int, 1), (amount, float, 2)] + [
+        (ordinals[dim_id], int, 3 + i) for i, dim_id in enumerate(model.dimension_ids)
+        if dim_id in ordinals]
+    for fields in iter_facts(in_dir, model, ordinals):
+        done = len(quantity)
+        try:
+            for column, read, field in fills:
+                column.extend(map(read, fields[field]))
+        except OverflowError as exc:
+            # The column holds every number of the chunk before the one too large.
+            raise DocumentError(f"{path}: sale {fields[0][len(column) - done]!r} "
+                                "holds a number beyond 64 bits") from exc
     return FactColumns(path, ordinals, {F_QUANTITY: quantity, F_TOTALAMOUNT: amount})
 
 

@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_sale_warehouse, single_sale_warehouse
+from test_xmlio import _XML_CHAR, _warehouses
 from xwbench import xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.engine_qbs import OTHER
 from xwbench.errors import (ConfigurationError, DocumentError, OracleScopeError,
-                            ReferentialError)
+                            QueryError, ReferentialError)
 from xwbench.generator import GeneratorConfig, generate_warehouse
+from xwbench.model import Warehouse
 from xwbench.harness import (
     DATASET_FILES,
     DatasetSpec,
@@ -47,6 +49,7 @@ from xwbench.workload import (
     plan_query,
     run_query,
     standard_workload,
+    validate_query,
 )
 from xwbench.xmlio import write_warehouse
 
@@ -489,13 +492,13 @@ def parse_counts(monkeypatch):
     real_instances, real_facts = xmlio.iter_instances, xmlio.iter_facts
     real_metadata = xmlio.read_metadata
 
-    def counting_instances(in_dir, schema):
+    def counting_instances(in_dir, schema, keep=None):
         parses[schema.id] += 1
-        return real_instances(in_dir, schema)
+        return real_instances(in_dir, schema, keep)
 
-    def counting_facts(in_dir, model):
+    def counting_facts(in_dir, model, dim_ids=None):
         parses["facts"] += 1
-        return real_facts(in_dir, model)
+        return real_facts(in_dir, model, dim_ids)
 
     def counting_metadata(in_dir):
         parses["metadata"] += 1
@@ -582,6 +585,95 @@ class TestCellLoading:
                 double_counting_cube(plan)
             fresh = plan_query(query, in_dir, engine)
             assert (plan.steps, plan.facts) == (fresh.steps, fresh.facts)
+
+
+def _full_row_plan(plan, in_dir):
+    """`plan` over full-row indexes: every level of every grouped instance,
+    as read_warehouse reads them, with the plan's own fact columns."""
+    full = xmlio.load_dimensions(in_dir, xmlio.read_metadata(in_dir),
+                                 plan.query.grouped_dimensions)
+    return dataclasses.replace(plan, steps=tuple(
+        (level, full[dim_id], ordinals)
+        for (dim_id, level), (_, _, ordinals) in zip(plan.query.grouping, plan.steps)))
+
+
+def _writable(warehouse):
+    """`warehouse` with plain sale ids and no level value holding a
+    character that has no written form, so the writers write it."""
+    clean = re.compile("[\r\x00\ufffe]").sub
+    return Warehouse(
+        warehouse.model,
+        [dataclasses.replace(f, fact_id=f"sale#{n}") for n, f in enumerate(warehouse.facts, 1)],
+        {dim_id: [dataclasses.replace(inst, rows=tuple(
+            {level: clean("", v) for level, v in row.items()} for row in inst.rows))
+            for inst in insts] for dim_id, insts in warehouse.instances.items()})
+
+
+class TestProjection:
+    """A plan's indexes hold only the grouped level of each row; grouping
+    over them is grouping over the whole rows."""
+
+    def test_rows_hold_the_grouped_level_alone(self, complex_300):
+        _, out_dir, warehouse = complex_300
+        plan = plan_query(get_query("Q23"), out_dir)
+        for (dim_id, level), (_, index, _) in zip(plan.query.grouping, plan.steps):
+            rows = [row for inst in index for row in inst.rows]
+            assert all(set(row) <= {level} for row in rows), dim_id
+            assert ([[row.get(level) for row in inst.rows] for inst in index]
+                    == [[row.get(level) for row in inst.rows]
+                        for inst in warehouse.instances[dim_id]]), dim_id
+            # Equal rows are one dict.
+            assert len({id(row) for row in rows}) == len({row.get(level) for row in rows})
+
+    def test_q21_rows_hold_no_cells(self, complex_300):
+        _, out_dir, warehouse = complex_300
+        plan = plan_query(get_query("Q21"), out_dir)
+        for (dim_id, level), (_, index, _) in zip(plan.query.grouping, plan.steps):
+            assert level is None
+            assert all(row == {} for inst in index for row in inst.rows)
+            assert ([len(inst.rows) for inst in index]
+                    == [len(inst.rows) for inst in warehouse.instances[dim_id]])
+
+    def test_load_builds_no_record_per_sale(self, complex_300, monkeypatch):
+        """The fact columns are filled from the sale matches, with no
+        FactRecord on the way."""
+        def no_record(*args):
+            raise AssertionError("a FactRecord was built")
+
+        _, out_dir, warehouse = complex_300
+        monkeypatch.setattr(xmlio, "FactRecord", no_record)
+        plan = plan_query(get_query("D4"), out_dir)
+        assert len(plan.facts) == len(warehouse.facts)
+        assert list(plan.facts.ordinals["date"]) == [
+            int(f.dim_refs["date"].partition("#")[2]) for f in warehouse.facts]
+
+    @settings(max_examples=25, deadline=None)
+    @given(warehouse=_warehouses(_XML_CHAR))
+    def test_projected_plans_group_as_full_row_plans(self, warehouse):
+        """For every standard query the model holds and both engines: the
+        same cube, the same four checks and, for qbs, the same
+        double-counting cube as a plan over full rows."""
+        warehouse = _writable(warehouse)
+        with tempfile.TemporaryDirectory() as out:
+            raw, ped = os.path.join(out, "raw"), os.path.join(out, "ped")
+            write_warehouse(warehouse, raw)
+            transform_warehouse(raw, ped)
+            for query in standard_workload():
+                try:
+                    validate_query(query, warehouse.model)
+                except QueryError:
+                    continue
+                for engine, in_dir in (("qbs", raw), ("pedersen", ped)):
+                    projected = plan_query(query, in_dir, engine)
+                    full = _full_row_plan(projected, in_dir)
+                    cube, _ = run_query(query, in_dir, plan=projected)
+                    full_cube, _ = run_query(query, in_dir, plan=full)
+                    assert cubes_match(cube, full_cube)[0], (query.id, engine)
+                    assert check_correctness(cube, projected) == check_correctness(full_cube,
+                                                                                   full)
+                    if engine == "qbs":
+                        assert cubes_match(double_counting_cube(projected),
+                                           double_counting_cube(full))[0], query.id
 
 
 class TestCellFailures:

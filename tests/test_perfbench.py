@@ -72,8 +72,19 @@ def test_benchmark_runs_a_small_complex_workload_correctly(monkeypatch, tmp_path
 
 def test_traced_benchmark_counts_every_resolution(monkeypatch, tmp_path):
     """A traced pass reads its resolution counts off the qbs cubes' keys and
-    supports: 200 facts times the 26 dimensions the eight queries group."""
+    supports: 200 facts times the 26 dimensions the eight queries group.
+    Its cells load every instance and row of each grouped dimension, also
+    when the rows hold the grouped level alone."""
     bench = small_bench(monkeypatch, tmp_path, trace=True)
     result, _ = bench.run()
     assert result["correct"] and result["failed"] == 0
-    assert result["metrics"]["engine_qbs.resolve_calls"]["value"] == 5200
+    metrics = result["metrics"]
+    assert metrics["engine_qbs.resolve_calls"]["value"] == 5200
+    data = bench.passes[-1]["data"]
+    instances = {engine: xmlio.read_warehouse(data[engine]).instances
+                 for engine in ("qbs", "pedersen")}
+    grouped = [instances[engine][dim_id] for query_id, engine in bench.cells
+               for dim_id in workload.get_query(query_id).grouped_dimensions]
+    assert metrics["xmlio.instances_loaded"]["value"] == sum(map(len, grouped))
+    assert metrics["xmlio.rows_loaded"]["value"] == sum(len(inst.rows) for index in grouped
+                                                        for inst in index)

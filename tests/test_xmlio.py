@@ -157,6 +157,47 @@ class TestRoundTrip:
         assert read_warehouse(out) == warehouse
 
 
+class TestWriters:
+    """The writers refuse what the readers would not read back as written,
+    naming the record, and write nothing else differently."""
+
+    @pytest.mark.parametrize("fact_id, ref", [
+        ("sale'1", "part#1"), ("sale\t1", "part#1"), ("sale#1", "part<1"),
+        ("sale#1", "part#1&amp;"), ("sale#1", "part#1\n"), ("sale\x00", "part#1"),
+    ])
+    def test_sale_id_or_reference_that_is_not_plain_is_refused(self, tmp_path, model,
+                                                               fact_id, ref):
+        fact = FactRecord(fact_id, 1, 2.0, {**{d: f"{d}#1" for d in model.dimension_ids},
+                                            "part": ref})
+        with pytest.raises(DocumentError, match=re.escape(f"sale {fact_id!r}")):
+            xmlio.write_facts(model, [fact], str(tmp_path))
+
+    @pytest.mark.parametrize("value", ["a\rb", "\x00", "x\ufffe", "\uffff", "\udcff", "\x1b"])
+    def test_level_value_without_a_written_form_is_refused(self, tmp_path, model, value):
+        instances = [make_instance("part", [{"type3": "A&B<C>'D\t\n"}]),
+                     make_instance("part", [{"type3": "ok"}, {"type2": value}], 2)]
+        with pytest.raises(DocumentError, match=re.escape(f"instance 'part#2': level value "
+                                                          f"{value!r}")):
+            write_dimension(model.dimension("part"), instances, str(tmp_path))
+
+    def test_instance_id_that_is_not_plain_is_refused(self, tmp_path, model):
+        with pytest.raises(DocumentError, match=re.escape("instance \"part'1\"")):
+            write_dimension(model.dimension("part"),
+                            [DimensionInstance("part'1", ({},))], str(tmp_path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: dataclasses.replace(m, fact_id="sa<le"),
+        lambda m: dataclasses.replace(m, measures=(*m.measures, "f&q")),
+        lambda m: dataclasses.replace(m, dimensions=(
+            dataclasses.replace(m.dimensions[0], id="pa'rt"), *m.dimensions[1:])),
+        lambda m: dataclasses.replace(m, dimensions=(
+            dataclasses.replace(m.dimensions[0], path="d\tpart.xml"), *m.dimensions[1:])),
+    ])
+    def test_metadata_id_that_is_not_plain_is_refused(self, tmp_path, model, edit):
+        with pytest.raises(DocumentError, match="is not a plain attribute value"):
+            write_metadata(edit(model), str(tmp_path))
+
+
 class TestStreaming:
     def test_malformed_document_reports_line(self, reference_dir, model):
         path = pathlib.Path(reference_dir, "f_sale.xml")
@@ -228,6 +269,31 @@ class TestStreaming:
         with pytest.raises(DocumentError,
                            match=re.escape(f"{document}: line {line}: {problem}: {found!r}")):
             read_warehouse(reference_dir)
+
+    @pytest.mark.parametrize("old, new", [
+        ("dim='supplier'", "dim='shop'"),
+        ("<dimref dim='date' idref='date#1'/>", ""),
+        ("<f_quantity>100</f_quantity>", "<f_quantity>-5</f_quantity>"),
+        ("<f_totalamount>2800.00</f_totalamount>", "<f_totalamount>2800.000</f_totalamount>"),
+        ("idref='part#1'", "idref=\"part#1\""),
+        ("idref='part#1'", "idref='part#1&amp;'"),
+        (re.compile(r"(    <dimref dim='part'[^\n]*\n)(    <dimref dim='customer'[^\n]*\n)"),
+         r"\2\1"),
+    ])
+    def test_columns_reject_a_sale_as_records_do(self, reference_dir, model, old, new):
+        """Filling columns, with every dimension joined or none, rejects an
+        edited sale with the message reading its records gives."""
+        path = pathlib.Path(reference_dir, "f_sale.xml")
+        text = path.read_text()
+        edited = old.sub(new, text) if isinstance(old, re.Pattern) else text.replace(old, new)
+        assert edited != text
+        path.write_text(edited)
+        with pytest.raises(DocumentError, match="line") as records:
+            list(iter_facts(reference_dir, model))
+        for dim_ids in ((), model.dimension_ids):
+            with pytest.raises(DocumentError) as columns:
+                xmlio.load_facts(reference_dir, model, dim_ids)
+            assert str(columns.value) == str(records.value)
 
     @pytest.mark.parametrize("document", ["d_part.xml", "f_sale.xml"])
     def test_missing_document_is_document_error(self, reference_dir, document):
@@ -335,18 +401,19 @@ class TestOneReader:
     @settings(max_examples=150, deadline=None)
     @given(warehouse=_warehouses(_ANY_CHAR), chunk=st.sampled_from([5, 97, 32 * 1024]))
     def test_what_is_accepted_reads_back_as_written(self, warehouse, chunk):
-        """A document reads back exactly as written, its equal level values
-        one object, or raises DocumentError: no character reads as another."""
+        """The writers refuse a warehouse with DocumentError, or every
+        document reads back exactly as written, its equal level values one
+        object: no character reads as another."""
         model = warehouse.model
         with tempfile.TemporaryDirectory() as out, \
                 mock.patch.object(xmlio, "_CHUNK_BYTES", chunk):
-            write_warehouse(warehouse, out)
+            try:
+                write_warehouse(warehouse, out)
+            except DocumentError:
+                return
             for schema in (None, *model.dimensions):
-                try:
-                    records = list(iter_instances(out, schema) if schema else
-                                   iter_facts(out, model))
-                except DocumentError:
-                    continue
+                records = list(iter_instances(out, schema) if schema else
+                               iter_facts(out, model))
                 assert records == (warehouse.instances[schema.id] if schema else
                                    warehouse.facts)
                 values = [v for inst in records for row in inst.rows
