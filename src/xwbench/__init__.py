@@ -43,13 +43,11 @@ from .harness import (
     standard_matrix,
 )
 from .model import (
-    DEFAULT_POOLS,
     DimensionInstance,
     DimensionSchema,
     DwModel,
     FactRecord,
     HierarchyKind,
-    ValuePools,
     Warehouse,
     classify_instance,
     default_model,
@@ -68,12 +66,12 @@ from .xmlio import read_metadata, read_warehouse, write_metadata
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkError", "ConfigurationError", "CorrectnessReport", "DEFAULT_POOLS",
+    "BenchmarkError", "ConfigurationError", "CorrectnessReport",
     "DatasetSpec", "DimensionInstance", "DimensionSchema", "DocumentError",
     "DwModel", "EligibilityError", "FactRecord", "GeneratorConfig",
     "HierarchyKind", "OTHER", "OracleScopeError", "Query",
     "QueryError", "QueryTiming", "ReferentialError", "ResultCube", "RunReport",
-    "StructuralError", "TransformReport", "ValuePools", "Warehouse",
+    "StructuralError", "TransformReport", "Warehouse",
     "aggregate_step", "check_correctness", "classify_instance", "component_label",
     "cubes_match", "default_model", "gen_complex", "gen_incomplete",
     "gen_nonstrict", "generate_warehouse", "load_workload", "make_covering",

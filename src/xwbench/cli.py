@@ -21,8 +21,9 @@ from .engine_pedersen import transform_warehouse
 from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
 from .generator import generate_warehouse
-from .harness import ENGINE_NAIVE, DatasetSpec, RunReport
-from .workload import ENGINE_PEDERSEN, ENGINE_QBS, get_query, load_workload, standard_workload
+from .harness import DatasetSpec, RunReport
+from .workload import (ENGINE_QBS, MATCH_HASH, MATCHINGS, get_query, load_workload,
+                       standard_workload)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,10 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run workload queries over a dataset")
     p.add_argument("--in", dest="in_dir", required=True, metavar="DIR")
-    p.add_argument("--engine", choices=[ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE],
-                   default=ENGINE_QBS)
+    p.add_argument("--engine", choices=harness.ENGINES, default=ENGINE_QBS)
     p.add_argument("--query", default="all", metavar="ID|all")
-    p.add_argument("--matching", choices=["scan", "hash"], default="hash")
+    p.add_argument("--matching", choices=MATCHINGS, default=MATCH_HASH)
     p.add_argument("--report", metavar="FILE", help="append one CSV row per query")
     p.add_argument("--workload", metavar="FILE",
                    help="load query descriptors from a workload file")
@@ -89,7 +89,7 @@ def _cmd_generate(args) -> int:
         os.remove(os.path.join(args.out, harness.STAMP_FILE))
     warehouse = generate_warehouse(cfg)
     harness.stamp_dataset(cfg, args.out)
-    sizes = xmlio.document_sizes(args.out, warehouse.model)
+    sizes = xmlio.document_sizes(args.out)
     print(f"generated {len(warehouse.facts)} facts "
           f"({4 * len(warehouse.facts)} dimension instances), "
           f"regime {cfg.regime.value}, seed {cfg.seed}")

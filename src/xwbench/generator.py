@@ -6,8 +6,9 @@ nonstrict_percentage set how often instances are complexified;
 nonstrict_number sets the row-array size of a non-strict instance.  The
 regimes follow from the percentages: simple (0/0), incomplete only,
 non-strict only, and complex (both).  The warehouse always has the sales
-model's four dimensions (model.default_model), with values drawn from
-model.DEFAULT_POOLS, and every row is a plain level -> value dict.
+model's four dimensions (model.default_model), with values drawn from the
+model's vocabularies (PART_TYPE*, NATIONS, DATE_FIRST..DATE_LAST), and every
+row is a plain level -> value dict.
 
 Selection is stratified: the instance sequence is cut into consecutive
 blocks of round(100/percentage) and exactly one uniform pick is made per
@@ -17,17 +18,23 @@ full block, so a 50% setting marks one instance out of every two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import timedelta
 
 from .errors import ConfigurationError, EligibilityError
 from . import xmlio
 from .model import (
-    DEFAULT_POOLS,
+    DATE_FIRST,
+    DATE_LAST,
+    NATION_REGION,
+    NATIONS,
+    PART_TYPE1,
+    PART_TYPE2,
+    PART_TYPE3,
     DimensionInstance,
     DimensionSchema,
     FactRecord,
     GenerationInfo,
     HierarchyKind,
-    ValuePools,
     Warehouse,
     date_levels,
     default_model,
@@ -88,26 +95,28 @@ def stratified_count(total: int, percentage: int) -> int:
     return total // max(1, round(100 / percentage))
 
 
-def _draw_row(dim_id: str, rng: SplitMix64, pools: ValuePools,
-              days: dict[int, dict[str, str]]) -> dict[str, str]:
+_DAY_COUNT = (DATE_LAST - DATE_FIRST).days + 1
+
+
+def _draw_row(dim_id: str, rng: SplitMix64, days: dict[int, dict[str, str]]) -> dict[str, str]:
     """One complete, uniformly drawn level assignment for the dimension.
 
     `days` memoizes each drawn calendar day's level values by day index, so
     the rows of one generation share one string per distinct value."""
     if dim_id == "part":
         return {
-            "type3": rng.choice(pools.type3),
-            "type2": rng.choice(pools.type2),
-            "type1": rng.choice(pools.type1),
+            "type3": rng.choice(PART_TYPE3),
+            "type2": rng.choice(PART_TYPE2),
+            "type1": rng.choice(PART_TYPE1),
         }
     if dim_id in ("customer", "supplier"):
-        nation = rng.choice(pools.nations)
-        return {"nation": nation, "region": pools.region_of(nation)}
+        nation = rng.choice(NATIONS)
+        return {"nation": nation, "region": NATION_REGION[nation]}
     if dim_id == "date":
-        index = rng.below(pools.day_count)
+        index = rng.below(_DAY_COUNT)
         levels = days.get(index)
         if levels is None:
-            levels = days[index] = date_levels(pools.day(index))
+            levels = days[index] = date_levels(DATE_FIRST + timedelta(days=index))
         return dict(levels)
     raise ValueError(f"unknown dimension {dim_id!r}")
 
@@ -135,7 +144,7 @@ def gen_incomplete(inst: DimensionInstance, rng: SplitMix64) -> DimensionInstanc
 
 
 def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: DimensionSchema,
-                  rng: SplitMix64, pools: ValuePools) -> DimensionInstance:
+                  rng: SplitMix64) -> DimensionInstance:
     """Replace the instance's row with a fresh array of nonstrict_number rows.
 
     Every row is a full uniform draw (regions always consistent with their
@@ -146,7 +155,7 @@ def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: Dimens
     if not schema.nonstrict_eligible:
         raise EligibilityError(
             f"dimension {schema.id!r} cannot be non-strict")
-    rows = tuple(_draw_row(schema.id, rng, pools, {}) for _ in range(nonstrict_number))
+    rows = tuple(_draw_row(schema.id, rng, {}) for _ in range(nonstrict_number))
     return DimensionInstance(inst.instance_id, rows)
 
 
@@ -193,7 +202,7 @@ def generate_warehouse(cfg: GeneratorConfig) -> Warehouse:
         refs = {}
         for schema in model.dimensions:
             inst_id = f"{schema.id}#{i}"
-            row = _draw_row(schema.id, rng, DEFAULT_POOLS, days)
+            row = _draw_row(schema.id, rng, days)
             instances[schema.id].append(DimensionInstance(inst_id, (row,)))
             refs[schema.id] = inst_id
         quantity = 1 + rng.below(100)
@@ -208,7 +217,7 @@ def generate_warehouse(cfg: GeneratorConfig) -> Warehouse:
         for pos in sorted(select_targets(len(eligible_seq), cfg.nonstrict_percentage, rng)):
             dim, i = eligible_seq[pos]
             instances[dim][i] = gen_nonstrict(cfg.nonstrict_number, instances[dim][i],
-                                              model.dimension(dim), rng, DEFAULT_POOLS)
+                                              model.dimension(dim), rng)
             nonstrict_ids.add(instances[dim][i].instance_id)
 
     # Incompleteness pass.  In the complex regime targets come from the

@@ -38,12 +38,12 @@ from .engine_qbs import OTHER, OTHER_LABEL, component_label, label_component
 from .errors import (BenchmarkError, ConfigurationError, DocumentError, OracleScopeError,
                      ReferentialError)
 from .generator import GeneratorConfig, generate_warehouse
-from .model import HierarchyKind, default_model
+from .model import F_QUANTITY, F_TOTALAMOUNT, HierarchyKind, default_model
 from .workload import (
     ENGINE_PEDERSEN,
     ENGINE_QBS,
     MATCH_HASH,
-    MATCH_SCAN,
+    MATCHINGS,
     Entry,
     Query,
     QueryPlan,
@@ -54,6 +54,7 @@ from .workload import (
 )
 
 ENGINE_NAIVE = "naive"
+ENGINES = (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)
 
 REL_TOL = 1e-9
 
@@ -195,19 +196,19 @@ def _dom_rows(path: str) -> list[list[dict[str, str]]]:
             for inst in ET.parse(path).getroot().findall("instance")]
 
 
-def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) -> ResultCube:
+def oracle_cube(in_dir: str, query: Query) -> ResultCube:
     """Reference cube by full materialization and exhaustive regrouping.
 
     DOM-parses every document, recomputes each fact's fused/OTHER component
     from raw rows, groups into plain dicts and aggregates with independent
     arithmetic (fsum for averages), then sets a ResultCube's entries from
     the results directly, never through entry_for, contribute or
-    aggregate_step.  Refuses warehouses beyond fact_limit facts.  A fact joins
-    instance n of a grouped dimension only through the ref `{dim_id}#{n}`,
-    spelled so and with n within the instance count, as the readers
-    require; a sale that does not reference each dimension exactly once,
-    that repeats a measure, gives one after a dimref or out of the order
-    f_quantity, f_totalamount, any other declared, or whose quantity is not
+    aggregate_step.  Refuses warehouses beyond ORACLE_FACT_LIMIT facts.  A
+    fact joins instance n of a grouped dimension only through the ref
+    `{dim_id}#{n}`, spelled so and with n within the instance count, as the
+    readers require.  A sale's children must be exactly what the writers
+    write: f_quantity, f_totalamount, then one dimref per dimension in
+    metadata order; a sale holding anything else, or whose quantity is not
     ASCII digits or whose amount not ASCII digits with two after the point,
     raises DocumentError as it does in the readers.
     """
@@ -215,16 +216,15 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     if meta is None:
         raise DocumentError(f"{in_dir}: metadata lacks a fact element")
     dim_paths = {d.get("idref"): d.get("path") for d in meta.findall("dimension")}
-    declared = [m.get("id") for m in meta.findall("measure")]
-    measure_order = [m for m in dict.fromkeys(["f_quantity", "f_totalamount", *declared])
-                     if m in declared]
+    children = [(F_QUANTITY, None), (F_TOTALAMOUNT, None),
+                *(("dimref", dim_id) for dim_id in dim_paths)]
 
     sales_path = os.path.join(in_dir, meta.get("path", "f_sale.xml"))
     sales_root = ET.parse(sales_path).getroot()
     sales = sales_root.findall("sale")
-    if len(sales) > fact_limit:
+    if len(sales) > ORACLE_FACT_LIMIT:
         raise OracleScopeError(
-            f"{len(sales)} facts exceed the oracle's {fact_limit}-fact capacity")
+            f"{len(sales)} facts exceed the oracle's {ORACLE_FACT_LIMIT}-fact capacity")
 
     rows_by_dim = {dim_id: _dom_rows(os.path.join(in_dir, path))
                    for dim_id, path in dim_paths.items()}
@@ -247,25 +247,17 @@ def oracle_cube(in_dir: str, query: Query, fact_limit: int = ORACLE_FACT_LIMIT) 
     groups: dict[tuple, list[list[float]]] = {}
     grand = [0.0] * len(query.measures)
     for sale in sales:
-        dimrefs = sale.findall("dimref")
-        refs = {d.get("dim"): d.get("idref") for d in dimrefs}
-        raw = {m.tag: m.text or "" for m in sale if m.tag != "dimref"}
-        tags = [m.tag for m in sale]
-        # Measures come before every dimref, each once, in measure_order.
-        ranks = [measure_order.index(tag) for tag in tags if tag in declared]
-        first_ref = tags.index("dimref") if dimrefs else len(tags)
-        if ranks != sorted(set(ranks)) or any(tag in declared for tag in tags[first_ref:]):
-            raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} repeats or "
-                                f"misplaces a measure")
-        if refs.keys() != dim_paths.keys() or len(refs) != len(dimrefs):
-            raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} must reference "
-                                f"each dimension exactly once")
-        quantity = raw.get("f_quantity", "")
-        whole, point, cents = raw.get("f_totalamount", "").partition(".")
+        if [(child.tag, child.get("dim")) for child in sale] != children:
+            raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} does not hold "
+                                f"{F_QUANTITY}, {F_TOTALAMOUNT} and one dimref per "
+                                f"dimension, in that order")
+        refs = {d.get("dim"): d.get("idref") for d in sale[2:]}
+        quantity = sale[0].text or ""
+        whole, point, cents = (sale[1].text or "").partition(".")
         if not (_digits(quantity) and _digits(whole) and point and len(cents) == 2
                 and _digits(cents)):
             raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} has bad measures")
-        measures = {"f_quantity": int(quantity), "f_totalamount": float(f"{whole}.{cents}")}
+        measures = {F_QUANTITY: int(quantity), F_TOTALAMOUNT: float(f"{whole}.{cents}")}
         values = [measures[m] for m in query.measures]
         for i, v in enumerate(values):
             grand[i] += v
@@ -421,20 +413,17 @@ class DatasetSpec:
         )
 
 
-def standard_matrix(facts: int = 1000, seed: int = 42,
-                    percentages: Sequence[int] = (5, 50),
-                    nonstrict_number: int = 4) -> list[DatasetSpec]:
+def standard_matrix(facts: int = 1000, seed: int = 42) -> list[DatasetSpec]:
     """The seven-regime dataset grid: simple plus {incomplete, non-strict,
-    complex} at each percentage."""
+    complex} at 5% and 50%, non-strict instances holding 4 rows."""
     specs = [DatasetSpec(f"simple-{facts}", facts, seed=seed)]
-    for pct in percentages:
+    for pct in (5, 50):
         specs.append(DatasetSpec(f"incomplete{pct}-{facts}", facts,
                                  incomplete=pct, seed=seed))
         specs.append(DatasetSpec(f"nonstrict{pct}-{facts}", facts, nonstrict=pct,
-                                 nonstrict_number=nonstrict_number, seed=seed))
+                                 nonstrict_number=4, seed=seed))
         specs.append(DatasetSpec(f"complex{pct}-{facts}", facts, incomplete=pct,
-                                 nonstrict=pct, nonstrict_number=nonstrict_number,
-                                 seed=seed))
+                                 nonstrict=pct, nonstrict_number=4, seed=seed))
     return specs
 
 
@@ -680,8 +669,8 @@ def run_campaign(matrix: dict, report_path: str,
         if uses > 1:
             raise ConfigurationError(f"two datasets of the matrix write to {name!r}")
     for kind, names, allowed in (
-            ("engine", engines, (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)),
-            ("matching", matchings, (MATCH_SCAN, MATCH_HASH)),
+            ("engine", engines, ENGINES),
+            ("matching", matchings, MATCHINGS),
             ("query", query_ids, known)):
         for name in names:
             if name not in allowed:

@@ -1,4 +1,4 @@
-"""Multidimensional schema, instance value types, and the shared value pools.
+"""Multidimensional schema, instance value types, and the generator's vocabularies.
 
 The warehouse describes retail sales: a `sale` fact carries two measures
 (f_quantity, f_totalamount) and references one instance in each of four
@@ -13,7 +13,7 @@ one rule that names the regime those two facts give.  Everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
@@ -22,6 +22,9 @@ from .errors import StructuralError
 F_QUANTITY = "f_quantity"
 F_TOTALAMOUNT = "f_totalamount"
 
+# The vocabularies the generator draws level values from.  Nations map
+# totally and single-valuedly onto regions, and date levels derive from the
+# calendar day (date_levels), so both hierarchies are strict.
 PART_TYPE3 = ("ECONOMY", "LARGE", "STANDARD", "PROMO", "MEDIUM", "SMALL")
 PART_TYPE2 = ("ANODIZED", "BURNISHED", "BRUSHED", "POLISHED", "PLATED")
 PART_TYPE1 = ("COPPER", "NICKEL", "STEEL", "TIN", "BRASS")
@@ -146,48 +149,6 @@ class FactRecord:
     f_quantity: int
     f_totalamount: float
     dim_refs: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class ValuePools:
-    """Vocabularies the generator draws from.
-
-    The part vocabularies are fixed categorical sets; the nation pool maps
-    totally and single-valuedly onto regions (the nation/region hierarchy is
-    strict); dates span a fixed calendar range with day/month/year derived
-    from the calendar date so the date hierarchy is strict as well.
-    """
-
-    type3: tuple[str, ...]
-    type2: tuple[str, ...]
-    type1: tuple[str, ...]
-    nations: tuple[str, ...]
-    regions: tuple[str, ...]
-    nation_region: Mapping[str, str]
-    date_first: date
-    date_last: date
-
-    def region_of(self, nation: str) -> str:
-        return self.nation_region[nation]
-
-    @property
-    def day_count(self) -> int:
-        return (self.date_last - self.date_first).days + 1
-
-    def day(self, index: int) -> date:
-        return self.date_first + timedelta(days=index)
-
-
-DEFAULT_POOLS = ValuePools(
-    type3=PART_TYPE3,
-    type2=PART_TYPE2,
-    type1=PART_TYPE1,
-    nations=NATIONS,
-    regions=REGIONS,
-    nation_region=NATION_REGION,
-    date_first=DATE_FIRST,
-    date_last=DATE_LAST,
-)
 
 
 def date_levels(d: date) -> dict[str, str]:

@@ -41,6 +41,7 @@ ENGINE_PEDERSEN = "pedersen"
 
 MATCH_SCAN = "scan"
 MATCH_HASH = "hash"
+MATCHINGS = (MATCH_SCAN, MATCH_HASH)
 
 # Grouping level entry meaning "the dimension instance itself".
 INSTANCE = None
@@ -204,7 +205,7 @@ class ResultCube:
     """
 
     def __init__(self, query: Query, matching: str = MATCH_HASH):
-        if matching not in (MATCH_SCAN, MATCH_HASH):
+        if matching not in MATCHINGS:
             raise QueryError(f"unknown matching strategy {matching!r}")
         self.query = query
         self.matching = matching

@@ -269,8 +269,8 @@ def read_metadata(in_dir: str) -> DwModel:
 # for the shared-value table (about 2,600 strings for all of d_date.xml).
 _CHUNK_BYTES = 32 * 1024
 
-# A character that stands for itself in text.
-_CHAR = f"[^<>&{_NO_FORM}]"
+# A character that stands for itself in text; "'" is written as &apos;.
+_CHAR = f"[^<>&'{_NO_FORM}]"
 # Text as _escape writes it, unrolled: a per-character alternation costs as
 # much as an XML parser.  (No atomic groups: Python 3.10 has none.)
 _TEXT = f"{_CHAR}*(?:(?:{'|'.join(_ESCAPES.values())}){_CHAR}*)*"
@@ -553,8 +553,6 @@ def read_warehouse(in_dir: str) -> Warehouse:
     return Warehouse(model, facts, instances)
 
 
-def document_sizes(in_dir: str, model: DwModel | None = None) -> dict[str, int]:
-    if model is None:
-        model = read_metadata(in_dir)
+def document_sizes(in_dir: str) -> dict[str, int]:
     return {name: os.path.getsize(os.path.join(in_dir, name))
-            for name in layout_files(model)}
+            for name in layout_files(read_metadata(in_dir))}

@@ -18,7 +18,8 @@ from xwbench.generator import (
     select_targets,
     stratified_count,
 )
-from xwbench.model import DEFAULT_POOLS, HierarchyKind, classify_instance
+from xwbench.model import (NATION_REGION, PART_TYPE1, PART_TYPE2, PART_TYPE3, HierarchyKind,
+                           classify_instance)
 from xwbench.rng import SplitMix64
 from xwbench.xmlio import layout_files, read_warehouse
 
@@ -95,9 +96,9 @@ class TestSelectTargets:
 def fresh_part(rng_seed=0):
     rng = SplitMix64(rng_seed)
     return make_instance("part", [{
-        "type3": rng.choice(DEFAULT_POOLS.type3),
-        "type2": rng.choice(DEFAULT_POOLS.type2),
-        "type1": rng.choice(DEFAULT_POOLS.type1),
+        "type3": rng.choice(PART_TYPE3),
+        "type2": rng.choice(PART_TYPE2),
+        "type1": rng.choice(PART_TYPE1),
     }])
 
 
@@ -150,40 +151,36 @@ class TestGenIncomplete:
 class TestGenNonstrict:
     def test_four_row_array(self, model):
         inst = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"}])
-        out = gen_nonstrict(4, inst, model.dimension("supplier"), SplitMix64(3),
-                            DEFAULT_POOLS)
+        out = gen_nonstrict(4, inst, model.dimension("supplier"), SplitMix64(3))
         assert len(out.rows) == 4
         assert all(set(row) == {"nation", "region"} for row in out.rows)
 
     def test_two_rows_is_the_minimum(self, model):
         inst = make_instance("part", [{"type3": "LARGE", "type2": "ANODIZED",
                                        "type1": "TIN"}])
-        out = gen_nonstrict(2, inst, model.dimension("part"), SplitMix64(3),
-                            DEFAULT_POOLS)
+        out = gen_nonstrict(2, inst, model.dimension("part"), SplitMix64(3))
         assert len(out.rows) == 2
         with pytest.raises(ValueError):
-            gen_nonstrict(1, inst, model.dimension("part"), SplitMix64(3), DEFAULT_POOLS)
+            gen_nonstrict(1, inst, model.dimension("part"), SplitMix64(3))
 
     def test_regions_always_match_their_nation(self, model):
-        """Every generated row's region equals the pool mapping of its nation."""
+        """Every generated row's region is the one NATION_REGION gives its nation."""
         rng = SplitMix64(17)
         inst = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"}])
         schema = model.dimension("supplier")
         for _ in range(1000):
-            out = gen_nonstrict(2, inst, schema, rng, DEFAULT_POOLS)
+            out = gen_nonstrict(2, inst, schema, rng)
             for row in out.rows:
-                assert row["region"] == DEFAULT_POOLS.region_of(row["nation"])
+                assert row["region"] == NATION_REGION[row["nation"]]
 
     def test_ineligible_dimensions_refuse(self, model):
         date_inst = make_instance("date", [{"day": "1998-06-25", "month": "1998-06",
                                             "year": "1998"}])
         with pytest.raises(EligibilityError):
-            gen_nonstrict(2, date_inst, model.dimension("date"), SplitMix64(0),
-                          DEFAULT_POOLS)
+            gen_nonstrict(2, date_inst, model.dimension("date"), SplitMix64(0))
         customer = make_instance("customer", [{"nation": "FRANCE", "region": "EUROPE"}])
         with pytest.raises(EligibilityError):
-            gen_nonstrict(2, customer, model.dimension("customer"), SplitMix64(0),
-                          DEFAULT_POOLS)
+            gen_nonstrict(2, customer, model.dimension("customer"), SplitMix64(0))
 
 
 class TestGenComplex:
@@ -219,7 +216,7 @@ class TestGenComplex:
         schema = model.dimension("supplier")
         base = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"}])
         for _ in range(1000):
-            ns = gen_nonstrict(2 + rng.below(3), base, schema, rng, DEFAULT_POOLS)
+            ns = gen_nonstrict(2 + rng.below(3), base, schema, rng)
             out = gen_complex(ns, rng)
             assert classify_instance(out, schema) is HierarchyKind.COMPLEX
 
@@ -276,13 +273,14 @@ class TestGenerateWarehouse:
                 fact.f_totalamount * 100)
 
     def test_part_values_stay_in_vocabulary(self):
+        vocabulary = {"type3": PART_TYPE3, "type2": PART_TYPE2, "type1": PART_TYPE1}
         warehouse = generate_warehouse(GeneratorConfig(
             300, incomplete_percentage=50, nonstrict_percentage=50,
             nonstrict_number=4, seed=11))
         for inst in warehouse.instances["part"]:
             for row in inst.rows:
                 for level, value in row.items():
-                    assert value in getattr(DEFAULT_POOLS, level)
+                    assert value in vocabulary[level]
 
     def test_incompleteness_only_removes_values(self):
         base = generate_warehouse(GeneratorConfig(300, seed=13))

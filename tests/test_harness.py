@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_sale_warehouse, single_sale_warehouse
 from test_xmlio import _XML_CHAR, _warehouses
-from xwbench import xmlio
+from xwbench import harness, xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.engine_qbs import OTHER
 from xwbench.errors import (ConfigurationError, DocumentError, OracleScopeError,
@@ -280,15 +280,21 @@ class TestOracle:
          "    <dimref dim='part' idref='part#1'/>",
          "<dimref dim='part' idref='part#1'/>\n    <f_quantity>100</f_quantity>\n"
          "    <f_totalamount>2800.00</f_totalamount>"),
+        ("<f_totalamount>2800.00</f_totalamount>",
+         "<f_totalamount>2800.00</f_totalamount><foo>1</foo>"),
+        ("<dimref dim='part' idref='part#1'/>\n    <dimref dim='customer' idref='customer#1'/>",
+         "<dimref dim='customer' idref='customer#1'/>\n    <dimref dim='part' idref='part#1'/>"),
     ], ids=["missing-dimref", "renamed-measure", "unparsable-measure", "negative-quantity",
             "underscored-quantity", "spaced-quantity", "nan-amount", "inf-amount",
             "exponent-amount", "three-decimal-amount", "repeated-dimref", "unknown-dimref",
-            "repeated-measure", "swapped-measures", "measures-after-dimref"])
+            "repeated-measure", "swapped-measures", "measures-after-dimref",
+            "undeclared-child", "swapped-dimrefs"])
     def test_malformed_sale_is_document_error(self, reference_dir, old, new):
         """A sale the readers reject as malformed, the oracle rejects too."""
         path = os.path.join(reference_dir, "f_sale.xml")
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        assert old in text
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace(old, new))
         with pytest.raises(DocumentError, match="'sale#1'"):
@@ -340,10 +346,11 @@ class TestOracle:
             assert entry.values("AVG") == pytest.approx(expected.values("AVG"),
                                                         rel=1e-12, abs=0), key
 
-    def test_capacity_guard(self, complex_300):
+    def test_capacity_guard(self, complex_300, monkeypatch):
         _, out_dir, _ = complex_300
-        with pytest.raises(OracleScopeError):
-            oracle_cube(out_dir, get_query("D1"), fact_limit=100)
+        monkeypatch.setattr(harness, "ORACLE_FACT_LIMIT", 100)
+        with pytest.raises(OracleScopeError, match="300 facts exceed the oracle's 100-fact"):
+            oracle_cube(out_dir, get_query("D1"))
 
     def test_hand_computed_three_fact_fixture(self, tmp_path):
         """The oracle's own oracle: every entry computed by hand."""
@@ -890,8 +897,6 @@ class TestCampaign:
 
     def test_rows_survive_a_campaign_that_stops(self, tmp_path, monkeypatch):
         """Each row is on disk as its cell ends, before the next cell runs."""
-        from xwbench import harness
-
         real_run_cell, calls = harness.run_cell, []
 
         def failing_third(*args, **kwargs):

@@ -1,14 +1,22 @@
-"""Schema fixture, value pools, and instance classification."""
+"""Schema fixture, the generator's vocabularies, and instance classification."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datetime import timedelta
+
 from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
 from xwbench.errors import StructuralError
 from xwbench.model import (
-    DEFAULT_POOLS,
+    DATE_FIRST,
+    DATE_LAST,
     NATION_REGION,
+    NATIONS,
+    PART_TYPE1,
+    PART_TYPE2,
+    PART_TYPE3,
+    REGIONS,
     HierarchyKind,
     classify_instance,
     date_levels,
@@ -40,29 +48,28 @@ class TestDefaultModel:
 
 class TestValuePools:
     def test_part_vocabularies(self):
-        assert set(DEFAULT_POOLS.type3) == {
+        assert set(PART_TYPE3) == {
             "ECONOMY", "LARGE", "STANDARD", "PROMO", "MEDIUM", "SMALL"}
-        assert set(DEFAULT_POOLS.type2) == {
+        assert set(PART_TYPE2) == {
             "ANODIZED", "BURNISHED", "BRUSHED", "POLISHED", "PLATED"}
-        assert set(DEFAULT_POOLS.type1) == {"COPPER", "NICKEL", "STEEL", "TIN", "BRASS"}
+        assert set(PART_TYPE1) == {"COPPER", "NICKEL", "STEEL", "TIN", "BRASS"}
 
     def test_nation_region_function_is_total_and_single_valued(self):
-        assert len(DEFAULT_POOLS.nations) == 25
-        assert len(DEFAULT_POOLS.regions) == 5
-        for nation in DEFAULT_POOLS.nations:
-            assert DEFAULT_POOLS.region_of(nation) in DEFAULT_POOLS.regions
-        # deterministic: repeated lookups agree
-        assert [DEFAULT_POOLS.region_of(n) for n in DEFAULT_POOLS.nations] == \
-               [NATION_REGION[n] for n in DEFAULT_POOLS.nations]
-        assert DEFAULT_POOLS.region_of("FRANCE") == "EUROPE"
-        assert DEFAULT_POOLS.region_of("UNITED STATES") == "AMERICA"
-        assert DEFAULT_POOLS.region_of("INDIA") == "ASIA"
+        assert len(NATIONS) == 25
+        assert len(REGIONS) == 5
+        assert NATIONS == tuple(NATION_REGION)
+        for nation in NATIONS:
+            assert NATION_REGION[nation] in REGIONS
+        assert set(NATION_REGION.values()) == set(REGIONS)
+        assert NATION_REGION["FRANCE"] == "EUROPE"
+        assert NATION_REGION["UNITED STATES"] == "AMERICA"
+        assert NATION_REGION["INDIA"] == "ASIA"
 
     def test_date_range_and_levels(self):
-        assert DEFAULT_POOLS.day_count == 2557
-        assert DEFAULT_POOLS.day(0).isoformat() == "1992-01-01"
-        assert DEFAULT_POOLS.day(2556).isoformat() == "1998-12-31"
-        assert date_levels(DEFAULT_POOLS.day(2367)) == {
+        assert (DATE_LAST - DATE_FIRST).days + 1 == 2557
+        assert DATE_FIRST.isoformat() == "1992-01-01"
+        assert DATE_LAST.isoformat() == "1998-12-31"
+        assert date_levels(DATE_FIRST + timedelta(days=2367)) == {
             "day": "1998-06-25", "month": "1998-06", "year": "1998"}
 
 
@@ -112,9 +119,9 @@ def supplier_instances(draw):
     for _ in range(n_rows):
         row = {}
         if draw(st.booleans()):
-            row["nation"] = draw(st.sampled_from(DEFAULT_POOLS.nations))
+            row["nation"] = draw(st.sampled_from(NATIONS))
         if draw(st.booleans()):
-            row["region"] = draw(st.sampled_from(DEFAULT_POOLS.regions))
+            row["region"] = draw(st.sampled_from(REGIONS))
         rows.append(row)
     return make_instance("supplier", rows)
 

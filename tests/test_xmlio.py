@@ -233,6 +233,9 @@ class TestStreaming:
         ("d_supplier.xml", "dimension", "dim", 2),
         ("d_customer.xml", "<nation>UNITED STATES</nation>",
          "<nation>UNITED<b/>STATES</nation>", 5),
+        # Text holds "'" only as &apos;, the one spelling the writers use.
+        ("d_customer.xml", "<nation>UNITED STATES</nation>",
+         "<nation>UNITED'S \"STATES\"</nation>", 5),
         ("d_date.xml", re.compile(r"<row>.*</row>", re.S), "", 4),
         ("f_sale.xml", "dim='supplier'", "dim='shop'", 8),
         ("f_sale.xml", "<dimref dim='date' idref='date#1'/>", "", 9),
@@ -518,7 +521,7 @@ class TestSizes:
         for n in (100, 200):
             out = tmp_path / f"w{n}"
             w = generate_warehouse(GeneratorConfig(n, seed=6, output_dir=str(out)))
-            sizes[n] = document_sizes(str(out), w.model)
+            sizes[n] = document_sizes(str(out))
         for name in layout_files(default_model()):
             assert sizes[200][name] >= sizes[100][name], name
 
@@ -541,7 +544,7 @@ class TestSizes:
             finally:
                 tracemalloc.stop()
             assert (facts, instances) == (n, 4 * n)
-            doc_bytes[n] = sum(document_sizes(out, w.model).values())
+            doc_bytes[n] = sum(document_sizes(out).values())
         assert min(os.path.getsize(os.path.join(tmp_path, "m1000", name))
                    for name in layout_files(w.model)[1:]) > 3 * xmlio._CHUNK_BYTES
         assert doc_bytes[10000] > 9 * doc_bytes[1000]
@@ -549,10 +552,14 @@ class TestSizes:
 
     def test_writer_memory_is_flat(self, tmp_path):
         """The writers stream each sale and instance as it is formatted: the
-        peak of writing a warehouse stays near-flat while it grows 100x.  The
-        warehouse is built before tracing starts."""
+        peak of writing a warehouse stays near-flat while it grows 10x.  The
+        warehouse is built before tracing starts.  The base is 1,000 facts,
+        where the per-document escape tables hold most distinct level values
+        already, so the ratio measures streaming, not the value domain (seed
+        5: 52 KB and 87 KB streaming; joining each document whole before
+        writing it fails the bound)."""
         peaks = {}
-        for n in (100, 10_000):
+        for n in (1000, 10_000):
             warehouse = generate_warehouse(GeneratorConfig(n, 50, 50, 3, seed=5))
             tracemalloc.start()
             try:
@@ -560,4 +567,4 @@ class TestSizes:
                 _, peaks[n] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peaks[10_000] < 3 * peaks[100], peaks
+        assert peaks[10_000] < 2 * peaks[1000], peaks
