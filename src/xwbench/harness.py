@@ -8,12 +8,13 @@ to the grand total, averages equal to total/count, min/max bounded by every
 contributing value.
 
 Verification machinery lives here too: a brute-force oracle that
-materializes the whole warehouse and regroups it exhaustively (sharing no
-code with the streaming query path), a deliberately broken double-counting
-engine used as a negative control, and the report CSV emission.  A cell
-compiles its query once (workload.plan_query) and hands that plan to every
-run, to the check and to the control.  Every cube, the oracle's included,
-is a workload.ResultCube, and the checks and comparisons read it in place.
+materializes the whole warehouse and regroups it exhaustively (sharing
+only the readers with the streaming query path), a deliberately broken
+double-counting engine used as a negative control, and the report CSV
+emission.  A cell compiles its query once (workload.plan_query) and hands
+that plan to every run, to the check and to the control.  Every cube, the
+oracle's included, is a workload.ResultCube, and the checks and
+comparisons read it in place.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ import time
 import traceback
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from typing import Sequence
 
 from . import engine_pedersen, xmlio
 from .engine_qbs import OTHER, OTHER_LABEL, component_label, label_component
-from .errors import (BenchmarkError, ConfigurationError, DocumentError, OracleScopeError,
-                     ReferentialError)
+from .errors import BenchmarkError, ConfigurationError, OracleScopeError, ReferentialError
 from .generator import GeneratorConfig, generate_warehouse
 from .model import F_QUANTITY, F_TOTALAMOUNT, HierarchyKind, default_model
 from .workload import (
@@ -57,13 +57,6 @@ ENGINE_NAIVE = "naive"
 ENGINES = (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)
 
 REL_TOL = 1e-9
-
-REPORT_COLUMNS = [
-    "dataset", "regime", "facts", "incomplete_pct", "nonstrict_pct", "nonstrict_num",
-    "engine", "matching", "query", "load_ms", "overhead_ms", "query_ms",
-    "read_ms", "resolve_ms", "match_ms", "agg_ms", "groups",
-    "chk_dup", "chk_grand", "chk_avg", "chk_minmax",
-]
 
 ORACLE_FACT_LIMIT = 10_000
 
@@ -187,10 +180,6 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
 # --- brute-force oracle ------------------------------------------------------
 
 
-def _digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 def _dom_rows(path: str) -> list[list[dict[str, str]]]:
     return [[{cell.tag: cell.text or "" for cell in row} for row in inst.findall("row")]
             for inst in ET.parse(path).getroot().findall("instance")]
@@ -199,35 +188,27 @@ def _dom_rows(path: str) -> list[list[dict[str, str]]]:
 def oracle_cube(in_dir: str, query: Query) -> ResultCube:
     """Reference cube by full materialization and exhaustive regrouping.
 
-    DOM-parses every document, recomputes each fact's fused/OTHER component
-    from raw rows, groups into plain dicts and aggregates with independent
-    arithmetic (fsum for averages), then sets a ResultCube's entries from
-    the results directly, never through entry_for, contribute or
-    aggregate_step.  Refuses warehouses beyond ORACLE_FACT_LIMIT facts.  A
-    fact joins instance n of a grouped dimension only through the ref
-    `{dim_id}#{n}`, spelled so and with n within the instance count, as the
-    readers require.  A sale's children must be exactly what the writers
-    write: f_quantity, f_totalamount, then one dimref per dimension in
-    metadata order; a sale holding anything else, or whose quantity is not
-    ASCII digits or whose amount not ASCII digits with two after the point,
-    raises DocumentError as it does in the readers.
+    The readers decide what a warehouse is: the oracle first runs them over
+    all six documents, so it accepts exactly what they accept, and refuses
+    warehouses beyond ORACLE_FACT_LIMIT facts.  Only then does it DOM-parse
+    the facts and rows, read their values itself, recompute each fact's
+    fused/OTHER component from raw rows, group into plain dicts, aggregate
+    with its own arithmetic (fsum for averages) and set a ResultCube's
+    entries directly, never through entry_for, contribute or aggregate_step.
+    A fact joins instance n of a grouped dimension only through the ref
+    `{dim_id}#{n}`, spelled so and with n within the instance count.
     """
-    meta = ET.parse(os.path.join(in_dir, xmlio.METADATA_FILE)).getroot().find("fact")
-    if meta is None:
-        raise DocumentError(f"{in_dir}: metadata lacks a fact element")
-    dim_paths = {d.get("idref"): d.get("path") for d in meta.findall("dimension")}
-    children = [(F_QUANTITY, None), (F_TOTALAMOUNT, None),
-                *(("dimref", dim_id) for dim_id in dim_paths)]
-
-    sales_path = os.path.join(in_dir, meta.get("path", "f_sale.xml"))
-    sales_root = ET.parse(sales_path).getroot()
-    sales = sales_root.findall("sale")
-    if len(sales) > ORACLE_FACT_LIMIT:
+    model = xmlio.read_metadata(in_dir)
+    fact_count = len(xmlio.load_facts(in_dir, model, ()))
+    if fact_count > ORACLE_FACT_LIMIT:
         raise OracleScopeError(
-            f"{len(sales)} facts exceed the oracle's {ORACLE_FACT_LIMIT}-fact capacity")
+            f"{fact_count} facts exceed the oracle's {ORACLE_FACT_LIMIT}-fact capacity")
+    xmlio.load_dimensions(in_dir, model, dict.fromkeys(model.dimension_ids, ()))
 
-    rows_by_dim = {dim_id: _dom_rows(os.path.join(in_dir, path))
-                   for dim_id, path in dim_paths.items()}
+    sales_path = os.path.join(in_dir, model.fact_path)
+    sales = ET.parse(sales_path).getroot().findall("sale")
+    rows_by_dim = {schema.id: _dom_rows(os.path.join(in_dir, schema.path))
+                   for schema in model.dimensions}
 
     def component(dim_id: str, ref: str, level: str | None):
         digits = ref.rpartition("#")[2]
@@ -247,17 +228,8 @@ def oracle_cube(in_dir: str, query: Query) -> ResultCube:
     groups: dict[tuple, list[list[float]]] = {}
     grand = [0.0] * len(query.measures)
     for sale in sales:
-        if [(child.tag, child.get("dim")) for child in sale] != children:
-            raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} does not hold "
-                                f"{F_QUANTITY}, {F_TOTALAMOUNT} and one dimref per "
-                                f"dimension, in that order")
         refs = {d.get("dim"): d.get("idref") for d in sale[2:]}
-        quantity = sale[0].text or ""
-        whole, point, cents = (sale[1].text or "").partition(".")
-        if not (_digits(quantity) and _digits(whole) and point and len(cents) == 2
-                and _digits(cents)):
-            raise DocumentError(f"{sales_path}: sale {sale.get('id')!r} has bad measures")
-        measures = {F_QUANTITY: int(quantity), F_TOTALAMOUNT: float(f"{whole}.{cents}")}
+        measures = {F_QUANTITY: int(sale[0].text), F_TOTALAMOUNT: float(sale[1].text)}
         values = [measures[m] for m in query.measures]
         for i, v in enumerate(values):
             grand[i] += v
@@ -509,10 +481,13 @@ class RunReport:
 
     @property
     def checks_passed(self) -> bool:
-        return bool(self.chk_dup and self.chk_grand and self.chk_avg and self.chk_minmax)
+        return all(getattr(self, col) for col in CHECK_COLUMNS)
 
     def row(self) -> list[str]:
-        def fmt(value):
+        def fmt(col):
+            value = getattr(self, col)
+            if self.error is not None and col in CHECK_COLUMNS:
+                return "ERR"
             if value is None:
                 return ""
             if isinstance(value, bool):
@@ -521,12 +496,13 @@ class RunReport:
                 return f"{value:.3f}"
             return str(value)
 
-        if self.error is not None:
-            cells = [fmt(getattr(self, col)) for col in REPORT_COLUMNS]
-            for col in ("chk_dup", "chk_grand", "chk_avg", "chk_minmax"):
-                cells[REPORT_COLUMNS.index(col)] = "ERR"
-            return cells
-        return [fmt(getattr(self, col)) for col in REPORT_COLUMNS]
+        return [fmt(col) for col in REPORT_COLUMNS]
+
+
+# Every field of a report row but its error, in field order; the check
+# columns hold the qualitative metric, one CorrectnessReport flag each.
+REPORT_COLUMNS = [f.name for f in fields(RunReport) if f.name != "error"]
+CHECK_COLUMNS = tuple(col for col in REPORT_COLUMNS if col.startswith("chk_"))
 
 
 def _cell_report(spec: DatasetSpec, engine: str, query: Query, matching: str,
@@ -602,8 +578,7 @@ def write_report(path: str, reports: Sequence[RunReport], append: bool = False) 
 
 
 DATASET_COLUMNS = [
-    "dataset", "regime", "facts", "incomplete_pct", "nonstrict_pct", "nonstrict_num",
-    "seed",
+    *REPORT_COLUMNS[:6], "seed",
     *(f"{os.path.splitext(name)[0].replace('-', '_')}_bytes" for name in DATASET_FILES),
     "total_bytes",
 ]
@@ -624,8 +599,16 @@ def write_dataset_sizes(path: str, specs: Sequence[DatasetSpec],
 
 
 def load_matrix(path: str) -> dict:
+    """The campaign matrix in the JSON file at `path`; ConfigurationError,
+    naming the place, if the text is not JSON or not one object."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            matrix = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+    if not isinstance(matrix, dict):
+        raise ConfigurationError(f"{path}: the matrix is not a JSON object")
+    return matrix
 
 
 def run_campaign(matrix: dict, report_path: str,
@@ -649,12 +632,21 @@ def run_campaign(matrix: dict, report_path: str,
         warmup = int(matrix.get("warmup", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad campaign matrix: {exc}") from exc
-    engines = list(matrix.get("engines", [ENGINE_QBS, ENGINE_PEDERSEN]))
-    matchings = list(matrix.get("matching", [MATCH_HASH]))
+    engines = matrix.get("engines", [ENGINE_QBS, ENGINE_PEDERSEN])
+    matchings = matrix.get("matching", [MATCH_HASH])
     known = {query.id: query for query in standard_workload()}
     wanted = matrix.get("queries", "all")
-    query_ids = list(known) if wanted == "all" else list(wanted)
+    query_ids = list(known) if wanted == "all" else wanted
 
+    for kind, names, allowed in (
+            ("engine", engines, ENGINES),
+            ("matching", matchings, MATCHINGS),
+            ("query", query_ids, known)):
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise ConfigurationError(f"{kind} names in the matrix are not a list of strings")
+        for name in names:
+            if name not in allowed:
+                raise ConfigurationError(f"unknown {kind} {name!r} in the matrix")
     if repeats < 1:
         raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
     if warmup < 0:
@@ -668,13 +660,6 @@ def run_campaign(matrix: dict, report_path: str,
     for name, uses in Counter(owned).items():
         if uses > 1:
             raise ConfigurationError(f"two datasets of the matrix write to {name!r}")
-    for kind, names, allowed in (
-            ("engine", engines, ENGINES),
-            ("matching", matchings, MATCHINGS),
-            ("query", query_ids, known)):
-        for name in names:
-            if name not in allowed:
-                raise ConfigurationError(f"unknown {kind} {name!r} in the matrix")
     queries = [known[query_id] for query_id in query_ids]
 
     data_root = data_root or matrix.get("data_dir") or "datasets"

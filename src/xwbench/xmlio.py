@@ -6,9 +6,12 @@ d_date.xml), in the grammar of docs/document-grammar.md.  Writers emit a
 fixed byte form (two-space indent, single-quoted attributes, fixed
 attribute order), one sale or instance at a time, and refuse a value that
 form cannot hold.  Readers accept exactly that form, so every document they
-accept is well-formed XML, one regex match per instance or sale.  They take
-each document in 32 KiB chunks and hand over a chunk's records before
-reading the next; any other text raises DocumentError naming its line.
+accept is well-formed XML, and this module alone decides what is accepted.
+The metadata's lines are one function's text (_metadata_lines): written
+as it renders, and read by rendering the model they spell and comparing.
+The other readers match one regex per instance or sale, take each document
+in 32 KiB chunks and hand over a chunk's records before reading the next.
+Any other text raises DocumentError naming its line.
 Instance ids are dense per dimension (part#1..part#N): a fact's reference
 is the instance's 1-based ordinal, so an index is a list in document order
 and the fact/instance join is a range check (FactColumns.check_refs).
@@ -25,7 +28,6 @@ import codecs
 import operator
 import os
 import re
-import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -94,30 +96,51 @@ def layout_files(model: DwModel) -> list[str]:
     return [METADATA_FILE, model.fact_path] + [s.path for s in model.dimensions]
 
 
-def _level_chain(levels: tuple[str, ...]) -> str:
-    """Nest levels finest-outermost: (a, b, c) -> <a><b><c/></b></a>."""
-    return ("".join(f"<{name}>" for name in levels[:-1]) + f"<{levels[-1]}/>"
-            + "".join(f"</{name}>" for name in reversed(levels[:-1])))
+# A level name, written as an element name: an ASCII XML name without ':'.
+_LEVEL_NAME = re.compile("[A-Za-z_][A-Za-z0-9_.-]*").fullmatch
+
+
+def _metadata_lines(model: DwModel) -> Iterator[str]:
+    """The lines of dw-model.xml inside its root, as written: the fact
+    element around each dimension's level chain, nested finest-outermost on
+    one line, and the measures.  Each line is checked before it is made:
+    ValueError says what has no written form (an id or path that is not a
+    plain attribute value, a dimension declared twice or whose levels are
+    not one or more XML names, measures without f_quantity and
+    f_totalamount)."""
+    def plain(*values: str) -> None:
+        if (bad := next((v for v in values if not _is_plain(v)), None)) is not None:
+            raise ValueError(f"{bad!r} is not a plain attribute value")
+
+    plain(model.fact_id, model.fact_path)
+    yield f"  <fact id='{model.fact_id}' path='{model.fact_path}'>\n"
+    for i, schema in enumerate(model.dimensions):
+        dim_id, levels = schema.id, schema.levels
+        plain(dim_id, schema.path)
+        if dim_id in model.dimension_ids[:i]:
+            raise ValueError(f"dimension {dim_id!r} declared twice")
+        if not (levels and all(map(_LEVEL_NAME, levels))):
+            raise ValueError(f"dimension {dim_id!r} has levels {levels!r}, "
+                             "not one or more XML names")
+        closing = "".join([f"</{name}>" for name in reversed(levels[:-1])])
+        yield (f"    <dimension idref='{dim_id}' path='{schema.path}'>"
+               f"<{'><'.join(levels)}/>{closing}</dimension>\n")
+    for measure in model.measures:
+        plain(measure)
+        yield f"    <measure id='{measure}'/>\n"
+    if not {F_QUANTITY, F_TOTALAMOUNT} <= set(model.measures):
+        raise ValueError(f"measures must include {F_QUANTITY!r} and {F_TOTALAMOUNT!r}")
+    yield "  </fact>\n"
 
 
 def write_metadata(model: DwModel, out_dir: str) -> str:
-    """Emit dw-model.xml: fact element wrapping dimension chains and measures."""
+    """Emit dw-model.xml; a model with no written form raises DocumentError."""
     path = os.path.join(out_dir, METADATA_FILE)
-    ids = [model.fact_id, model.fact_path, *model.measures,
-           *(name for schema in model.dimensions for name in (schema.id, schema.path))]
-    if (bad := next((name for name in ids if not _PLAIN_ATTR(name)), None)) is not None:
-        raise DocumentError(f"{path}: {bad!r} is not a plain attribute value")
-    lines = [XML_DECL, "<dw-model>\n"]
-    lines.append(f"  <fact id='{model.fact_id}' path='{model.fact_path}'>\n")
-    for schema in model.dimensions:
-        lines.append(f"    <dimension idref='{schema.id}' path='{schema.path}'>"
-                     f"{_level_chain(schema.levels)}</dimension>\n")
-    for measure in model.measures:
-        lines.append(f"    <measure id='{measure}'/>\n")
-    lines.append("  </fact>\n</dw-model>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-    return path
+    try:
+        lines = list(_metadata_lines(model))
+    except ValueError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
+    return _write_document(path, "dw-model", "", iter(lines))
 
 
 def format_amount(value: float) -> str:
@@ -209,57 +232,50 @@ def write_warehouse(warehouse: Warehouse, out_dir: str) -> None:
 # --- reading ---------------------------------------------------------------
 
 
-def _chain_levels(dim_elem: ET.Element, path: str) -> tuple[str, ...]:
-    """Walk the single-child nesting back into a level list."""
-    levels, node = [], dim_elem
-    while len(children := list(node)) == 1:
-        node = children[0]
-        levels.append(node.tag)
-    if children:
-        raise DocumentError(f"{path}: level chain under {node.tag!r} must nest singly")
-    return tuple(levels)
+# dw-model.xml's parts, each taken from a line of the written shape with
+# any text in its values; read_metadata's comparison rejects the rest.
+_META_FACT = re.compile("^  <fact id='([^']*)' path='([^']*)'>$", re.M).search
+_META_DIMENSIONS = re.compile(
+    "^    <dimension idref='([^']*)' path='([^']*)'>(.*)</dimension>$", re.M).findall
+_META_MEASURES = re.compile("^    <measure id='([^']*)'/>$", re.M).findall
+_META_LEVELS = re.compile("<([^/>]+)").findall
+_META_LINES = re.compile("[^\n]*\n|[^\n]+").findall
+# Non-strict eligibility is intrinsic to the sales model (a property of what
+# the dimensions mean), so it is taken from the model, not the file.
+_ELIGIBLE = frozenset(s.id for s in default_model().dimensions if s.nonstrict_eligible)
 
 
 def read_metadata(in_dir: str) -> DwModel:
+    """Read dw-model.xml: take out the model its lines spell, render it as
+    write_metadata does, and accept the document only if it is that text.
+    At the first line that differs, or that has no written form, raise
+    DocumentError naming it."""
     path = os.path.join(in_dir, METADATA_FILE)
     try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as exc:
-        raise DocumentError(f"{path}: not well-formed at line {exc.position[0]}: {exc}") from exc
+        # A byte that is not UTF-8 reads as a lone surrogate, which no
+        # written form holds, so its line is rejected with the others.
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            text = fh.read()
     except FileNotFoundError as exc:
         raise DocumentError(f"{path}: missing document") from exc
     except OSError as exc:
         raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
-    if root.tag != "dw-model":
-        raise DocumentError(f"{path}: unexpected root element {root.tag!r}")
-    fact = root.find("fact")
-    if fact is None:
-        raise DocumentError(f"{path}: missing fact element")
-    # Non-strict eligibility is intrinsic to the sales model (a property of
-    # what the dimensions mean), so it is taken from the model, not the file.
-    eligible = {schema.id for schema in default_model().dimensions if schema.nonstrict_eligible}
-    dimensions, measures = [], []
-    for child in fact:
-        if child.tag == "dimension":
-            dim_id, dim_path = child.get("idref", ""), child.get("path", "")
-            # The writers write ids and paths unescaped: one XML would not
-            # read as written has no written form.
-            if not (_PLAIN_ATTR(dim_id) and _PLAIN_ATTR(dim_path)):
-                raise DocumentError(f"{path}: dimension {dim_id!r} at {dim_path!r} "
-                                    "is not a plain attribute value")
-            if any(schema.id == dim_id for schema in dimensions):
-                raise DocumentError(f"{path}: dimension {dim_id!r} declared twice")
-            dimensions.append(DimensionSchema(dim_id, dim_path, _chain_levels(child, path),
-                                              nonstrict_eligible=dim_id in eligible))
-        elif child.tag == "measure":
-            measures.append(child.get("id", ""))
-        else:
-            raise DocumentError(f"{path}: unknown element {child.tag!r}")
-    if not {F_QUANTITY, F_TOTALAMOUNT} <= set(measures):
-        raise DocumentError(f"{path}: measures must include {F_QUANTITY!r} "
-                            f"and {F_TOTALAMOUNT!r}")
-    return DwModel(fact.get("id", ""), fact.get("path", ""),
-                   tuple(dimensions), tuple(measures))
+    fact_id, fact_path = fact.groups() if (fact := _META_FACT(text)) else ("", "")
+    model = DwModel(fact_id, fact_path, tuple(
+        DimensionSchema(dim_id, dim_path, tuple(_META_LEVELS(chain_text)), dim_id in _ELIGIBLE)
+        for dim_id, dim_path, chain_text in _META_DIMENSIONS(text)),
+        tuple(_META_MEASURES(text)))
+    written = chain([XML_DECL, "<dw-model>\n"], _metadata_lines(model), ["</dw-model>\n"])
+    try:
+        # Each line with its end, then "" where both texts end.
+        for number, line in enumerate([*_META_LINES(text), ""], 1):
+            if next(written, "") != line:
+                raise ValueError("not in the written form" if line else "document ends early")
+    except ValueError as exc:
+        found = line.rstrip("\n")
+        raise DocumentError(f"{path}: line {number}: {exc}"
+                            + (f": {found!r}" if found else "")) from None
+    return model
 
 
 # Bytes read per chunk: large enough that the per-chunk Python work (one
@@ -492,10 +508,10 @@ def iter_facts(in_dir: str, model: DwModel,
 
 
 def load_dimensions(in_dir: str, model: DwModel,
-                    dim_ids: Collection[str] | Mapping[str, Collection[str]]) -> Indexes:
-    """Materialize the indexes of the dimensions named in `dim_ids`; no other
-    dimension document is read.  A mapping names the levels each keeps."""
-    keep = dim_ids if isinstance(dim_ids, Mapping) else dict.fromkeys(dim_ids)
+                    keep: Mapping[str, Collection[str] | None]) -> Indexes:
+    """Materialize the indexes of the dimensions `keep` names, each row
+    holding the levels it maps the dimension to (None: every level); no
+    other dimension document is read."""
     return {schema.id: list(iter_instances(in_dir, schema, keep[schema.id]))
             for schema in model.dimensions if schema.id in keep}
 

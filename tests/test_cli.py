@@ -87,6 +87,22 @@ class TestTransformAndRun:
         assert run_cli("transform", "--in", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "out")) == 2
 
+    def test_level_chain_left_empty_is_data_error(self, reference_dir, tmp_path, capsys):
+        """A dimension declared with no level has no written form: `run` and
+        `transform` exit 2 naming the metadata's line, even where its rows
+        would read as written."""
+        meta = pathlib.Path(reference_dir, "dw-model.xml")
+        meta.write_text(meta.read_text().replace("<type3><type2><type1/></type2></type3>", ""))
+        part = pathlib.Path(reference_dir, "d_part.xml")
+        text = part.read_text()
+        part.write_text(text[:text.index("    <row>")] + "    <row/>\n"
+                        + text[text.index("  </instance>"):])
+        for argv in (("run", "--in", reference_dir, "--query", "Q21"),
+                     ("transform", "--in", reference_dir, "--out", str(tmp_path / "out"))):
+            assert run_cli(*argv) == 2
+            assert "dw-model.xml: line 4: dimension 'part' has levels ()" in (
+                capsys.readouterr().err)
+
     def test_run_single_query(self, cli_dataset, capsys):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q22") == 0
         out = capsys.readouterr().out
@@ -197,7 +213,24 @@ class TestOracleCommand:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace("<f_quantity>100", "<f_quantity>many"))
         assert run_cli("oracle", "--in", reference_dir, "--query", "D2") == 2
-        assert "'sale#1'" in capsys.readouterr().err
+        assert "f_sale.xml: line 4: not in the written form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, old, new, line", [
+        ("f_sale.xml", "idref='part#1'/>", "idref='part#1'>", 6),
+        ("d_part.xml", "<type3>LARGE</type3>", "<type3>LARGE</type2>", 5),
+        ("dw-model.xml", "<type1/>", "<type1>", 4),
+    ], ids=["facts", "dimension", "metadata"])
+    def test_document_that_is_not_well_formed_is_data_error(self, reference_dir, capsys,
+                                                            document, old, new, line):
+        """The oracle reads only what the readers accept: a document that is
+        not well-formed exits 2 naming its line, as `run` does."""
+        path = pathlib.Path(reference_dir, document)
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        for command in ("oracle", "run"):
+            assert run_cli(command, "--in", reference_dir, "--query", "D2") == 2
+            assert f"{document}: line {line}: " in capsys.readouterr().err
 
 
 class TestCampaignCommand:
@@ -218,3 +251,12 @@ class TestCampaignCommand:
         assert report.exists()
         assert os.path.exists(tmp_path / "r-datasets.csv")
         assert "1 cells" in capsys.readouterr().out
+
+    def test_matrix_that_is_not_json_is_data_error(self, tmp_path, capsys):
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text('{"datasets": [\n  {"id": "t",\n')
+        assert run_cli("campaign", "--matrix", str(matrix_path), "--report",
+                       str(tmp_path / "r.csv"), "--data-dir", str(tmp_path / "data")) == 2
+        assert "m.json: Expecting property name enclosed in double quotes: line 3 column 1" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "r.csv").exists()

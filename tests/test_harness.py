@@ -33,6 +33,7 @@ from xwbench.harness import (
     double_counting_cube,
     ensure_dataset,
     infer_regime,
+    load_matrix,
     oracle_cube,
     qbs_view_of_pedersen,
     run_campaign,
@@ -290,17 +291,19 @@ class TestOracle:
             "repeated-measure", "swapped-measures", "measures-after-dimref",
             "undeclared-child", "swapped-dimrefs"])
     def test_malformed_sale_is_document_error(self, reference_dir, old, new):
-        """A sale the readers reject as malformed, the oracle rejects too."""
+        """A sale the readers reject as malformed, the oracle rejects too, as
+        the readers do: naming the line."""
         path = os.path.join(reference_dir, "f_sale.xml")
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         assert old in text
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace(old, new))
-        with pytest.raises(DocumentError, match="'sale#1'"):
+        with pytest.raises(DocumentError, match=r"f_sale\.xml: line \d+: ") as oracle_error:
             oracle_cube(reference_dir, get_query("D2"))
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError) as reader_error:
             run_query(get_query("D2"), reference_dir)
+        assert str(oracle_error.value) == str(reader_error.value)
 
     @pytest.mark.parametrize("declared", [("f_totalamount", "f_quantity"),
                                           ("f_quantity", "f_totalamount", "f_quantity")],
@@ -463,6 +466,22 @@ class TestPedersenMapping:
 
 
 class TestReports:
+    def test_headers_are_spelled_as_documented(self, tmp_path):
+        """The report's header as README.md spells it, and the dataset sizes'
+        header, byte for byte."""
+        report = tmp_path / "report.csv"
+        write_report(str(report), [])
+        assert report.read_bytes() == (
+            b"dataset,regime,facts,incomplete_pct,nonstrict_pct,nonstrict_num,engine,matching,"
+            b"query,load_ms,overhead_ms,query_ms,read_ms,resolve_ms,match_ms,agg_ms,groups,"
+            b"chk_dup,chk_grand,chk_avg,chk_minmax\r\n")
+        sizes = tmp_path / "sizes.csv"
+        harness.write_dataset_sizes(str(sizes), [], [])
+        assert sizes.read_bytes() == (
+            b"dataset,regime,facts,incomplete_pct,nonstrict_pct,nonstrict_num,seed,"
+            b"dw_model_bytes,f_sale_bytes,d_part_bytes,d_customer_bytes,d_supplier_bytes,"
+            b"d_date_bytes,total_bytes\r\n")
+
     def test_csv_columns_fixed(self, tmp_path, complex_300):
         spec, out_dir, _ = complex_300
         report = run_cell(spec, out_dir, "qbs", get_query("D1"), "hash",
@@ -598,7 +617,7 @@ def _full_row_plan(plan, in_dir):
     """`plan` over full-row indexes: every level of every grouped instance,
     as read_warehouse reads them, with the plan's own fact columns."""
     full = xmlio.load_dimensions(in_dir, xmlio.read_metadata(in_dir),
-                                 plan.query.grouped_dimensions)
+                                 dict.fromkeys(plan.query.grouped_dimensions))
     return dataclasses.replace(plan, steps=tuple(
         (level, full[dim_id], ordinals)
         for (dim_id, level), (_, _, ordinals) in zip(plan.query.grouping, plan.steps)))
@@ -863,16 +882,27 @@ class TestCampaign:
         {"engines": ["qbs", "bogus"]},
         {"matching": ["scan", "bogus"]},
         {"queries": ["D1", "Q99"]},
+        {"queries": 7},
+        {"queries": "D1"},
+        {"engines": "qbs"},
+        {"matching": ["hash", 1]},
+        '{"datasets": [',
+        "[1, 2]",
     ], ids=["facts", "id", "nonstrict_number", "unknown_key", "repeats",
-            "repeats_text", "warmup", "engine", "matching", "query"])
+            "repeats_text", "warmup", "engine", "matching", "query", "queries_number",
+            "queries_text", "engines_text", "matching_number", "not_json", "not_an_object"])
     def test_bad_matrix_is_rejected_before_generation(self, tmp_path, change):
-        """The whole matrix is checked before any dataset is generated or
-        any report is written."""
+        """The whole matrix file is checked before any dataset is generated
+        or any report is written.  `change` edits a good matrix, or is the
+        file's whole text."""
         matrix = {"datasets": [{"id": "ok", "facts": 10}], "engines": ["qbs"],
-                  "queries": ["D1"], "repeats": 1, "warmup": 0, **change}
+                  "queries": ["D1"], "repeats": 1, "warmup": 0}
+        path = tmp_path / "matrix.json"
+        path.write_text(change if isinstance(change, str) else json.dumps({**matrix, **change}))
         data_root = tmp_path / "data"
         with pytest.raises(ConfigurationError):
-            run_campaign(matrix, str(tmp_path / "campaign.csv"), data_root=str(data_root))
+            run_campaign(load_matrix(str(path)), str(tmp_path / "campaign.csv"),
+                         data_root=str(data_root))
         assert not (data_root / "ok").exists()
         assert not (tmp_path / "campaign.csv").exists()
 
@@ -979,8 +1009,6 @@ class TestCampaign:
             ("bad", "qbs", "1"), ("bad", "pedersen", "ERR")]
 
     def test_matrix_loads_from_json(self, tmp_path):
-        from xwbench.harness import load_matrix
-
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"datasets": [{"id": "x", "facts": 10}]}))
         assert load_matrix(str(path))["datasets"][0]["facts"] == 10

@@ -21,7 +21,8 @@ from xwbench.engine_pedersen import transform_warehouse
 from xwbench.errors import DocumentError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import _dom_rows
-from xwbench.model import DimensionInstance, FactRecord, Warehouse, default_model
+from xwbench.model import (DimensionInstance, DimensionSchema, DwModel, FactRecord, Warehouse,
+                           default_model)
 from xwbench.workload import get_query, plan_query, run_query
 from xwbench.xmlio import (
     document_sizes,
@@ -67,18 +68,66 @@ class TestMetadata:
             read_metadata(str(tmp_path))
 
     @pytest.mark.parametrize("old, new, message", [
-        ("idref='part'", "idref='a&apos;b'", "dimension \"a'b\" at 'd_part.xml' is not a plain"),
-        ("path='d_date.xml'", "path='d&#9;date.xml'", "dimension 'date' at 'd\\tdate.xml' is not"),
-        ("idref='supplier'", "idref='customer'", "dimension 'customer' declared twice"),
+        ("idref='part'", "idref='a&apos;b'", "line 4: 'a&apos;b' is not a plain"),
+        ("path='d_date.xml'", "path='d&#9;date.xml'", "line 7: 'd&#9;date.xml' is not a plain"),
+        ("idref='supplier'", "idref='customer'", "line 6: dimension 'customer' declared twice"),
         ("    <measure id='f_totalamount'/>\n", "",
-         "measures must include 'f_quantity' and 'f_totalamount'"),
-    ], ids=["id-not-plain", "path-not-plain", "declared-twice", "measure-missing"])
+         "line 9: measures must include 'f_quantity' and 'f_totalamount'"),
+        ("id='sale' path='f_sale.xml'", 'id="sale" path="f_sale.xml"',
+         "line 3: not in the written form"),
+        ("<dw-model>\n", "<dw-model>\n  <!-- sales -->\n", "line 3: not in the written form"),
+        ("<nation><region/></nation>", "<nation> <region/> </nation>",
+         "line 5: not in the written form"),
+        ("<type1/>", "<type1 kind='metal'/>", "line 4: dimension 'part' has levels ('type3', "
+         "'type2', \"type1 kind='metal'\"), not one or more XML names"),
+        ("<type3><type2><type1/></type2></type3>", "",
+         "line 4: dimension 'part' has levels (), not one or more XML names"),
+        (" path='f_sale.xml'", "", "line 3: not in the written form"),
+        ("</dw-model>\n", "</dw-model>\n<!-- end -->\n", "line 12: not in the written form"),
+        ("</dw-model>\n", "</dw-model>", "line 11: not in the written form"),
+        ("</fact>\n</dw-model>\n", "</fact>\n", "line 11: document ends early"),
+        ("'d_part.xml'", "'d_p\udcffrt.xml'", "line 4: 'd_p\\udcffrt.xml' is not a plain"),
+    ], ids=["id-not-plain", "path-not-plain", "declared-twice", "measure-missing",
+            "double-quotes", "comment", "chain-whitespace", "level-attribute", "empty-chain",
+            "fact-without-path", "trailing-text", "no-final-line-end", "truncated",
+            "not-utf-8"])
     def test_metadata_without_a_written_form_is_rejected(self, model, tmp_path, old, new,
                                                          message):
+        """read_metadata accepts only what write_metadata writes, naming the
+        first line that differs or has no written form."""
         path = pathlib.Path(write_metadata(model, str(tmp_path)))
-        path.write_text(path.read_text().replace(old, new))
+        text = path.read_text()
+        assert old in text
+        path.write_bytes(text.replace(old, new).encode("utf-8", "surrogateescape"))
         with pytest.raises(DocumentError, match=re.escape(f"dw-model.xml: {message}")):
             read_metadata(str(tmp_path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_model_written_reads_back_equal(self, tmp_path_factory, data):
+        """Every model write_metadata accepts, read_metadata reads back equal."""
+        value = st.one_of(
+            st.text(st.characters(blacklist_categories=["Cc", "Cs"],
+                                  blacklist_characters="<&'"), max_size=6),
+            st.text(max_size=3))
+        level = st.one_of(st.from_regex("[A-Za-z_][A-Za-z0-9_.-]{0,5}", fullmatch=True),
+                          st.text(max_size=3))
+        dim_ids = data.draw(st.lists(value, max_size=4, unique=True))
+        measures = data.draw(st.permutations([*default_model().measures,
+                                              *data.draw(st.lists(value, max_size=2))]))
+        model = DwModel(
+            data.draw(value), data.draw(value),
+            tuple(DimensionSchema(dim_id, data.draw(value),
+                                  tuple(data.draw(st.lists(level, min_size=1, max_size=4))),
+                                  dim_id in ("part", "supplier"))
+                  for dim_id in dim_ids),
+            tuple(measures))
+        out = str(tmp_path_factory.mktemp("meta"))
+        try:
+            write_metadata(model, out)
+        except DocumentError:
+            return
+        assert read_metadata(out) == model
 
 
 class TestFactsDocument:
@@ -196,6 +245,16 @@ class TestWriters:
     def test_metadata_id_that_is_not_plain_is_refused(self, tmp_path, model, edit):
         with pytest.raises(DocumentError, match="is not a plain attribute value"):
             write_metadata(edit(model), str(tmp_path))
+
+    @pytest.mark.parametrize("levels", [("type3", "a<b"), ("a b",), ("",), ()],
+                             ids=["angle-bracket", "space", "empty-name", "no-level"])
+    def test_metadata_level_without_a_written_form_is_refused(self, tmp_path, model, levels):
+        part = dataclasses.replace(model.dimensions[0], levels=levels)
+        message = f"dimension 'part' has levels {levels!r}, not one or more XML names"
+        with pytest.raises(DocumentError, match=re.escape(f"dw-model.xml: {message}")):
+            write_metadata(dataclasses.replace(model, dimensions=(part, *model.dimensions[1:])),
+                           str(tmp_path))
+        assert not (tmp_path / "dw-model.xml").exists()
 
 
 class TestStreaming:
@@ -338,7 +397,7 @@ class TestSharedValues:
 
     def test_equal_level_values_are_one_object(self, complex_300, model):
         _, out_dir, _ = complex_300
-        indexes = xmlio.load_dimensions(out_dir, model, model.dimension_ids)
+        indexes = xmlio.load_dimensions(out_dir, model, dict.fromkeys(model.dimension_ids))
         for schema in model.dimensions:
             for level in schema.levels:
                 vals = [row[level] for inst in indexes[schema.id] for row in inst.rows
@@ -502,7 +561,7 @@ class TestOneReader:
             transform_warehouse(in_dir, str(tmp_path / "pedersen"))
             in_dir = str(tmp_path / "pedersen")
         model = read_metadata(in_dir)
-        indexes = xmlio.load_dimensions(in_dir, model, model.dimension_ids)
+        indexes = xmlio.load_dimensions(in_dir, model, dict.fromkeys(model.dimension_ids))
         assert [len(indexes[d]) for d in model.dimension_ids] == [
             len(warehouse.instances[d]) for d in model.dimension_ids]
         assert len(xmlio.load_facts(in_dir, model, model.dimension_ids)) == 300
