@@ -58,6 +58,7 @@ from .workload import (
     ResultCube,
     aggregate_step,
     load_workload,
+    parse_workload,
     run_query,
     standard_workload,
 )
@@ -74,8 +75,8 @@ __all__ = [
     "StructuralError", "TransformReport", "Warehouse",
     "aggregate_step", "check_correctness", "classify_instance", "component_label",
     "cubes_match", "default_model", "gen_complex", "gen_incomplete",
-    "gen_nonstrict", "generate_warehouse", "load_workload", "make_covering",
-    "make_strict", "oracle_cube", "qbs_view_of_pedersen",
+    "gen_nonstrict", "generate_warehouse", "load_workload", "parse_workload",
+    "make_covering", "make_strict", "oracle_cube", "qbs_view_of_pedersen",
     "read_metadata", "read_warehouse",
     "run_campaign", "run_query", "select_targets", "standard_matrix",
     "standard_workload", "transform_warehouse",

@@ -2,13 +2,13 @@
 
 Scaling knobs: fact_number sizes the warehouse (one fact yields one instance
 in each of the four dimensions); incomplete_percentage and
-nonstrict_percentage set how often instances are complexified;
-nonstrict_number sets the row-array size of a non-strict instance.  The
-regimes follow from the percentages: simple (0/0), incomplete only,
-non-strict only, and complex (both).  The warehouse always has the sales
-model's four dimensions (model.default_model), with values drawn from the
-model's vocabularies (PART_TYPE*, NATIONS, DATE_FIRST..DATE_LAST), and every
-row is a plain level -> value dict.
+nonstrict_percentage set how often instances are complexified, non-strict
+ones among NONSTRICT_DIMENSIONS only; nonstrict_number sets the row-array
+size of a non-strict instance.  The regimes follow from the percentages:
+simple (0/0), incomplete only, non-strict only, and complex (both).  The
+warehouse always has the sales model's four dimensions (default_model),
+with values drawn from its vocabularies (PART_TYPE*, NATIONS,
+DATE_FIRST..DATE_LAST), and every row is a plain level -> value dict.
 
 Selection is stratified: the instance sequence is cut into consecutive
 blocks of round(100/percentage) and exactly one uniform pick is made per
@@ -27,6 +27,7 @@ from .model import (
     DATE_LAST,
     NATION_REGION,
     NATIONS,
+    NONSTRICT_DIMENSIONS,
     PART_TYPE1,
     PART_TYPE2,
     PART_TYPE3,
@@ -58,6 +59,10 @@ class GeneratorConfig:
         return HierarchyKind.of(self.nonstrict_percentage > 0, self.incomplete_percentage > 0)
 
     def validate(self) -> None:
+        for name in ("fact_number", "incomplete_percentage", "nonstrict_percentage",
+                     "nonstrict_number", "seed"):
+            if type(value := getattr(self, name)) is not int:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.fact_number < 0:
             raise ConfigurationError(f"fact_number must be >= 0, got {self.fact_number}")
         for name in ("incomplete_percentage", "nonstrict_percentage"):
@@ -152,7 +157,7 @@ def gen_nonstrict(nonstrict_number: int, inst: DimensionInstance, schema: Dimens
     """
     if nonstrict_number < 2:
         raise ValueError(f"nonstrict_number must be >= 2, got {nonstrict_number}")
-    if not schema.nonstrict_eligible:
+    if schema.id not in NONSTRICT_DIMENSIONS:
         raise EligibilityError(
             f"dimension {schema.id!r} cannot be non-strict")
     rows = tuple(_draw_row(schema.id, rng, {}) for _ in range(nonstrict_number))
@@ -210,10 +215,9 @@ def generate_warehouse(cfg: GeneratorConfig) -> Warehouse:
         facts.append(FactRecord(f"sale#{i}", quantity, (quantity * price_cents) / 100.0, refs))
 
     # Non-strict pass: targets are drawn among eligible instances only.
-    eligible_dims = [s.id for s in model.dimensions if s.nonstrict_eligible]
     nonstrict_ids: set[str] = set()
     if cfg.nonstrict_percentage > 0 and n > 0:
-        eligible_seq = [(dim, i) for i in range(n) for dim in eligible_dims]
+        eligible_seq = [(dim, i) for i in range(n) for dim in NONSTRICT_DIMENSIONS]
         for pos in sorted(select_targets(len(eligible_seq), cfg.nonstrict_percentage, rng)):
             dim, i = eligible_seq[pos]
             instances[dim][i] = gen_nonstrict(cfg.nonstrict_number, instances[dim][i],

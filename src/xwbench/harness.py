@@ -51,6 +51,7 @@ from .workload import (
     plan_query,
     run_query,
     standard_workload,
+    validate_query,
 )
 
 ENGINE_NAIVE = "naive"
@@ -188,17 +189,18 @@ def _dom_rows(path: str) -> list[list[dict[str, str]]]:
 def oracle_cube(in_dir: str, query: Query) -> ResultCube:
     """Reference cube by full materialization and exhaustive regrouping.
 
-    The readers decide what a warehouse is: the oracle first runs them over
-    all six documents, so it accepts exactly what they accept, and refuses
-    warehouses beyond ORACLE_FACT_LIMIT facts.  Only then does it DOM-parse
-    the facts and rows, read their values itself, recompute each fact's
-    fused/OTHER component from raw rows, group into plain dicts, aggregate
-    with its own arithmetic (fsum for averages) and set a ResultCube's
+    The readers decide what a warehouse is and validate_query what a query
+    is: the oracle runs them first, so it accepts exactly what the engines
+    accept, and refuses warehouses beyond ORACLE_FACT_LIMIT facts.  Then it
+    DOM-parses the facts and rows, reads their values, recomputes each fact's
+    fused/OTHER component from raw rows, groups into plain dicts, aggregates
+    with its own arithmetic (fsum for averages) and sets a ResultCube's
     entries directly, never through entry_for, contribute or aggregate_step.
     A fact joins instance n of a grouped dimension only through the ref
     `{dim_id}#{n}`, spelled so and with n within the instance count.
     """
     model = xmlio.read_metadata(in_dir)
+    validate_query(query, model)
     fact_count = len(xmlio.load_facts(in_dir, model, ()))
     if fact_count > ORACLE_FACT_LIMIT:
         raise OracleScopeError(
@@ -370,7 +372,8 @@ class DatasetSpec:
         """Raise ConfigurationError unless the id names one directory (a
         regeneration replaces `data_root/<id>`) and the generator accepts
         the parameters."""
-        if self.id in ("", ".", "..") or os.path.basename(self.id) != self.id:
+        if (not isinstance(self.id, str) or self.id in ("", ".", "..") or "\0" in self.id
+                or os.path.basename(self.id) != self.id):
             raise ConfigurationError(f"dataset id {self.id!r} must name one directory")
         self.config(None).validate()
 
@@ -628,10 +631,10 @@ def run_campaign(matrix: dict, report_path: str,
     try:
         specs = [spec if isinstance(spec, DatasetSpec) else DatasetSpec(**spec)
                  for spec in matrix.get("datasets", [])]
-        repeats = int(matrix.get("repeats", 3))
-        warmup = int(matrix.get("warmup", 1))
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigurationError(f"bad campaign matrix: {exc}") from exc
+    repeats, warmup = matrix.get("repeats", 3), matrix.get("warmup", 1)
+    data_dir = matrix.get("data_dir", "datasets")
     engines = matrix.get("engines", [ENGINE_QBS, ENGINE_PEDERSEN])
     matchings = matrix.get("matching", [MATCH_HASH])
     known = {query.id: query for query in standard_workload()}
@@ -647,10 +650,12 @@ def run_campaign(matrix: dict, report_path: str,
         for name in names:
             if name not in allowed:
                 raise ConfigurationError(f"unknown {kind} {name!r} in the matrix")
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
-    if warmup < 0:
-        raise ConfigurationError(f"warmup must be at least 0, got {warmup}")
+    if type(repeats) is not int or repeats < 1:
+        raise ConfigurationError(f"repeats must be an integer of at least 1, got {repeats!r}")
+    if type(warmup) is not int or warmup < 0:
+        raise ConfigurationError(f"warmup must be an integer of at least 0, got {warmup!r}")
+    if not isinstance(data_dir, str):
+        raise ConfigurationError(f"data_dir must be a string, got {data_dir!r}")
     for spec in specs:
         spec.validate()
     # Each dataset, and under pedersen its transform, owns one directory.
@@ -662,7 +667,7 @@ def run_campaign(matrix: dict, report_path: str,
             raise ConfigurationError(f"two datasets of the matrix write to {name!r}")
     queries = [known[query_id] for query_id in query_ids]
 
-    data_root = data_root or matrix.get("data_dir") or "datasets"
+    data_root = data_root or data_dir or "datasets"
     os.makedirs(data_root, exist_ok=True)
     dirs = [ensure_dataset(spec, data_root) for spec in specs]
     stem, _ = os.path.splitext(report_path)

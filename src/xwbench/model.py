@@ -6,8 +6,9 @@ dimensions (part, customer, supplier, date).  A dimension instance is its
 id and its row array, each row a plain dict from level to value: several
 rows encode non-strictness (an instance rolling up to several parents), a
 level missing from a row encodes incompleteness.  HierarchyKind.of is the
-one rule that names the regime those two facts give.  Everything downstream
-(generator, engines, workload) consumes these types.
+one rule that names the regime those two facts give.  A DimensionSchema is
+what dw-model.xml declares; which dimensions may be non-strict is a property
+of what they mean, NONSTRICT_DIMENSIONS, read by the generator alone.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ REGIONS = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")
 DATE_FIRST = date(1992, 1, 1)
 DATE_LAST = date(1998, 12, 31)
 
+# The dimensions whose instances the generator may give several rows.
+NONSTRICT_DIMENSIONS = ("part", "supplier")
+
 
 class HierarchyKind(Enum):
     """The four complexity regimes, for whole warehouses and single instances."""
@@ -83,16 +87,12 @@ class HierarchyKind(Enum):
 
 @dataclass(frozen=True)
 class DimensionSchema:
-    """One dimension's identity, document path, and level chain.
-
-    `levels` runs finest to coarsest.  `nonstrict_eligible` marks the
-    dimensions whose instances may hold several rows (part and supplier).
-    """
+    """One dimension as dw-model.xml declares it: its id, its document path
+    and its level chain, finest to coarsest."""
 
     id: str
     path: str
     levels: tuple[str, ...]
-    nonstrict_eligible: bool
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,10 @@ def date_levels(d: date) -> dict[str, str]:
 def default_model() -> DwModel:
     """The fixed 4-dimension, 2-measure sales model."""
     dimensions = (
-        DimensionSchema("part", "d_part.xml", ("type3", "type2", "type1"), True),
-        DimensionSchema("customer", "d_customer.xml", ("nation", "region"), False),
-        DimensionSchema("supplier", "d_supplier.xml", ("nation", "region"), True),
-        DimensionSchema("date", "d_date.xml", ("day", "month", "year"), False),
+        DimensionSchema("part", "d_part.xml", ("type3", "type2", "type1")),
+        DimensionSchema("customer", "d_customer.xml", ("nation", "region")),
+        DimensionSchema("supplier", "d_supplier.xml", ("nation", "region")),
+        DimensionSchema("date", "d_date.xml", ("day", "month", "year")),
     )
     return DwModel("sale", "f_sale.xml", dimensions, (F_QUANTITY, F_TOTALAMOUNT))
 

@@ -1,10 +1,10 @@
 """Benchmark queries and the streaming group-by cube computation.
 
-The workload is eight group-by queries: Q21 groups every dimension at
-instance granularity with SUM over both measures; Q22/Q23/Q24 exercise
-MIN/MAX/AVG at mixed levels; D1..D4 are the 1-to-4-dimension SUM cubes over
-the finest levels (day, type3, customer nation, supplier nation), the
-grouping ladder whose matching cost grows with dimension count.
+The workload is eight group-by queries, STANDARD_WORKLOAD, in the grammar of
+workload files (parse_workload): Q21 groups every dimension at instance
+granularity with SUM over both measures; Q22/Q23/Q24 exercise MIN/MAX/AVG at
+mixed levels; D1..D4 are the 1-to-4-dimension SUM cubes over the finest
+levels, the grouping ladder whose matching cost grows with dimension count.
 
 plan_query compiles a query against one warehouse: it reads the metadata,
 validates the query, picks the engine's column resolver and loads only what
@@ -43,8 +43,17 @@ MATCH_SCAN = "scan"
 MATCH_HASH = "hash"
 MATCHINGS = (MATCH_SCAN, MATCH_HASH)
 
-# Grouping level entry meaning "the dimension instance itself".
-INSTANCE = None
+STANDARD_WORKLOAD = """\
+# id  aggregate  measures                  grouping
+Q21   SUM        f_quantity,f_totalamount  part,customer,supplier,date
+Q22   MIN        f_quantity                customer.nation,part.type3,supplier.nation,date.day
+Q23   MAX        f_totalamount             date.month,part.type2,supplier.nation,customer.region
+Q24   AVG        f_totalamount             supplier.region,part.type1,customer.region,date.year
+D1    SUM        f_quantity,f_totalamount  date.day
+D2    SUM        f_quantity,f_totalamount  part.type3,date.day
+D3    SUM        f_quantity,f_totalamount  part.type3,customer.nation,date.day
+D4    SUM        f_quantity,f_totalamount  part.type3,customer.nation,supplier.nation,date.day
+"""
 
 
 @dataclass(frozen=True)
@@ -87,28 +96,7 @@ def validate_query(query: Query, model: DwModel) -> None:
 
 
 def standard_workload() -> list[Query]:
-    both = (F_QUANTITY, F_TOTALAMOUNT)
-    return [
-        Query("Q21", "SUM", both,
-              (("part", INSTANCE), ("customer", INSTANCE),
-               ("supplier", INSTANCE), ("date", INSTANCE))),
-        Query("Q22", "MIN", (F_QUANTITY,),
-              (("customer", "nation"), ("part", "type3"),
-               ("supplier", "nation"), ("date", "day"))),
-        Query("Q23", "MAX", (F_TOTALAMOUNT,),
-              (("date", "month"), ("part", "type2"),
-               ("supplier", "nation"), ("customer", "region"))),
-        Query("Q24", "AVG", (F_TOTALAMOUNT,),
-              (("supplier", "region"), ("part", "type1"),
-               ("customer", "region"), ("date", "year"))),
-        Query("D1", "SUM", both, (("date", "day"),)),
-        Query("D2", "SUM", both, (("part", "type3"), ("date", "day"))),
-        Query("D3", "SUM", both,
-              (("part", "type3"), ("customer", "nation"), ("date", "day"))),
-        Query("D4", "SUM", both,
-              (("part", "type3"), ("customer", "nation"),
-               ("supplier", "nation"), ("date", "day"))),
-    ]
+    return parse_workload(STANDARD_WORKLOAD)
 
 
 def get_query(query_id: str, queries: Iterable[Query] | None = None) -> Query:
@@ -139,14 +127,16 @@ def parse_query_line(line: str) -> Query:
     return Query(qid, aggregate.upper(), measures, tuple(grouping))
 
 
+def parse_workload(text: str) -> list[Query]:
+    """The queries of a workload text, one per line; blank lines and lines
+    starting with `#` are skipped."""
+    return [parse_query_line(line) for line in map(str.strip, text.split("\n"))
+            if line and not line.startswith("#")]
+
+
 def load_workload(path: str) -> list[Query]:
-    queries = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                queries.append(parse_query_line(line))
-    return queries
+        return parse_workload(fh.read())
 
 
 # --- cubes -------------------------------------------------------------------

@@ -10,8 +10,8 @@ accept is well-formed XML, and this module alone decides what is accepted.
 The metadata's lines are one function's text (_metadata_lines): written
 as it renders, and read by rendering the model they spell and comparing.
 The other readers match one regex per instance or sale, take each document
-in 32 KiB chunks and hand over a chunk's records before reading the next.
-Any other text raises DocumentError naming its line.
+in 32 KiB chunks and hand over its instances, or its sales as columns of
+text, before reading the next.  Other text raises DocumentError at its line.
 Instance ids are dense per dimension (part#1..part#N): a fact's reference
 is the instance's 1-based ordinal, so an index is a list in document order
 and the fact/instance join is a range check (FactColumns.check_refs).
@@ -42,7 +42,6 @@ from .model import (
     F_TOTALAMOUNT,
     FactRecord,
     Warehouse,
-    default_model,
 )
 
 METADATA_FILE = "dw-model.xml"
@@ -240,9 +239,6 @@ _META_DIMENSIONS = re.compile(
 _META_MEASURES = re.compile("^    <measure id='([^']*)'/>$", re.M).findall
 _META_LEVELS = re.compile("<([^/>]+)").findall
 _META_LINES = re.compile("[^\n]*\n|[^\n]+").findall
-# Non-strict eligibility is intrinsic to the sales model (a property of what
-# the dimensions mean), so it is taken from the model, not the file.
-_ELIGIBLE = frozenset(s.id for s in default_model().dimensions if s.nonstrict_eligible)
 
 
 def read_metadata(in_dir: str) -> DwModel:
@@ -262,7 +258,7 @@ def read_metadata(in_dir: str) -> DwModel:
         raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
     fact_id, fact_path = fact.groups() if (fact := _META_FACT(text)) else ("", "")
     model = DwModel(fact_id, fact_path, tuple(
-        DimensionSchema(dim_id, dim_path, tuple(_META_LEVELS(chain_text)), dim_id in _ELIGIBLE)
+        DimensionSchema(dim_id, dim_path, tuple(_META_LEVELS(chain_text)))
         for dim_id, dim_path, chain_text in _META_DIMENSIONS(text)),
         tuple(_META_MEASURES(text)))
     written = chain([XML_DECL, "<dw-model>\n"], _metadata_lines(model), ["</dw-model>\n"])
@@ -470,17 +466,16 @@ def _sale_form(dim_ids: tuple[str, ...], joined: Collection[str] = ()):
     ), sum(map(len, fixed))
 
 
-def iter_facts(in_dir: str, model: DwModel,
-               dim_ids: Collection[str] | None = None) -> Iterator:
-    """Stream the facts document in document order: each sale's measures,
-    then one dimref per dimension in metadata order, as a FactRecord.  With
-    `dim_ids`, hand over each chunk as columns of the sales' text instead
-    (ids, quantities, amounts, references), a reference to a dimension in
-    `dim_ids` as the n of `{dim_id}#{n}`; another spelling is a ReferentialError."""
+def iter_facts(in_dir: str, model: DwModel, dim_ids: Collection[str] = ()) -> Iterator:
+    """Stream the facts document in document order, one chunk at a time, as
+    columns of its sales' text: ids, quantities, amounts, then one column of
+    references per dimension in metadata order.  A reference to a dimension
+    in `dim_ids` is the n of `{dim_id}#{n}`; another spelling is a
+    ReferentialError."""
     path = os.path.join(in_dir, model.fact_path)
     all_ids = model.dimension_ids
     written, _ = _sale_form(all_ids)
-    form, fixed_length = _sale_form(all_ids, dim_ids or ())
+    form, fixed_length = _sale_form(all_ids, dim_ids)
 
     def records(text: str, start: int, end: int) -> list:
         found = form.findall(text, start, end)
@@ -497,10 +492,7 @@ def iter_facts(in_dir: str, model: DwModel,
                 raise ReferentialError(
                     f"{path}: dangling dimref {ref!r} for dimension {dim_id!r}")
             raise _Unwritten(start, "")
-        if dim_ids is not None:
-            return [tuple(zip(*found))]
-        return [FactRecord(sale[0], int(sale[1]), float(sale[2]), dict(zip(all_ids, sale[3:])))
-                for sale in found]
+        return [tuple(zip(*found))]
 
     # A sale's lines but its last, each the written form's pattern for it.
     return _written(path, "sales", "", "  </sale>\n", records,
@@ -562,10 +554,13 @@ def load_facts(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> FactCol
 
 
 def read_warehouse(in_dir: str) -> Warehouse:
-    """Materialize a whole warehouse (round-trip and small-scale use)."""
+    """Materialize a whole warehouse (round-trip and small-scale use), each
+    sale a FactRecord made from a row of iter_facts' columns."""
     model = read_metadata(in_dir)
     instances = {s.id: list(iter_instances(in_dir, s)) for s in model.dimensions}
-    facts = list(iter_facts(in_dir, model))
+    facts = [FactRecord(sale[0], int(sale[1]), float(sale[2]),
+                        dict(zip(model.dimension_ids, sale[3:])))
+             for columns in iter_facts(in_dir, model) for sale in zip(*columns)]
     return Warehouse(model, facts, instances)
 
 

@@ -252,6 +252,20 @@ class TestCampaignCommand:
         assert os.path.exists(tmp_path / "r-datasets.csv")
         assert "1 cells" in capsys.readouterr().out
 
+    def test_matrix_value_of_the_wrong_type_is_data_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A `data_dir` that is no string is refused before anything is
+        written, with exit 2."""
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text(json.dumps({"datasets": [{"id": "t", "facts": 10}],
+                                           "engines": ["qbs"], "queries": ["D1"],
+                                           "data_dir": 7}))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("campaign", "--matrix", str(matrix_path), "--report",
+                       str(tmp_path / "r.csv")) == 2
+        assert "data_dir must be a string, got 7" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["m.json"]
+
     def test_matrix_that_is_not_json_is_data_error(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.json"
         matrix_path.write_text('{"datasets": [\n  {"id": "t",\n')

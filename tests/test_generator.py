@@ -58,6 +58,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             GeneratorConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("name", ["fact_number", "incomplete_percentage",
+                                      "nonstrict_percentage", "nonstrict_number", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "text"])
+    def test_numbers_must_be_integers(self, name, value):
+        """Each of the five numbers is an int, never a bool, a float or text."""
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            GeneratorConfig(**{"fact_number": 4, name: value}).validate()
+
 
 class TestSelectTargets:
     def test_half_of_forty_is_twenty_one_per_block(self):

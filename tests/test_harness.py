@@ -244,6 +244,23 @@ class TestOracle:
             equal, diffs = cubes_match(cube, oracle_cube(out_dir, query))
             assert equal, (query.id, diffs)
 
+    @pytest.mark.parametrize("line", [
+        "X SUM f_quantity part.type9",
+        "X SUM f_quantity shop",
+        "X SUM f_quantity part.type3,part.type2",
+        "X MEDIAN f_quantity part.type3",
+        "X SUM f_quantity,f_quantity part.type3",
+    ], ids=["unknown-level", "unknown-dimension", "dimension-twice", "unknown-aggregate",
+            "measure-twice"])
+    def test_refuses_the_queries_the_engines_refuse(self, reference_dir, line):
+        """A query the engines refuse, the oracle refuses with the same message."""
+        query = parse_query_line(line)
+        with pytest.raises(QueryError) as oracle_error:
+            oracle_cube(reference_dir, query)
+        with pytest.raises(QueryError) as engine_error:
+            run_query(query, reference_dir)
+        assert str(oracle_error.value) == str(engine_error.value)
+
     @pytest.mark.parametrize("ref", ["customer#01", "part#01", "part#+1", "part#0",
                                      "part#99"])
     def test_joins_only_refs_the_readers_accept(self, reference_dir, ref):
@@ -321,7 +338,7 @@ class TestOracle:
         sales = pathlib.Path(reference_dir, model.fact_path)
 
         def read_facts():
-            return list(xmlio.iter_facts(reference_dir, model))
+            return xmlio.read_warehouse(reference_dir).facts
 
         assert read_facts() == reference_sale_warehouse().facts
         query = get_query("D2")
@@ -888,9 +905,23 @@ class TestCampaign:
         {"matching": ["hash", 1]},
         '{"datasets": [',
         "[1, 2]",
+        {"data_dir": 7},
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": "bad", "facts": "100"}]},
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": 7, "facts": 10}]},
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": "a\0b", "facts": 10}]},
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": "bad", "facts": 10, "seed": 1.5}]},
+        {"datasets": [{"id": "ok", "facts": 10},
+                      {"id": "bad", "facts": 10, "nonstrict": 50, "nonstrict_number": 2.5}]},
+        {"datasets": [{"id": "ok", "facts": 10}, {"id": "bad", "facts": True}]},
+        {"repeats": True},
+        {"repeats": 2.7},
+        {"warmup": "1"},
     ], ids=["facts", "id", "nonstrict_number", "unknown_key", "repeats",
             "repeats_text", "warmup", "engine", "matching", "query", "queries_number",
-            "queries_text", "engines_text", "matching_number", "not_json", "not_an_object"])
+            "queries_text", "engines_text", "matching_number", "not_json", "not_an_object",
+            "data_dir_number", "facts_text", "id_number", "id_nul", "seed_float",
+            "nonstrict_number_float", "facts_bool", "repeats_bool", "repeats_float",
+            "warmup_text"])
     def test_bad_matrix_is_rejected_before_generation(self, tmp_path, change):
         """The whole matrix file is checked before any dataset is generated
         or any report is written.  `change` edits a good matrix, or is the

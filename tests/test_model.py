@@ -13,6 +13,7 @@ from xwbench.model import (
     DATE_LAST,
     NATION_REGION,
     NATIONS,
+    NONSTRICT_DIMENSIONS,
     PART_TYPE1,
     PART_TYPE2,
     PART_TYPE3,
@@ -42,8 +43,8 @@ class TestDefaultModel:
             "d_part.xml", "d_customer.xml", "d_supplier.xml", "d_date.xml"]
 
     def test_nonstrict_eligibility(self, model):
-        eligible = {s.id for s in model.dimensions if s.nonstrict_eligible}
-        assert eligible == {"part", "supplier"}
+        assert set(NONSTRICT_DIMENSIONS) == {"part", "supplier"}
+        assert set(NONSTRICT_DIMENSIONS) <= set(model.dimension_ids)
 
 
 class TestValuePools:

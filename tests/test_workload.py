@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from xwbench.model import F_QUANTITY, F_TOTALAMOUNT
 from xwbench.workload import (
     MATCH_HASH,
     MATCH_SCAN,
+    STANDARD_WORKLOAD,
     Entry,
     Query,
     ResultCube,
@@ -30,6 +32,13 @@ from xwbench.workload import (
 
 
 class TestStandardWorkload:
+    def test_readme_shows_the_standard_workload(self):
+        """README's Workload section opens with the built-in queries as the
+        code holds them."""
+        readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text("utf-8")
+        section = readme.split("\n## Workload\n")[1].split("\n## ")[0]
+        assert section.split("```\n")[1] == STANDARD_WORKLOAD
+
     def test_eight_queries(self):
         queries = standard_workload()
         assert [q.id for q in queries] == ["Q21", "Q22", "Q23", "Q24",
