@@ -22,6 +22,7 @@ from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
 from .generator import generate_warehouse
 from .harness import DatasetSpec, RunReport
+from .model import F_TOTALAMOUNT
 from .workload import (ENGINE_QBS, MATCH_HASH, MATCHINGS, get_query, load_workload,
                        standard_workload)
 
@@ -154,7 +155,8 @@ def _cmd_oracle(args) -> int:
     for key in sorted(cube.entries, key=lambda k: [component_label(c) for c in k]):
         entry = cube.entries[key]
         label = " | ".join(component_label(c) for c in key) or "(grand total)"
-        values = ", ".join(f"{m}={v:g}"
+        # Amounts are held in cents and printed in currency units.
+        values = ", ".join(f"{m}={v / 100 if m == F_TOTALAMOUNT else v:g}"
                            for m, v in zip(query.measures, entry.values(query.aggregate)))
         print(f"  [{label}] support={entry.support} {values}")
     return EXIT_OK

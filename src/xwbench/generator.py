@@ -212,7 +212,7 @@ def generate_warehouse(cfg: GeneratorConfig) -> Warehouse:
             refs[schema.id] = inst_id
         quantity = 1 + rng.below(100)
         price_cents = 100 + rng.below(9901)  # uniform price in [1.00, 100.00]
-        facts.append(FactRecord(f"sale#{i}", quantity, (quantity * price_cents) / 100.0, refs))
+        facts.append(FactRecord(f"sale#{i}", quantity, quantity * price_cents, refs))
 
     # Non-strict pass: targets are drawn among eligible instances only.
     nonstrict_ids: set[str] = set()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import operator
 import os
 import shutil
@@ -57,18 +56,12 @@ from .workload import (
 ENGINE_NAIVE = "naive"
 ENGINES = (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)
 
-REL_TOL = 1e-9
-
 ORACLE_FACT_LIMIT = 10_000
 
 # The six-document layout every generated dataset has, and the stamp file
 # ensure_dataset and `xwbench generate` write beside it.
 DATASET_FILES = xmlio.layout_files(default_model())
 STAMP_FILE = "dataset-stamp.json"
-
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=1e-12)
 
 
 # --- qualitative metric ------------------------------------------------------
@@ -123,7 +116,7 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     fold = {"MIN": min, "MAX": max}.get(aggregate, operator.add)
     recount: dict[tuple, list] = {}  # key -> [count, statistic per measure...]
     fact_count = len(plan.facts)
-    grand = [0.0] * len(query.measures)
+    grand = [0] * len(query.measures)
     for key, values in zip(plan.keys(), plan.values()):
         for i, v in enumerate(values):
             grand[i] += v
@@ -148,7 +141,7 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     if aggregate in ("SUM", "AVG"):
         for i, measure in enumerate(query.measures):
             total = sum(e.states[i] for e in entries.values())
-            if not _close(total, grand[i]):
+            if total != grand[i]:
                 grand_ok = False
                 notes.append(f"{measure}: group total {total} != grand total {grand[i]}")
 
@@ -170,7 +163,7 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
                 notes.append(f"{key}: support {entry.support} != count {count}")
             for measure, value, statistic in zip(query.measures, entry.values(aggregate),
                                                  slot[1:]):
-                if not (_close(value, statistic / count) if average else value == statistic):
+                if value != (statistic / count if average else statistic):
                     ok = False
                     notes.append(f"{key}/{measure}: {mismatch}")
         avg_ok, minmax_ok = (ok, True) if average else (True, ok)
@@ -192,10 +185,11 @@ def oracle_cube(in_dir: str, query: Query) -> ResultCube:
     The readers decide what a warehouse is and validate_query what a query
     is: the oracle runs them first, so it accepts exactly what the engines
     accept, and refuses warehouses beyond ORACLE_FACT_LIMIT facts.  Then it
-    DOM-parses the facts and rows, reads their values, recomputes each fact's
-    fused/OTHER component from raw rows, groups into plain dicts, aggregates
-    with its own arithmetic (fsum for averages) and sets a ResultCube's
-    entries directly, never through entry_for, contribute or aggregate_step.
+    DOM-parses the facts and rows, reads their values (the amount as integer
+    cents, by its own split at the point), recomputes each fact's fused/OTHER
+    component from raw rows, groups into plain dicts, aggregates each
+    column with sum, min or max and sets a ResultCube's entries directly,
+    never through entry_for, contribute or aggregate_step.
     A fact joins instance n of a grouped dimension only through the ref
     `{dim_id}#{n}`, spelled so and with n within the instance count.
     """
@@ -227,11 +221,12 @@ def oracle_cube(in_dir: str, query: Query) -> ResultCube:
             return next(iter(members))
         return frozenset(members)
 
-    groups: dict[tuple, list[list[float]]] = {}
-    grand = [0.0] * len(query.measures)
+    groups: dict[tuple, list[list[int]]] = {}
+    grand = [0] * len(query.measures)
     for sale in sales:
         refs = {d.get("dim"): d.get("idref") for d in sale[2:]}
-        measures = {F_QUANTITY: int(sale[0].text), F_TOTALAMOUNT: float(sale[1].text)}
+        units, _, cents = sale[1].text.partition(".")
+        measures = {F_QUANTITY: int(sale[0].text), F_TOTALAMOUNT: int(units) * 100 + int(cents)}
         values = [measures[m] for m in query.measures]
         for i, v in enumerate(values):
             grand[i] += v
@@ -245,24 +240,14 @@ def oracle_cube(in_dir: str, query: Query) -> ResultCube:
         for column, v in zip(columns, values):
             column.append(v)
 
+    statistic = {"MIN": min, "MAX": max}.get(query.aggregate, sum)
     cube = ResultCube(query)
     cube.fact_count = len(sales)
     cube.grand_totals = grand
     for key, columns in groups.items():
         entry = cube.entries[key] = Entry(query.aggregate, len(columns))
         entry.support = len(columns[0])
-        for i, column in enumerate(columns):
-            if query.aggregate == "SUM":
-                total = 0.0
-                for v in column:
-                    total += v
-                entry.states[i] = total
-            elif query.aggregate == "MIN":
-                entry.states[i] = min(column)
-            elif query.aggregate == "MAX":
-                entry.states[i] = max(column)
-            else:
-                entry.states[i] = math.fsum(column)
+        entry.states = list(map(statistic, columns))
     return cube
 
 
@@ -270,8 +255,8 @@ def oracle_cube(in_dir: str, query: Query) -> ResultCube:
 
 
 def cubes_match(a: ResultCube, b: ResultCube) -> tuple[bool, list[str]]:
-    """Entry-wise cube equality, read in place: exact for SUM/MIN/MAX and
-    supports, REL_TOL for AVG values.  Returns (equal, differences)."""
+    """Entry-wise cube equality, read in place: supports, totals and
+    values compared exactly.  Returns (equal, differences)."""
     diffs: list[str] = []
     aggregate, measures = a.query.aggregate, a.query.measures
     if (aggregate, measures) != (b.query.aggregate, b.query.measures):
@@ -280,7 +265,7 @@ def cubes_match(a: ResultCube, b: ResultCube) -> tuple[bool, list[str]]:
     if a.fact_count != b.fact_count:
         diffs.append(f"fact counts differ: {a.fact_count} != {b.fact_count}")
     for measure, ta, tb in zip(measures, a.grand_totals, b.grand_totals):
-        if not _close(ta, tb):
+        if ta != tb:
             diffs.append(f"grand total {measure} differs")
     only_a = [key for key in a.entries if key not in b.entries]
     only_b = [key for key in b.entries if key not in a.entries]
@@ -288,7 +273,6 @@ def cubes_match(a: ResultCube, b: ResultCube) -> tuple[bool, list[str]]:
         diffs.append(f"{len(only_a)} groups only in first (e.g. {only_a[0]!r})")
     if only_b:
         diffs.append(f"{len(only_b)} groups only in second (e.g. {only_b[0]!r})")
-    exact = aggregate != "AVG"
     for key, ea in a.entries.items():
         eb = b.entries.get(key)
         if eb is None:
@@ -296,7 +280,7 @@ def cubes_match(a: ResultCube, b: ResultCube) -> tuple[bool, list[str]]:
         if ea.support != eb.support:
             diffs.append(f"{key!r}: supports differ")
         for measure, va, vb in zip(measures, ea.values(aggregate), eb.values(aggregate)):
-            if (va != vb) if exact else not _close(va, vb):
+            if va != vb:
                 diffs.append(f"{key!r}/{measure}: {va!r} != {vb!r}")
     return not diffs, diffs
 
@@ -603,11 +587,12 @@ def write_dataset_sizes(path: str, specs: Sequence[DatasetSpec],
 
 def load_matrix(path: str) -> dict:
     """The campaign matrix in the JSON file at `path`; ConfigurationError,
-    naming the place, if the text is not JSON or not one object."""
+    naming the place, if the text is not UTF-8, not JSON or not one object."""
     with open(path, encoding="utf-8") as fh:
         try:
             matrix = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # Not UTF-8, not JSON, or an integer longer than int() reads.
+        except ValueError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(matrix, dict):
         raise ConfigurationError(f"{path}: the matrix is not a JSON object")

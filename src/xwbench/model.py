@@ -143,11 +143,12 @@ class DimensionInstance:
 
 @dataclass(slots=True)
 class FactRecord:
-    """A sale: measures plus exactly one instance reference per dimension."""
+    """A sale: measures plus exactly one instance reference per dimension.
+    The amount is an integer number of cents (written 1234.56 as 123456)."""
 
     fact_id: str
     f_quantity: int
-    f_totalamount: float
+    f_totalamount: int
     dim_refs: Mapping[str, str]
 
 

@@ -135,8 +135,13 @@ def parse_workload(text: str) -> list[Query]:
 
 
 def load_workload(path: str) -> list[Query]:
+    """The queries of the workload file at `path`; ConfigurationError,
+    naming the file, if its text is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
-        return parse_workload(fh.read())
+        try:
+            return parse_workload(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
 
 # --- cubes -------------------------------------------------------------------
@@ -151,7 +156,7 @@ class Entry:
 
     def __init__(self, aggregate: str, width: int):
         self.support = 0
-        self.states = [None if aggregate in ("MIN", "MAX") else 0.0] * width
+        self.states = [None if aggregate in ("MIN", "MAX") else 0] * width
 
     def values(self, aggregate: str) -> tuple[float, ...]:
         """The entry's aggregate per measure; AVG is the sum over the support."""
@@ -160,7 +165,7 @@ class Entry:
         return tuple(self.states)
 
 
-def aggregate_step(entry: Entry, values: Sequence[float], aggregate: str) -> Entry:
+def aggregate_step(entry: Entry, values: Sequence[int], aggregate: str) -> Entry:
     """Fold one fact into the entry: its measure values into the statistics,
     and the fact itself into the support."""
     states = entry.states
@@ -200,12 +205,12 @@ class ResultCube:
         self.query = query
         self.matching = matching
         self.fact_count = 0
-        self.grand_totals = [0.0] * len(query.measures)
+        self.grand_totals = [0] * len(query.measures)
         self.entries: dict[tuple, Entry] = {}
         self._scan_keys: list[tuple] = []
         self._scan_entries: list[Entry] = []
 
-    def observe_fact(self, values: Sequence[float]) -> None:
+    def observe_fact(self, values: Sequence[int]) -> None:
         self.fact_count += 1
         for i, v in enumerate(values):
             self.grand_totals[i] += v
@@ -226,7 +231,7 @@ class ResultCube:
             self.entries[key] = entry
             return entry
 
-    def contribute(self, key: tuple, values: Sequence[float]) -> Entry:
+    def contribute(self, key: tuple, values: Sequence[int]) -> Entry:
         return aggregate_step(self.entry_for(key), values, self.query.aggregate)
 
 
@@ -282,9 +287,9 @@ class QueryPlan:
         return zip(*[resolve(index, ordinals, level)
                      for level, index, ordinals in self.steps])
 
-    def values(self) -> Iterator[tuple[float, ...]]:
-        """Every fact's measures, in fact order, as a tuple in
-        `query.measures` order."""
+    def values(self) -> Iterator[tuple[int, ...]]:
+        """Every fact's measures, in fact order, as a tuple of integers
+        (the amount in cents) in `query.measures` order."""
         return zip(*[self.facts.measures[m] for m in self.query.measures])
 
 

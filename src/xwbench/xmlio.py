@@ -142,9 +142,9 @@ def write_metadata(model: DwModel, out_dir: str) -> str:
     return _write_document(path, "dw-model", "", iter(lines))
 
 
-def format_amount(value: float) -> str:
-    """Currency with exactly two fractional digits, no float formatting jitter."""
-    cents = round(value * 100)
+def format_amount(cents: int) -> str:
+    """An amount of `cents` written in currency units, with exactly two
+    fractional digits: 123456 is 1234.56."""
     return f"{cents // 100}.{cents % 100:02d}"
 
 
@@ -512,7 +512,7 @@ def load_dimensions(in_dir: str, model: DwModel,
 class FactColumns:
     """The facts document column-wise, in document order: per loaded
     dimension, each fact's referenced instance ordinal (1-based); per
-    measure, each fact's value."""
+    measure, each fact's value, the amount in cents."""
 
     path: str
     ordinals: dict[str, array]
@@ -531,14 +531,20 @@ class FactColumns:
                 f"instance '{dim_id}#{top}'")
 
 
+def _cents(amount: str) -> int:
+    """An amount spelled as write_facts writes it (digits, '.', two digits)
+    read as exact integer cents: its digits without the point."""
+    return int(amount.replace(".", ""))
+
+
 def load_facts(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> FactColumns:
     """Read the facts document into columns, keeping the references to the
     dimensions named in `dim_ids` only; each chunk extends them at once."""
     path = os.path.join(in_dir, model.fact_path)
     ordinals = {dim_id: array("q") for dim_id in model.dimension_ids if dim_id in dim_ids}
-    quantity, amount = array("q"), array("d")
+    quantity, amount = array("q"), array("q")
     # Each column, how its text is read, and the field it is read from.
-    fills = [(quantity, int, 1), (amount, float, 2)] + [
+    fills = [(quantity, int, 1), (amount, _cents, 2)] + [
         (ordinals[dim_id], int, 3 + i) for i, dim_id in enumerate(model.dimension_ids)
         if dim_id in ordinals]
     for fields in iter_facts(in_dir, model, ordinals):
@@ -558,7 +564,7 @@ def read_warehouse(in_dir: str) -> Warehouse:
     sale a FactRecord made from a row of iter_facts' columns."""
     model = read_metadata(in_dir)
     instances = {s.id: list(iter_instances(in_dir, s)) for s in model.dimensions}
-    facts = [FactRecord(sale[0], int(sale[1]), float(sale[2]),
+    facts = [FactRecord(sale[0], int(sale[1]), _cents(sale[2]),
                         dict(zip(model.dimension_ids, sale[3:])))
              for columns in iter_facts(in_dir, model) for sale in zip(*columns)]
     return Warehouse(model, facts, instances)

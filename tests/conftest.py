@@ -20,7 +20,7 @@ def make_instance(dim: str, rows: list[dict[str, str]], ordinal: int = 1) -> Dim
 
 
 def single_sale_warehouse(part_rows, customer_rows, supplier_rows, date_rows,
-                          quantity=100, amount=2800.0) -> Warehouse:
+                          quantity=100, amount=280000) -> Warehouse:
     model = default_model()
     instances = {
         "part": [make_instance("part", part_rows)],

@@ -148,6 +148,14 @@ class TestTransformAndRun:
     def test_unknown_query_is_data_error(self, cli_dataset):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q99") == 2
 
+    def test_workload_that_is_not_utf8_is_data_error(self, cli_dataset, tmp_path, capsys):
+        wl = tmp_path / "bad.workload"
+        wl.write_bytes(b"X9 SUM f_quantity date.year\xff\n")
+        assert run_cli("run", "--in", cli_dataset, "--workload", str(wl)) == 2
+        err = capsys.readouterr().err
+        assert f"xwbench run: {wl}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
 
 def _report_rows(path):
     with open(path, newline="") as fh:
@@ -196,6 +204,14 @@ class TestOracleCommand:
         assert run_cli("oracle", "--in", cli_dataset, "--query", "Q24") == 0
         out = capsys.readouterr().out
         assert "groups" in out and "support=" in out
+
+    def test_prints_amounts_in_currency_units(self, reference_dir, capsys):
+        """The reference sale's 280000 cents print as 2800."""
+        assert run_cli("oracle", "--in", reference_dir, "--query", "Q21") == 0
+        assert capsys.readouterr().out == (
+            "Q21: 1 facts, 1 groups\n"
+            "  [part#1 | customer#1 | supplier#1 | date#1] support=1 "
+            "f_quantity=100, f_totalamount=2800\n")
 
     def test_dangling_dimref_is_data_error(self, reference_dir, capsys):
         path = os.path.join(reference_dir, "f_sale.xml")
@@ -273,4 +289,19 @@ class TestCampaignCommand:
                        str(tmp_path / "r.csv"), "--data-dir", str(tmp_path / "data")) == 2
         assert "m.json: Expecting property name enclosed in double quotes: line 3 column 1" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"datasets": [], "x": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"repeats": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf8", "long-integer"])
+    def test_matrix_text_that_json_cannot_read_is_data_error(self, tmp_path, capsys,
+                                                             text, message):
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_bytes(text)
+        assert run_cli("campaign", "--matrix", str(matrix_path), "--report",
+                       str(tmp_path / "r.csv"), "--data-dir", str(tmp_path / "data")) == 2
+        err = capsys.readouterr().err
+        assert f"xwbench campaign: {matrix_path}: {message}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()

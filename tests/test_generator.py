@@ -275,10 +275,10 @@ class TestGenerateWarehouse:
         warehouse = generate_warehouse(GeneratorConfig(500, seed=8))
         for fact in warehouse.facts:
             assert 1 <= fact.f_quantity <= 100
-            price = fact.f_totalamount / fact.f_quantity
-            assert 1.0 - 1e-9 <= price <= 100.0 + 1e-9
-            assert round(fact.f_totalamount * 100) == pytest.approx(
-                fact.f_totalamount * 100)
+            # Whole cents, a whole price per unit, in [1.00, 100.00].
+            assert isinstance(fact.f_totalamount, int)
+            price_cents, rest = divmod(fact.f_totalamount, fact.f_quantity)
+            assert rest == 0 and 100 <= price_cents <= 10000
 
     def test_part_values_stay_in_vocabulary(self):
         vocabulary = {"type3": PART_TYPE3, "type2": PART_TYPE2, "type1": PART_TYPE1}

@@ -86,6 +86,29 @@ class TestCheckCorrectness:
         assert report.dup_ok
         assert check_correctness(cube, plan_query(query, out_dir)).passed
 
+    def test_one_cent_off_fails_at_8000_facts(self, tmp_path):
+        """Amounts are summed in exact cents: at 8,000 facts, whose amounts
+        add up to about 2 * 10**9 cents, one cent moved in one D1 group fails
+        chk_grand, and one cent on a grand total is a cube difference."""
+        out_dir = str(tmp_path / "simple")
+        generate_warehouse(GeneratorConfig(8000, seed=42, output_dir=out_dir))
+        query = get_query("D1")
+        plan = plan_query(query, out_dir)
+        cube, _ = run_query(query, out_dir, plan=plan)
+        same, _ = run_query(query, out_dir, plan=plan)
+        assert check_correctness(cube, plan).passed and cubes_match(cube, same)[0]
+        grand = cube.grand_totals[1]
+        assert grand > 10**9
+        entry = next(iter(cube.entries.values()))
+        entry.states[1] += 1
+        report = check_correctness(cube, plan)
+        assert not report.grand_ok
+        assert report.notes == (
+            f"f_totalamount: group total {grand + 1} != grand total {grand}",)
+        entry.states[1] -= 1
+        cube.grand_totals[1] += 1
+        assert cubes_match(cube, same) == (False, ["grand total f_totalamount differs"])
+
     def test_deep_copied_cube_keeps_its_other_groups(self, complex_300):
         """A copied cube's OTHER components are still OTHER, so the copy
         checks and matches like the cube it was copied from."""
@@ -134,7 +157,7 @@ class TestCheckCorrectness:
             make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"},
                                        {"nation": "GERMANY", "region": "EUROPE"}], 2),
         ]
-        facts = [FactRecord(f"sale#{i}", 10 * i, 100.0 * i,
+        facts = [FactRecord(f"sale#{i}", 10 * i, 10000 * i,
                             {d: f"{d}#{i}" for d in model.dimension_ids}) for i in (1, 2)]
         out = str(tmp_path / "alike")
         write_warehouse(Warehouse(model, facts, instances), out)
@@ -213,7 +236,7 @@ class TestOracle:
         assert cube.fact_count == 1
         ((key, entry),) = cube.entries.items()
         assert key == ("part#1", "customer#1", "supplier#1", "date#1")
-        assert entry.values("SUM") == (100, 2800.0)
+        assert entry.values("SUM") == (100, 280000)
 
     def test_multi_nation_supplier_forms_one_fused_group(self, tmp_path):
         """A two-nation supplier makes one fused group, never two atomics."""
@@ -352,9 +375,9 @@ class TestOracle:
             with pytest.raises(DocumentError, match="'sale#1'"):
                 read()
 
-    def test_avg_keeps_within_1e_12_of_the_fsum_oracle(self, grid_1k):
-        """AVG's plain running sum, divided by the support, stays far inside
-        the checks' tolerance of the oracle's fsum on a complex warehouse."""
+    def test_avg_equals_the_oracles_exactly(self, grid_1k):
+        """AVG's running sum of cents, divided by the support, is the
+        oracle's average to the last bit on a complex warehouse."""
         _, out_dir = grid_1k["complex50-1000"]
         query = get_query("Q24")
         cube, _ = run_query(query, out_dir)
@@ -363,8 +386,7 @@ class TestOracle:
         for key, entry in cube.entries.items():
             expected = reference.entries[key]
             assert entry.support == expected.support, key
-            assert entry.values("AVG") == pytest.approx(expected.values("AVG"),
-                                                        rel=1e-12, abs=0), key
+            assert entry.values("AVG") == expected.values("AVG"), key
 
     def test_capacity_guard(self, complex_300, monkeypatch):
         _, out_dir, _ = complex_300
@@ -405,7 +427,7 @@ class TestOracle:
         }
         facts = [
             FactRecord(f"sale#{i}", q, a, {d: f"{d}#{i}" for d in model.dimension_ids})
-            for i, (q, a) in enumerate([(10, 100.0), (5, 50.5), (7, 70.25)], start=1)
+            for i, (q, a) in enumerate([(10, 10000), (5, 5050), (7, 7025)], start=1)
         ]
         out = tmp_path / "three"
         write_warehouse(Warehouse(model, facts, instances), str(out))
@@ -428,10 +450,8 @@ class TestOracle:
         cube = oracle_cube(str(out), avgs)
         assert set(cube.entries) == {(fused,), ("INDIA",)}
         assert cube.entries[(fused,)].support == 2
-        assert cube.entries[(fused,)].values("AVG") == \
-               pytest.approx((75.25,), rel=1e-12)
-        assert cube.entries[("INDIA",)].values("AVG") == \
-               pytest.approx((70.25,), rel=1e-12)
+        assert cube.entries[(fused,)].values("AVG") == (7525.0,)
+        assert cube.entries[("INDIA",)].values("AVG") == (7025.0,)
 
         # the streaming engine agrees with the hand computation too
         for query in (sums, avgs):
@@ -759,6 +779,8 @@ class TestCellFailures:
     @pytest.mark.parametrize("old, new", [
         ("idref='part#1'", "idref='part#99999999999999999999'"),
         ("<f_quantity>100<", "<f_quantity>99999999999999999999<"),
+        # 2**63 cents
+        ("<f_totalamount>2800.00<", "<f_totalamount>92233720368547758.08<"),
     ])
     def test_number_beyond_the_columns_is_recorded(self, reference_dir, old, new):
         path = os.path.join(reference_dir, "f_sale.xml")

@@ -20,7 +20,7 @@ from xwbench import xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.errors import DocumentError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
-from xwbench.harness import _dom_rows
+from xwbench.harness import _dom_rows, oracle_cube
 from xwbench.model import (DimensionInstance, DimensionSchema, DwModel, FactRecord, Warehouse,
                            default_model)
 from xwbench.workload import get_query, plan_query, run_query
@@ -138,10 +138,26 @@ class TestFactsDocument:
             assert f"<dimref dim='{dim}' idref='{dim}#1'/>" in text
 
     def test_amount_formatting(self):
-        assert format_amount(2800.0) == "2800.00"
-        assert format_amount(0.05) == "0.05"
-        assert format_amount(99.9) == "99.90"
-        assert format_amount(12345.67) == "12345.67"
+        assert format_amount(280000) == "2800.00"
+        assert format_amount(5) == "0.05"
+        assert format_amount(9990) == "99.90"
+        assert format_amount(1234567) == "12345.67"
+
+    def test_amount_is_read_as_exact_cents(self, reference_dir, model, tmp_path):
+        """2**53 + 1 cents, which no float holds, read exactly by the fact
+        columns, the engines and the oracle, and written back as read."""
+        path = pathlib.Path(reference_dir, "f_sale.xml")
+        path.write_text(path.read_text().replace("2800.00", "90071992547409.93"))
+        cents = 9007199254740993
+        columns = xmlio.load_facts(reference_dir, model, ())
+        assert list(columns.measures["f_totalamount"]) == [cents]
+        query = get_query("Q21")
+        assert run_query(query, reference_dir)[0].grand_totals == [100, cents]
+        assert oracle_cube(reference_dir, query).grand_totals == [100, cents]
+        facts = read_warehouse(reference_dir).facts
+        assert [fact.f_totalamount for fact in facts] == [cents]
+        xmlio.write_facts(model, facts, str(tmp_path))
+        assert (tmp_path / "f_sale.xml").read_bytes() == path.read_bytes()
 
     def test_empty_documents_have_empty_roots(self, tmp_path):
         model = default_model()
@@ -215,7 +231,7 @@ class TestWriters:
     ])
     def test_sale_id_or_reference_that_is_not_plain_is_refused(self, tmp_path, model,
                                                                fact_id, ref):
-        fact = FactRecord(fact_id, 1, 2.0, {**{d: f"{d}#1" for d in model.dimension_ids},
+        fact = FactRecord(fact_id, 1, 200, {**{d: f"{d}#1" for d in model.dimension_ids},
                                             "part": ref})
         with pytest.raises(DocumentError, match=re.escape(f"sale {fact_id!r}")):
             xmlio.write_facts(model, [fact], str(tmp_path))
@@ -439,7 +455,7 @@ def _warehouses(chars):
                 {level: draw(text) for level in schema.levels if draw(st.booleans())}
                 for _ in range(draw(st.integers(1, 3))))) for n in range(1, count + 1)]
         facts = [FactRecord(draw(text), draw(st.integers(0, 10**6)),
-                            draw(st.integers(0, 10**8)) / 100,
+                            draw(st.integers(0, 10**8)),
                             {dim_id: f"{dim_id}#{draw(st.integers(1, len(instances[dim_id])))}"
                              for dim_id in model.dimension_ids})
                  for _ in range(draw(st.integers(1, 3)))]
