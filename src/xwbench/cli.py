@@ -21,7 +21,7 @@ from .engine_pedersen import transform_warehouse
 from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
 from .generator import generate_warehouse
-from .harness import DatasetSpec, RunReport
+from .harness import DatasetSpec
 from .model import F_TOTALAMOUNT
 from .workload import (ENGINE_QBS, MATCH_HASH, MATCHINGS, get_query, load_workload,
                        standard_workload)
@@ -121,7 +121,6 @@ def _cmd_run(args) -> int:
     else:
         dataset = DatasetSpec(dataset_id, stamp.fact_number, stamp.incomplete_percentage,
                               stamp.nonstrict_percentage, stamp.nonstrict_number, stamp.seed)
-    reports: list[RunReport] = []
     failed = errored = False
     for query in queries:
         report = harness.run_cell(dataset, args.in_dir, args.engine, query,
@@ -130,7 +129,9 @@ def _cmd_run(args) -> int:
             # Without a stamp only the regime can be told, by a sweep.
             report.regime, report.facts = regime, None
             report.incomplete_pct = report.nonstrict_pct = report.nonstrict_num = None
-        reports.append(report)
+        # Each row lands as its query ends, so an interrupt keeps the rows before it.
+        if args.report:
+            harness.write_report(args.report, [report], append=True)
         if report.error is not None:
             errored = True
             print(f"xwbench run: {query.id}: {report.error}", file=sys.stderr)
@@ -139,8 +140,6 @@ def _cmd_run(args) -> int:
         failed = failed or not report.checks_passed
         print(f"{query.id}: {report.groups} groups, "
               f"query {report.query_ms:.1f} ms, checks {status}")
-    if args.report:
-        harness.write_report(args.report, reports, append=True)
     if errored:
         return EXIT_DATA
     if args.strict and failed:

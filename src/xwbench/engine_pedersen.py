@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .engine_qbs import OTHER_LABEL, fused_label
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DocumentError
 from . import xmlio
 from .model import DimensionInstance, DimensionSchema
 
@@ -95,8 +95,10 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
     and strict, so it is written as read; only the others go through
     make_covering and make_strict.  Where a dimension gains fused levels,
     each instance's own value fills the singleton fusion in place, on the
-    row dicts this call read or built.  Transforming already-transformed
-    data is a no-op.
+    row dicts this call read or built.  An input value spelled like a label
+    the output writes ("Other", or one holding "+") raises DocumentError,
+    since the output read back could not tell it from a placeholder or a
+    fused value; so does a transform's output that holds a label.
     """
     if os.path.abspath(dir_in) == os.path.abspath(dir_out):
         raise ConfigurationError("transform requires distinct input and output directories")
@@ -114,6 +116,12 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
         width = len(schema.levels)
         for inst in xmlio.iter_instances(dir_in, schema):
             rows = inst.rows
+            for row in rows:
+                for value in row.values():
+                    if value == OTHER_LABEL or "+" in value:
+                        raise DocumentError(
+                            f"{os.path.join(dir_in, schema.path)}: instance "
+                            f"{inst.instance_id!r} holds {value!r}, spelled like a label")
             # The reader rejects undeclared levels, so a full-width row
             # holds every declared one.
             if len(rows) == 1 and len(rows[0]) == width:

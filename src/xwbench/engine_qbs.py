@@ -6,10 +6,11 @@ dimension's column of facts at a time (resolve_column).  Per grouped level
 the distinct member set decides the component: one member
 gives an atomic component, several collapse into a single fused component
 (set semantics, so member order never splits groups), and an instance with
-no value at all lands in the artificial OTHER component.  A row that is
-missing the level while sibling rows carry one contributes the placeholder
-member "Other" to the fused set, mirroring what the static engine's
-covering+fusing produces, so both engines induce identical group partitions.
+no value at all lands in the artificial OTHER component.  A missing member
+is OTHER from the first read, in a fused set too, so a real value "Other"
+stays apart.  Only labels spell OTHER "Other" and a fused set its sorted
+members joined by "+": the placeholder and the fused value the static engine
+writes, so both engines induce identical group partitions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class OtherGroup:
 OTHER = OtherGroup()
 
 # A group key component: an atomic value, a fused member set, or OTHER.
-Component = Union[str, FrozenSet[str], OtherGroup]
+Component = Union[str, FrozenSet[Union[str, OtherGroup]], OtherGroup]
 
 
 def resolve_column(index: Sequence[DimensionInstance], ordinals: Sequence[int],
@@ -52,14 +53,10 @@ def resolve_column(index: Sequence[DimensionInstance], ordinals: Sequence[int],
     for o in ordinals:
         rows = index[o - 1].rows
         if len(rows) == 1:
-            only = rows[0].get(level, OTHER_LABEL)
+            append(rows[0].get(level, OTHER))
         else:
-            members = {row.get(level, OTHER_LABEL) for row in rows}
-            if len(members) > 1:
-                append(frozenset(members))
-                continue
-            (only,) = members
-        append(OTHER if only == OTHER_LABEL else only)
+            members = {row.get(level, OTHER) for row in rows}
+            append(frozenset(members) if len(members) > 1 else members.pop())
     return column
 
 
@@ -73,14 +70,17 @@ def component_label(component: Component) -> str:
     if component is OTHER:
         return OTHER_LABEL
     if isinstance(component, frozenset):
+        if OTHER in component:
+            component = component - {OTHER} | {OTHER_LABEL}
         return fused_label(component)
     return component
 
 
 def label_component(label: str) -> Component:
-    """Inverse of component_label over this benchmark's value domain."""
+    """Inverse of component_label over the values transform_warehouse
+    accepts, none of which is spelled like a label."""
     if label == OTHER_LABEL:
         return OTHER
     if "+" in label:
-        return frozenset(label.split("+"))
+        return frozenset([OTHER if m == OTHER_LABEL else m for m in label.split("+")])
     return label

@@ -34,7 +34,7 @@ from itertools import product
 from typing import Sequence
 
 from . import engine_pedersen, xmlio
-from .engine_qbs import OTHER, OTHER_LABEL, component_label, label_component
+from .engine_qbs import OTHER, component_label, label_component
 from .errors import BenchmarkError, ConfigurationError, OracleScopeError, ReferentialError
 from .generator import GeneratorConfig, generate_warehouse
 from .model import F_QUANTITY, F_TOTALAMOUNT, HierarchyKind, default_model
@@ -81,12 +81,13 @@ class CorrectnessReport:
 
 
 def _printed_duplicates(entries: dict[tuple, object]) -> int:
-    """How many group keys print like another key.  Only keys holding a
-    fused set or OTHER are labelled: an all-string key prints as itself.
-    The labels are dropped on return, so they never share a memory peak with
-    the check's recount."""
-    labelled = [key for key in entries if not all(isinstance(c, str) for c in key)]
-    labels = {tuple(map(component_label, key)) for key in labelled}
+    """How many group keys print like another key.  Only the fused sets and
+    OTHERs of a key are labelled, with no call for a string, which prints as
+    itself.  The labels are dropped on return, so they never share a memory
+    peak with the check's recount."""
+    labelled = [key for key in entries if not all(map(str.__instancecheck__, key))]
+    labels = {tuple([c if c.__class__ is str else component_label(c) for c in key])
+              for key in labelled}
     return len(labelled) - len(labels) + sum(label in entries for label in labels)
 
 
@@ -101,7 +102,8 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     minima for MIN, maxima for MAX); it shares nothing with matching or
     aggregation.  The cube is read in place, never copied.  `dup_ok` fails
     when two of the cube's group keys print the same (component_label per
-    component), as a real value "A+B" and the fused set {A, B} do.
+    component), as a real value "A+B" and the fused set {A, B} do, or a real
+    "Other" and OTHER.
     Failures are report content, not exceptions.
     """
     notes: list[str] = []
@@ -214,12 +216,8 @@ def oracle_cube(in_dir: str, query: Query) -> ResultCube:
                 f"{sales_path}: dangling dimref {ref!r} for dimension {dim_id!r}")
         if level is None:
             return ref
-        members = {row.get(level, OTHER_LABEL) for row in rows_by_dim[dim_id][ordinal - 1]}
-        if members == {OTHER_LABEL}:
-            return OTHER
-        if len(members) == 1:
-            return next(iter(members))
-        return frozenset(members)
+        members = {row.get(level, OTHER) for row in rows_by_dim[dim_id][ordinal - 1]}
+        return frozenset(members) if len(members) > 1 else members.pop()
 
     groups: dict[tuple, list[list[int]]] = {}
     grand = [0] * len(query.measures)
@@ -288,17 +286,17 @@ def cubes_match(a: ResultCube, b: ResultCube) -> tuple[bool, list[str]]:
 def qbs_view_of_pedersen(cube: ResultCube) -> ResultCube:
     """Re-key a cube computed over transformed data into query-time components.
 
-    The static engine's groups are atomic labels; "Other" maps onto OTHER
-    and '+'-joined fused labels onto fused member sets, the shared naming
-    both engines were designed around.  The view is a hash cube that shares
-    the entries and totals of `cube`.
+    The static engine's level values are labels, read by label_component
+    (the transform refuses values spelled like one); instance ids are kept.
+    The view is a hash cube that shares the entries and totals of `cube`.
     """
     view = ResultCube(cube.query)
     view.fact_count = cube.fact_count
     view.grand_totals = cube.grand_totals
+    levels = [level for _, level in cube.query.grouping]
     for key, entry in cube.entries.items():
-        new_key = tuple(
-            label_component(c) if isinstance(c, str) else c for c in key)
+        new_key = tuple(c if level is None else label_component(c)
+                        for c, level in zip(key, levels))
         if new_key in view.entries:
             raise BenchmarkError(f"label mapping collides on {new_key!r}")
         view.entries[new_key] = entry

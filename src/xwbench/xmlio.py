@@ -164,7 +164,8 @@ def _write_document(path: str, root: str, attrs: str, bodies: Iterator[str]) -> 
 
 def write_facts(model: DwModel, facts: Iterable[FactRecord], out_dir: str) -> str:
     """The facts document, written one sale at a time; a sale whose id or a
-    reference is not a plain attribute value raises DocumentError."""
+    reference is not a plain attribute value, or whose measure is not an int
+    from 0 to _MEASURE_MAX, raises DocumentError."""
     path = os.path.join(out_dir, model.fact_path)
     dim_ids = model.dimension_ids
     refs_of = operator.itemgetter(*dim_ids) if dim_ids else lambda refs: ()
@@ -179,9 +180,14 @@ def write_facts(model: DwModel, facts: Iterable[FactRecord], out_dir: str) -> st
             if not _is_plain(fact.fact_id + "".join(refs)):
                 raise DocumentError(f"{path}: sale {fact.fact_id!r} has an id or a "
                                     "reference that is not a plain attribute value")
+            quantity, cents = fact.f_quantity, fact.f_totalamount
+            if not (type(quantity) is int and type(cents) is int
+                    and 0 <= quantity <= _MEASURE_MAX and 0 <= cents <= _MEASURE_MAX):
+                raise DocumentError(f"{path}: sale {fact.fact_id!r} has a measure that is "
+                                    f"not an integer from 0 to {_MEASURE_MAX}")
             yield (f"  <sale id='{fact.fact_id}'>\n"
-                   f"    <f_quantity>{fact.f_quantity}</f_quantity>\n"
-                   f"    <f_totalamount>{format_amount(fact.f_totalamount)}</f_totalamount>\n"
+                   f"    <f_quantity>{quantity}</f_quantity>\n"
+                   f"    <f_totalamount>{format_amount(cents)}</f_totalamount>\n"
                    f"{dimrefs % refs}  </sale>\n")
 
     return _write_document(path, "sales", "", sales())
@@ -290,6 +296,8 @@ _TEXT = f"{_CHAR}*(?:(?:{'|'.join(_ESCAPES.values())}){_CHAR}*)*"
 # digits, an amount in ASCII digits with exactly two after the point.
 _QUANTITY = "[0-9]+"
 _AMOUNT = r"[0-9]+\.[0-9]{2}"
+# The largest measure a fact column, an array("q"), holds.
+_MEASURE_MAX = 2**63 - 1
 # An instance's ordinal as its id spells it: ASCII digits, no leading zero.
 _ORDINAL = "[1-9][0-9]*"
 # Text this long without a record's end is rejected, so a document in

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from xwbench import harness
 from xwbench.cli import main
 from xwbench.harness import STAMP_FILE, DatasetSpec, ensure_dataset
 
@@ -144,6 +145,24 @@ class TestTransformAndRun:
         assert rows[0]["chk_grand"] == "ERR"
         assert rows[1]["chk_grand"] == "1"
         assert "X1" in capsys.readouterr().err
+
+    def test_interrupt_keeps_the_rows_of_finished_queries(self, cli_dataset, tmp_path,
+                                                          monkeypatch, capsys):
+        run_cell = harness.run_cell
+        calls = []
+
+        def interrupted_at_the_third(*args, **kwargs):
+            calls.append(args[3].id)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return run_cell(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", interrupted_at_the_third)
+        report = str(tmp_path / "report.csv")
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--in", cli_dataset, "--report", report)
+        assert capsys.readouterr().out.count("checks ok") == 2
+        assert [row["query"] for row in _report_rows(report)] == calls[:2]
 
     def test_unknown_query_is_data_error(self, cli_dataset):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q99") == 2

@@ -21,7 +21,7 @@ from xwbench.engine_pedersen import (
     resolve_column_pretransformed,
     transform_warehouse,
 )
-from xwbench.errors import ConfigurationError
+from xwbench.errors import ConfigurationError, DocumentError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.model import HierarchyKind, classify_instance
 from xwbench.xmlio import iter_instances, layout_files, read_metadata
@@ -125,10 +125,13 @@ class TestTransformWarehouse:
                            os.path.join(out, "f_sale.xml"), shallow=False)
 
     def test_idempotence(self, complex_300, tmp_path):
-        _, src, _ = complex_300
+        """A transform's output that holds no label transforms to the same
+        bytes; one that holds a placeholder or a fused value is refused."""
+        simple = str(tmp_path / "simple")
+        generate_warehouse(GeneratorConfig(300, seed=7, output_dir=simple))
         once = str(tmp_path / "once")
         twice = str(tmp_path / "twice")
-        transform_warehouse(src, once)
+        transform_warehouse(simple, once)
         report = transform_warehouse(once, twice)
         assert report.instances_covered == 0
         assert report.instances_fused == 0
@@ -136,6 +139,11 @@ class TestTransformWarehouse:
         for name in layout_files(model):
             assert filecmp.cmp(os.path.join(once, name), os.path.join(twice, name),
                                shallow=False), name
+        _, src, _ = complex_300
+        transformed = str(tmp_path / "transformed")
+        transform_warehouse(src, transformed)
+        with pytest.raises(DocumentError, match="spelled like a label"):
+            transform_warehouse(transformed, str(tmp_path / "again"))
 
     def test_metadata_lists_inserted_fused_levels(self, complex_300, tmp_path):
         _, src, _ = complex_300

@@ -40,7 +40,7 @@ class TestResolveComponent:
         # matches what covering-then-fusing produces on the same instance
         inst = make_instance("supplier", COMPLEX_SUPPLIER)
         assert resolve_column([inst], [1], "nation") == [
-            frozenset({"FRANCE", "GERMANY", "INDIA", "Other"})]
+            frozenset({"FRANCE", "GERMANY", "INDIA", OTHER})]
 
     def test_instance_granularity(self):
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER, ordinal=9)
@@ -98,7 +98,7 @@ class TestLabels:
         assert label_component("FRANCE") == "FRANCE"
         assert label_component("FRANCE+GERMANY") == frozenset({"FRANCE", "GERMANY"})
         assert label_component("Other") is OTHER
-        assert label_component("EUROPE+Other") == frozenset({"EUROPE", "Other"})
+        assert label_component("EUROPE+Other") == frozenset({"EUROPE", OTHER})
 
     def test_other_survives_copies_and_pickling(self):
         """OTHER is compared by identity, so every copy of a key must keep

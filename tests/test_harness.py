@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sale_warehouse, single_sale_warehouse
+from conftest import make_instance, reference_sale_warehouse, single_sale_warehouse
 from test_xmlio import _XML_CHAR, _warehouses
 from xwbench import harness, xmlio
 from xwbench.engine_pedersen import transform_warehouse
@@ -24,7 +24,8 @@ from xwbench.engine_qbs import OTHER
 from xwbench.errors import (ConfigurationError, DocumentError, OracleScopeError,
                             QueryError, ReferentialError)
 from xwbench.generator import GeneratorConfig, generate_warehouse
-from xwbench.model import Warehouse
+from xwbench.model import (F_QUANTITY, F_TOTALAMOUNT, DimensionInstance, FactRecord,
+                           Warehouse, default_model)
 from xwbench.harness import (
     DATASET_FILES,
     DatasetSpec,
@@ -138,39 +139,42 @@ class TestCheckCorrectness:
                           repeats=1, warmup=0)
         assert report.error is None and report.checks_passed
 
-    def test_group_keys_that_print_alike_fail_dup(self, tmp_path):
-        """A real nation 'FRANCE+GERMANY' and the fused {FRANCE, GERMANY}
-        are two groups of the cube that the report prints as one label."""
-        from xwbench.model import FactRecord, Warehouse, default_model
-        from conftest import make_instance
-
-        model = default_model()
-        plain_rows = {
-            "part": [{"type3": "LARGE", "type2": "ANODIZED", "type1": "TIN"}],
-            "customer": [{"nation": "FRANCE", "region": "EUROPE"}],
-            "date": [{"day": "1998-06-25", "month": "1998-06", "year": "1998"}],
-        }
-        instances = {dim: [make_instance(dim, rows, i) for i in (1, 2)]
-                     for dim, rows in plain_rows.items()}
-        instances["supplier"] = [
-            make_instance("supplier", [{"nation": "FRANCE+GERMANY", "region": "EUROPE"}], 1),
-            make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"},
-                                       {"nation": "GERMANY", "region": "EUROPE"}], 2),
-        ]
-        facts = [FactRecord(f"sale#{i}", 10 * i, 10000 * i,
-                            {d: f"{d}#{i}" for d in model.dimension_ids}) for i in (1, 2)]
-        out = str(tmp_path / "alike")
-        write_warehouse(Warehouse(model, facts, instances), out)
-
+    @staticmethod
+    def assert_two_groups_print_alike(out_dir, first, second):
+        """Grouped by supplier nation, the two sales of `out_dir` form the
+        groups `first` and `second`, as the oracle does too, and only
+        chk_dup fails, since the report prints both keys alike."""
         query = parse_query_line("X SUM f_quantity supplier.nation")
-        cube, _ = run_query(query, out)
-        assert set(cube.entries) == {("FRANCE+GERMANY",),
-                                     (frozenset({"FRANCE", "GERMANY"}),)}
-        assert cubes_match(cube, oracle_cube(out, query))[0]
-        report = check_correctness(cube, plan_query(query, out))
+        cube, _ = run_query(query, out_dir)
+        assert set(cube.entries) == {(first,), (second,)}
+        assert cubes_match(cube, oracle_cube(out_dir, query))[0]
+        report = check_correctness(cube, plan_query(query, out_dir))
         assert not report.dup_ok
         assert report.grand_ok and report.avg_ok and report.minmax_ok
         assert report.notes == ("1 group key prints like another",)
+
+    def test_group_keys_that_print_alike_fail_dup(self, tmp_path):
+        """A real nation 'FRANCE+GERMANY' and the fused {FRANCE, GERMANY}
+        are two groups of the cube that the report prints as one label."""
+        out = _two_supplier_warehouse(
+            tmp_path, [{"nation": "FRANCE+GERMANY", "region": "EUROPE"}],
+            [{"nation": "FRANCE", "region": "EUROPE"}, {"nation": "GERMANY", "region": "EUROPE"}])
+        self.assert_two_groups_print_alike(out, "FRANCE+GERMANY",
+                                           frozenset({"FRANCE", "GERMANY"}))
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["atomic", "fused"])
+    def test_real_other_stays_apart_from_a_missing_member(self, tmp_path, fused):
+        """A real nation 'Other' is a group of its own beside a supplier with
+        no nation, atomic or as a member of a fused set: they only print
+        alike."""
+        other, missing = {"nation": "Other", "region": "EUROPE"}, {"region": "EUROPE"}
+        france = [{"nation": "FRANCE", "region": "EUROPE"}] if fused else []
+        out = _two_supplier_warehouse(tmp_path, france + [other], france + [missing])
+        if fused:
+            self.assert_two_groups_print_alike(out, frozenset({"FRANCE", "Other"}),
+                                               frozenset({"FRANCE", OTHER}))
+        else:
+            self.assert_two_groups_print_alike(out, "Other", OTHER)
 
     def test_double_counting_engine_fails_on_nonstrict_data(self, grid_1k):
         """The deliberately broken engine is caught on every non-strict set."""
@@ -185,6 +189,22 @@ class TestCheckCorrectness:
         _, out_dir = grid_1k["simple-1000"]
         plan = plan_query(get_query("D4"), out_dir)
         assert check_correctness(double_counting_cube(plan), plan).passed
+
+    def test_double_counting_engine_is_clean_with_a_real_other(self, tmp_path):
+        """On simple data a supplier nation spelled 'Other' is a value like
+        any other, to the control and to the check's recount alike."""
+        out_dir = str(tmp_path / "simple")
+        generate_warehouse(GeneratorConfig(200, seed=7, output_dir=out_dir))
+        path = os.path.join(out_dir, "d_supplier.xml")
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        pathlib.Path(path).write_text(
+            re.sub("<nation>[^<]*</nation>", "<nation>Other</nation>", text, count=1),
+            encoding="utf-8")
+        for query in (get_query("D4"), parse_query_line("X SUM f_quantity supplier.nation")):
+            plan = plan_query(query, out_dir)
+            cube = double_counting_cube(plan)
+            assert any("Other" in key for key in cube.entries), query.id
+            assert check_correctness(cube, plan).passed, query.id
 
     @pytest.mark.parametrize("incomplete, nonstrict", [(0, 0), (50, 50)],
                              ids=["simple", "complex50"])
@@ -396,9 +416,7 @@ class TestOracle:
 
     def test_hand_computed_three_fact_fixture(self, tmp_path):
         """The oracle's own oracle: every entry computed by hand."""
-        from xwbench.model import FactRecord, Warehouse, default_model
         from xwbench.workload import Query
-        from conftest import make_instance
 
         model = default_model()
         date_row = {"day": "1998-06-25", "month": "1998-06", "year": "1998"}
@@ -460,6 +478,44 @@ class TestOracle:
             assert equal, diffs
 
 
+# Level values that collide with the transform's labels, beside plain ones.
+_LABEL_SPELLINGS = ("Other", "A+B", "+")
+_PLAIN_VALUES = ("A", "B", "")
+
+
+@st.composite
+def _labelled_warehouses(draw):
+    """Small default-model warehouses whose level values are drawn from
+    _PLAIN_VALUES and, in about half of them, _LABEL_SPELLINGS too, with
+    holes, multi-row instances and rows that hold no level at all."""
+    model = default_model()
+    values = st.sampled_from(draw(st.sampled_from(
+        [_PLAIN_VALUES, _PLAIN_VALUES + _LABEL_SPELLINGS])))
+    instances = {schema.id: [DimensionInstance(f"{schema.id}#{n}", tuple(
+        draw(st.lists(st.fixed_dictionaries({}, optional=dict.fromkeys(schema.levels, values)),
+                      min_size=1, max_size=3))))
+        for n in range(1, draw(st.integers(1, 3)) + 1)] for schema in model.dimensions}
+    facts = [FactRecord(f"sale#{i}", draw(st.integers(0, 100)), draw(st.integers(0, 10**4)),
+                        {dim_id: f"{dim_id}#{draw(st.integers(1, len(instances[dim_id])))}"
+                         for dim_id in model.dimension_ids})
+             for i in range(1, draw(st.integers(1, 4)) + 1)]
+    return Warehouse(model, facts, instances)
+
+
+@st.composite
+def _query_lines(draw):
+    """A workload line of any aggregate and measures, grouping any of the
+    dimensions at any level or at instance level, or none."""
+    aggregate = draw(st.sampled_from(["SUM", "MIN", "MAX", "AVG"]))
+    measures = draw(st.lists(st.sampled_from([F_QUANTITY, F_TOTALAMOUNT]),
+                             min_size=1, max_size=2, unique=True))
+    dimensions = draw(st.lists(st.sampled_from(default_model().dimensions),
+                               max_size=4, unique_by=lambda schema: schema.id))
+    grouping = [schema.id + draw(st.sampled_from(["", *(f".{level}" for level in schema.levels)]))
+                for schema in dimensions]
+    return f"X {aggregate} {','.join(measures)} {','.join(grouping) or '-'}"
+
+
 class TestPedersenMapping:
     def test_label_keys_map_onto_components(self, complex_300, tmp_path):
         _, src, _ = complex_300
@@ -500,6 +556,53 @@ class TestPedersenMapping:
                     for equal, diffs in (cubes_match(qbs, qbs_view_of_pedersen(pedersen)),
                                          cubes_match(qbs, oracle)):
                         assert equal, (query.id, matching, diffs)
+
+    def test_instance_ids_are_not_read_as_labels(self, tmp_path):
+        """A dimension whose id holds '+' spells its instance ids with it;
+        grouped at instance level, pedersen's keys map back as they are."""
+        model = default_model()
+        model = dataclasses.replace(model, dimensions=tuple(
+            dataclasses.replace(schema, id="sup+plier") if schema.id == "supplier" else schema
+            for schema in model.dimensions))
+        instances = {schema.id: [make_instance(schema.id, [dict.fromkeys(schema.levels, "A")])]
+                     for schema in model.dimensions}
+        facts = [FactRecord("sale#1", 1, 100, {d: f"{d}#1" for d in model.dimension_ids})]
+        raw, ped = str(tmp_path / "raw"), str(tmp_path / "ped")
+        write_warehouse(Warehouse(model, facts, instances), raw)
+        transform_warehouse(raw, ped)
+        query = parse_query_line("X SUM f_quantity sup+plier,part.type1")
+        qbs, _ = run_query(query, raw)
+        assert list(qbs.entries) == [("sup+plier#1", "A")]
+        pedersen, _ = run_query(query, ped, engine="pedersen")
+        assert cubes_match(qbs, qbs_view_of_pedersen(pedersen))[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(warehouse=_labelled_warehouses(), line=_query_lines())
+    def test_engines_and_oracle_agree_where_values_are_spelled_like_labels(
+            self, warehouse, line):
+        """qbs equals the oracle under both matchings on any warehouse the
+        readers accept, a real 'Other' or 'A+B' included; the transform
+        refuses exactly the warehouses holding such a value, and on every
+        other one pedersen, mapped back onto components, equals qbs."""
+        query = parse_query_line(line)
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, ped = os.path.join(tmp, "raw"), os.path.join(tmp, "ped")
+            write_warehouse(warehouse, raw)
+            oracle = oracle_cube(raw, query)
+            qbs = {}
+            for matching in (MATCH_HASH, MATCH_SCAN):
+                qbs[matching], _ = run_query(query, raw, matching=matching)
+                equal, diffs = cubes_match(qbs[matching], oracle)
+                assert equal, (matching, diffs)
+            if _spelled_like_label(warehouse):
+                with pytest.raises(DocumentError, match="spelled like a label"):
+                    transform_warehouse(raw, ped)
+                return
+            transform_warehouse(raw, ped)
+            for matching in (MATCH_HASH, MATCH_SCAN):
+                pedersen, _ = run_query(query, ped, engine="pedersen", matching=matching)
+                equal, diffs = cubes_match(qbs[matching], qbs_view_of_pedersen(pedersen))
+                assert equal, (matching, diffs)
 
 
 class TestReports:
@@ -660,6 +763,34 @@ def _full_row_plan(plan, in_dir):
         for (dim_id, level), (_, _, ordinals) in zip(plan.query.grouping, plan.steps)))
 
 
+def _two_supplier_warehouse(tmp_path, first_rows, second_rows) -> str:
+    """Two sales on equal part, customer and date instances, sale n on a
+    supplier with the rows of the n-th argument; its directory."""
+    model = default_model()
+    plain_rows = {
+        "part": [{"type3": "LARGE", "type2": "ANODIZED", "type1": "TIN"}],
+        "customer": [{"nation": "FRANCE", "region": "EUROPE"}],
+        "date": [{"day": "1998-06-25", "month": "1998-06", "year": "1998"}],
+    }
+    instances = {dim: [make_instance(dim, rows, i) for i in (1, 2)]
+                 for dim, rows in plain_rows.items()}
+    instances["supplier"] = [make_instance("supplier", first_rows, 1),
+                             make_instance("supplier", second_rows, 2)]
+    facts = [FactRecord(f"sale#{i}", 10 * i, 10000 * i,
+                        {d: f"{d}#{i}" for d in model.dimension_ids}) for i in (1, 2)]
+    out = str(tmp_path / "alike")
+    write_warehouse(Warehouse(model, facts, instances), out)
+    return out
+
+
+def _spelled_like_label(warehouse) -> bool:
+    """Whether a level value of `warehouse` is spelled like a label the
+    transform writes: the placeholder, or a value holding the fusing '+'."""
+    return any(value == "Other" or "+" in value
+               for instances in warehouse.instances.values() for inst in instances
+               for row in inst.rows for value in row.values())
+
+
 def _writable(warehouse):
     """`warehouse` with plain sale ids and no level value holding a
     character that has no written form, so the writers write it."""
@@ -715,18 +846,26 @@ class TestProjection:
     def test_projected_plans_group_as_full_row_plans(self, warehouse):
         """For every standard query the model holds and both engines: the
         same cube, the same four checks and, for qbs, the same
-        double-counting cube as a plan over full rows."""
+        double-counting cube as a plan over full rows.  The transform
+        refuses exactly the warehouses holding a value spelled like a
+        label, and those are compared under qbs alone."""
         warehouse = _writable(warehouse)
         with tempfile.TemporaryDirectory() as out:
             raw, ped = os.path.join(out, "raw"), os.path.join(out, "ped")
             write_warehouse(warehouse, raw)
-            transform_warehouse(raw, ped)
+            engines = [("qbs", raw)]
+            if _spelled_like_label(warehouse):
+                with pytest.raises(DocumentError, match="spelled like a label"):
+                    transform_warehouse(raw, ped)
+            else:
+                transform_warehouse(raw, ped)
+                engines.append(("pedersen", ped))
             for query in standard_workload():
                 try:
                     validate_query(query, warehouse.model)
                 except QueryError:
                     continue
-                for engine, in_dir in (("qbs", raw), ("pedersen", ped)):
+                for engine, in_dir in engines:
                     projected = plan_query(query, in_dir, engine)
                     full = _full_row_plan(projected, in_dir)
                     cube, _ = run_query(query, in_dir, plan=projected)

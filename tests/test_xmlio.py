@@ -236,6 +236,20 @@ class TestWriters:
         with pytest.raises(DocumentError, match=re.escape(f"sale {fact_id!r}")):
             xmlio.write_facts(model, [fact], str(tmp_path))
 
+    @pytest.mark.parametrize("quantity, cents", [(-1, 200), (1, -5), (2**63, 200),
+                                                 (1, 2**63), (True, 200), (1, 2.0)])
+    def test_measure_the_readers_reject_is_refused(self, tmp_path, model, quantity, cents):
+        """A measure is an int from 0 to 2**63 - 1, the range a fact column
+        holds: -1 and -5 cents would be written as '-1' and '-1.95'."""
+        refs = {d: f"{d}#1" for d in model.dimension_ids}
+        top = 2**63 - 1
+        xmlio.write_facts(model, [FactRecord("sale#1", top, top, refs)], str(tmp_path))
+        columns = xmlio.load_facts(str(tmp_path), model, ())
+        assert [list(c) for c in columns.measures.values()] == [[top], [top]]
+        with pytest.raises(DocumentError, match=re.escape("sale 'sale#1' has a measure")):
+            xmlio.write_facts(model, [FactRecord("sale#1", quantity, cents, refs)],
+                              str(tmp_path))
+
     @pytest.mark.parametrize("value", ["a\rb", "\x00", "x\ufffe", "\uffff", "\udcff", "\x1b"])
     def test_level_value_without_a_written_form_is_refused(self, tmp_path, model, value):
         instances = [make_instance("part", [{"type3": "A&B<C>'D\t\n"}]),
@@ -569,8 +583,9 @@ class TestOneReader:
     @pytest.mark.parametrize("transformed", [False, True], ids=["generated", "transformed"])
     def test_fast_path_reads_everything_the_writers_write(self, complex_300, tmp_path,
                                                           transformed):
-        """Loading and transforming a complex warehouse, or its transform,
-        completes."""
+        """Loading a complex warehouse, or its transform, completes; so does
+        transforming the warehouse, while its transform, which holds labels,
+        is refused."""
         _, in_dir, warehouse = complex_300
         if transformed:
             transform_warehouse(in_dir, str(tmp_path / "pedersen"))
@@ -580,7 +595,11 @@ class TestOneReader:
         assert [len(indexes[d]) for d in model.dimension_ids] == [
             len(warehouse.instances[d]) for d in model.dimension_ids]
         assert len(xmlio.load_facts(in_dir, model, model.dimension_ids)) == 300
-        transform_warehouse(in_dir, str(tmp_path / "again"))
+        if not transformed:
+            transform_warehouse(in_dir, str(tmp_path / "again"))
+        else:
+            with pytest.raises(DocumentError, match="spelled like a label"):
+                transform_warehouse(in_dir, str(tmp_path / "again"))
 
 
 def _from(text, marker, edit):
