@@ -147,6 +147,15 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _exact(measure: str, value: int | float) -> str:
+    """An aggregate printed exactly, an amount's cents in currency units."""
+    if isinstance(value, float):
+        return repr(value / 100 if measure == F_TOTALAMOUNT else value)
+    if measure == F_TOTALAMOUNT:
+        return xmlio.format_amount(value).rstrip("0").rstrip(".")
+    return str(value)
+
+
 def _cmd_oracle(args) -> int:
     query = get_query(args.query)
     cube = harness.oracle_cube(args.in_dir, query)
@@ -154,8 +163,7 @@ def _cmd_oracle(args) -> int:
     for key in sorted(cube.entries, key=lambda k: [component_label(c) for c in k]):
         entry = cube.entries[key]
         label = " | ".join(component_label(c) for c in key) or "(grand total)"
-        # Amounts are held in cents and printed in currency units.
-        values = ", ".join(f"{m}={v / 100 if m == F_TOTALAMOUNT else v:g}"
+        values = ", ".join(f"{m}={_exact(m, v)}"
                            for m, v in zip(query.measures, entry.values(query.aggregate)))
         print(f"  [{label}] support={entry.support} {values}")
     return EXIT_OK

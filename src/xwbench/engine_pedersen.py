@@ -6,9 +6,9 @@ each hole with the shared placeholder "Other"; fusing collapses a level's
 several distinct row values into one fused value (the sorted, '+'-joined
 member list) and declares a `<level>_fused` level between the level and its
 parent in the rewritten metadata.  Because the fused value also occupies the
-original level position of the single output row, the groups a query forms
-over transformed data coincide exactly with the query-time engine's fused
-components under the same naming, which both take from engine_qbs.
+original level position of the single output row, engine_qbs.resolve_column
+reads it as one plain cell, the label of the query-time engine's fused
+component, so both engines group through one resolver into the same groups.
 
 Facts are never touched; the preprocessing cost is the overhead the harness
 reports separately from query time.
@@ -16,11 +16,11 @@ reports separately from query time.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .engine_qbs import OTHER_LABEL, fused_label
 from .errors import ConfigurationError, DocumentError
@@ -98,86 +98,76 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
     row dicts this call read or built.  An input value spelled like a label
     the output writes ("Other", or one holding "+") raises DocumentError,
     since the output read back could not tell it from a placeholder or a
-    fused value; so does a transform's output that holds a label.
+    fused value; so does a transform's output that holds a label.  The
+    output's metadata is removed first and written last, and a failed call
+    removes what it wrote, so no reader accepts the directory it leaves.
     """
     if os.path.abspath(dir_in) == os.path.abspath(dir_out):
         raise ConfigurationError("transform requires distinct input and output directories")
     start = time.perf_counter()
     model = xmlio.read_metadata(dir_in)
     os.makedirs(dir_out, exist_ok=True)
+    metadata = os.path.join(dir_out, xmlio.METADATA_FILE)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(metadata)
 
     covered = 0
     fused_count = 0
     fused_by_dim: dict[str, tuple[str, ...]] = {}
     out_schemas = []
-    for schema in model.dimensions:
-        out_instances = []
-        dim_fused: set[str] = set()
-        width = len(schema.levels)
-        for inst in xmlio.iter_instances(dir_in, schema):
-            rows = inst.rows
-            for row in rows:
-                for value in row.values():
-                    if value == OTHER_LABEL or "+" in value:
-                        raise DocumentError(
-                            f"{os.path.join(dir_in, schema.path)}: instance "
-                            f"{inst.instance_id!r} holds {value!r}, spelled like a label")
-            # The reader rejects undeclared levels, so a full-width row
-            # holds every declared one.
-            if len(rows) == 1 and len(rows[0]) == width:
-                out_instances.append(inst)
-                continue
-            covering = make_covering(inst, schema)
-            if covering is not inst:
-                covered += 1
-            strict = make_strict(covering, schema)
-            if strict is not covering:
-                inst_fused = fused_levels_of(strict, schema)
-                if inst_fused:
-                    fused_count += 1
-                    dim_fused |= inst_fused
-            out_instances.append(strict)
-        ext = extended_schema(schema, dim_fused)
-        if dim_fused:
-            # Unfused instances carry the singleton fusion (their own value)
-            # so every row is complete over the extended chain.  No row dict
-            # here is shared: the reader or a helper built each in this call.
-            for inst in out_instances:
-                cells = inst.rows[0]
-                for level in dim_fused:
-                    cells.setdefault(level + FUSED_SUFFIX, cells[level])
-            fused_by_dim[schema.id] = tuple(
-                lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))
-        xmlio.write_dimension(ext, out_instances, dir_out)
-        out_schemas.append(ext)
+    written: list[str] = []
+    try:
+        for schema in model.dimensions:
+            out_instances = []
+            dim_fused: set[str] = set()
+            width = len(schema.levels)
+            for inst in xmlio.iter_instances(dir_in, schema):
+                rows = inst.rows
+                for row in rows:
+                    for value in row.values():
+                        if value == OTHER_LABEL or "+" in value:
+                            raise DocumentError(
+                                f"{os.path.join(dir_in, schema.path)}: instance "
+                                f"{inst.instance_id!r} holds {value!r}, spelled like a label")
+                # The reader rejects undeclared levels, so a full-width row
+                # holds every declared one.
+                if len(rows) == 1 and len(rows[0]) == width:
+                    out_instances.append(inst)
+                    continue
+                covering = make_covering(inst, schema)
+                if covering is not inst:
+                    covered += 1
+                strict = make_strict(covering, schema)
+                if strict is not covering:
+                    inst_fused = fused_levels_of(strict, schema)
+                    if inst_fused:
+                        fused_count += 1
+                        dim_fused |= inst_fused
+                out_instances.append(strict)
+            ext = extended_schema(schema, dim_fused)
+            if dim_fused:
+                # Unfused instances carry the singleton fusion (their own value)
+                # so every row is complete over the extended chain.  No row dict
+                # here is shared: the reader or a helper built each in this call.
+                for inst in out_instances:
+                    cells = inst.rows[0]
+                    for level in dim_fused:
+                        cells.setdefault(level + FUSED_SUFFIX, cells[level])
+                fused_by_dim[schema.id] = tuple(
+                    lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))
+            written.append(os.path.join(dir_out, ext.path))
+            xmlio.write_dimension(ext, out_instances, dir_out)
+            out_schemas.append(ext)
 
-    xmlio.write_metadata(replace(model, dimensions=tuple(out_schemas)), dir_out)
-    shutil.copyfile(os.path.join(dir_in, model.fact_path),
-                    os.path.join(dir_out, model.fact_path))
+        written.append(os.path.join(dir_out, model.fact_path))
+        shutil.copyfile(os.path.join(dir_in, model.fact_path), written[-1])
+        written.append(metadata)
+        xmlio.write_metadata(replace(model, dimensions=tuple(out_schemas)), dir_out)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     overhead_ms = (time.perf_counter() - start) * 1000.0
     return TransformReport(overhead_ms, covered, fused_count, fused_by_dim)
 
-
-def resolve_column_pretransformed(index: Sequence[DimensionInstance],
-                                  ordinals: Sequence[int], level: str | None) -> list[str]:
-    """Plain cell reads over transformed data, of instance `index[o - 1]`
-    for every ordinal o; anything but one complete row means the warehouse
-    was not transformed and the engine/warehouse pairing is wrong."""
-    if level is None:
-        return [index[o - 1].instance_id for o in ordinals]
-    column = []
-    append = column.append
-    for o in ordinals:
-        inst = index[o - 1]
-        rows = inst.rows
-        if len(rows) != 1:
-            raise ConfigurationError(
-                f"instance {inst.instance_id!r} has {len(rows)} rows; "
-                "this warehouse is not the output of transform_warehouse")
-        value = rows[0].get(level)
-        if value is None:
-            raise ConfigurationError(
-                f"instance {inst.instance_id!r} is missing {level!r}; "
-                "this warehouse is not the output of transform_warehouse")
-        append(value)
-    return column

@@ -313,8 +313,8 @@ def double_counting_cube(plan: QueryPlan) -> ResultCube:
     values instead of once per fused group, re-creating the double counting
     the summarizability engines exist to prevent.  Negative control for the
     correctness checker; never a benchmark subject.  It reads the grouped
-    instances of the `plan` (a plan_query result) row by row, never its
-    resolver.
+    instances of the `plan` (a plan_query result) row by row, never through
+    resolve_column.
     """
     cube = ResultCube(plan.query, MATCH_HASH)
     for i, values in enumerate(plan.values()):
@@ -552,11 +552,10 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
 
 
 def write_report(path: str, reports: Sequence[RunReport], append: bool = False) -> None:
-    new_file = not (append and os.path.exists(path))
-    mode = "a" if append and os.path.exists(path) else "w"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+    """Write `reports` as CSV rows, after the header if the file is empty."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        if fh.tell() == 0:
             writer.writerow(REPORT_COLUMNS)
         for report in reports:
             writer.writerow(report.row())
@@ -606,10 +605,10 @@ def run_campaign(matrix: dict, report_path: str,
     CSV row per cell lands in report_path, appended as the cell ends, so a
     campaign that stops early keeps every row it computed; per-document byte
     sizes go to `<report stem>-datasets.csv`.  Cell failures are recorded
-    in-row and the campaign continues; a transform that fails is recorded
-    so in that dataset's static-engine rows alone.  The whole matrix is
-    checked first: a bad entry raises ConfigurationError before any dataset
-    or report is written.
+    in-row and the campaign continues; a transform that fails, on its data
+    or on a file, is recorded so in that dataset's static-engine rows alone.
+    The whole matrix is checked first: a bad entry raises ConfigurationError
+    before any dataset or report is written.
     """
     try:
         specs = [spec if isinstance(spec, DatasetSpec) else DatasetSpec(**spec)
@@ -657,14 +656,14 @@ def run_campaign(matrix: dict, report_path: str,
     if specs:
         write_dataset_sizes(f"{stem}-datasets.csv", specs, dirs)
 
-    transforms: dict[str, tuple[str, float] | BenchmarkError] = {}
+    transforms: dict[str, tuple[str, float] | BenchmarkError | OSError] = {}
     if ENGINE_PEDERSEN in engines:
         for spec, d in zip(specs, dirs):
             out = d + "-pedersen"
             try:
                 transforms[spec.id] = (
                     out, engine_pedersen.transform_warehouse(d, out).overhead_ms)
-            except BenchmarkError as exc:
+            except (BenchmarkError, OSError) as exc:
                 transforms[spec.id] = exc
 
     write_report(report_path, [])
@@ -672,7 +671,7 @@ def run_campaign(matrix: dict, report_path: str,
     for (spec, d), engine, matching, query in product(
             zip(specs, dirs), engines, matchings, queries):
         target = transforms[spec.id] if engine == ENGINE_PEDERSEN else (d, 0.0)
-        if isinstance(target, BenchmarkError):
+        if isinstance(target, Exception):
             report = _cell_report(spec, engine, query, matching)
             report.error = str(target)
         else:

@@ -7,12 +7,12 @@ mixed levels; D1..D4 are the 1-to-4-dimension SUM cubes over the finest
 levels, the grouping ladder whose matching cost grows with dimension count.
 
 plan_query compiles a query against one warehouse: it reads the metadata,
-validates the query, picks the engine's column resolver and loads only what
-the query reads: each grouped dimension's index, its rows holding the
-grouped level alone, and the fact columns (xmlio.load_facts).  The
-plan's `keys()` are the facts' group keys in fact order, resolved one
-grouped dimension's column at a time (by the query-time engine, or by plain
-cell reads over pretransformed data), and `values()` their measures;
+validates the query and loads only what the query reads: each grouped
+dimension's index, its rows holding the grouped level alone, and the fact
+columns (xmlio.load_facts); under pedersen it checks once that the data is a
+transform's output.  The plan's `keys()` are the facts' group keys in fact
+order, resolved one grouped dimension's column at a time by
+engine_qbs.resolve_column for both engines, and `values()` their measures;
 run_query, the correctness check and the double-counting control all group
 facts through a plan, and a campaign cell compiles one plan for all of them.
 
@@ -28,9 +28,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import engine_pedersen, engine_qbs, xmlio
+from . import engine_qbs, xmlio
 from .errors import ConfigurationError, QueryError
 from .model import DimensionInstance, DwModel, F_QUANTITY, F_TOTALAMOUNT
 
@@ -265,14 +265,13 @@ class QueryPlan:
     `steps` holds one (level, index, ordinals) per grouped dimension, in
     grouping order: `index` rows hold `level`'s cell only (none at instance
     granularity), as dicts shared between rows that no one may change, and
-    `ordinals` is the dimension's column of `facts`; `resolve` is the
-    engine's column resolver, which still resolves membership per run.
+    `ordinals` is the dimension's column of `facts`.  Membership is still
+    resolved per run, by engine_qbs.resolve_column for either engine.
     """
 
     query: Query
     facts: xmlio.FactColumns
     steps: tuple[tuple[str | None, list[DimensionInstance], Sequence[int]], ...]
-    resolve: Callable[[Sequence[DimensionInstance], Sequence[int], str | None], list]
     load_ms: float
     read_ms: float
 
@@ -283,8 +282,7 @@ class QueryPlan:
         that does not keep them never holds them all."""
         if not self.steps:
             return repeat((), len(self.facts))
-        resolve = self.resolve
-        return zip(*[resolve(index, ordinals, level)
+        return zip(*[engine_qbs.resolve_column(index, ordinals, level)
                      for level, index, ordinals in self.steps])
 
     def values(self) -> Iterator[tuple[int, ...]]:
@@ -299,17 +297,14 @@ def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS) -> QueryPlan
     `load_ms`) and the fact columns, filled from the sale matches
     (`read_ms`).  Nothing is resolved at load.
 
-    `engine` picks how group membership is resolved: "qbs" resolves complex
-    hierarchies on the fly; "pedersen" expects transform_warehouse output and
-    reads plain cells.  Every reference to a grouped dimension is
-    range-checked here, so a dangling one raises ReferentialError before any
-    fact is grouped.
+    `engine` says which data the plan expects: "qbs" any warehouse;
+    "pedersen" transform_warehouse output, where each instance of a dimension
+    grouped at a level is one row holding the level.  That, and every
+    reference to a grouped dimension, is checked here, so an untransformed
+    instance raises ConfigurationError and a dangling reference
+    ReferentialError before any fact is grouped.
     """
-    if engine == ENGINE_QBS:
-        resolve = engine_qbs.resolve_column
-    elif engine == ENGINE_PEDERSEN:
-        resolve = engine_pedersen.resolve_column_pretransformed
-    else:
+    if engine not in (ENGINE_QBS, ENGINE_PEDERSEN):
         raise ConfigurationError(f"unknown engine {engine!r}")
 
     model = xmlio.read_metadata(in_dir)
@@ -324,10 +319,16 @@ def plan_query(query: Query, in_dir: str, engine: str = ENGINE_QBS) -> QueryPlan
     t2 = time.perf_counter()
     steps = []
     for dim_id, level in query.grouping:
-        facts.check_refs(dim_id, len(indexes[dim_id]))
-        steps.append((level, indexes[dim_id], facts.ordinals[dim_id]))
-    return QueryPlan(query, facts, tuple(steps), resolve,
-                     (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
+        index = indexes[dim_id]
+        facts.check_refs(dim_id, len(index))
+        if engine == ENGINE_PEDERSEN and level is not None:
+            for inst in index:
+                if len(inst.rows) != 1 or level not in inst.rows[0]:
+                    raise ConfigurationError(
+                        f"instance {inst.instance_id!r} is not one row holding {level!r}; "
+                        "this warehouse is not the output of transform_warehouse")
+        steps.append((level, index, facts.ordinals[dim_id]))
+    return QueryPlan(query, facts, tuple(steps), (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
 
 
 def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,

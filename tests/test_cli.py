@@ -9,9 +9,11 @@ import sys
 
 import pytest
 
+from conftest import reference_sale_warehouse
 from xwbench import harness
 from xwbench.cli import main
 from xwbench.harness import STAMP_FILE, DatasetSpec, ensure_dataset
+from xwbench.xmlio import write_warehouse
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -164,6 +166,19 @@ class TestTransformAndRun:
         assert capsys.readouterr().out.count("checks ok") == 2
         assert [row["query"] for row in _report_rows(report)] == calls[:2]
 
+    def test_report_to_an_empty_file_gets_its_header(self, cli_dataset, tmp_path):
+        """An empty existing report file, as mktemp makes, gets the header
+        before the first row, and a second run appends below it."""
+        report = tmp_path / "report.csv"
+        report.write_bytes(b"")
+        for query in ("D1", "D2"):
+            assert run_cli("run", "--in", cli_dataset, "--query", query,
+                           "--report", str(report)) == 0
+        with open(report, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == harness.REPORT_COLUMNS
+        assert [row[harness.REPORT_COLUMNS.index("query")] for row in rows[1:]] == ["D1", "D2"]
+
     def test_unknown_query_is_data_error(self, cli_dataset):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q99") == 2
 
@@ -231,6 +246,21 @@ class TestOracleCommand:
             "Q21: 1 facts, 1 groups\n"
             "  [part#1 | customer#1 | supplier#1 | date#1] support=1 "
             "f_quantity=100, f_totalamount=2800\n")
+
+    def test_prints_every_digit(self, tmp_path, capsys):
+        """Sums beyond six significant digits print exactly, the amount's
+        1244953 cents as 12449.53, and an average at full precision."""
+        out = str(tmp_path / "wh")
+        warehouse = reference_sale_warehouse()
+        sale = warehouse.facts[0]
+        sale.f_quantity, sale.f_totalamount = 1234567, 1244953
+        write_warehouse(warehouse, out)
+        assert run_cli("oracle", "--in", out, "--query", "D1") == 0
+        assert capsys.readouterr().out == (
+            "D1: 1 facts, 1 groups\n"
+            "  [1998-06-25] support=1 f_quantity=1234567, f_totalamount=12449.53\n")
+        assert run_cli("oracle", "--in", out, "--query", "Q24") == 0
+        assert capsys.readouterr().out.endswith(" support=1 f_totalamount=12449.53\n")
 
     def test_dangling_dimref_is_data_error(self, reference_dir, capsys):
         path = os.path.join(reference_dir, "f_sale.xml")

@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import os
+import re
 import tempfile
 from collections import Counter
 
@@ -10,21 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
-from xwbench import engine_pedersen
+from conftest import (COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance,
+                      reference_sale_warehouse)
+from xwbench import cli, engine_pedersen
 from xwbench.engine_pedersen import (
     FUSED_SUFFIX,
     extended_schema,
     fused_levels_of,
     make_covering,
     make_strict,
-    resolve_column_pretransformed,
     transform_warehouse,
 )
 from xwbench.errors import ConfigurationError, DocumentError
 from xwbench.generator import GeneratorConfig, generate_warehouse
+from xwbench.harness import REPORT_COLUMNS, DatasetSpec, run_cell
 from xwbench.model import HierarchyKind, classify_instance
-from xwbench.xmlio import iter_instances, layout_files, read_metadata
+from xwbench.workload import Query, get_query, plan_query, run_query
+from xwbench.xmlio import iter_instances, layout_files, read_metadata, write_warehouse
 
 
 class TestMakeCovering:
@@ -154,6 +157,28 @@ class TestTransformWarehouse:
         assert "nation_fused" in report.fused_levels["supplier"]
         assert "date" not in report.fused_levels  # date is never non-strict
 
+    def test_refused_transform_leaves_no_readable_mix(self, tmp_path, capsys):
+        """A transform refused at d_date.xml, into the directory of an
+        earlier transform, leaves neither that transform's metadata nor the
+        documents it wrote itself, so no reader accepts the directory."""
+        a, b, out = (str(tmp_path / name) for name in ("a", "b", "out"))
+        generate_warehouse(GeneratorConfig(50, seed=1, output_dir=a))
+        generate_warehouse(GeneratorConfig(50, seed=2, output_dir=b))
+        transform_warehouse(a, out)
+        date_path = os.path.join(b, "d_date.xml")
+        with open(date_path, encoding="utf-8") as fh:
+            text = fh.read()
+        year = re.search("<year>[^<]*</year>", text).group()
+        with open(date_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(year, "<year>Other</year>"))
+        with pytest.raises(DocumentError, match="d_date.xml"):
+            transform_warehouse(b, out)
+        assert sorted(os.listdir(out)) == ["d_date.xml", "f_sale.xml"]
+        with pytest.raises(DocumentError, match="dw-model.xml: missing document"):
+            read_metadata(out)
+        assert cli.main(["run", "--in", out, "--engine", "pedersen", "--query", "D4"]) == 2
+        assert "dw-model.xml" in capsys.readouterr().err
+
     def test_same_directory_rejected(self, complex_300):
         _, src, _ = complex_300
         with pytest.raises(ConfigurationError):
@@ -271,20 +296,60 @@ def test_generated_and_transformed_documents_match_golden_bytes(tmp_path):
     assert _digests(out) == GOLDEN_TRANSFORMED
 
 
-class TestPretransformedResolution:
-    def test_plain_cell_read(self):
-        inst = make_instance("supplier", [{"nation": "FRANCE+GERMANY",
-                                           "nation_fused": "FRANCE+GERMANY",
-                                           "region": "EUROPE"}])
-        assert resolve_column_pretransformed([inst], [1], "nation") == ["FRANCE+GERMANY"]
-        assert resolve_column_pretransformed([inst], [1], None) == ["supplier#1"]
+class TestPlanOverTransformedData:
+    """Under pedersen the plan checks once that every instance of a dimension
+    grouped at a level is one row holding that level, and then groups facts
+    through the same resolver as qbs."""
 
-    def test_untransformed_multi_row_is_a_mismatch(self):
-        inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
-        with pytest.raises(ConfigurationError):
-            resolve_column_pretransformed([inst], [1], "nation")
+    SUPPLIER_NATION = Query("T", "SUM", ("f_quantity",),
+                            (("supplier", "nation"), ("part", None)))
+    PART_TYPE3 = Query("T", "SUM", ("f_quantity",), (("part", "type3"),))
 
-    def test_untransformed_hole_is_a_mismatch(self):
-        inst = make_instance("part", [{"type2": "ANODIZED", "type1": "TIN"}])
-        with pytest.raises(ConfigurationError):
-            resolve_column_pretransformed([inst], [1], "type3")
+    @staticmethod
+    def _written(tmp_path, name, **rows):
+        """The reference sale's warehouse with the given instance rows,
+        written under `tmp_path / name`."""
+        warehouse = reference_sale_warehouse()
+        for dim_id, dim_rows in rows.items():
+            warehouse.instances[dim_id][0] = make_instance(dim_id, dim_rows)
+        out = str(tmp_path / name)
+        write_warehouse(warehouse, out)
+        return out
+
+    def test_transform_output_gives_fused_label_and_instance_id(self, tmp_path):
+        raw = self._written(tmp_path, "raw", supplier=FOUR_ROW_SUPPLIER)
+        out = str(tmp_path / "out")
+        transform_warehouse(raw, out)
+        plan = plan_query(self.SUPPLIER_NATION, out, "pedersen")
+        assert list(plan.keys()) == [("FRANCE+GERMANY", "part#1")]
+
+    @pytest.mark.parametrize("rows, query, instance", [
+        ({"supplier": FOUR_ROW_SUPPLIER}, SUPPLIER_NATION, "supplier#1"),
+        ({"part": [{"type2": "ANODIZED", "type1": "TIN"}]}, PART_TYPE3, "part#1"),
+    ], ids=["multi-row", "hole"])
+    def test_untransformed_instance_is_refused(self, tmp_path, rows, query, instance):
+        """Through plan_query, and in run_cell's row, naming the instance."""
+        raw = self._written(tmp_path, "raw", **rows)
+        with pytest.raises(ConfigurationError, match=f"'{instance}'.*transform_warehouse"):
+            plan_query(query, raw, "pedersen")
+        report = run_cell(DatasetSpec("raw", 1), raw, "pedersen", query, "hash",
+                          repeats=1, warmup=0)
+        assert f"'{instance}'" in report.error
+        assert report.error.endswith("this warehouse is not the output of transform_warehouse")
+        assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
+
+    def test_unreferenced_untransformed_instance_is_refused(self, tmp_path):
+        """No sale references supplier#2, but the warehouse holding it is
+        still not a transform's output."""
+        warehouse = reference_sale_warehouse()
+        warehouse.instances["supplier"].append(make_instance("supplier", FOUR_ROW_SUPPLIER, 2))
+        raw = str(tmp_path / "raw")
+        write_warehouse(warehouse, raw)
+        with pytest.raises(ConfigurationError, match="'supplier#2'"):
+            plan_query(self.SUPPLIER_NATION, raw, "pedersen")
+
+    def test_instance_grouping_over_raw_data_is_accepted(self, tmp_path):
+        """Q21 reads no level, so raw data is not refused under pedersen."""
+        raw = self._written(tmp_path, "raw", supplier=FOUR_ROW_SUPPLIER)
+        cube, _ = run_query(get_query("Q21"), raw, engine="pedersen")
+        assert list(cube.entries) == [("part#1", "customer#1", "supplier#1", "date#1")]

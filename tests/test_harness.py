@@ -1200,6 +1200,22 @@ class TestCampaign:
             ("good", "qbs", "1"), ("good", "pedersen", "1"),
             ("bad", "qbs", "1"), ("bad", "pedersen", "ERR")]
 
+    def test_transform_os_error_fails_only_its_pedersen_rows(self, tmp_path):
+        """A plain file where the transform's output directory belongs is
+        recorded in that dataset's pedersen rows; its qbs cells still run."""
+        data_root = tmp_path / "data"
+        data_root.mkdir()
+        (data_root / "tiny-pedersen").write_text("")
+        matrix = {"datasets": [{"id": "tiny", "facts": 20, "seed": 9}],
+                  "engines": ["qbs", "pedersen"], "queries": ["D1", "D2"],
+                  "repeats": 1, "warmup": 0}
+        reports = run_campaign(matrix, str(tmp_path / "campaign.csv"),
+                               data_root=str(data_root))
+        assert [(r.engine, r.query, r.checks_passed) for r in reports
+                if r.error is None] == [("qbs", "D1", True), ("qbs", "D2", True)]
+        assert [r.error for r in reports if r.engine == "pedersen"] == [
+            f"[Errno 17] File exists: '{data_root / 'tiny-pedersen'}'"] * 2
+
     def test_matrix_loads_from_json(self, tmp_path):
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"datasets": [{"id": "x", "facts": 10}]}))
