@@ -12,7 +12,6 @@ then exits 2.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -20,7 +19,6 @@ from . import harness, xmlio
 from .engine_pedersen import transform_warehouse
 from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
-from .generator import generate_warehouse
 from .harness import DatasetSpec
 from .model import F_TOTALAMOUNT
 from .workload import (ENGINE_QBS, MATCH_HASH, MATCHINGS, get_query, load_workload,
@@ -85,11 +83,7 @@ def _cmd_generate(args) -> int:
     except ConfigurationError as exc:
         print(f"xwbench generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # A stamp left by an earlier generation must not outlive a failed one.
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(args.out, harness.STAMP_FILE))
-    warehouse = generate_warehouse(cfg)
-    harness.stamp_dataset(cfg, args.out)
+    warehouse = harness.generate_dataset(cfg)
     sizes = xmlio.document_sizes(args.out)
     print(f"generated {len(warehouse.facts)} facts "
           f"({4 * len(warehouse.facts)} dimension instances), "

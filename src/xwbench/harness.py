@@ -19,12 +19,11 @@ comparisons read it in place.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import operator
 import os
-import shutil
-import tempfile
 import time
 import traceback
 import xml.etree.ElementTree as ET
@@ -37,7 +36,7 @@ from . import engine_pedersen, xmlio
 from .engine_qbs import OTHER, component_label, label_component
 from .errors import BenchmarkError, ConfigurationError, OracleScopeError, ReferentialError
 from .generator import GeneratorConfig, generate_warehouse
-from .model import F_QUANTITY, F_TOTALAMOUNT, HierarchyKind, default_model
+from .model import F_QUANTITY, F_TOTALAMOUNT, HierarchyKind, Warehouse, default_model
 from .workload import (
     ENGINE_PEDERSEN,
     ENGINE_QBS,
@@ -59,7 +58,7 @@ ENGINES = (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)
 ORACLE_FACT_LIMIT = 10_000
 
 # The six-document layout every generated dataset has, and the stamp file
-# ensure_dataset and `xwbench generate` write beside it.
+# generate_dataset writes beside it, for campaigns and `xwbench generate`.
 DATASET_FILES = xmlio.layout_files(default_model())
 STAMP_FILE = "dataset-stamp.json"
 
@@ -118,10 +117,7 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     fold = {"MIN": min, "MAX": max}.get(aggregate, operator.add)
     recount: dict[tuple, list] = {}  # key -> [count, statistic per measure...]
     fact_count = len(plan.facts)
-    grand = [0] * len(query.measures)
     for key, values in zip(plan.keys(), plan.values()):
-        for i, v in enumerate(values):
-            grand[i] += v
         slot = recount.get(key)
         if slot is None:
             recount[key] = [1, *values]
@@ -141,11 +137,13 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
         grand_ok = False
         notes.append("group keys differ from recount")
     if aggregate in ("SUM", "AVG"):
+        # The grand total is the sum of the recount's exact per-group sums.
         for i, measure in enumerate(query.measures):
             total = sum(e.states[i] for e in entries.values())
-            if total != grand[i]:
+            grand = sum(slot[i + 1] for slot in recount.values())
+            if total != grand:
                 grand_ok = False
-                notes.append(f"{measure}: group total {total} != grand total {grand[i]}")
+                notes.append(f"{measure}: group total {total} != grand total {grand}")
 
     # One pass over the groups: chk_avg compares AVG with the recounted sum
     # over count, chk_minmax MIN and MAX with the recounted extreme.
@@ -351,9 +349,9 @@ class DatasetSpec:
         return self.config(None).regime.value
 
     def validate(self) -> None:
-        """Raise ConfigurationError unless the id names one directory (a
-        regeneration replaces `data_root/<id>`) and the generator accepts
-        the parameters."""
+        """Raise ConfigurationError unless the id names one directory (the
+        dataset is generated into `data_root/<id>`) and the generator
+        accepts the parameters."""
         if (not isinstance(self.id, str) or self.id in ("", ".", "..") or "\0" in self.id
                 or os.path.basename(self.id) != self.id):
             raise ConfigurationError(f"dataset id {self.id!r} must name one directory")
@@ -384,12 +382,19 @@ def standard_matrix(facts: int = 1000, seed: int = 42) -> list[DatasetSpec]:
     return specs
 
 
-def stamp_dataset(cfg: GeneratorConfig, out_dir: str) -> None:
-    """Write the provenance of a dataset generated by `cfg` into `out_dir`:
-    the generator config minus the output path."""
-    stamp = {k: v for k, v in asdict(cfg).items() if k != "output_dir"}
-    with open(os.path.join(out_dir, STAMP_FILE), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(stamp, sort_keys=True))
+def generate_dataset(cfg: GeneratorConfig) -> Warehouse:
+    """Generate `cfg` in place into cfg.output_dir, stamped with its
+    provenance: the generator config minus the output path.  The old stamp
+    is removed first and the new one written last, after write_warehouse's
+    metadata, so a failed generation leaves no stamp and no readable mix."""
+    stamp = os.path.join(cfg.output_dir, STAMP_FILE)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(stamp)
+    warehouse = generate_warehouse(cfg)
+    with open(stamp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({k: v for k, v in asdict(cfg).items() if k != "output_dir"},
+                            sort_keys=True))
+    return warehouse
 
 
 def read_stamp(in_dir: str) -> GeneratorConfig | None:
@@ -404,25 +409,14 @@ def read_stamp(in_dir: str) -> GeneratorConfig | None:
 
 def ensure_dataset(spec: DatasetSpec, data_root: str) -> str:
     """The directory `data_root/<spec.id>`, reused only while all six
-    documents and its stamp (stamp_dataset, written last) match `spec`;
-    otherwise generated afresh beside it, stamped and moved into place, so
-    stale or half-written data is never benchmarked."""
+    documents and its stamp match `spec`; otherwise generated again in
+    place (generate_dataset), so stale or half-written data is never
+    benchmarked."""
     spec.validate()
     out_dir = os.path.join(data_root, spec.id)
-    cfg = spec.config(None)
-    if (all(os.path.exists(os.path.join(out_dir, name)) for name in DATASET_FILES)
-            and read_stamp(out_dir) == cfg):
-        return out_dir
-    os.makedirs(data_root, exist_ok=True)
-    tmp_dir = tempfile.mkdtemp(prefix=f".{spec.id}-", dir=data_root)
-    try:
-        generate_warehouse(spec.config(tmp_dir))
-        stamp_dataset(cfg, tmp_dir)
-        shutil.rmtree(out_dir, ignore_errors=True)
-        os.replace(tmp_dir, out_dir)
-    except BaseException:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        raise
+    if not (all(os.path.exists(os.path.join(out_dir, name)) for name in DATASET_FILES)
+            and read_stamp(out_dir) == spec.config(None)):
+        generate_dataset(spec.config(out_dir))
     return out_dir
 
 
@@ -600,15 +594,15 @@ def run_campaign(matrix: dict, report_path: str,
                  data_root: str | None = None) -> list[RunReport]:
     """Run every (dataset, engine, query, matching) cell of the matrix.
 
-    Datasets are generated (or reused) under `data_root`; static-engine
-    cells transform each dataset once and share the measured overhead.  One
-    CSV row per cell lands in report_path, appended as the cell ends, so a
-    campaign that stops early keeps every row it computed; per-document byte
-    sizes go to `<report stem>-datasets.csv`.  Cell failures are recorded
-    in-row and the campaign continues; a transform that fails, on its data
-    or on a file, is recorded so in that dataset's static-engine rows alone.
     The whole matrix is checked first: a bad entry raises ConfigurationError
-    before any dataset or report is written.
+    before any dataset or report is written.  Then the report's header is
+    written, and each dataset is generated or reused under `data_root` and,
+    for the static engine, transformed once, its cells sharing the overhead.
+    One CSV row per cell lands in report_path as the cell ends, so a campaign
+    that stops early keeps every row it computed; the byte sizes of the
+    datasets that exist go to `<report stem>-datasets.csv`.  A failure stays
+    in its rows and the campaign goes on: a cell's in its row, a dataset's
+    generation in all its rows, a transform in its static-engine rows alone.
     """
     try:
         specs = [spec if isinstance(spec, DatasetSpec) else DatasetSpec(**spec)
@@ -649,28 +643,33 @@ def run_campaign(matrix: dict, report_path: str,
             raise ConfigurationError(f"two datasets of the matrix write to {name!r}")
     queries = [known[query_id] for query_id in query_ids]
 
+    write_report(report_path, [])
     data_root = data_root or data_dir or "datasets"
-    os.makedirs(data_root, exist_ok=True)
-    dirs = [ensure_dataset(spec, data_root) for spec in specs]
-    stem, _ = os.path.splitext(report_path)
-    if specs:
-        write_dataset_sizes(f"{stem}-datasets.csv", specs, dirs)
-
-    transforms: dict[str, tuple[str, float] | BenchmarkError | OSError] = {}
-    if ENGINE_PEDERSEN in engines:
-        for spec, d in zip(specs, dirs):
+    # Per dataset and engine, the directory its cells read and the overhead, or
+    # the error of the dataset's generation (every row) or transform (pedersen's).
+    targets: dict[str, dict[str, tuple[str, float] | BenchmarkError | OSError]] = {}
+    made: dict[DatasetSpec, str] = {}
+    for spec in specs:
+        try:
+            d = made[spec] = ensure_dataset(spec, data_root)
+        except (BenchmarkError, OSError) as exc:
+            targets[spec.id] = dict.fromkeys(engines, exc)
+            continue
+        targets[spec.id] = dict.fromkeys(engines, (d, 0.0))
+        if ENGINE_PEDERSEN in engines:
             out = d + "-pedersen"
             try:
-                transforms[spec.id] = (
+                targets[spec.id][ENGINE_PEDERSEN] = (
                     out, engine_pedersen.transform_warehouse(d, out).overhead_ms)
             except (BenchmarkError, OSError) as exc:
-                transforms[spec.id] = exc
+                targets[spec.id][ENGINE_PEDERSEN] = exc
+    stem, _ = os.path.splitext(report_path)
+    if specs:
+        write_dataset_sizes(f"{stem}-datasets.csv", list(made), list(made.values()))
 
-    write_report(report_path, [])
     reports = []
-    for (spec, d), engine, matching, query in product(
-            zip(specs, dirs), engines, matchings, queries):
-        target = transforms[spec.id] if engine == ENGINE_PEDERSEN else (d, 0.0)
+    for spec, engine, matching, query in product(specs, engines, matchings, queries):
+        target = targets[spec.id][engine]
         if isinstance(target, Exception):
             report = _cell_report(spec, engine, query, matching)
             report.error = str(target)

@@ -3,10 +3,10 @@
 A warehouse directory holds dw-model.xml (metadata), f_sale.xml (facts) and
 one document per dimension (d_part.xml, d_customer.xml, d_supplier.xml,
 d_date.xml), in the grammar of docs/document-grammar.md.  Writers emit a
-fixed byte form (two-space indent, single-quoted attributes, fixed
-attribute order), one sale or instance at a time, and refuse a value that
-form cannot hold.  Readers accept exactly that form, so every document they
-accept is well-formed XML, and this module alone decides what is accepted.
+fixed byte form (two-space indent, single-quoted attributes, fixed attribute
+order), one sale or instance at a time, dw-model.xml last, and refuse a value
+that form cannot hold.  Readers accept exactly that form, so every document
+they accept is well-formed XML, and this module alone decides what is accepted.
 The metadata's lines are one function's text (_metadata_lines): written
 as it renders, and read by rendering the model they spell and comparing.
 The other readers match one regex per instance or sale, take each document
@@ -25,6 +25,7 @@ Equal level values read from one document share one str object.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import operator
 import os
 import re
@@ -227,11 +228,16 @@ def write_dimension(schema: DimensionSchema, instances: Iterable[DimensionInstan
 
 
 def write_warehouse(warehouse: Warehouse, out_dir: str) -> None:
+    """Write the six documents into `out_dir`, in place.  An earlier
+    dw-model.xml is removed before the first document and the new one is
+    written last, so no reader accepts what a failed write leaves."""
     os.makedirs(out_dir, exist_ok=True)
-    write_metadata(warehouse.model, out_dir)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, METADATA_FILE))
     write_facts(warehouse.model, warehouse.facts, out_dir)
     for schema in warehouse.model.dimensions:
         write_dimension(schema, warehouse.instances[schema.id], out_dir)
+    write_metadata(warehouse.model, out_dir)
 
 
 # --- reading ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: flows and exit codes."""
 
 import csv
+import errno
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from conftest import reference_sale_warehouse
-from xwbench import harness
+from xwbench import harness, xmlio
 from xwbench.cli import main
 from xwbench.harness import STAMP_FILE, DatasetSpec, ensure_dataset
 from xwbench.xmlio import write_warehouse
@@ -48,6 +49,28 @@ class TestGenerate:
         blocker.write_text("x")
         code = run_cli("generate", "--facts", "5", "--out", str(blocker / "sub"))
         assert code == 2
+
+    def test_failed_regeneration_leaves_no_readable_mix(self, tmp_path, monkeypatch,
+                                                        capsys):
+        """A generation that fails partway over an earlier dataset, here at
+        d_date.xml, leaves a directory that no reader accepts: the metadata
+        is removed before the first document and written last."""
+        out = str(tmp_path / "out")
+        assert run_cli("generate", "--facts", "100", "--seed", "1", "--out", out) == 0
+        real_write_dimension = xmlio.write_dimension
+
+        def full_at_date(schema, instances, out_dir):
+            if schema.id == "date":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write_dimension(schema, instances, out_dir)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(xmlio, "write_dimension", full_at_date)
+            assert run_cli("generate", "--facts", "50", "--seed", "2", "--out", out) == 2
+        capsys.readouterr()
+        for query in ("D1", "D4"):
+            assert run_cli("run", "--in", out, "--query", query) == 2
+            assert "dw-model.xml" in capsys.readouterr().err
 
     def test_unknown_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -316,6 +339,40 @@ class TestCampaignCommand:
         assert report.exists()
         assert os.path.exists(tmp_path / "r-datasets.csv")
         assert "1 cells" in capsys.readouterr().out
+
+    def test_dataset_that_cannot_be_generated_fails_only_its_rows(self, tmp_path, capsys):
+        """A plain file where dataset `tiny`'s directory belongs fails its
+        rows under every engine; dataset `other` still runs, and only it is
+        listed with its sizes."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "tiny").write_text("")
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text(json.dumps({
+            "datasets": [{"id": "tiny", "facts": 10}, {"id": "other", "facts": 10}],
+            "queries": ["D1"], "repeats": 1, "warmup": 0}))
+        report = tmp_path / "r.csv"
+        assert run_cli("campaign", "--matrix", str(matrix_path), "--report", str(report),
+                       "--data-dir", str(data)) == 0
+        assert capsys.readouterr().out == f"campaign: 4 cells -> {report} (2 failed)\n"
+        with open(report, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["dataset"], row["engine"], row["chk_grand"]) for row in rows] == [
+            ("tiny", "qbs", "ERR"), ("tiny", "pedersen", "ERR"),
+            ("other", "qbs", "1"), ("other", "pedersen", "1")]
+        with open(tmp_path / "r-datasets.csv", newline="") as fh:
+            assert [row["dataset"] for row in csv.DictReader(fh)] == ["other"]
+
+    def test_unwritable_report_stops_before_any_dataset(self, tmp_path, capsys):
+        """The report's header is written before any dataset is generated."""
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text(json.dumps({
+            "datasets": [{"id": "t", "facts": 10}], "engines": ["qbs"], "queries": ["D1"]}))
+        data = tmp_path / "data"
+        assert run_cli("campaign", "--matrix", str(matrix_path), "--report",
+                       str(tmp_path / "no-such-dir" / "r.csv"), "--data-dir", str(data)) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (data / "t").exists()
 
     def test_matrix_value_of_the_wrong_type_is_data_error(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -989,6 +990,29 @@ class TestEnsureDataset:
             fh.write("<!-- kept -->")
         assert ensure_dataset(spec, root) == out_dir
         assert self._documents(out_dir)["f_sale.xml"].endswith(b"<!-- kept -->")
+        assert os.listdir(root) == [spec.id]
+
+    def test_failed_regeneration_is_redone_in_place(self, tmp_path, monkeypatch):
+        """A regeneration that fails partway leaves no stamp, so the next
+        call generates the dataset again, in place: nothing but `<id>` is
+        ever left in data_root."""
+        root = str(tmp_path / "data")
+        ensure_dataset(DatasetSpec("d", 50, seed=1), root)
+        spec = DatasetSpec("d", 30, seed=2)
+        real_write_dimension = xmlio.write_dimension
+
+        def full_at_date(schema, instances, out_dir):
+            if schema.id == "date":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write_dimension(schema, instances, out_dir)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(xmlio, "write_dimension", full_at_date)
+            with pytest.raises(OSError):
+                ensure_dataset(spec, root)
+        assert os.listdir(root) == [spec.id]
+        out_dir = ensure_dataset(spec, root)
+        assert self._documents(out_dir) == self._fresh(tmp_path, spec)
         assert os.listdir(root) == [spec.id]
 
     @pytest.mark.parametrize("dataset_id", ["", ".", "..", "a/b"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, reference_sale_warehouse
 from xwbench import xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.errors import DocumentError, ReferentialError
@@ -284,6 +284,20 @@ class TestWriters:
             write_metadata(dataclasses.replace(model, dimensions=(part, *model.dimensions[1:])),
                            str(tmp_path))
         assert not (tmp_path / "dw-model.xml").exists()
+
+    def test_failed_write_leaves_no_metadata(self, tmp_path):
+        """write_warehouse removes an earlier dw-model.xml before its first
+        document and writes its own last, so a write that fails partway
+        leaves a directory that no reader accepts."""
+        out = tmp_path / "wh"
+        warehouse = reference_sale_warehouse()
+        write_warehouse(warehouse, str(out))
+        warehouse.instances["date"][0].rows[0]["day"] = "\x00"
+        with pytest.raises(DocumentError, match="d_date.xml"):
+            write_warehouse(warehouse, str(out))
+        assert not (out / "dw-model.xml").exists()
+        with pytest.raises(DocumentError, match="dw-model.xml"):
+            read_metadata(str(out))
 
 
 class TestStreaming:
