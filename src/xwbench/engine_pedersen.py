@@ -43,9 +43,9 @@ def make_covering(inst: DimensionInstance, schema: DimensionSchema) -> Dimension
 def make_strict(inst: DimensionInstance, schema: DimensionSchema) -> DimensionInstance:
     """Collapse a covering instance to one row, fusing multi-valued levels.
 
-    Levels are processed finest to coarsest; a level with several distinct
-    values across rows keeps the fused label in its own position and in the
-    inserted `<level>_fused` cell.  Must run on covering rows.
+    Each level's cell is its single value, or the fused label of its several
+    distinct values across rows.  The `<level>_fused` cells are
+    transform_warehouse's to write.  Must run on covering rows.
     """
     if inst.has_absent_cell(schema):
         raise ValueError(
@@ -55,17 +55,8 @@ def make_strict(inst: DimensionInstance, schema: DimensionSchema) -> DimensionIn
     cells: dict[str, str] = {}
     for level in schema.levels:
         distinct = {row[level] for row in inst.rows}
-        value = fused_label(distinct) if len(distinct) > 1 else next(iter(distinct))
-        cells[level] = value
-        if len(distinct) > 1:
-            cells[level + FUSED_SUFFIX] = value
+        cells[level] = fused_label(distinct) if len(distinct) > 1 else next(iter(distinct))
     return DimensionInstance(inst.instance_id, (cells,))
-
-
-def fused_levels_of(inst: DimensionInstance, schema: DimensionSchema) -> set[str]:
-    """Original levels whose values got fused in a make_strict result."""
-    extra = set(inst.rows[0]) - set(schema.levels) if len(inst.rows) == 1 else set()
-    return {name[: -len(FUSED_SUFFIX)] for name in extra if name.endswith(FUSED_SUFFIX)}
 
 
 def extended_schema(schema: DimensionSchema, fused: set[str]) -> DimensionSchema:
@@ -93,23 +84,20 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
     metadata listing the inserted fused levels, and a byte-identical copy of
     the facts document.  An instance of one complete row is already covering
     and strict, so it is written as read; only the others go through
-    make_covering and make_strict.  Where a dimension gains fused levels,
-    each instance's own value fills the singleton fusion in place, on the
-    row dicts this call read or built.  An input value spelled like a label
-    the output writes ("Other", or one holding "+") raises DocumentError,
-    since the output read back could not tell it from a placeholder or a
-    fused value; so does a transform's output that holds a label.  The
-    output's metadata is removed first and written last, and a failed call
-    removes what it wrote, so no reader accepts the directory it leaves.
+    make_covering and make_strict.  An input value spelled like a label the
+    output writes ("Other", or one holding "+") raises DocumentError, since
+    the output read back could not tell it from a placeholder or a fused
+    value; so does a transform's output that holds a label.  Where a
+    dimension gains fused levels, one loop writes every instance's
+    `<level>_fused` cells.  Input and output are compared as real paths; the
+    output is cleared first (xmlio.clear_layout) and its metadata written
+    last, and a failed call removes what it wrote, so no reader accepts it.
     """
-    if os.path.abspath(dir_in) == os.path.abspath(dir_out):
+    if os.path.realpath(dir_in) == os.path.realpath(dir_out):
         raise ConfigurationError("transform requires distinct input and output directories")
     start = time.perf_counter()
     model = xmlio.read_metadata(dir_in)
-    os.makedirs(dir_out, exist_ok=True)
-    metadata = os.path.join(dir_out, xmlio.METADATA_FILE)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(metadata)
+    xmlio.clear_layout(dir_out)
 
     covered = 0
     fused_count = 0
@@ -138,21 +126,21 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
                 if covering is not inst:
                     covered += 1
                 strict = make_strict(covering, schema)
-                if strict is not covering:
-                    inst_fused = fused_levels_of(strict, schema)
-                    if inst_fused:
-                        fused_count += 1
-                        dim_fused |= inst_fused
+                # The input holds no '+', so a value holding one is a fused label.
+                inst_fused = {level for level, value in strict.rows[0].items() if "+" in value}
+                if inst_fused:
+                    fused_count += 1
+                    dim_fused |= inst_fused
                 out_instances.append(strict)
             ext = extended_schema(schema, dim_fused)
             if dim_fused:
-                # Unfused instances carry the singleton fusion (their own value)
-                # so every row is complete over the extended chain.  No row dict
-                # here is shared: the reader or a helper built each in this call.
+                # Each fused level's cell copies the level's: its fused label or,
+                # unfused, its own value.  No row dict here is shared: the reader
+                # or a helper built each in this call.
                 for inst in out_instances:
                     cells = inst.rows[0]
                     for level in dim_fused:
-                        cells.setdefault(level + FUSED_SUFFIX, cells[level])
+                        cells[level + FUSED_SUFFIX] = cells[level]
                 fused_by_dim[schema.id] = tuple(
                     lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))
             written.append(os.path.join(dir_out, ext.path))
@@ -161,7 +149,7 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
 
         written.append(os.path.join(dir_out, model.fact_path))
         shutil.copyfile(os.path.join(dir_in, model.fact_path), written[-1])
-        written.append(metadata)
+        written.append(os.path.join(dir_out, xmlio.METADATA_FILE))
         xmlio.write_metadata(replace(model, dimensions=tuple(out_schemas)), dir_out)
     except BaseException:
         for path in written:

@@ -19,7 +19,6 @@ comparisons read it in place.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import operator
@@ -57,10 +56,9 @@ ENGINES = (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)
 
 ORACLE_FACT_LIMIT = 10_000
 
-# The six-document layout every generated dataset has, and the stamp file
-# generate_dataset writes beside it, for campaigns and `xwbench generate`.
+# The six-document layout every generated dataset has; generate_dataset
+# writes xmlio.STAMP_FILE beside it, for campaigns and `xwbench generate`.
 DATASET_FILES = xmlio.layout_files(default_model())
-STAMP_FILE = "dataset-stamp.json"
 
 
 # --- qualitative metric ------------------------------------------------------
@@ -384,14 +382,11 @@ def standard_matrix(facts: int = 1000, seed: int = 42) -> list[DatasetSpec]:
 
 def generate_dataset(cfg: GeneratorConfig) -> Warehouse:
     """Generate `cfg` in place into cfg.output_dir, stamped with its
-    provenance: the generator config minus the output path.  The old stamp
-    is removed first and the new one written last, after write_warehouse's
+    provenance: the generator config minus the output path.  write_warehouse
+    removes the old stamp first, and the new one is written last, after its
     metadata, so a failed generation leaves no stamp and no readable mix."""
-    stamp = os.path.join(cfg.output_dir, STAMP_FILE)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(stamp)
     warehouse = generate_warehouse(cfg)
-    with open(stamp, "w", encoding="utf-8") as fh:
+    with open(os.path.join(cfg.output_dir, xmlio.STAMP_FILE), "w", encoding="utf-8") as fh:
         fh.write(json.dumps({k: v for k, v in asdict(cfg).items() if k != "output_dir"},
                             sort_keys=True))
     return warehouse
@@ -401,7 +396,7 @@ def read_stamp(in_dir: str) -> GeneratorConfig | None:
     """The config `in_dir` was generated from, or None when it carries no
     readable stamp (a transform's output, or a layout from another tool)."""
     try:
-        with open(os.path.join(in_dir, STAMP_FILE), encoding="utf-8") as fh:
+        with open(os.path.join(in_dir, xmlio.STAMP_FILE), encoding="utf-8") as fh:
             return GeneratorConfig(**json.load(fh))
     except (OSError, ValueError, TypeError):
         return None
@@ -508,6 +503,8 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
     try:
         if repeats < 1:
             raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
+        if warmup < 0:
+            raise ConfigurationError(f"warmup must be at least 0, got {warmup}")
         # The naive control groups like qbs, so its cube is checked as qbs's.
         plan = plan_query(query, run_dir, ENGINE_QBS if engine == ENGINE_NAIVE else engine)
         report.load_ms = plan.load_ms
@@ -604,6 +601,10 @@ def run_campaign(matrix: dict, report_path: str,
     in its rows and the campaign goes on: a cell's in its row, a dataset's
     generation in all its rows, a transform in its static-engine rows alone.
     """
+    unknown = [key for key in matrix if key not in (
+        "datasets", "engines", "matching", "queries", "repeats", "warmup", "data_dir")]
+    if unknown:
+        raise ConfigurationError(f"unknown keys in the matrix: {unknown}")
     try:
         specs = [spec if isinstance(spec, DatasetSpec) else DatasetSpec(**spec)
                  for spec in matrix.get("datasets", [])]

@@ -2,10 +2,11 @@
 
 A warehouse directory holds dw-model.xml (metadata), f_sale.xml (facts) and
 one document per dimension (d_part.xml, d_customer.xml, d_supplier.xml,
-d_date.xml), in the grammar of docs/document-grammar.md.  Writers emit a
-fixed byte form (two-space indent, single-quoted attributes, fixed attribute
-order), one sale or instance at a time, dw-model.xml last, and refuse a value
-that form cannot hold.  Readers accept exactly that form, so every document
+d_date.xml), in the grammar of docs/document-grammar.md.  Writers clear the
+old dw-model.xml and stamp first (clear_layout), emit a fixed byte form
+(two-space indent, single-quoted attributes, fixed attribute order), one
+sale or instance at a time, dw-model.xml last, and refuse a value that form
+cannot hold.  Readers accept exactly that form, so every document
 they accept is well-formed XML, and this module alone decides what is accepted.
 The metadata's lines are one function's text (_metadata_lines): written
 as it renders, and read by rendering the model they spell and comparing.
@@ -46,6 +47,8 @@ from .model import (
 )
 
 METADATA_FILE = "dw-model.xml"
+# The provenance harness.generate_dataset writes beside the six documents.
+STAMP_FILE = "dataset-stamp.json"
 
 # Dimension id -> its instances in document order: instance `dim#n` sits at
 # position n - 1, so a fact's ordinal joins it to its instance.
@@ -227,13 +230,20 @@ def write_dimension(schema: DimensionSchema, instances: Iterable[DimensionInstan
                             for inst in instances))
 
 
-def write_warehouse(warehouse: Warehouse, out_dir: str) -> None:
-    """Write the six documents into `out_dir`, in place.  An earlier
-    dw-model.xml is removed before the first document and the new one is
-    written last, so no reader accepts what a failed write leaves."""
+def clear_layout(out_dir: str) -> None:
+    """Make `out_dir` and remove its dw-model.xml and stamp, so neither a
+    reader nor a stamp vouches for it until a writer writes them again."""
     os.makedirs(out_dir, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, METADATA_FILE))
+    for name in (METADATA_FILE, STAMP_FILE):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+
+
+def write_warehouse(warehouse: Warehouse, out_dir: str) -> None:
+    """Write the six documents into `out_dir`, in place.  The directory is
+    cleared first (clear_layout) and dw-model.xml written last, so no reader
+    accepts what a failed write leaves, and no earlier stamp survives it."""
+    clear_layout(out_dir)
     write_facts(warehouse.model, warehouse.facts, out_dir)
     for schema in warehouse.model.dimensions:
         write_dimension(schema, warehouse.instances[schema.id], out_dir)

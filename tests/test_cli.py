@@ -13,8 +13,8 @@ import pytest
 from conftest import reference_sale_warehouse
 from xwbench import harness, xmlio
 from xwbench.cli import main
-from xwbench.harness import STAMP_FILE, DatasetSpec, ensure_dataset
-from xwbench.xmlio import write_warehouse
+from xwbench.harness import DatasetSpec, ensure_dataset
+from xwbench.xmlio import STAMP_FILE, read_metadata, write_warehouse
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -254,6 +254,27 @@ class TestProvenance:
                        "--report", report) == 0
         (row,) = _report_rows(report)
         assert [row[c] for c in PROVENANCE] == ["complex", "", "", "", ""]
+
+    def test_transform_over_a_stamped_dataset_removes_its_stamp(self, tmp_path):
+        """A transform into a generated dataset's directory leaves no stamp,
+        so neither `run` nor a campaign takes the transformed documents for
+        the dataset the stamp described."""
+        data = tmp_path / "d"
+        spec = DatasetSpec("x-pedersen", 200, seed=1)
+        stale = ensure_dataset(spec, str(data))
+        assert run_cli("generate", "--facts", "100", "--incomplete", "50",
+                       "--nonstrict", "50", "--nonstrict-number", "4", "--seed", "3",
+                       "--out", str(data / "x")) == 0
+        assert run_cli("transform", "--in", str(data / "x"), "--out", stale) == 0
+        assert not os.path.exists(os.path.join(stale, STAMP_FILE))
+        report = str(tmp_path / "report.csv")
+        assert run_cli("run", "--in", stale, "--query", "D1", "--report", report) == 0
+        (row,) = _report_rows(report)
+        assert [row[c] for c in PROVENANCE[1:]] == ["", "", "", ""]
+        assert ensure_dataset(spec, str(data)) == stale
+        assert not any(level.endswith("_fused") for schema in read_metadata(stale).dimensions
+                       for level in schema.levels)
+        assert harness.read_stamp(stale) == spec.config(None)
 
 
 class TestOracleCommand:

@@ -17,7 +17,6 @@ from xwbench import cli, engine_pedersen
 from xwbench.engine_pedersen import (
     FUSED_SUFFIX,
     extended_schema,
-    fused_levels_of,
     make_covering,
     make_strict,
     transform_warehouse,
@@ -55,21 +54,26 @@ class TestMakeCovering:
 
 
 class TestMakeStrict:
-    def test_multi_nation_array_gets_fused_label(self, model):
+    def test_multi_nation_array_gets_fused_label(self, model, tmp_path):
+        """make_strict sets each level's own cell only; the transform writes
+        the `nation_fused` cell, a copy of the fused label."""
         schema = model.dimension("supplier")
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
         out = make_strict(inst, schema)
-        assert len(out.rows) == 1
-        assert out.rows[0]["nation"] == "FRANCE+GERMANY"
-        assert out.rows[0]["nation_fused"] == "FRANCE+GERMANY"
-        assert out.rows[0]["region"] == "EUROPE"
-        assert fused_levels_of(out, schema) == {"nation"}
+        assert out.rows == ({"nation": "FRANCE+GERMANY", "region": "EUROPE"},)
+        raw, ped = str(tmp_path / "raw"), str(tmp_path / "ped")
+        warehouse = reference_sale_warehouse()
+        warehouse.instances["supplier"] = [inst]
+        write_warehouse(warehouse, raw)
+        transform_warehouse(raw, ped)
+        (written,) = iter_instances(ped, read_metadata(ped).dimension("supplier"))
+        assert written.rows == ({"nation": "FRANCE+GERMANY",
+                                 "nation_fused": "FRANCE+GERMANY", "region": "EUROPE"},)
 
     def test_single_row_is_a_fixed_point(self, model):
         inst = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"}])
         out = make_strict(inst, model.dimension("supplier"))
         assert out is inst
-        assert fused_levels_of(out, model.dimension("supplier")) == set()
 
     def test_requires_covering_input(self, model):
         inst = make_instance("supplier", COMPLEX_SUPPLIER)
@@ -184,6 +188,20 @@ class TestTransformWarehouse:
         with pytest.raises(ConfigurationError):
             transform_warehouse(src, src)
 
+    def test_symlink_to_the_input_is_rejected(self, tmp_path):
+        """An output that is a symlink to the input is the same directory:
+        refused before anything is written or removed, so the input's six
+        documents are left as they were."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        generate_warehouse(GeneratorConfig(50, incomplete_percentage=50, seed=1,
+                                           output_dir=str(a)))
+        before = {name: (a / name).read_bytes() for name in os.listdir(a)}
+        b.symlink_to(a, target_is_directory=True)
+        with pytest.raises(ConfigurationError):
+            transform_warehouse(str(a), str(b))
+        assert {name: (a / name).read_bytes() for name in os.listdir(a)} == before
+        assert len(before) == 6
+
 
 class TestTransformShortcuts:
     """The transform writes complete single-row instances as read and fills
@@ -197,9 +215,10 @@ class TestTransformShortcuts:
            seed=st.integers(min_value=0, max_value=2**64 - 1))
     def test_every_instance_is_its_helpers_result(self, facts, incomplete, nonstrict,
                                                   k, seed):
-        """Each written instance is make_strict(make_covering(inst)) plus the
-        singleton `_fused` cells of its dimension's fused levels, and the
-        report counts what those helpers did."""
+        """Each written instance is make_strict(make_covering(inst)) plus a
+        `_fused` cell per fused level of its dimension, a copy of the level's
+        cell, and the report counts what those helpers did.  A level is
+        fused where an instance's covering rows hold several values."""
         with tempfile.TemporaryDirectory() as tmp:
             raw, out = os.path.join(tmp, "raw"), os.path.join(tmp, "out")
             generate_warehouse(GeneratorConfig(
@@ -216,14 +235,15 @@ class TestTransformShortcuts:
                     covering = make_covering(inst, schema)
                     strict = make_strict(covering, schema)
                     covered += covering is not inst
-                    inst_fused = fused_levels_of(strict, schema)
+                    inst_fused = {level for level in schema.levels
+                                  if len({row[level] for row in covering.rows}) > 1}
                     fused += bool(inst_fused)
                     dim_fused |= inst_fused
                     expected.append(strict)
                 for inst in expected:
                     cells = inst.rows[0]
                     for level in dim_fused:
-                        cells.setdefault(level + FUSED_SUFFIX, cells[level])
+                        cells[level + FUSED_SUFFIX] = cells[level]
                 assert written == expected, schema.id
                 assert report.fused_levels.get(schema.id, ()) == tuple(
                     level for level in extended_schema(schema, dim_fused).levels

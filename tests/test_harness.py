@@ -916,6 +916,16 @@ class TestCellFailures:
         assert report.error == f"repeats must be at least 1, got {repeats}"
         assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
 
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_negative_warmup_is_recorded_as_configuration_error(self, reference_dir,
+                                                                repeats):
+        """A negative warmup neither faults (one repeat) nor silently times
+        fewer runs than asked (three)."""
+        report = run_cell(DatasetSpec("ref", 1), reference_dir, "qbs", get_query("D1"),
+                          "hash", repeats=repeats, warmup=-1)
+        assert report.error == "warmup must be at least 0, got -1"
+        assert report.query_ms is None
+
     @pytest.mark.parametrize("old, new", [
         ("idref='part#1'", "idref='part#99999999999999999999'"),
         ("<f_quantity>100<", "<f_quantity>99999999999999999999<"),
@@ -1101,12 +1111,13 @@ class TestCampaign:
         {"repeats": True},
         {"repeats": 2.7},
         {"warmup": "1"},
+        {"matchings": ["scan"], "query": ["D1"]},
     ], ids=["facts", "id", "nonstrict_number", "unknown_key", "repeats",
             "repeats_text", "warmup", "engine", "matching", "query", "queries_number",
             "queries_text", "engines_text", "matching_number", "not_json", "not_an_object",
             "data_dir_number", "facts_text", "id_number", "id_nul", "seed_float",
             "nonstrict_number_float", "facts_bool", "repeats_bool", "repeats_float",
-            "warmup_text"])
+            "warmup_text", "misspelt_keys"])
     def test_bad_matrix_is_rejected_before_generation(self, tmp_path, change):
         """The whole matrix file is checked before any dataset is generated
         or any report is written.  `change` edits a good matrix, or is the

@@ -299,6 +299,15 @@ class TestWriters:
         with pytest.raises(DocumentError, match="dw-model.xml"):
             read_metadata(str(out))
 
+    def test_rewrite_removes_the_stamp(self, tmp_path):
+        """A stamp vouches for what generate_dataset wrote; a rewrite through
+        write_warehouse removes it, so it never vouches for other data."""
+        out = tmp_path / "wh"
+        out.mkdir()
+        (out / xmlio.STAMP_FILE).write_text('{"facts": 200}', encoding="utf-8")
+        write_warehouse(reference_sale_warehouse(), str(out))
+        assert not (out / xmlio.STAMP_FILE).exists()
+
 
 class TestStreaming:
     def test_malformed_document_reports_line(self, reference_dir, model):
