@@ -394,11 +394,14 @@ def generate_dataset(cfg: GeneratorConfig) -> Warehouse:
 
 def read_stamp(in_dir: str) -> GeneratorConfig | None:
     """The config `in_dir` was generated from, or None when it carries no
-    readable stamp (a transform's output, or a layout from another tool)."""
+    readable stamp (a transform's output, or a layout from another tool).
+    A stamp the generator would refuse is no stamp either."""
     try:
         with open(os.path.join(in_dir, xmlio.STAMP_FILE), encoding="utf-8") as fh:
-            return GeneratorConfig(**json.load(fh))
-    except (OSError, ValueError, TypeError):
+            cfg = GeneratorConfig(**json.load(fh))
+        cfg.validate()
+        return cfg
+    except (OSError, ValueError, TypeError, ConfigurationError):
         return None
 
 
@@ -624,9 +627,11 @@ def run_campaign(matrix: dict, report_path: str,
             ("query", query_ids, known)):
         if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
             raise ConfigurationError(f"{kind} names in the matrix are not a list of strings")
-        for name in names:
+        for i, name in enumerate(names):
             if name not in allowed:
                 raise ConfigurationError(f"unknown {kind} {name!r} in the matrix")
+            if name in names[:i]:
+                raise ConfigurationError(f"{kind} {name!r} is listed twice in the matrix")
     if type(repeats) is not int or repeats < 1:
         raise ConfigurationError(f"repeats must be an integer of at least 1, got {repeats!r}")
     if type(warmup) is not int or warmup < 0:

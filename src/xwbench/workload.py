@@ -129,9 +129,14 @@ def parse_query_line(line: str) -> Query:
 
 def parse_workload(text: str) -> list[Query]:
     """The queries of a workload text, one per line; blank lines and lines
-    starting with `#` are skipped."""
-    return [parse_query_line(line) for line in map(str.strip, text.split("\n"))
-            if line and not line.startswith("#")]
+    starting with `#` are skipped.  Two queries may not share an id."""
+    queries = [parse_query_line(line) for line in map(str.strip, text.split("\n"))
+               if line and not line.startswith("#")]
+    ids = [query.id for query in queries]
+    for i, query_id in enumerate(ids):
+        if query_id in ids[:i]:
+            raise QueryError(f"query id {query_id!r} is used twice in the workload")
+    return queries
 
 
 def load_workload(path: str) -> list[Query]:

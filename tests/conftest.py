@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import re
+
 import pytest
 
 from xwbench.engine_pedersen import transform_warehouse
@@ -13,6 +16,18 @@ from xwbench.model import (
     default_model,
 )
 from xwbench.xmlio import write_warehouse
+
+
+def edit(path, old, new):
+    """Replace `old` (a str, or a compiled pattern) by `new` in the document
+    at `path`, which must change, and return the text before and after.  It
+    is written back with surrogate escapes, so an edit can leave UTF-8."""
+    path = pathlib.Path(path)
+    text = path.read_text(encoding="utf-8")
+    edited = old.sub(new, text) if isinstance(old, re.Pattern) else text.replace(old, new)
+    assert edited != text, f"{old!r} is not in {path.name}"
+    path.write_bytes(edited.encode("utf-8", "surrogateescape"))
+    return text, edited
 
 
 def make_instance(dim: str, rows: list[dict[str, str]], ordinal: int = 1) -> DimensionInstance:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import reference_sale_warehouse
+from conftest import edit, reference_sale_warehouse
 from xwbench import harness, xmlio
 from xwbench.cli import main
 from xwbench.harness import DatasetSpec, ensure_dataset
@@ -109,34 +109,10 @@ class TestTransformAndRun:
         assert all(row["chk_grand"] == "1" for row in rows)
         assert all(row["incomplete_pct"] == "" for row in rows)
 
-    def test_transform_missing_input_is_data_error(self, tmp_path):
-        assert run_cli("transform", "--in", str(tmp_path / "nope"),
-                       "--out", str(tmp_path / "out")) == 2
-
-    def test_level_chain_left_empty_is_data_error(self, reference_dir, tmp_path, capsys):
-        """A dimension declared with no level has no written form: `run` and
-        `transform` exit 2 naming the metadata's line, even where its rows
-        would read as written."""
-        meta = pathlib.Path(reference_dir, "dw-model.xml")
-        meta.write_text(meta.read_text().replace("<type3><type2><type1/></type2></type3>", ""))
-        part = pathlib.Path(reference_dir, "d_part.xml")
-        text = part.read_text()
-        part.write_text(text[:text.index("    <row>")] + "    <row/>\n"
-                        + text[text.index("  </instance>"):])
-        for argv in (("run", "--in", reference_dir, "--query", "Q21"),
-                     ("transform", "--in", reference_dir, "--out", str(tmp_path / "out"))):
-            assert run_cli(*argv) == 2
-            assert "dw-model.xml: line 4: dimension 'part' has levels ()" in (
-                capsys.readouterr().err)
-
     def test_run_single_query(self, cli_dataset, capsys):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q22") == 0
         out = capsys.readouterr().out
         assert "Q22" in out and "checks ok" in out
-
-    def test_pedersen_on_untransformed_data_is_data_error(self, cli_dataset):
-        assert run_cli("run", "--in", cli_dataset, "--engine", "pedersen",
-                       "--query", "D4") == 2
 
     def test_naive_engine_fails_strict(self, cli_dataset, capsys):
         assert run_cli("run", "--in", cli_dataset, "--engine", "naive",
@@ -205,14 +181,6 @@ class TestTransformAndRun:
     def test_unknown_query_is_data_error(self, cli_dataset):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q99") == 2
 
-    def test_workload_that_is_not_utf8_is_data_error(self, cli_dataset, tmp_path, capsys):
-        wl = tmp_path / "bad.workload"
-        wl.write_bytes(b"X9 SUM f_quantity date.year\xff\n")
-        assert run_cli("run", "--in", cli_dataset, "--workload", str(wl)) == 2
-        err = capsys.readouterr().err
-        assert f"xwbench run: {wl}: 'utf-8' codec can't decode byte 0xff" in err
-        assert "Traceback" not in err
-
 
 def _report_rows(path):
     with open(path, newline="") as fh:
@@ -242,7 +210,10 @@ class TestProvenance:
         (row,) = _report_rows(report)
         assert [row[c] for c in PROVENANCE] == ["complex", "200", "50", "50", "2"]
 
-    @pytest.mark.parametrize("stamp", [None, "{"], ids=["missing", "unreadable"])
+    @pytest.mark.parametrize("stamp", [None, "{", '{"fact_number": true, "incomplete_percentage": '
+                                       '"lots", "nonstrict_percentage": -4, "nonstrict_number": '
+                                       '0, "seed": 1}'],
+                             ids=["missing", "unreadable", "refused-by-the-generator"])
     def test_run_without_a_stamp_infers_the_regime(self, cli_dataset, tmp_path, stamp):
         path = pathlib.Path(cli_dataset, STAMP_FILE)
         if stamp is None:
@@ -306,40 +277,15 @@ class TestOracleCommand:
         assert run_cli("oracle", "--in", out, "--query", "Q24") == 0
         assert capsys.readouterr().out.endswith(" support=1 f_totalamount=12449.53\n")
 
-    def test_dangling_dimref_is_data_error(self, reference_dir, capsys):
-        path = os.path.join(reference_dir, "f_sale.xml")
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace("idref='part#1'", "idref='part#99'"))
-        assert run_cli("oracle", "--in", reference_dir, "--query", "D2") == 2
-        assert "'part#99'" in capsys.readouterr().err
-
-    def test_malformed_sale_is_data_error(self, reference_dir, capsys):
-        path = os.path.join(reference_dir, "f_sale.xml")
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace("<f_quantity>100", "<f_quantity>many"))
-        assert run_cli("oracle", "--in", reference_dir, "--query", "D2") == 2
-        assert "f_sale.xml: line 4: not in the written form" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("document, old, new, line", [
-        ("f_sale.xml", "idref='part#1'/>", "idref='part#1'>", 6),
-        ("d_part.xml", "<type3>LARGE</type3>", "<type3>LARGE</type2>", 5),
-        ("dw-model.xml", "<type1/>", "<type1>", 4),
-    ], ids=["facts", "dimension", "metadata"])
-    def test_document_that_is_not_well_formed_is_data_error(self, reference_dir, capsys,
-                                                            document, old, new, line):
-        """The oracle reads only what the readers accept: a document that is
-        not well-formed exits 2 naming its line, as `run` does."""
-        path = pathlib.Path(reference_dir, document)
-        text = path.read_text(encoding="utf-8")
-        assert old in text
-        path.write_text(text.replace(old, new), encoding="utf-8")
+    def test_dimension_that_is_not_well_formed_is_data_error(self, reference_dir, capsys):
+        """The oracle reads only what the readers accept: a dimension document
+        that is not well-formed exits 2 naming its line, as `run` does on a
+        query grouping the dimension."""
+        edit(os.path.join(reference_dir, "d_part.xml"), "<type3>LARGE</type3>",
+             "<type3>LARGE</type2>")
         for command in ("oracle", "run"):
             assert run_cli(command, "--in", reference_dir, "--query", "D2") == 2
-            assert f"{document}: line {line}: " in capsys.readouterr().err
+            assert "d_part.xml: line 5: " in capsys.readouterr().err
 
 
 class TestCampaignCommand:
@@ -394,41 +340,3 @@ class TestCampaignCommand:
                        str(tmp_path / "no-such-dir" / "r.csv"), "--data-dir", str(data)) == 2
         assert "No such file or directory" in capsys.readouterr().err
         assert not (data / "t").exists()
-
-    def test_matrix_value_of_the_wrong_type_is_data_error(self, tmp_path, capsys,
-                                                          monkeypatch):
-        """A `data_dir` that is no string is refused before anything is
-        written, with exit 2."""
-        matrix_path = tmp_path / "m.json"
-        matrix_path.write_text(json.dumps({"datasets": [{"id": "t", "facts": 10}],
-                                           "engines": ["qbs"], "queries": ["D1"],
-                                           "data_dir": 7}))
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("campaign", "--matrix", str(matrix_path), "--report",
-                       str(tmp_path / "r.csv")) == 2
-        assert "data_dir must be a string, got 7" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["m.json"]
-
-    def test_matrix_that_is_not_json_is_data_error(self, tmp_path, capsys):
-        matrix_path = tmp_path / "m.json"
-        matrix_path.write_text('{"datasets": [\n  {"id": "t",\n')
-        assert run_cli("campaign", "--matrix", str(matrix_path), "--report",
-                       str(tmp_path / "r.csv"), "--data-dir", str(tmp_path / "data")) == 2
-        assert "m.json: Expecting property name enclosed in double quotes: line 3 column 1" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "r.csv").exists()
-
-    @pytest.mark.parametrize("text, message", [
-        (b'{"datasets": [], "x": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
-        (b'{"repeats": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
-    ], ids=["not-utf8", "long-integer"])
-    def test_matrix_text_that_json_cannot_read_is_data_error(self, tmp_path, capsys,
-                                                             text, message):
-        matrix_path = tmp_path / "m.json"
-        matrix_path.write_bytes(text)
-        assert run_cli("campaign", "--matrix", str(matrix_path), "--report",
-                       str(tmp_path / "r.csv"), "--data-dir", str(tmp_path / "data")) == 2
-        err = capsys.readouterr().err
-        assert f"xwbench campaign: {matrix_path}: {message}" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "r.csv").exists()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance,
+from conftest import (COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, edit, make_instance,
                       reference_sale_warehouse)
 from xwbench import cli, engine_pedersen
 from xwbench.engine_pedersen import (
@@ -23,7 +23,6 @@ from xwbench.engine_pedersen import (
 )
 from xwbench.errors import ConfigurationError, DocumentError
 from xwbench.generator import GeneratorConfig, generate_warehouse
-from xwbench.harness import REPORT_COLUMNS, DatasetSpec, run_cell
 from xwbench.model import HierarchyKind, classify_instance
 from xwbench.workload import Query, get_query, plan_query, run_query
 from xwbench.xmlio import iter_instances, layout_files, read_metadata, write_warehouse
@@ -169,12 +168,8 @@ class TestTransformWarehouse:
         generate_warehouse(GeneratorConfig(50, seed=1, output_dir=a))
         generate_warehouse(GeneratorConfig(50, seed=2, output_dir=b))
         transform_warehouse(a, out)
-        date_path = os.path.join(b, "d_date.xml")
-        with open(date_path, encoding="utf-8") as fh:
-            text = fh.read()
-        year = re.search("<year>[^<]*</year>", text).group()
-        with open(date_path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace(year, "<year>Other</year>"))
+        edit(os.path.join(b, "d_date.xml"), re.compile("<year>[^<]*</year>"),
+             "<year>Other</year>")
         with pytest.raises(DocumentError, match="d_date.xml"):
             transform_warehouse(b, out)
         assert sorted(os.listdir(out)) == ["d_date.xml", "f_sale.xml"]
@@ -323,7 +318,6 @@ class TestPlanOverTransformedData:
 
     SUPPLIER_NATION = Query("T", "SUM", ("f_quantity",),
                             (("supplier", "nation"), ("part", None)))
-    PART_TYPE3 = Query("T", "SUM", ("f_quantity",), (("part", "type3"),))
 
     @staticmethod
     def _written(tmp_path, name, **rows):
@@ -342,31 +336,6 @@ class TestPlanOverTransformedData:
         transform_warehouse(raw, out)
         plan = plan_query(self.SUPPLIER_NATION, out, "pedersen")
         assert list(plan.keys()) == [("FRANCE+GERMANY", "part#1")]
-
-    @pytest.mark.parametrize("rows, query, instance", [
-        ({"supplier": FOUR_ROW_SUPPLIER}, SUPPLIER_NATION, "supplier#1"),
-        ({"part": [{"type2": "ANODIZED", "type1": "TIN"}]}, PART_TYPE3, "part#1"),
-    ], ids=["multi-row", "hole"])
-    def test_untransformed_instance_is_refused(self, tmp_path, rows, query, instance):
-        """Through plan_query, and in run_cell's row, naming the instance."""
-        raw = self._written(tmp_path, "raw", **rows)
-        with pytest.raises(ConfigurationError, match=f"'{instance}'.*transform_warehouse"):
-            plan_query(query, raw, "pedersen")
-        report = run_cell(DatasetSpec("raw", 1), raw, "pedersen", query, "hash",
-                          repeats=1, warmup=0)
-        assert f"'{instance}'" in report.error
-        assert report.error.endswith("this warehouse is not the output of transform_warehouse")
-        assert report.row()[REPORT_COLUMNS.index("chk_grand")] == "ERR"
-
-    def test_unreferenced_untransformed_instance_is_refused(self, tmp_path):
-        """No sale references supplier#2, but the warehouse holding it is
-        still not a transform's output."""
-        warehouse = reference_sale_warehouse()
-        warehouse.instances["supplier"].append(make_instance("supplier", FOUR_ROW_SUPPLIER, 2))
-        raw = str(tmp_path / "raw")
-        write_warehouse(warehouse, raw)
-        with pytest.raises(ConfigurationError, match="'supplier#2'"):
-            plan_query(self.SUPPLIER_NATION, raw, "pedersen")
 
     def test_instance_grouping_over_raw_data_is_accepted(self, tmp_path):
         """Q21 reads no level, so raw data is not refused under pedersen."""

@@ -1,10 +1,7 @@
 """Query-time resolution: component semantics and group keys."""
 
 import copy
-import os
 import pickle
-
-import pytest
 
 from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
 from xwbench.engine_qbs import (
@@ -13,7 +10,6 @@ from xwbench.engine_qbs import (
     label_component,
     resolve_column,
 )
-from xwbench.errors import QueryError, ReferentialError
 from xwbench.model import F_QUANTITY
 from xwbench.workload import Query, plan_query
 
@@ -73,19 +69,6 @@ class TestResolveGroup:
 
     def test_empty_grouping_is_the_unit_key(self, reference_dir):
         assert self.key(reference_dir, ()) == ()
-
-    def test_dangling_reference(self, reference_dir):
-        path = os.path.join(reference_dir, "f_sale.xml")
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace("idref='part#1'", "idref='part#2'"))
-        with pytest.raises(ReferentialError, match="'part#2'"):
-            self.key(reference_dir, (("part", "type3"),))
-
-    def test_unknown_dimension(self, reference_dir):
-        with pytest.raises(QueryError):
-            self.key(reference_dir, (("store", "city"),))
 
 
 class TestLabels:

@@ -24,7 +24,6 @@ from xwbench.workload import (
     aggregate_step,
     get_query,
     load_workload,
-    parse_query_line,
     run_query,
     standard_workload,
     validate_query,
@@ -76,22 +75,10 @@ class TestStandardWorkload:
         assert get_query("D4").grouping == (("part", "type3"), ("customer", "nation"),
                                             ("supplier", "nation"), ("date", "day"))
 
-    def test_validation_rejects_bad_queries(self, model):
-        with pytest.raises(QueryError):
-            validate_query(Query("X", "SUM", (F_QUANTITY,),
-                                 (("part", "nation"),)), model)
-        with pytest.raises(QueryError):
-            validate_query(Query("X", "SUM", (F_QUANTITY,),
-                                 (("part", None), ("part", "type3"))), model)
-        with pytest.raises(QueryError):
-            validate_query(Query("X", "MEDIAN", (F_QUANTITY,), ()), model)
-        with pytest.raises(QueryError):
-            validate_query(Query("X", "SUM", ("margin",), ()), model)
-        with pytest.raises(QueryError):
-            validate_query(parse_query_line("X SUM f_quantity,f_quantity -"), model)
-        # declared by the metadata, but a fact record does not carry it
+    def test_measure_no_fact_carries_is_refused(self, model):
+        """Declared by the metadata, but a fact record does not carry it."""
         declared = dataclasses.replace(model, measures=model.measures + ("margin",))
-        with pytest.raises(QueryError):
+        with pytest.raises(QueryError, match="unknown measure 'margin'"):
             validate_query(Query("X", "SUM", ("margin",), ()), declared)
 
 
@@ -111,12 +98,6 @@ class TestWorkloadFile:
         assert queries[1].aggregate == "AVG"
         assert queries[2].grouping == ()
         assert queries[3].grouping == (("part", None),)
-
-    def test_bad_lines_are_rejected(self):
-        with pytest.raises(QueryError):
-            parse_query_line("X1 SUM f_quantity")
-        with pytest.raises(QueryError):
-            parse_query_line("X1 SUM f_quantity .day")
 
 
 class TestAggregateStep:
@@ -246,11 +227,6 @@ class TestRunQuery:
         counts = [len(run_query(get_query(f"D{n}"), out_dir)[0].entries)
                   for n in (1, 2, 3, 4)]
         assert counts == sorted(counts)
-
-    def test_pedersen_engine_rejects_untransformed_nonstrict_data(self, complex_300):
-        _, out_dir, _ = complex_300
-        with pytest.raises(ConfigurationError):
-            run_query(get_query("D4"), out_dir, engine="pedersen")
 
     def test_query_time_engine_never_writes(self, complex_300):
         import os

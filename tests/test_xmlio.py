@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, reference_sale_warehouse
+from conftest import edit, make_instance, reference_sale_warehouse
 from xwbench import xmlio
 from xwbench.engine_pedersen import transform_warehouse
-from xwbench.errors import DocumentError, ReferentialError
+from xwbench.errors import DocumentError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import _dom_rows, oracle_cube
 from xwbench.model import (DimensionInstance, DimensionSchema, DwModel, FactRecord, Warehouse,
@@ -52,55 +52,6 @@ class TestMetadata:
     def test_round_trip(self, model, tmp_path):
         write_metadata(model, str(tmp_path))
         assert read_metadata(str(tmp_path)) == model
-
-    def test_malformed_metadata_reports_line(self, tmp_path):
-        (tmp_path / "dw-model.xml").write_text("<dw-model>\n  <fact\n")
-        with pytest.raises(DocumentError, match="line"):
-            read_metadata(str(tmp_path))
-
-    def test_missing_metadata_is_document_error(self, tmp_path):
-        with pytest.raises(DocumentError, match="missing document"):
-            read_metadata(str(tmp_path / "nope"))
-
-    def test_unreadable_metadata_is_document_error(self, tmp_path):
-        (tmp_path / "dw-model.xml").mkdir()
-        with pytest.raises(DocumentError, match="dw-model.xml: cannot read: Is a directory"):
-            read_metadata(str(tmp_path))
-
-    @pytest.mark.parametrize("old, new, message", [
-        ("idref='part'", "idref='a&apos;b'", "line 4: 'a&apos;b' is not a plain"),
-        ("path='d_date.xml'", "path='d&#9;date.xml'", "line 7: 'd&#9;date.xml' is not a plain"),
-        ("idref='supplier'", "idref='customer'", "line 6: dimension 'customer' declared twice"),
-        ("    <measure id='f_totalamount'/>\n", "",
-         "line 9: measures must include 'f_quantity' and 'f_totalamount'"),
-        ("id='sale' path='f_sale.xml'", 'id="sale" path="f_sale.xml"',
-         "line 3: not in the written form"),
-        ("<dw-model>\n", "<dw-model>\n  <!-- sales -->\n", "line 3: not in the written form"),
-        ("<nation><region/></nation>", "<nation> <region/> </nation>",
-         "line 5: not in the written form"),
-        ("<type1/>", "<type1 kind='metal'/>", "line 4: dimension 'part' has levels ('type3', "
-         "'type2', \"type1 kind='metal'\"), not one or more XML names"),
-        ("<type3><type2><type1/></type2></type3>", "",
-         "line 4: dimension 'part' has levels (), not one or more XML names"),
-        (" path='f_sale.xml'", "", "line 3: not in the written form"),
-        ("</dw-model>\n", "</dw-model>\n<!-- end -->\n", "line 12: not in the written form"),
-        ("</dw-model>\n", "</dw-model>", "line 11: not in the written form"),
-        ("</fact>\n</dw-model>\n", "</fact>\n", "line 11: document ends early"),
-        ("'d_part.xml'", "'d_p\udcffrt.xml'", "line 4: 'd_p\\udcffrt.xml' is not a plain"),
-    ], ids=["id-not-plain", "path-not-plain", "declared-twice", "measure-missing",
-            "double-quotes", "comment", "chain-whitespace", "level-attribute", "empty-chain",
-            "fact-without-path", "trailing-text", "no-final-line-end", "truncated",
-            "not-utf-8"])
-    def test_metadata_without_a_written_form_is_rejected(self, model, tmp_path, old, new,
-                                                         message):
-        """read_metadata accepts only what write_metadata writes, naming the
-        first line that differs or has no written form."""
-        path = pathlib.Path(write_metadata(model, str(tmp_path)))
-        text = path.read_text()
-        assert old in text
-        path.write_bytes(text.replace(old, new).encode("utf-8", "surrogateescape"))
-        with pytest.raises(DocumentError, match=re.escape(f"dw-model.xml: {message}")):
-            read_metadata(str(tmp_path))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -147,7 +98,7 @@ class TestFactsDocument:
         """2**53 + 1 cents, which no float holds, read exactly by the fact
         columns, the engines and the oracle, and written back as read."""
         path = pathlib.Path(reference_dir, "f_sale.xml")
-        path.write_text(path.read_text().replace("2800.00", "90071992547409.93"))
+        edit(path, "2800.00", "90071992547409.93")
         cents = 9007199254740993
         columns = xmlio.load_facts(reference_dir, model, ())
         assert list(columns.measures["f_totalamount"]) == [cents]
@@ -310,111 +261,6 @@ class TestWriters:
 
 
 class TestStreaming:
-    def test_malformed_document_reports_line(self, reference_dir, model):
-        path = pathlib.Path(reference_dir, "f_sale.xml")
-        path.write_text(path.read_text().replace("</sales>", ""))
-        with pytest.raises(DocumentError, match="line"):
-            xmlio.load_facts(reference_dir, model, ())
-
-    def test_dangling_dimref_is_referential_error(self, reference_dir):
-        path = pathlib.Path(reference_dir, "f_sale.xml")
-        path.write_text(path.read_text().replace("idref='part#1'", "idref='part#99'"))
-        with pytest.raises(ReferentialError, match="part#99"):
-            run_query(get_query("D2"), reference_dir)
-
-    @pytest.mark.parametrize("ref", ["part#01", "part#+1", "part#1_0", "part# 1",
-                                     "part#١", "part#", "part#0"])
-    def test_malformed_dimref_is_referential_error(self, reference_dir, ref):
-        """Only `part#<n>` in ASCII digits without a leading zero joins; every
-        reader rejects what int() alone would accept."""
-        path = pathlib.Path(reference_dir, "f_sale.xml")
-        path.write_text(path.read_text().replace("idref='part#1'", f"idref='{ref}'"))
-        with pytest.raises(ReferentialError, match=re.escape(repr(ref))):
-            run_query(get_query("Q21"), reference_dir)
-
-    def test_out_of_sequence_instance_id_rejected(self, reference_dir):
-        path = pathlib.Path(reference_dir, "d_part.xml")
-        path.write_text(path.read_text().replace("id='part#1'", "id='part#7'"))
-        with pytest.raises(DocumentError, match="part#7"):
-            read_warehouse(reference_dir)
-
-    @pytest.mark.parametrize("document, old, new, line", [
-        ("d_part.xml", "<dimension id='part'>", "<dimension id='parts'>", 2),
-        ("d_part.xml", "<type2>ANODIZED</type2>", "<color>RED</color>", 6),
-        ("d_supplier.xml", "dimension", "dim", 2),
-        ("d_customer.xml", "<nation>UNITED STATES</nation>",
-         "<nation>UNITED<b/>STATES</nation>", 5),
-        # Text holds "'" only as &apos;, the one spelling the writers use.
-        ("d_customer.xml", "<nation>UNITED STATES</nation>",
-         "<nation>UNITED'S \"STATES\"</nation>", 5),
-        ("d_date.xml", re.compile(r"<row>.*</row>", re.S), "", 4),
-        ("f_sale.xml", "dim='supplier'", "dim='shop'", 8),
-        ("f_sale.xml", "<dimref dim='date' idref='date#1'/>", "", 9),
-        ("f_sale.xml", "<f_quantity>100</f_quantity>", "<f_quantity>many</f_quantity>", 4),
-        ("f_sale.xml", "<f_totalamount>2800.00</f_totalamount>", "", 5),
-        ("f_sale.xml", "<f_quantity>100</f_quantity>", "<f_quantity><n>100</n></f_quantity>", 4),
-        # Measures must be spelled as written, not as int() or float() read.
-        *[("f_sale.xml", "<f_quantity>100</f_quantity>", f"<f_quantity>{q}</f_quantity>", 4)
-          for q in ("-5", "1_000", " 7 ")],
-        *[("f_sale.xml", "<f_totalamount>2800.00</f_totalamount>",
-           f"<f_totalamount>{a}</f_totalamount>", 5) for a in ("nan", "inf", "1e3", "2800.000")],
-        ("f_sale.xml", "<dimref dim='date' idref='date#1'/>",
-         "<dimref dim='date' idref='date#1'/><dimref dim='date' idref='date#1'/>", 9),
-        # A sale is (f_quantity, f_totalamount, dimref+): a measure read twice
-        # or after a dimref is not silently taken.
-        ("f_sale.xml", "<f_quantity>100</f_quantity>",
-         "<f_quantity>100</f_quantity><f_quantity>7</f_quantity>", 4),
-        ("f_sale.xml", re.compile(r"(    <f_quantity>100</f_quantity>\n)(.*)(  </sale>)", re.S),
-         r"\2\1\3", 3),
-    ])
-    def test_invalid_document_is_rejected_by_message(self, reference_dir, document,
-                                                     old, new, line):
-        """The error names the line and the text found there: the first line
-        not in the written form, or, if every line is one the writers wrote
-        but not in their order, the first line of the record."""
-        path = pathlib.Path(reference_dir, document)
-        text = path.read_text()
-        edited = old.sub(new, text) if isinstance(old, re.Pattern) else text.replace(old, new)
-        assert edited != text
-        path.write_text(edited)
-        found = edited.split("\n")[line - 1]
-        problem = ("lines not in the written order" if found in text.split("\n")
-                   else "not in the written form")
-        with pytest.raises(DocumentError,
-                           match=re.escape(f"{document}: line {line}: {problem}: {found!r}")):
-            read_warehouse(reference_dir)
-
-    @pytest.mark.parametrize("old, new", [
-        ("dim='supplier'", "dim='shop'"),
-        ("<dimref dim='date' idref='date#1'/>", ""),
-        ("<f_quantity>100</f_quantity>", "<f_quantity>-5</f_quantity>"),
-        ("<f_totalamount>2800.00</f_totalamount>", "<f_totalamount>2800.000</f_totalamount>"),
-        ("idref='part#1'", "idref=\"part#1\""),
-        ("idref='part#1'", "idref='part#1&amp;'"),
-        (re.compile(r"(    <dimref dim='part'[^\n]*\n)(    <dimref dim='customer'[^\n]*\n)"),
-         r"\2\1"),
-    ])
-    def test_columns_reject_a_sale_as_records_do(self, reference_dir, model, old, new):
-        """Filling columns, with every dimension joined or none, rejects an
-        edited sale with the message reading its records gives."""
-        path = pathlib.Path(reference_dir, "f_sale.xml")
-        text = path.read_text()
-        edited = old.sub(new, text) if isinstance(old, re.Pattern) else text.replace(old, new)
-        assert edited != text
-        path.write_text(edited)
-        with pytest.raises(DocumentError, match="line") as records:
-            list(iter_facts(reference_dir, model))
-        for dim_ids in ((), model.dimension_ids):
-            with pytest.raises(DocumentError) as columns:
-                xmlio.load_facts(reference_dir, model, dim_ids)
-            assert str(columns.value) == str(records.value)
-
-    @pytest.mark.parametrize("document", ["d_part.xml", "f_sale.xml"])
-    def test_missing_document_is_document_error(self, reference_dir, document):
-        os.remove(os.path.join(reference_dir, document))
-        with pytest.raises(DocumentError, match=re.escape(f"{document}: missing document")):
-            read_warehouse(reference_dir)
-
     def test_record_without_an_end_is_not_buffered_whole(self, tmp_path, model, monkeypatch):
         """A record with no end within the limit is rejected, although in
         the written form, rather than read until it ends."""
@@ -552,36 +398,30 @@ class TestOneReader:
             write_warehouse(warehouse, out)
             assert read_warehouse(out) == warehouse
 
-    @pytest.mark.parametrize("document, edit, back", [
-        ("d_part.xml", lambda t: t.replace("<instance id='part#12'>",
-                                           '<instance id="part#12">'), 0),
-        ("d_part.xml", lambda t: t.replace("  <instance id='part#12'>",
-                                           "  <!-- a note -->\n  <instance id='part#12'>"), 0),
-        ("d_customer.xml", lambda t: _from(t, "<instance id='customer#12'>",
-                                           lambda rest: rest.replace("\n", "\r\n")), 0),
-        ("d_supplier.xml", lambda t: t.replace("<instance id='supplier#12'>\n    <row>\n"
-                                               "      <nation>",
-                                               "<instance id='supplier#12'>\n    <row>\n"
-                                               "      <nation>&#38;"), 0),
+    @pytest.mark.parametrize("document, old, new, back", [
+        ("d_part.xml", "<instance id='part#12'>", '<instance id="part#12">', 0),
+        ("d_part.xml", "  <instance id='part#12'>",
+         "  <!-- a note -->\n  <instance id='part#12'>", 0),
+        ("d_customer.xml", re.compile(r"<instance id='customer#12'>.*", re.S),
+         lambda match: match[0].replace("\n", "\r\n"), 0),
+        ("d_supplier.xml", "<instance id='supplier#12'>\n    <row>\n      <nation>",
+         "<instance id='supplier#12'>\n    <row>\n      <nation>&#38;", 0),
         # Every line is one the writers write, out of order: the error names
         # the sale's first line, three above the first line edited.
-        ("f_sale.xml", lambda t: _from(t, "<sale id='sale#12'>", lambda rest: re.sub(
-            r"(    <dimref dim='part'[^\n]*\n)(    <dimref dim='customer'[^\n]*\n)",
-            r"\2\1", rest, count=1)), 3),
-        ("d_date.xml", lambda t: t.replace("id='date#12'", "id='date#13'"), 0),
-        ("d_part.xml", lambda t: _from(t, "<instance id='part#12'>",
-                                       lambda rest: rest.replace("</row>", "", 1)), 0),
-        ("d_part.xml", lambda t: _from(t, "<instance id='part#12'>",
-                                       lambda rest: rest.replace("type2>", "color>", 2)), 0),
-        ("d_date.xml", lambda t: _from(t, "<instance id='date#12'>",
-                                       lambda rest: rest.replace("-", "\udcff", 1)), 0),
-        ("f_sale.xml", lambda t: _from(t, "<sale id='sale#12'>", lambda rest: re.sub(
-            r"<f_quantity>[0-9]+</f_quantity>", r"\g<0>\g<0>", rest, count=1)), 0),
+        ("f_sale.xml", re.compile(r"(<sale id='sale#12'>.*?)(    <dimref dim='part'[^\n]*\n)"
+                                  r"(    <dimref dim='customer'[^\n]*\n)", re.S), r"\1\3\2", 3),
+        ("d_date.xml", "id='date#12'", "id='date#13'", 0),
+        ("d_part.xml", re.compile(r"(<instance id='part#12'>.*?)</row>", re.S), r"\1", 0),
+        ("d_part.xml", re.compile(r"(<instance id='part#12'>.*?)<type2>(.*?)</type2>", re.S),
+         r"\1<color>\2</color>", 0),
+        ("d_date.xml", re.compile(r"(<instance id='date#12'>.*?)-", re.S), "\\1\udcff", 0),
+        ("f_sale.xml", re.compile(r"(<sale id='sale#12'>.*?)(<f_quantity>[0-9]+</f_quantity>)",
+                                  re.S), r"\1\2\2", 0),
     ], ids=["double-quotes", "comment", "crlf", "character-reference", "reordered-dimrefs",
             "out-of-sequence", "unclosed-row", "unknown-element", "not-utf-8",
             "repeated-measure"])
     def test_edited_document_is_rejected_at_its_line(self, tmp_path, monkeypatch,
-                                                     document, edit, back):
+                                                     document, old, new, back):
         """The reader hands over the records before the edit, several
         97-byte chunks of them, then names the edited line."""
         monkeypatch.setattr(xmlio, "_CHUNK_BYTES", 97)
@@ -589,12 +429,9 @@ class TestOneReader:
         write_warehouse(generate_warehouse(GeneratorConfig(
             30, incomplete_percentage=50, nonstrict_percentage=50, nonstrict_number=3,
             seed=4)), out)
-        path = pathlib.Path(out, document)
-        text = path.read_text(encoding="utf-8")
-        edited = edit(text)
-        path.write_bytes(edited.encode("utf-8", "surrogateescape"))
-        line = next(n for n, (old, new) in enumerate(
-            zip(text.split("\n"), edited.split("\n")), 1) if old != new) - back
+        text, edited = edit(os.path.join(out, document), old, new)
+        line = next(n for n, (before, after) in enumerate(
+            zip(text.split("\n"), edited.split("\n")), 1) if before != after) - back
         model = read_metadata(out)
         handed = []
         with pytest.raises(DocumentError, match=re.escape(f"{document}: line {line}: ")):
@@ -623,12 +460,6 @@ class TestOneReader:
         else:
             with pytest.raises(DocumentError, match="spelled like a label"):
                 transform_warehouse(in_dir, str(tmp_path / "again"))
-
-
-def _from(text, marker, edit):
-    """`text` with `edit` applied from `marker` on."""
-    at = text.index(marker)
-    return text[:at] + edit(text[at:])
 
 
 class TestSizes:
