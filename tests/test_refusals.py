@@ -293,6 +293,14 @@ CORPUS = [
         ("not-utf-8", "'d_part.xml'", "'d_p\udcffrt.xml'", 4,
          "'d_p\\udcffrt.xml' is not a plain attribute value"),
     ]],
+    # A path the metadata names is read as given, relative to the warehouse.
+    warehouse("dimension-path-to-nothing",
+              sub(METADATA, "path='d_part.xml'", "path='d_parts.xml'"),
+              fails=(DocumentError, "d_parts.xml: missing document"), ok=D1_ALONE),
+    warehouse("fact-path-to-nothing", sub(METADATA, "path='f_sale.xml'", "path='f_sales.xml'"),
+              fails=(DocumentError, "f_sales.xml: missing document"),
+              **dict.fromkeys(TRANSFORMS, (FileNotFoundError,
+                                           "[Errno 2] No such file or directory: 'f_sales.xml'"))),
     # No level has a written form, even where the rows would read as written.
     warehouse("empty-chain-and-empty-row",
               sub(METADATA, "<type3><type2><type1/></type2></type3>", ""),
@@ -303,6 +311,10 @@ CORPUS = [
     # A dimension document: read by what groups or joins its dimension.
     warehouse("no-d_part", remove("d_part.xml"),
               fails=(DocumentError, "d_part.xml: missing document"), ok=D1_ALONE),
+    warehouse("no-d_customer", remove("d_customer.xml"),
+              fails=(DocumentError, "d_customer.xml: missing document"), ok=D1_ALONE),
+    warehouse("no-d_date", remove("d_date.xml"),
+              fails=(DocumentError, "d_date.xml: missing document")),
     warehouse("d_date-a-directory", remove("d_date.xml", os.mkdir),
               fails=(DocumentError, "d_date.xml: cannot read: Is a directory")),
     *[at_line(*row) for row in [
@@ -321,6 +333,14 @@ CORPUS = [
         ("quotes-in-a-value", "d_customer.xml", "<nation>UNITED STATES</nation>",
          "<nation>UNITED'S \"STATES\"</nation>", 5),
         ("no-row", "d_date.xml", re.compile(r"<row>.*</row>", re.S), "", 4),
+        ("instance-without-row", "d_part.xml", re.compile(r"    <row>.*</row>\n", re.S), "", 3),
+        ("instance-twice", "d_part.xml", re.compile(r"  <instance.*</instance>\n", re.S),
+         r"\g<0>\g<0>", 10, "instance id 'part#1' out of sequence (expected 'part#2')"),
+        ("double-quoted-declaration", "d_part.xml", "version='1.0' encoding='UTF-8'",
+         'version="1.0" encoding="UTF-8"', 1),
+        ("byte-order-mark", "d_part.xml", "<?xml", "\ufeff<?xml", 1),
+        ("empty-document", "d_part.xml", re.compile(".+", re.S), "", 1,
+         "document ends before '</dimension>'"),
     ]],
     _raw("multi-row-supplier", sub("d_supplier.xml", "  </instance>",
                                    GERMAN_ROW + "  </instance>"), "supplier#1", "nation"),
@@ -334,6 +354,10 @@ CORPUS = [
     warehouse("no-f_sale", remove(FACTS), fails=(DocumentError, "f_sale.xml: missing document"),
               **dict.fromkeys(TRANSFORMS, (FileNotFoundError,
                                            "[Errno 2] No such file or directory: 'f_sale.xml'"))),
+    warehouse("f_sale-a-directory", remove(FACTS, os.mkdir),
+              fails=(DocumentError, "f_sale.xml: cannot read: Is a directory"),
+              **dict.fromkeys(TRANSFORMS, (IsADirectoryError,
+                                           "[Errno 21] Is a directory: 'f_sale.xml'"))),
     *[at_line(row_id, FACTS, *edit_at) for row_id, *edit_at in [
         ("no-end-tag", "</sales>", "", 11, "not in the written form"),
         ("unknown-dimref", "dim='supplier'", "dim='shop'", 8),
@@ -343,10 +367,12 @@ CORPUS = [
         ("nested-quantity", QUANTITY, "<f_quantity><n>100</n></f_quantity>", 4),
         # Measures must be spelled as written, not as int() or float() read.
         *[(f"quantity-{name}", QUANTITY, f"<f_quantity>{q}</f_quantity>", 4)
-          for name, q in [("negative", "-5"), ("underscored", "1_000"), ("spaced", " 7 ")]],
+          for name, q in [("negative", "-5"), ("underscored", "1_000"), ("spaced", " 7 "),
+                          ("signed", "+100")]],
         *[(f"amount-{name}", AMOUNT, f"<f_totalamount>{a}</f_totalamount>", 5)
           for name, a in [("nan", "nan"), ("inf", "inf"), ("exponent", "1e3"),
-                          ("three-decimals", "2800.000")]],
+                          ("three-decimals", "2800.000"), ("one-decimal", "2800.0"),
+                          ("no-decimals", "2800"), ("negative", "-2800.00")]],
         ("renamed-amount", "f_totalamount>", "f_total>", 5),
         ("repeated-dimref", DATE_REF, DATE_REF * 2, 9),
         ("shop-dimref", DATE_REF, DATE_REF + "<dimref dim='shop' idref='shop#1'/>", 9),
@@ -368,6 +394,8 @@ CORPUS = [
          re.compile(r"(    <dimref dim='part'[^\n]*\n)(    <dimref dim='customer'[^\n]*\n)"),
          r"\2\1", 3),
     ]],
+    # A quantity in any number of ASCII digits: 0100 reads as 100.
+    warehouse("quantity-leading-zero", sub(FACTS, QUANTITY, "<f_quantity>0100</f_quantity>")),
     # Numbers beyond the 64 bits of a fact column, which the records read.
     warehouse("huge-quantity", sub(FACTS, "<f_quantity>100<", "<f_quantity>99999999999999999999<"),
               fails=BEYOND_64_BITS, ok=(*TRANSFORMS, "read")),
@@ -401,12 +429,19 @@ CORPUS = [
           ("unknown-measure", "SUM margin -", "unknown measure 'margin'"),
           ("measure-twice", "SUM f_quantity,f_quantity part.type3",
            "query 'X' selects a measure twice"),
+          ("empty-measure", "SUM , part.type3", "unknown measure ''"),
       ]],
+    # An aggregate in any case: sum reads as SUM.
+    workload("lower-case-aggregate", "X sum f_quantity part.type3\n", OK, parsed=True),
     *[workload(row_id, text, (QueryError, message)) for row_id, text, message in [
         ("three-fields", "X SUM f_quantity\n",
          "workload line needs 4 fields, got 3: 'X SUM f_quantity'"),
+        ("five-fields", "X SUM f_quantity - date.day\n",
+         "workload line needs 4 fields, got 5: 'X SUM f_quantity - date.day'"),
         ("level-without-dimension", "X SUM f_quantity .day\n",
          "bad grouping token '.day' in line 'X SUM f_quantity .day'"),
+        ("trailing-comma", "X SUM f_quantity part.type3,\n",
+         "bad grouping token '' in line 'X SUM f_quantity part.type3,'"),
         ("repeated-id", "X SUM f_quantity -\nX SUM f_quantity date.day\n",
          "query id 'X' is used twice in the workload"),
     ]],
@@ -424,6 +459,15 @@ CORPUS = [
         ("dataset-unknown-key", _bad(fact=10),
          "bad campaign matrix: DatasetSpec.__init__() got an unexpected keyword argument 'fact'"),
         ("dataset-facts-text", _bad(facts="100"), "fact_number must be an integer, got '100'"),
+        ("dataset-incomplete", _bad(facts=10, incomplete=101),
+         "incomplete_percentage must be in [0, 100], got 101"),
+        ("dataset-nonstrict", _bad(facts=10, nonstrict=-1),
+         "nonstrict_percentage must be in [0, 100], got -1"),
+        ("dataset-seed", _bad(facts=10, seed=-1),
+         "seed must be an unsigned 64-bit integer, got -1"),
+        ("dataset-without-id", {"datasets": [{"facts": 10}]},
+         "bad campaign matrix: DatasetSpec.__init__() missing 1 required positional argument: "
+         "'id'"),
         ("dataset-facts-bool", _bad(facts=True), "fact_number must be an integer, got True"),
         ("dataset-id-number", _bad(id=7, facts=10), "dataset id 7 must name one directory"),
         ("dataset-id-nul", _bad(id="a\0b", facts=10),
@@ -436,6 +480,7 @@ CORPUS = [
          "repeats must be an integer of at least 1, got 'two'"),
         ("repeats-bool", {"repeats": True}, "repeats must be an integer of at least 1, got True"),
         ("repeats-float", {"repeats": 2.7}, "repeats must be an integer of at least 1, got 2.7"),
+        ("repeats-null", {"repeats": None}, "repeats must be an integer of at least 1, got None"),
         ("warmup", {"warmup": -1}, "warmup must be an integer of at least 0, got -1"),
         ("warmup-text", {"warmup": "1"}, "warmup must be an integer of at least 0, got '1'"),
         ("engine", {"engines": ["qbs", "bogus"]}, "unknown engine 'bogus' in the matrix"),
