@@ -18,7 +18,6 @@ from .errors import (
     ConfigurationError,
     DocumentError,
     EligibilityError,
-    OracleScopeError,
     QueryError,
     ReferentialError,
     StructuralError,
@@ -70,7 +69,7 @@ __all__ = [
     "BenchmarkError", "ConfigurationError", "CorrectnessReport",
     "DatasetSpec", "DimensionInstance", "DimensionSchema", "DocumentError",
     "DwModel", "EligibilityError", "FactRecord", "GeneratorConfig",
-    "HierarchyKind", "OTHER", "OracleScopeError", "Query",
+    "HierarchyKind", "OTHER", "Query",
     "QueryError", "QueryTiming", "ReferentialError", "ResultCube", "RunReport",
     "StructuralError", "TransformReport", "Warehouse",
     "aggregate_step", "check_correctness", "classify_instance", "component_label",

@@ -148,7 +148,9 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
             out_schemas.append(ext)
 
         written.append(os.path.join(dir_out, model.fact_path))
-        shutil.copyfile(os.path.join(dir_in, model.fact_path), written[-1])
+        with (xmlio.open_document(os.path.join(dir_in, model.fact_path)) as src,
+              open(written[-1], "wb") as dst):
+            shutil.copyfileobj(src, dst)
         written.append(os.path.join(dir_out, xmlio.METADATA_FILE))
         xmlio.write_metadata(replace(model, dimensions=tuple(out_schemas)), dir_out)
     except BaseException:

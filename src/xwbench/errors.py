@@ -27,7 +27,3 @@ class ReferentialError(BenchmarkError):
 
 class QueryError(BenchmarkError):
     """A query references unknown dimensions, levels, or measures."""
-
-
-class OracleScopeError(BenchmarkError):
-    """The warehouse is too large for the in-memory verification oracle."""

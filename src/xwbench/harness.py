@@ -7,9 +7,9 @@ checks each result cube: no two groups printed alike, group totals summing
 to the grand total, averages equal to total/count, min/max bounded by every
 contributing value.
 
-Verification machinery lives here too: a brute-force oracle that
-materializes the whole warehouse and regroups it exhaustively (sharing
-only the readers with the streaming query path), a deliberately broken
+Verification machinery lives here too: a brute-force oracle that streams
+the documents through ElementTree and regroups exhaustively (sharing only
+the readers with the query path), a deliberately broken
 double-counting engine used as a negative control, and the report CSV
 emission.  A cell compiles its query once (workload.plan_query) and hands
 that plan to every run, to the check and to the control.  Every cube, the
@@ -29,11 +29,11 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import engine_pedersen, xmlio
 from .engine_qbs import OTHER, component_label, label_component
-from .errors import BenchmarkError, ConfigurationError, OracleScopeError, ReferentialError
+from .errors import BenchmarkError, ConfigurationError, ReferentialError
 from .generator import GeneratorConfig, generate_warehouse
 from .model import F_QUANTITY, F_TOTALAMOUNT, HierarchyKind, Warehouse, default_model
 from .workload import (
@@ -53,8 +53,6 @@ from .workload import (
 
 ENGINE_NAIVE = "naive"
 ENGINES = (ENGINE_QBS, ENGINE_PEDERSEN, ENGINE_NAIVE)
-
-ORACLE_FACT_LIMIT = 10_000
 
 # The six-document layout every generated dataset has; generate_dataset
 # writes xmlio.STAMP_FILE beside it, for campaigns and `xwbench generate`.
@@ -172,76 +170,74 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
 # --- brute-force oracle ------------------------------------------------------
 
 
-def _dom_rows(path: str) -> list[list[dict[str, str]]]:
-    return [[{cell.tag: cell.text or "" for cell in row} for row in inst.findall("row")]
-            for inst in ET.parse(path).getroot().findall("instance")]
+def _elements(fh, tag: str) -> Iterator[ET.Element]:
+    """Each `tag` element of the XML document open as `fh`, whole, in
+    document order; the root lets go of each once the next is asked for."""
+    events = ET.iterparse(fh, ("start", "end"))
+    _, root = next(events)
+    for event, elem in events:
+        if event == "end" and elem.tag == tag:
+            yield elem
+            root.clear()
 
 
 def oracle_cube(in_dir: str, query: Query) -> ResultCube:
-    """Reference cube by full materialization and exhaustive regrouping.
+    """Reference cube by streaming the documents through ElementTree and
+    regrouping exhaustively.
 
     The readers decide what a warehouse is and validate_query what a query
     is: the oracle runs them first, so it accepts exactly what the engines
-    accept, and refuses warehouses beyond ORACLE_FACT_LIMIT facts.  Then it
-    DOM-parses the facts and rows, reads their values (the amount as integer
-    cents, by its own split at the point), recomputes each fact's fused/OTHER
-    component from raw rows, groups into plain dicts, aggregates each
-    column with sum, min or max and sets a ResultCube's entries directly,
-    never through entry_for, contribute or aggregate_step.
-    A fact joins instance n of a grouped dimension only through the ref
-    `{dim_id}#{n}`, spelled so and with n within the instance count.
+    accept.  Then it streams each grouped dimension's document, taking each
+    instance's fused/OTHER component from its raw rows, and the sales, each
+    value (the amount as integer cents, by its own split at the point) into
+    its group's column in a plain dict.  Each column is aggregated with sum,
+    min or max and summed into the grand totals, and a ResultCube's entries
+    are set directly, never through entry_for, contribute or aggregate_step.
+    A ref joins only the instance whose id it spells exactly.
     """
     model = xmlio.read_metadata(in_dir)
     validate_query(query, model)
-    fact_count = len(xmlio.load_facts(in_dir, model, ()))
-    if fact_count > ORACLE_FACT_LIMIT:
-        raise OracleScopeError(
-            f"{fact_count} facts exceed the oracle's {ORACLE_FACT_LIMIT}-fact capacity")
+    xmlio.load_facts(in_dir, model, ())
     xmlio.load_dimensions(in_dir, model, dict.fromkeys(model.dimension_ids, ()))
 
+    # Per grouped dimension, instance id -> its component at the grouped level.
+    components: dict[str, dict[str, object]] = {}
+    for dim_id, level in query.grouping:
+        joined = components[dim_id] = {}
+        with open(os.path.join(in_dir, model.dimension(dim_id).path), "rb") as fh:
+            for inst in _elements(fh, "instance"):
+                # At instance level, the one member is the instance's id.
+                members = {inst.get("id")} if level is None else {
+                    {cell.tag: cell.text or "" for cell in row}.get(level, OTHER) for row in inst}
+                joined[inst.get("id")] = frozenset(members) if len(members) > 1 else members.pop()
+
     sales_path = os.path.join(in_dir, model.fact_path)
-    sales = ET.parse(sales_path).getroot().findall("sale")
-    rows_by_dim = {schema.id: _dom_rows(os.path.join(in_dir, schema.path))
-                   for schema in model.dimensions}
-
-    def component(dim_id: str, ref: str, level: str | None):
-        digits = ref.rpartition("#")[2]
-        ordinal = int(digits) if digits.isdigit() else 0
-        if ref != f"{dim_id}#{ordinal}" or not 1 <= ordinal <= len(rows_by_dim[dim_id]):
-            raise ReferentialError(
-                f"{sales_path}: dangling dimref {ref!r} for dimension {dim_id!r}")
-        if level is None:
-            return ref
-        members = {row.get(level, OTHER) for row in rows_by_dim[dim_id][ordinal - 1]}
-        return frozenset(members) if len(members) > 1 else members.pop()
-
     groups: dict[tuple, list[list[int]]] = {}
-    grand = [0] * len(query.measures)
-    for sale in sales:
-        refs = {d.get("dim"): d.get("idref") for d in sale[2:]}
-        units, _, cents = sale[1].text.partition(".")
-        measures = {F_QUANTITY: int(sale[0].text), F_TOTALAMOUNT: int(units) * 100 + int(cents)}
-        values = [measures[m] for m in query.measures]
-        for i, v in enumerate(values):
-            grand[i] += v
-        key = tuple(
-            component(dim_id, refs[dim_id], level)
-            for dim_id, level in query.grouping
-        )
-        columns = groups.get(key)
-        if columns is None:
-            columns = groups[key] = [[] for _ in query.measures]
-        for column, v in zip(columns, values):
-            column.append(v)
+    with open(sales_path, "rb") as fh:
+        for sale in _elements(fh, "sale"):
+            refs = {d.get("dim"): d.get("idref") for d in sale[2:]}
+            units, _, cents = sale[1].text.partition(".")
+            measures = {F_QUANTITY: int(sale[0].text),
+                        F_TOTALAMOUNT: int(units) * 100 + int(cents)}
+            key = []
+            for dim_id, _ in query.grouping:
+                joined, ref = components[dim_id], refs[dim_id]
+                if ref not in joined:
+                    raise ReferentialError(
+                        f"{sales_path}: dangling dimref {ref!r} for dimension {dim_id!r}")
+                key.append(joined[ref])
+            columns = groups.setdefault(tuple(key), [[] for _ in query.measures])
+            for column, measure in zip(columns, query.measures):
+                column.append(measures[measure])
 
     statistic = {"MIN": min, "MAX": max}.get(query.aggregate, sum)
     cube = ResultCube(query)
-    cube.fact_count = len(sales)
-    cube.grand_totals = grand
     for key, columns in groups.items():
         entry = cube.entries[key] = Entry(query.aggregate, len(columns))
         entry.support = len(columns[0])
         entry.states = list(map(statistic, columns))
+        cube.fact_count += entry.support
+        cube.grand_totals = [t + sum(c) for t, c in zip(cube.grand_totals, columns)]
     return cube
 
 

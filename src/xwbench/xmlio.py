@@ -263,21 +263,27 @@ _META_LEVELS = re.compile("<([^/>]+)").findall
 _META_LINES = re.compile("[^\n]*\n|[^\n]+").findall
 
 
+def open_document(path: str):
+    """Open the document at `path` to read its bytes, or raise DocumentError:
+    the document is missing, or it cannot be read."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError as exc:
+        raise DocumentError(f"{path}: missing document") from exc
+    except OSError as exc:
+        raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
 def read_metadata(in_dir: str) -> DwModel:
     """Read dw-model.xml: take out the model its lines spell, render it as
     write_metadata does, and accept the document only if it is that text.
     At the first line that differs, or that has no written form, raise
     DocumentError naming it."""
     path = os.path.join(in_dir, METADATA_FILE)
-    try:
-        # A byte that is not UTF-8 reads as a lone surrogate, which no
-        # written form holds, so its line is rejected with the others.
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            text = fh.read()
-    except FileNotFoundError as exc:
-        raise DocumentError(f"{path}: missing document") from exc
-    except OSError as exc:
-        raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
+    # A byte that is not UTF-8 reads as a lone surrogate, which no written
+    # form holds, so its line is rejected with the others.
+    with open_document(path) as fh:
+        text = fh.read().decode("utf-8", "surrogateescape")
     fact_id, fact_path = fact.groups() if (fact := _META_FACT(text)) else ("", "")
     model = DwModel(fact_id, fact_path, tuple(
         DimensionSchema(dim_id, dim_path, tuple(_META_LEVELS(chain_text)))
@@ -308,10 +314,10 @@ _CHAR = f"[^<>&'{_NO_FORM}]"
 # Text as _escape writes it, unrolled: a per-character alternation costs as
 # much as an XML parser.  (No atomic groups: Python 3.10 has none.)
 _TEXT = f"{_CHAR}*(?:(?:{'|'.join(_ESCAPES.values())}){_CHAR}*)*"
-# The measures' spellings, as write_facts writes them: a quantity in ASCII
-# digits, an amount in ASCII digits with exactly two after the point.
-_QUANTITY = "[0-9]+"
-_AMOUNT = r"[0-9]+\.[0-9]{2}"
+# The measures' spellings, as write_facts writes them: ASCII digits with no
+# leading zero, and for an amount a point and exactly two digits after them.
+_QUANTITY = "0|[1-9][0-9]*"
+_AMOUNT = rf"(?:{_QUANTITY})\.[0-9]{{2}}"
 # The largest measure a fact column, an array("q"), holds.
 _MEASURE_MAX = 2**63 - 1
 # An instance's ordinal as its id spells it: ASCII digits, no leading zero.
@@ -376,7 +382,7 @@ def _written(path: str, root: str, attrs: str, last: str, records,
     # counts the characters dropped.
     text, start, offset = "", len(opening), 0
     try:
-        with open(path, "rb") as fh:
+        with open_document(path) as fh:
             while chunk := fh.read(_CHUNK_BYTES):
                 text += decode(chunk)
                 at = text.rfind(last, start)
@@ -416,10 +422,6 @@ def _written(path: str, root: str, attrs: str, last: str, records,
     except UnicodeDecodeError as exc:
         pos = offset + len(text) + len(exc.object[:exc.start].decode("utf-8"))
         raise DocumentError(f"{path}: line {_line_number(path, pos)}: not UTF-8") from None
-    except FileNotFoundError as exc:
-        raise DocumentError(f"{path}: missing document") from exc
-    except OSError as exc:
-        raise DocumentError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
 def iter_instances(in_dir: str, schema: DimensionSchema,
@@ -585,8 +587,11 @@ def load_facts(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> FactCol
 
 def read_warehouse(in_dir: str) -> Warehouse:
     """Materialize a whole warehouse (round-trip and small-scale use), each
-    sale a FactRecord made from a row of iter_facts' columns."""
+    sale a FactRecord made from a row of iter_facts' columns.  The facts are
+    first read as load_facts reads them, so a number beyond a fact column's
+    64 bits is refused here as by every plan."""
     model = read_metadata(in_dir)
+    load_facts(in_dir, model, ())
     instances = {s.id: list(iter_instances(in_dir, s)) for s in model.dimensions}
     facts = [FactRecord(sale[0], int(sale[1]), _cents(sale[2]),
                         dict(zip(model.dimension_ids, sale[3:])))

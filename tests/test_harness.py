@@ -22,8 +22,7 @@ from test_xmlio import _XML_CHAR, _warehouses
 from xwbench import harness, xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.engine_qbs import OTHER
-from xwbench.errors import (ConfigurationError, DocumentError, OracleScopeError, QueryError,
-                            ReferentialError)
+from xwbench.errors import ConfigurationError, DocumentError, QueryError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.model import (F_QUANTITY, F_TOTALAMOUNT, DimensionInstance, FactRecord,
                            Warehouse, default_model)
@@ -329,11 +328,29 @@ class TestOracle:
             assert entry.support == expected.support, key
             assert entry.values("AVG") == expected.values("AVG"), key
 
-    def test_capacity_guard(self, complex_300, monkeypatch):
-        _, out_dir, _ = complex_300
-        monkeypatch.setattr(harness, "ORACLE_FACT_LIMIT", 100)
-        with pytest.raises(OracleScopeError, match="300 facts exceed the oracle's 100-fact"):
-            oracle_cube(out_dir, get_query("D1"))
+    def test_answers_beyond_ten_thousand_facts(self, tmp_path):
+        """The oracle streams its documents, so it has no fact ceiling."""
+        out = str(tmp_path / "w")
+        generate_warehouse(GeneratorConfig(10_001, seed=5, output_dir=out))
+        query = get_query("D1")
+        reference = oracle_cube(out, query)
+        assert reference.fact_count == 10_001
+        equal, diffs = cubes_match(run_query(query, out)[0], reference)
+        assert equal, diffs
+
+    def test_memory_is_a_few_kib_per_fact(self, tmp_path):
+        """Streaming holds no document tree: D4 over 4,000 complex facts
+        peaks under 3 KiB per fact."""
+        out = str(tmp_path / "w")
+        generate_warehouse(GeneratorConfig(4000, 50, 50, 4, seed=5, output_dir=out))
+        tracemalloc.start()
+        try:
+            cube = oracle_cube(out, get_query("D4"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cube.fact_count == 4000
+        assert peak < 3 * 1024 * 4000, peak
 
     def test_hand_computed_three_fact_fixture(self, tmp_path):
         """The oracle's own oracle: every entry computed by hand."""
