@@ -16,7 +16,6 @@ import os
 import sys
 
 from . import harness, xmlio
-from .engine_pedersen import transform_warehouse
 from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
 from .harness import DatasetSpec
@@ -94,7 +93,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    report = transform_warehouse(args.in_dir, args.out)
+    report = harness.transform_dataset(args.in_dir, args.out)
     print(f"transformed in {report.overhead_ms:.1f} ms: "
           f"{report.instances_covered} instances covered, "
           f"{report.instances_fused} fused")
@@ -107,22 +106,17 @@ def _cmd_run(args) -> int:
     queries = load_workload(args.workload) if args.workload else standard_workload()
     if args.query != "all":
         queries = [get_query(args.query, queries)]
-    dataset_id = args.in_dir.rstrip("/").rpartition("/")[2] or args.in_dir
+    # The raw data's parameters, on either side of the transform, or unknown.
     stamp = harness.read_stamp(args.in_dir)
-    if stamp is None:
-        regime = harness.infer_regime(args.in_dir)
-        dataset = DatasetSpec(id=dataset_id, facts=0)
-    else:
-        dataset = DatasetSpec(dataset_id, stamp.fact_number, stamp.incomplete_percentage,
-                              stamp.nonstrict_percentage, stamp.nonstrict_number, stamp.seed)
+    cfg = stamp and stamp[0]
+    dataset = DatasetSpec(os.path.basename(os.path.realpath(args.in_dir)),
+                          *((cfg.fact_number, cfg.incomplete_percentage,
+                             cfg.nonstrict_percentage, cfg.nonstrict_number, cfg.seed)
+                            if cfg else (None,) * 5))
     failed = errored = False
     for query in queries:
         report = harness.run_cell(dataset, args.in_dir, args.engine, query,
                                   args.matching, repeats=1, warmup=0)
-        if stamp is None:
-            # Without a stamp only the regime can be told, by a sweep.
-            report.regime, report.facts = regime, None
-            report.incomplete_pct = report.nonstrict_pct = report.nonstrict_num = None
         # Each row lands as its query ends, so an interrupt keeps the rows before it.
         if args.report:
             harness.write_report(args.report, [report], append=True)

@@ -65,6 +65,9 @@ class GeneratorConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.fact_number < 0:
             raise ConfigurationError(f"fact_number must be >= 0, got {self.fact_number}")
+        if self.nonstrict_number < 0:
+            raise ConfigurationError(
+                f"nonstrict_number must be >= 0, got {self.nonstrict_number}")
         for name in ("incomplete_percentage", "nonstrict_percentage"):
             value = getattr(self, name)
             if not 0 <= value <= 100:

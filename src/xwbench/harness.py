@@ -329,18 +329,19 @@ def double_counting_cube(plan: QueryPlan) -> ResultCube:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """One benchmark dataset: generator parameters plus a campaign id."""
+    """One benchmark dataset: generator parameters plus a campaign id.  Of
+    a layout without a stamp, `run` knows the id alone: the rest is None."""
 
     id: str
-    facts: int
-    incomplete: int = 0
-    nonstrict: int = 0
-    nonstrict_number: int = 0
-    seed: int = 0
+    facts: int | None
+    incomplete: int | None = 0
+    nonstrict: int | None = 0
+    nonstrict_number: int | None = 0
+    seed: int | None = 0
 
     @property
-    def regime(self) -> str:
-        return self.config(None).regime.value
+    def regime(self) -> str | None:
+        return None if self.facts is None else self.config(None).regime.value
 
     def validate(self) -> None:
         """Raise ConfigurationError unless the id names one directory (the
@@ -376,46 +377,67 @@ def standard_matrix(facts: int = 1000, seed: int = 42) -> list[DatasetSpec]:
     return specs
 
 
+def _write_stamp(out_dir: str, cfg: GeneratorConfig, transformed: bool) -> None:
+    """Write the stamp that read_stamp reads back as (cfg, transformed)."""
+    stamp = {k: v for k, v in asdict(cfg).items() if k != "output_dir"}
+    with open(os.path.join(out_dir, xmlio.STAMP_FILE), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"transform_of": stamp} if transformed else stamp,
+                            sort_keys=True))
+
+
 def generate_dataset(cfg: GeneratorConfig) -> Warehouse:
     """Generate `cfg` in place into cfg.output_dir, stamped with its
     provenance: the generator config minus the output path.  write_warehouse
     removes the old stamp first, and the new one is written last, after its
     metadata, so a failed generation leaves no stamp and no readable mix."""
     warehouse = generate_warehouse(cfg)
-    with open(os.path.join(cfg.output_dir, xmlio.STAMP_FILE), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({k: v for k, v in asdict(cfg).items() if k != "output_dir"},
-                            sort_keys=True))
+    _write_stamp(cfg.output_dir, cfg, False)
     return warehouse
 
 
-def read_stamp(in_dir: str) -> GeneratorConfig | None:
-    """The config `in_dir` was generated from, or None when it carries no
-    readable stamp (a transform's output, or a layout from another tool).
-    A stamp the generator would refuse is no stamp either."""
+def transform_dataset(dir_in: str, dir_out: str) -> engine_pedersen.TransformReport:
+    """transform_warehouse, then the output's stamp, written last as
+    generate_dataset writes its own: {"transform_of": <config>}, the raw
+    generator config that the input's stamp names.  The transform removes
+    the output's old stamp first, so an input without a readable stamp, or
+    a failed transform, leaves the output without one."""
+    report = engine_pedersen.transform_warehouse(dir_in, dir_out)
+    if stamp := read_stamp(dir_in):
+        _write_stamp(dir_out, stamp[0], True)
+    return report
+
+
+def read_stamp(in_dir: str) -> tuple[GeneratorConfig, bool] | None:
+    """(config, transformed): the config `in_dir`'s data was generated from,
+    and whether `in_dir` holds a transform's output of it; None without a
+    readable stamp.  A stamp the generator would refuse is no stamp either."""
     try:
         with open(os.path.join(in_dir, xmlio.STAMP_FILE), encoding="utf-8") as fh:
-            cfg = GeneratorConfig(**json.load(fh))
+            stamp = json.load(fh)
+        transformed = isinstance(stamp, dict) and stamp.keys() == {"transform_of"}
+        cfg = GeneratorConfig(**(stamp["transform_of"] if transformed else stamp))
         cfg.validate()
-        return cfg
+        return cfg, transformed
     except (OSError, ValueError, TypeError, ConfigurationError):
         return None
 
 
 def ensure_dataset(spec: DatasetSpec, data_root: str) -> str:
     """The directory `data_root/<spec.id>`, reused only while all six
-    documents and its stamp match `spec`; otherwise generated again in
-    place (generate_dataset), so stale or half-written data is never
-    benchmarked."""
+    documents and its stamp match `spec`, on the raw side of the transform;
+    otherwise generated again in place (generate_dataset), so stale,
+    half-written or transformed data is never benchmarked as the dataset."""
     spec.validate()
     out_dir = os.path.join(data_root, spec.id)
     if not (all(os.path.exists(os.path.join(out_dir, name)) for name in DATASET_FILES)
-            and read_stamp(out_dir) == spec.config(None)):
+            and read_stamp(out_dir) == (spec.config(None), False)):
         generate_dataset(spec.config(out_dir))
     return out_dir
 
 
 def infer_regime(in_dir: str) -> str:
-    """Instance sweep for layouts without provenance (standalone `run` rows)."""
+    """Instance sweep for a layout's regime.  Only perfbench calls it, and it
+    goes with perfbench's `harness.infer_regime_ms` in a benchmark change."""
     model = xmlio.read_metadata(in_dir)
     multi = absent = False
     for schema in model.dimensions:
@@ -439,7 +461,7 @@ class RunReport:
     matching: str
     query: str
     load_ms: float | None = None
-    overhead_ms: float = 0.0
+    overhead_ms: float | None = 0.0
     query_ms: float | None = None
     read_ms: float | None = None
     resolve_ms: float | None = None
@@ -479,8 +501,9 @@ CHECK_COLUMNS = tuple(col for col in REPORT_COLUMNS if col.startswith("chk_"))
 
 
 def _cell_report(spec: DatasetSpec, engine: str, query: Query, matching: str,
-                 overhead_ms: float = 0.0) -> RunReport:
-    """A cell's report row before anything is measured."""
+                 overhead_ms: float | None = None) -> RunReport:
+    """A cell's report row before anything is measured.  A pedersen row
+    with no transform timed for it leaves its overhead empty."""
     return RunReport(
         dataset=spec.id, regime=spec.regime, facts=spec.facts,
         incomplete_pct=spec.incomplete, nonstrict_pct=spec.nonstrict,
@@ -491,7 +514,7 @@ def _cell_report(spec: DatasetSpec, engine: str, query: Query, matching: str,
 
 def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
              matching: str, repeats: int = 3, warmup: int = 1,
-             overhead_ms: float = 0.0) -> RunReport:
+             overhead_ms: float | None = None) -> RunReport:
     """One campaign cell: warm-up run discarded, median-of-`repeats` timing.
 
     The query is compiled once (plan_query, which reads the grouped
@@ -661,8 +684,7 @@ def run_campaign(matrix: dict, report_path: str,
         if ENGINE_PEDERSEN in engines:
             out = d + "-pedersen"
             try:
-                targets[spec.id][ENGINE_PEDERSEN] = (
-                    out, engine_pedersen.transform_warehouse(d, out).overhead_ms)
+                targets[spec.id][ENGINE_PEDERSEN] = (out, transform_dataset(d, out).overhead_ms)
             except (BenchmarkError, OSError) as exc:
                 targets[spec.id][ENGINE_PEDERSEN] = exc
     stem, _ = os.path.splitext(report_path)

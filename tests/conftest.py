@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
+from xwbench import xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.harness import DatasetSpec, ensure_dataset, standard_matrix
 from xwbench.model import (
@@ -90,6 +92,33 @@ def reference_dir(tmp_path):
     out = tmp_path / "reference"
     write_warehouse(warehouse, str(out))
     return str(out)
+
+
+@pytest.fixture()
+def parse_counts(monkeypatch):
+    """Counts xmlio.iter_instances calls per dimension, xmlio.iter_facts
+    calls under "facts" and xmlio.read_metadata calls under "metadata",
+    while the test runs."""
+    parses = Counter()
+    real_instances, real_facts = xmlio.iter_instances, xmlio.iter_facts
+    real_metadata = xmlio.read_metadata
+
+    def counting_instances(in_dir, schema, keep=None):
+        parses[schema.id] += 1
+        return real_instances(in_dir, schema, keep)
+
+    def counting_facts(in_dir, model, dim_ids=None):
+        parses["facts"] += 1
+        return real_facts(in_dir, model, dim_ids)
+
+    def counting_metadata(in_dir):
+        parses["metadata"] += 1
+        return real_metadata(in_dir)
+
+    monkeypatch.setattr(xmlio, "iter_instances", counting_instances)
+    monkeypatch.setattr(xmlio, "iter_facts", counting_facts)
+    monkeypatch.setattr(xmlio, "read_metadata", counting_metadata)
+    return parses
 
 
 @pytest.fixture(scope="session")

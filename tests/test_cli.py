@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -38,6 +39,14 @@ class TestGenerate:
         code = run_cli("generate", "--facts", "10", "--nonstrict", "50",
                        "--nonstrict-number", "1", "--out", str(tmp_path / "x"))
         assert code == 1
+
+    def test_negative_nonstrict_number_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("generate", "--facts", "10", "--nonstrict-number", "-3",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            "xwbench generate: nonstrict_number must be >= 0, got -3\n"
+        assert not out.exists()
 
     def test_missing_arguments_exit_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -107,7 +116,7 @@ class TestTransformAndRun:
         assert len(rows) == 8
         assert {row["engine"] for row in rows} == {"pedersen"}
         assert all(row["chk_grand"] == "1" for row in rows)
-        assert all(row["incomplete_pct"] == "" for row in rows)
+        assert all(row["incomplete_pct"] == "50" for row in rows)
 
     def test_run_single_query(self, cli_dataset, capsys):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q22") == 0
@@ -178,6 +187,24 @@ class TestTransformAndRun:
         assert rows[0] == harness.REPORT_COLUMNS
         assert [row[harness.REPORT_COLUMNS.index("query")] for row in rows[1:]] == ["D1", "D2"]
 
+    def test_dataset_is_named_by_its_real_directory(self, cli_dataset, tmp_path, monkeypatch):
+        monkeypatch.chdir(cli_dataset)
+        report = str(tmp_path / "report.csv")
+        for in_dir in (".", "./", cli_dataset + "/"):
+            assert run_cli("run", "--in", in_dir, "--query", "D1", "--report", report) == 0
+        assert [row["dataset"] for row in _report_rows(report)] == ["complex"] * 3
+
+    def test_standalone_pedersen_rows_report_no_overhead(self, cli_dataset, tmp_path):
+        """`run` times no transform: a pedersen row leaves the overhead
+        empty, and a qbs row reports none, as in a campaign."""
+        ped = str(tmp_path / "ped")
+        assert run_cli("transform", "--in", cli_dataset, "--out", ped) == 0
+        report = str(tmp_path / "report.csv")
+        for in_dir, engine in ((ped, "pedersen"), (cli_dataset, "qbs")):
+            assert run_cli("run", "--in", in_dir, "--engine", engine, "--query", "D1",
+                           "--report", report) == 0
+        assert [row["overhead_ms"] for row in _report_rows(report)] == ["", "0.000"]
+
     def test_unknown_query_is_data_error(self, cli_dataset):
         assert run_cli("run", "--in", cli_dataset, "--query", "Q99") == 2
 
@@ -214,7 +241,10 @@ class TestProvenance:
                                        '"lots", "nonstrict_percentage": -4, "nonstrict_number": '
                                        '0, "seed": 1}'],
                              ids=["missing", "unreadable", "refused-by-the-generator"])
-    def test_run_without_a_stamp_infers_the_regime(self, cli_dataset, tmp_path, stamp):
+    def test_run_without_a_stamp_reads_only_the_grouped_dimension(self, cli_dataset, tmp_path,
+                                                                  stamp, parse_counts):
+        """Without a readable stamp the regime and parameters are unknown:
+        they stay empty, and no document but the query's is read for them."""
         path = pathlib.Path(cli_dataset, STAMP_FILE)
         if stamp is None:
             path.unlink()
@@ -223,13 +253,28 @@ class TestProvenance:
         report = str(tmp_path / "report.csv")
         assert run_cli("run", "--in", cli_dataset, "--query", "D1",
                        "--report", report) == 0
+        assert parse_counts == {"date": 1, "facts": 1, "metadata": 1}
         (row,) = _report_rows(report)
-        assert [row[c] for c in PROVENANCE] == ["complex", "", "", "", ""]
+        assert [row[c] for c in PROVENANCE] == ["", "", "", "", ""]
 
-    def test_transform_over_a_stamped_dataset_removes_its_stamp(self, tmp_path):
-        """A transform into a generated dataset's directory leaves no stamp,
-        so neither `run` nor a campaign takes the transformed documents for
-        the dataset the stamp described."""
+    def test_transform_output_reports_the_raw_parameters(self, tmp_path, monkeypatch):
+        """`run` on a transform's output reports the parameters of the data
+        it was transformed from, on either engine."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("generate", "--facts", "200", "--incomplete", "50", "--nonstrict", "50",
+                       "--nonstrict-number", "4", "--seed", "3", "--out", "c50") == 0
+        assert run_cli("transform", "--in", "c50", "--out", "c50-ped") == 0
+        for in_dir, engine in (("c50", "qbs"), ("c50-ped", "pedersen"), ("c50-ped", "qbs")):
+            assert run_cli("run", "--in", in_dir, "--engine", engine, "--query", "D1",
+                           "--report", "r.csv") == 0
+        assert [[row[c] for c in ("dataset", *PROVENANCE)] for row in _report_rows("r.csv")] \
+            == [[name, "complex", "200", "50", "50", "4"] for name in ("c50", "c50-ped", "c50-ped")]
+
+    def test_transform_over_a_stamped_dataset_stamps_the_transform_side(self, tmp_path):
+        """A transform into a generated dataset's directory replaces its
+        stamp with one naming the transform's input data: `run` reports
+        that data's parameters, and a campaign never takes the transformed
+        documents for the dataset that was there, nor for its input."""
         data = tmp_path / "d"
         spec = DatasetSpec("x-pedersen", 200, seed=1)
         stale = ensure_dataset(spec, str(data))
@@ -237,15 +282,31 @@ class TestProvenance:
                        "--nonstrict", "50", "--nonstrict-number", "4", "--seed", "3",
                        "--out", str(data / "x")) == 0
         assert run_cli("transform", "--in", str(data / "x"), "--out", stale) == 0
-        assert not os.path.exists(os.path.join(stale, STAMP_FILE))
+        x = harness.read_stamp(str(data / "x"))[0]
+        assert harness.read_stamp(stale) == (x, True)
         report = str(tmp_path / "report.csv")
         assert run_cli("run", "--in", stale, "--query", "D1", "--report", report) == 0
         (row,) = _report_rows(report)
-        assert [row[c] for c in PROVENANCE[1:]] == ["", "", "", ""]
+        assert [row[c] for c in PROVENANCE] == ["complex", "100", "50", "50", "4"]
         assert ensure_dataset(spec, str(data)) == stale
         assert not any(level.endswith("_fused") for schema in read_metadata(stale).dimensions
                        for level in schema.levels)
-        assert harness.read_stamp(stale) == spec.config(None)
+        assert harness.read_stamp(stale) == (spec.config(None), False)
+
+    def test_stampless_or_refused_transform_leaves_no_stamp(self, cli_dataset, tmp_path):
+        """An input without a stamp, and a refused transform of a stamped
+        one, each leave the output without a stamp, though it held one."""
+        stampless, refused = str(tmp_path / "stampless"), str(tmp_path / "refused")
+        for in_dir in (stampless, refused):
+            write_warehouse(reference_sale_warehouse(), in_dir)
+        shutil.copy(os.path.join(cli_dataset, STAMP_FILE), refused)
+        edit(os.path.join(refused, "d_supplier.xml"), "FRANCE", "Other")
+        out = str(tmp_path / "out")
+        for in_dir, code in ((stampless, 0), (refused, 2)):
+            assert run_cli("transform", "--in", cli_dataset, "--out", out) == 0
+            assert harness.read_stamp(out) == (harness.read_stamp(cli_dataset)[0], True)
+            assert run_cli("transform", "--in", in_dir, "--out", out) == code
+            assert not os.path.exists(os.path.join(out, STAMP_FILE))
 
 
 class TestOracleCommand:

@@ -587,33 +587,6 @@ class TestReports:
             assert infer_regime(out_dir) == expected
 
 
-@pytest.fixture()
-def parse_counts(monkeypatch):
-    """Counts xmlio.iter_instances calls per dimension, xmlio.iter_facts
-    calls under "facts" and xmlio.read_metadata calls under "metadata",
-    while the test runs."""
-    parses = Counter()
-    real_instances, real_facts = xmlio.iter_instances, xmlio.iter_facts
-    real_metadata = xmlio.read_metadata
-
-    def counting_instances(in_dir, schema, keep=None):
-        parses[schema.id] += 1
-        return real_instances(in_dir, schema, keep)
-
-    def counting_facts(in_dir, model, dim_ids=None):
-        parses["facts"] += 1
-        return real_facts(in_dir, model, dim_ids)
-
-    def counting_metadata(in_dir):
-        parses["metadata"] += 1
-        return real_metadata(in_dir)
-
-    monkeypatch.setattr(xmlio, "iter_instances", counting_instances)
-    monkeypatch.setattr(xmlio, "iter_facts", counting_facts)
-    monkeypatch.setattr(xmlio, "read_metadata", counting_metadata)
-    return parses
-
-
 class TestCellLoading:
     def test_cell_parses_each_grouped_dimension_once(self, complex_300, parse_counts):
         spec, out_dir, _ = complex_300
@@ -1080,6 +1053,35 @@ class TestCampaign:
                 if r.error is None] == [("qbs", "D1", True), ("qbs", "D2", True)]
         assert [r.error for r in reports if r.engine == "pedersen"] == [
             f"[Errno 17] File exists: '{data_root / 'tiny-pedersen'}'"] * 2
+
+    def test_transform_stamps_fail_only_their_pedersen_rows(self, tmp_path, monkeypatch):
+        """Each dataset's transform is stamped as a transform of its data; a
+        stamp that cannot be written fails that dataset's pedersen rows
+        alone, and those rows, with no transform measured, leave the
+        overhead empty."""
+        data_root = tmp_path / "data"
+        write_stamp = harness._write_stamp
+
+        def failing_for_b(out_dir, cfg, transformed):
+            if transformed and cfg.seed == 8:
+                raise OSError("no room for the stamp")
+            write_stamp(out_dir, cfg, transformed)
+
+        monkeypatch.setattr(harness, "_write_stamp", failing_for_b)
+        matrix = {"datasets": [{"id": "a", "facts": 20, "seed": 9},
+                               {"id": "b", "facts": 20, "seed": 8}],
+                  "engines": ["qbs", "pedersen"], "queries": ["D1"],
+                  "repeats": 1, "warmup": 0}
+        reports = run_campaign(matrix, str(tmp_path / "campaign.csv"),
+                               data_root=str(data_root))
+        assert [(r.dataset, r.engine, r.error) for r in reports] == [
+            ("a", "qbs", None), ("a", "pedersen", None),
+            ("b", "qbs", None), ("b", "pedersen", "no room for the stamp")]
+        assert [r.overhead_ms for r in reports[::2]] == [0.0, 0.0]
+        assert reports[1].overhead_ms > 0 and reports[3].overhead_ms is None
+        assert harness.read_stamp(str(data_root / "a-pedersen")) == (
+            DatasetSpec("a", 20, seed=9).config(None), True)
+        assert harness.read_stamp(str(data_root / "b-pedersen")) is None
 
     def test_matrix_loads_from_json(self, tmp_path):
         path = tmp_path / "matrix.json"

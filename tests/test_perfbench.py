@@ -1,7 +1,9 @@
-"""perfbench against the program: every name its tracer patches still
-exists, a traced cell counts what it should, uninstalling restores the
-program, and a small run of the benchmark itself is correct."""
+"""perfbench against the program: every name its tracer patches or its
+runner reads still exists, a traced cell counts what it should,
+uninstalling restores the program, and a small run of the benchmark itself
+is correct."""
 
+import ast
 import dataclasses
 import importlib.util
 import os
@@ -41,6 +43,33 @@ def test_tracer_counts_a_scan_cell_and_restores_every_hook(complex_300):
     for owner in owners:
         after = vars(owner)
         assert all(after[name] is value for name, value in before[owner].items()), owner
+
+
+def test_every_name_the_runner_reads_exists():
+    """Each attribute that perfbench/run.py reads off a program module, by
+    the module's name or as `self.<module>`, exists: deleting one fails
+    here, not only as a benchmark run that fails."""
+    modules = {module.__name__.rpartition(".")[2]: module for module in
+               (engine_pedersen, engine_qbs, generator, harness, workload, xmlio)}
+    with open(os.path.join(PERFBENCH, "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                    and owner.value.id == "self"):
+                owner = owner.attr
+            elif isinstance(owner, ast.Name):
+                owner = owner.id
+            if owner in modules:
+                read.add((owner, node.attr))
+    assert {("harness", "cubes_match"), ("harness", "qbs_view_of_pedersen"),
+            ("harness", "oracle_cube"), ("harness", "run_cell"), ("harness", "DatasetSpec"),
+            ("xmlio", "document_sizes"), ("workload", "get_query"),
+            ("workload", "run_query")} <= read
+    assert [f"{owner}.{name}" for owner, name in sorted(read)
+            if not hasattr(modules[owner], name)] == []
 
 
 def small_bench(monkeypatch, tmp_path, trace: bool):

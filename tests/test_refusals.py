@@ -8,8 +8,9 @@ directory, so a row giving two entry points one message pins that they
 refuse alike.  run_cell records the message in its row, and the CLI prints
 it on one line and exits 2: both keep the message alone, so for them the
 class goes unchecked.  What each entry point reads is in the README, "What
-each entry point refuses".  The reference warehouse carries a stamp, as
-`run` would otherwise sweep every dimension document (infer_regime).
+each entry point refuses".  The reference warehouse carries no stamp, so
+a row where `run --query D1` answers a bad part, customer or supplier
+document pins that a stampless warehouse, too, is read per query.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ UNREAD = {METADATA: (), "d_date.xml": (), FACTS: TRANSFORMS}
 
 def _write_reference(home):
     xmlio.write_warehouse(reference_sale_warehouse(), home)
-    with open(os.path.join(home, xmlio.STAMP_FILE), "w", encoding="utf-8") as fh:
-        json.dump({"fact_number": 1, "incomplete_percentage": 0, "nonstrict_percentage": 0,
-                   "nonstrict_number": 0, "seed": 0}, fh)
 
 
 def sub(document, old, new):
@@ -453,6 +451,8 @@ CORPUS = [
         ("dataset-nonstrict-number", _bad(facts=10, nonstrict=50),
          "nonstrict_percentage > 0 requires nonstrict_number >= 2 (a non-strict instance has "
          "at least two rows), got nonstrict_number=0"),
+        ("dataset-nonstrict-number-negative", _bad(facts=5, nonstrict_number=-7),
+         "nonstrict_number must be >= 0, got -7"),
         ("dataset-unknown-key", _bad(fact=10),
          "bad campaign matrix: DatasetSpec.__init__() got an unexpected keyword argument 'fact'"),
         ("dataset-facts-text", _bad(facts="100"), "fact_number must be an integer, got '100'"),
