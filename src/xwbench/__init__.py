@@ -61,7 +61,7 @@ from .workload import (
     run_query,
     standard_workload,
 )
-from .xmlio import read_metadata, read_warehouse, write_metadata
+from .xmlio import read_metadata, write_metadata
 
 __version__ = "0.1.0"
 
@@ -76,8 +76,7 @@ __all__ = [
     "cubes_match", "default_model", "gen_complex", "gen_incomplete",
     "gen_nonstrict", "generate_warehouse", "load_workload", "parse_workload",
     "make_covering", "make_strict", "oracle_cube", "qbs_view_of_pedersen",
-    "read_metadata", "read_warehouse",
-    "run_campaign", "run_query", "select_targets", "standard_matrix",
-    "standard_workload", "transform_warehouse",
+    "read_metadata", "run_campaign", "run_query", "select_targets",
+    "standard_matrix", "standard_workload", "transform_warehouse",
     "write_metadata",
 ]

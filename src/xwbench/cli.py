@@ -18,6 +18,7 @@ import sys
 from . import harness, xmlio
 from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
+from .generator import GeneratorConfig
 from .harness import DatasetSpec
 from .model import F_TOTALAMOUNT
 from .workload import (ENGINE_QBS, MATCH_HASH, MATCHINGS, get_query, load_workload,
@@ -75,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    cfg = DatasetSpec(args.out, args.facts, args.incomplete, args.nonstrict,
-                      args.nonstrict_number, args.seed).config(args.out)
+    cfg = GeneratorConfig(args.facts, args.incomplete, args.nonstrict,
+                          args.nonstrict_number, args.seed, args.out)
     try:
         cfg.validate()
     except ConfigurationError as exc:

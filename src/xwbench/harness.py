@@ -45,6 +45,7 @@ from .workload import (
     Query,
     QueryPlan,
     ResultCube,
+    aggregate_step,
     plan_query,
     run_query,
     standard_workload,
@@ -192,7 +193,7 @@ def oracle_cube(in_dir: str, query: Query) -> ResultCube:
     value (the amount as integer cents, by its own split at the point) into
     its group's column in a plain dict.  Each column is aggregated with sum,
     min or max and summed into the grand totals, and a ResultCube's entries
-    are set directly, never through entry_for, contribute or aggregate_step.
+    are set directly, never through entry_for or aggregate_step.
     A ref joins only the instance whose id it spells exactly.
     """
     model = xmlio.read_metadata(in_dir)
@@ -301,16 +302,16 @@ def qbs_view_of_pedersen(cube: ResultCube) -> ResultCube:
 def double_counting_cube(plan: QueryPlan) -> ResultCube:
     """Deliberately broken engine: every non-strict row aggregates separately.
 
-    Each fact contributes once per combination of its instances' row-level
+    Each fact is added once per combination of its instances' row-level
     values instead of once per fused group, re-creating the double counting
     the summarizability engines exist to prevent.  Negative control for the
     correctness checker; never a benchmark subject.  It reads the grouped
     instances of the `plan` (a plan_query result) row by row, never through
-    resolve_column.
+    resolve_column; its fact count and totals are run_query's.
     """
-    cube = ResultCube(plan.query, MATCH_HASH)
+    query = plan.query
+    cube = ResultCube(query, MATCH_HASH)
     for i, values in enumerate(plan.values()):
-        cube.observe_fact(values)
         alternatives = []
         for level, index, ordinals in plan.steps:
             inst = index[ordinals[i] - 1]
@@ -320,7 +321,9 @@ def double_counting_cube(plan: QueryPlan) -> ResultCube:
                 alternatives.append(
                     [row.get(level, OTHER) for row in inst.rows])
         for combo in product(*alternatives):
-            cube.contribute(combo, values)
+            aggregate_step(cube.entry_for(combo), values, query.aggregate)
+    cube.fact_count = len(plan.facts)
+    cube.grand_totals = [sum(plan.facts.measures[m]) for m in query.measures]
     return cube
 
 
@@ -512,6 +515,15 @@ def _cell_report(spec: DatasetSpec, engine: str, query: Query, matching: str,
     )
 
 
+def _check_runs(repeats: int, warmup: int) -> None:
+    """Raise ConfigurationError unless `repeats` is an integer of at least 1
+    and `warmup` one of at least 0; a bool is not a count."""
+    if type(repeats) is not int or repeats < 1:
+        raise ConfigurationError(f"repeats must be an integer of at least 1, got {repeats!r}")
+    if type(warmup) is not int or warmup < 0:
+        raise ConfigurationError(f"warmup must be an integer of at least 0, got {warmup!r}")
+
+
 def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
              matching: str, repeats: int = 3, warmup: int = 1,
              overhead_ms: float | None = None) -> RunReport:
@@ -523,10 +535,7 @@ def run_cell(spec: DatasetSpec, run_dir: str, engine: str, query: Query,
     """
     report = _cell_report(spec, engine, query, matching, overhead_ms)
     try:
-        if repeats < 1:
-            raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
-        if warmup < 0:
-            raise ConfigurationError(f"warmup must be at least 0, got {warmup}")
+        _check_runs(repeats, warmup)
         # The naive control groups like qbs, so its cube is checked as qbs's.
         plan = plan_query(query, run_dir, ENGINE_QBS if engine == ENGINE_NAIVE else engine)
         report.load_ms = plan.load_ms
@@ -651,10 +660,7 @@ def run_campaign(matrix: dict, report_path: str,
                 raise ConfigurationError(f"unknown {kind} {name!r} in the matrix")
             if name in names[:i]:
                 raise ConfigurationError(f"{kind} {name!r} is listed twice in the matrix")
-    if type(repeats) is not int or repeats < 1:
-        raise ConfigurationError(f"repeats must be an integer of at least 1, got {repeats!r}")
-    if type(warmup) is not int or warmup < 0:
-        raise ConfigurationError(f"warmup must be an integer of at least 0, got {warmup!r}")
+    _check_runs(repeats, warmup)
     if not isinstance(data_dir, str):
         raise ConfigurationError(f"data_dir must be a string, got {data_dir!r}")
     for spec in specs:

@@ -585,20 +585,6 @@ def load_facts(in_dir: str, model: DwModel, dim_ids: Collection[str]) -> FactCol
     return FactColumns(path, ordinals, {F_QUANTITY: quantity, F_TOTALAMOUNT: amount})
 
 
-def read_warehouse(in_dir: str) -> Warehouse:
-    """Materialize a whole warehouse (round-trip and small-scale use), each
-    sale a FactRecord made from a row of iter_facts' columns.  The facts are
-    first read as load_facts reads them, so a number beyond a fact column's
-    64 bits is refused here as by every plan."""
-    model = read_metadata(in_dir)
-    load_facts(in_dir, model, ())
-    instances = {s.id: list(iter_instances(in_dir, s)) for s in model.dimensions}
-    facts = [FactRecord(sale[0], int(sale[1]), _cents(sale[2]),
-                        dict(zip(model.dimension_ids, sale[3:])))
-             for columns in iter_facts(in_dir, model) for sale in zip(*columns)]
-    return Warehouse(model, facts, instances)
-
-
 def document_sizes(in_dir: str) -> dict[str, int]:
     return {name: os.path.getsize(os.path.join(in_dir, name))
             for name in layout_files(read_metadata(in_dir))}

@@ -12,6 +12,8 @@ from xwbench import xmlio
 from xwbench.engine_pedersen import transform_warehouse
 from xwbench.harness import DatasetSpec, ensure_dataset, standard_matrix
 from xwbench.model import (
+    F_QUANTITY,
+    F_TOTALAMOUNT,
     DimensionInstance,
     FactRecord,
     Warehouse,
@@ -30,6 +32,26 @@ def edit(path, old, new):
     assert edited != text, f"{old!r} is not in {path.name}"
     path.write_bytes(edited.encode("utf-8", "surrogateescape"))
     return text, edited
+
+
+def assert_reads_back(in_dir, warehouse):
+    """The program's readers read the layout in `in_dir` as `warehouse`: the
+    metadata, every dimension's full rows (load_dimensions), each sale's
+    measures and reference ordinals (load_facts) and its id (iter_facts'
+    text column), all in document order."""
+    model = xmlio.read_metadata(in_dir)
+    assert model == warehouse.model
+    assert xmlio.load_dimensions(in_dir, model, dict.fromkeys(model.dimension_ids)) \
+        == warehouse.instances
+    facts = warehouse.facts
+    columns = xmlio.load_facts(in_dir, model, model.dimension_ids)
+    assert list(columns.measures[F_QUANTITY]) == [fact.f_quantity for fact in facts]
+    assert list(columns.measures[F_TOTALAMOUNT]) == [fact.f_totalamount for fact in facts]
+    for dim_id, ordinals in columns.ordinals.items():
+        assert list(ordinals) == [int(fact.dim_refs[dim_id].removeprefix(f"{dim_id}#"))
+                                  for fact in facts], dim_id
+    assert [sale_id for chunk in xmlio.iter_facts(in_dir, model) for sale_id in chunk[0]] \
+        == [fact.fact_id for fact in facts]
 
 
 def make_instance(dim: str, rows: list[dict[str, str]], ordinal: int = 1) -> DimensionInstance:

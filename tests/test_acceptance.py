@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from conftest import assert_reads_back
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import (
     check_correctness,
@@ -63,12 +64,9 @@ def test_criterion_1_determinism_and_generation_speed(tmp_path):
                            shallow=False), name
     assert max(elapsed) < 10.0, f"generation took {max(elapsed):.1f}s"
 
-    # streaming re-read reproduces all 10,000 records exactly
-    from xwbench.xmlio import read_warehouse
-
-    back = read_warehouse(str(tmp_path / "b"))
-    assert back.facts == warehouse.facts
-    assert back.instances == warehouse.instances
+    # streaming re-read reproduces all 10,000 records exactly: every sale's
+    # id, measures and references, and every instance's rows
+    assert_reads_back(str(tmp_path / "b"), warehouse)
     announce(1, f"byte-identical layouts at 10,000 facts "
                 f"({max(elapsed):.2f}s < 10s); streaming re-read exact")
 

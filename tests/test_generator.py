@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOUR_ROW_SUPPLIER, make_instance
+from conftest import FOUR_ROW_SUPPLIER, assert_reads_back, make_instance
 from xwbench.errors import ConfigurationError, EligibilityError
 from xwbench.generator import (
     GeneratorConfig,
@@ -21,7 +21,7 @@ from xwbench.generator import (
 from xwbench.model import (NATION_REGION, PART_TYPE1, PART_TYPE2, PART_TYPE3, HierarchyKind,
                            classify_instance)
 from xwbench.rng import SplitMix64
-from xwbench.xmlio import layout_files, read_warehouse
+from xwbench.xmlio import layout_files
 
 
 class ScriptedRng:
@@ -242,10 +242,10 @@ class TestGenerateWarehouse:
 
     def test_empty_warehouse_is_valid(self, tmp_path):
         out = tmp_path / "empty"
-        generate_warehouse(GeneratorConfig(0, seed=1, output_dir=str(out)))
-        back = read_warehouse(str(out))
-        assert back.facts == []
-        assert all(v == [] for v in back.instances.values())
+        warehouse = generate_warehouse(GeneratorConfig(0, seed=1, output_dir=str(out)))
+        assert warehouse.facts == []
+        assert all(v == [] for v in warehouse.instances.values())
+        assert_reads_back(str(out), warehouse)
 
     def test_determinism_bytewise(self, tmp_path):
         cfg = dict(fact_number=200, incomplete_percentage=50, nonstrict_percentage=50,

@@ -110,8 +110,10 @@ def test_traced_benchmark_counts_every_resolution(monkeypatch, tmp_path):
     metrics = result["metrics"]
     assert metrics["engine_qbs.resolve_calls"]["value"] == 5200
     data = bench.passes[-1]["data"]
-    instances = {engine: xmlio.read_warehouse(data[engine]).instances
-                 for engine in ("qbs", "pedersen")}
+    models = {engine: xmlio.read_metadata(data[engine]) for engine in ("qbs", "pedersen")}
+    instances = {engine: xmlio.load_dimensions(data[engine], model,
+                                               dict.fromkeys(model.dimension_ids))
+                 for engine, model in models.items()}
     grouped = [instances[engine][dim_id] for query_id, engine in bench.cells
                for dim_id in workload.get_query(query_id).grouped_dimensions]
     assert metrics["xmlio.instances_loaded"]["value"] == sum(map(len, grouped))

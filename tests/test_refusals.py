@@ -72,6 +72,14 @@ def _cli(*argv, query=""):
     return call
 
 
+def _read(home):
+    """The readers run over a whole warehouse: the metadata, every sale and
+    every dimension's full rows."""
+    model = xmlio.read_metadata(home)
+    xmlio.load_facts(home, model, ())
+    return xmlio.load_dimensions(home, model, dict.fromkeys(model.dimension_ids))
+
+
 def _workload_query(home):
     (query,) = load_workload(os.path.join(home, WORKLOAD_FILE))
     return query
@@ -86,7 +94,7 @@ ENTRY_POINTS = {
     "oracle_D4": lambda home: oracle_cube(home, get_query("D4")),
     "transform": lambda home: transform_warehouse(home, home + "-pedersen"),
     "cli_transform": _cli("transform", "--in", "{home}", "--out", "{home}-cli"),
-    "read": xmlio.read_warehouse,
+    "read": _read,
     "cell_D4": lambda home: _recorded(home, "qbs", get_query("D4")),
     "cli_run_D1": _cli("run", "--in", "{home}", "--query", "D1", "--strict", query="D1"),
     "cli_oracle_D1": _cli("oracle", "--in", "{home}", "--query", "D1"),

@@ -12,7 +12,7 @@ from xwbench.engine_pedersen import transform_warehouse
 from xwbench.engine_qbs import OTHER, component_label
 from xwbench.errors import ConfigurationError, QueryError
 from xwbench.generator import GeneratorConfig, generate_warehouse
-from xwbench.harness import cubes_match
+from xwbench.harness import cubes_match, double_counting_cube
 from xwbench.model import F_QUANTITY, F_TOTALAMOUNT
 from xwbench.workload import (
     MATCH_HASH,
@@ -24,6 +24,7 @@ from xwbench.workload import (
     aggregate_step,
     get_query,
     load_workload,
+    plan_query,
     run_query,
     standard_workload,
     validate_query,
@@ -175,9 +176,8 @@ class TestMatching:
         cubes = {}
         for strategy in ("scan", "hash"):
             cube = ResultCube(query, strategy)
-            for i, key in enumerate(keys):
-                cube.observe_fact((1, 0.5))
-                cube.contribute(key, (1, 0.5))
+            for key in keys:
+                aggregate_step(cube.entry_for(key), (1, 0.5), "SUM")
             cubes[strategy] = cube
         equal, diffs = cubes_match(cubes["scan"], cubes["hash"])
         assert equal, diffs
@@ -210,13 +210,20 @@ class TestRunQuery:
             assert cube.grand_totals == [0] * len(query.measures)
 
     def test_grand_total_and_support_conservation(self, complex_300):
+        """run_query's supports add up to its fact count, and its SUM groups
+        to its grand totals; it and the double-counting control both count
+        every fact once and total every measure over all facts."""
         _, out_dir, warehouse = complex_300
         expected = {F_QUANTITY: sum(f.f_quantity for f in warehouse.facts),
                     F_TOTALAMOUNT: sum(f.f_totalamount for f in warehouse.facts)}
         for query in standard_workload():
-            cube, _ = run_query(query, out_dir)
+            plan = plan_query(query, out_dir)
+            cube, _ = run_query(query, out_dir, plan=plan)
+            control = double_counting_cube(plan)
             assert sum(e.support for e in cube.entries.values()) == cube.fact_count
-            assert cube.fact_count == 300
+            assert cube.fact_count == control.fact_count == 300
+            totals = [expected[measure] for measure in query.measures]
+            assert cube.grand_totals == control.grand_totals == totals
             if query.aggregate == "SUM":
                 for i, measure in enumerate(query.measures):
                     assert sum(e.states[i] for e in cube.entries.values()) == \
