@@ -3,9 +3,10 @@
 The quantitative metric is response time per (dataset, engine, query,
 matching) cell, split into load, preprocessing overhead (static engine
 only) and query time with its phase breakdown.  The qualitative metric
-checks each result cube: no two groups printed alike, group totals summing
-to the grand total, averages equal to total/count, min/max bounded by every
-contributing value.
+checks each result cube against a recount of the facts by the keys the
+checked run resolved: no two groups printed alike, group totals and the
+grand totals equal to each measure column's sum, averages equal to
+total/count, min/max bounded by every contributing value.
 
 Verification machinery lives here too: a brute-force oracle that streams
 the documents through ElementTree and regroups exhaustively (sharing only
@@ -77,10 +78,19 @@ class CorrectnessReport:
 
 
 def _printed_duplicates(entries: dict[tuple, object]) -> int:
-    """How many group keys print like another key.  Only the fused sets and
-    OTHERs of a key are labelled, with no call for a string, which prints as
-    itself.  The labels are dropped on return, so they never share a memory
-    peak with the check's recount."""
+    """How many group keys print like another key.  Two keys print alike
+    only if two distinct components at one position do, so each position's
+    distinct components are labelled once (a string prints as itself), and
+    only then are the keys holding a fused set or OTHER labelled whole.  No
+    label outlives the call, to share a memory peak with the recount."""
+    for column in zip(*entries):
+        distinct = set(column)
+        others = [c for c in distinct if c.__class__ is not str]
+        labels = set(map(component_label, others))
+        if len(labels) < len(others) or not labels.isdisjoint(distinct):
+            break
+    else:
+        return 0
     labelled = [key for key in entries if not all(map(str.__instancecheck__, key))]
     labels = {tuple([c if c.__class__ is str else component_label(c) for c in key])
               for key in labelled}
@@ -90,16 +100,19 @@ def _printed_duplicates(entries: dict[tuple, object]) -> int:
 def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     """Evaluate the qualitative metric against an independent recount pass.
 
-    The recount resolves every fact's group key again through `plan` (the
-    plan_query result the cube's query was compiled to, whose keys and
-    values run_query groups too), takes the keys one at a time as they are
-    zipped from the columns, and keeps per group, in one plain list, its
-    count and the one statistic the aggregate needs (sums for SUM and AVG,
-    minima for MIN, maxima for MAX); it shares nothing with matching or
-    aggregation.  The cube is read in place, never copied.  `dup_ok` fails
-    when two of the cube's group keys print the same (component_label per
-    component), as a real value "A+B" and the fused set {A, B} do, or a real
-    "Other" and OTHER.
+    The recount groups the facts of `plan` (the plan_query result the cube's
+    query was compiled to) by the keys the last run_query over it resolved,
+    `plan.resolved`, or, where no run left any, as in the double-counting
+    control's cell, by `plan.keys()` taken one at a time as they are zipped
+    from the columns.  It keeps per group, in one plain list, its count and
+    the one statistic the aggregate needs (sums for SUM and AVG, minima for
+    MIN, maxima for MAX), and shares nothing with matching or aggregation;
+    resolution itself is judged by comparing engines and by the oracle.
+    `chk_grand` compares the cube's grand totals and its group totals with
+    each measure column's sum.  The cube is read in place, never copied.
+    `dup_ok` fails when two of the cube's group keys print the same
+    (component_label per component), as a real value "A+B" and the fused
+    set {A, B} do, or a real "Other" and OTHER.
     Failures are report content, not exceptions.
     """
     notes: list[str] = []
@@ -114,7 +127,7 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     fold = {"MIN": min, "MAX": max}.get(aggregate, operator.add)
     recount: dict[tuple, list] = {}  # key -> [count, statistic per measure...]
     fact_count = len(plan.facts)
-    for key, values in zip(plan.keys(), plan.values()):
+    for key, values in zip(plan.resolved or plan.keys(), plan.values()):
         slot = recount.get(key)
         if slot is None:
             recount[key] = [1, *values]
@@ -133,11 +146,14 @@ def check_correctness(cube: ResultCube, plan: QueryPlan) -> CorrectnessReport:
     if entries.keys() != recount.keys():
         grand_ok = False
         notes.append("group keys differ from recount")
+    grands = [sum(plan.facts.measures[m]) for m in query.measures]
+    for measure, total, grand in zip(query.measures, cube.grand_totals, grands):
+        if total != grand:
+            grand_ok = False
+            notes.append(f"{measure}: grand total {total} != {grand}")
     if aggregate in ("SUM", "AVG"):
-        # The grand total is the sum of the recount's exact per-group sums.
-        for i, measure in enumerate(query.measures):
+        for i, (measure, grand) in enumerate(zip(query.measures, grands)):
             total = sum(e.states[i] for e in entries.values())
-            grand = sum(slot[i + 1] for slot in recount.values())
             if total != grand:
                 grand_ok = False
                 notes.append(f"{measure}: group total {total} != grand total {grand}")

@@ -12,9 +12,11 @@ dimension's index, its rows holding the grouped level alone, and the fact
 columns (xmlio.load_facts); under pedersen it checks once that the data is a
 transform's output.  The plan's `keys()` are the facts' group keys in fact
 order, resolved one grouped dimension's column at a time by
-engine_qbs.resolve_column for both engines, and `values()` their measures;
-run_query, the correctness check and the double-counting control all group
-facts through a plan, and a campaign cell compiles one plan for all of them.
+engine_qbs.resolve_column for both engines, and `values()` their measures.
+Every run_query resolves the keys afresh and leaves them on the plan as
+`resolved`, by which the correctness check recounts; the double-counting
+control reads the plan's instances, and a campaign cell compiles one plan
+for the runs, the check and the control.
 
 run_query makes three timed passes over the fact columns: resolve every
 key, match every key to a cube entry under the chosen strategy (a faithful
@@ -27,7 +29,7 @@ cube's grand totals are one sum per measure column.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -265,7 +267,10 @@ class QueryPlan:
     grouping order: `index` rows hold `level`'s cell only (none at instance
     granularity), as dicts shared between rows that no one may change, and
     `ordinals` is the dimension's column of `facts`.  Membership is still
-    resolved per run, by engine_qbs.resolve_column for either engine.
+    resolved per run, by engine_qbs.resolve_column for either engine, and
+    `resolved` holds the keys the last run_query over the plan resolved, in
+    fact order (empty before any run): each run empties it and then fills it
+    inside its resolve timer, so the plan never holds two key lists.
     """
 
     query: Query
@@ -273,6 +278,8 @@ class QueryPlan:
     steps: tuple[tuple[str | None, list[DimensionInstance], Sequence[int]], ...]
     load_ms: float
     read_ms: float
+    resolved: list[tuple] = field(default_factory=list, init=False, repr=False,
+                                  compare=False)
 
     def keys(self) -> Iterator[tuple]:
         """Every fact's group key, in fact order: one component per grouped
@@ -346,8 +353,10 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     aggregate = query.aggregate
     cube = ResultCube(query, matching)
     pc = time.perf_counter
+    keys = plan.resolved
+    keys.clear()
     t0 = pc()
-    keys = list(plan.keys())
+    keys.extend(plan.keys())
     t1 = pc()
     entry_for = cube.entry_for
     entries = [entry_for(key) for key in keys]

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from conftest import edit, make_instance, single_sale_warehouse
 from test_xmlio import _XML_CHAR, _warehouses
-from xwbench import harness, xmlio
+from xwbench import engine_qbs, harness, workload, xmlio
 from xwbench.engine_pedersen import transform_warehouse
-from xwbench.engine_qbs import OTHER
+from xwbench.engine_qbs import OTHER, component_label
 from xwbench.errors import ConfigurationError, DocumentError, QueryError, ReferentialError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.model import (F_QUANTITY, F_TOTALAMOUNT, DimensionInstance, FactRecord,
@@ -46,6 +46,7 @@ from xwbench.harness import (
 from xwbench.workload import (
     MATCH_HASH,
     MATCH_SCAN,
+    ResultCube,
     get_query,
     parse_query_line,
     plan_query,
@@ -177,13 +178,15 @@ class TestCheckCorrectness:
             self.assert_two_groups_print_alike(out, "Other", OTHER)
 
     def test_double_counting_engine_fails_on_nonstrict_data(self, grid_1k):
-        """The deliberately broken engine is caught on every non-strict set."""
+        """The deliberately broken engine is caught on every non-strict set,
+        by every query that groups a non-strict level."""
         for dataset_id in ("nonstrict5-1000", "nonstrict50-1000",
                            "complex5-1000", "complex50-1000"):
             _, out_dir = grid_1k[dataset_id]
-            plan = plan_query(get_query("D4"), out_dir)
-            report = check_correctness(double_counting_cube(plan), plan)
-            assert not report.grand_ok, dataset_id
+            for query_id in ("D2", "D3", "D4", "Q22", "Q23", "Q24"):
+                plan = plan_query(get_query(query_id), out_dir)
+                report = check_correctness(double_counting_cube(plan), plan)
+                assert not report.grand_ok, (dataset_id, query_id)
 
     def test_double_counting_engine_is_clean_on_simple_data(self, grid_1k):
         _, out_dir = grid_1k["simple-1000"]
@@ -206,13 +209,90 @@ class TestCheckCorrectness:
             assert any("Other" in key for key in cube.entries), query.id
             assert check_correctness(cube, plan).passed, query.id
 
+    def test_wrong_grand_totals_fail_grand(self, tmp_path):
+        """chk_grand compares each grand total the cube holds with the sum
+        of its measure's column, whatever the groups hold."""
+        out_dir = str(tmp_path / "complex")
+        generate_warehouse(GeneratorConfig(1000, 50, 50, 4, seed=1, output_dir=out_dir))
+        plan = plan_query(get_query("D1"), out_dir)
+        cube, _ = run_query(plan.query, out_dir, plan=plan)
+        assert check_correctness(cube, plan).passed
+        quantity, amount = cube.grand_totals
+        cube.grand_totals = [0, 0]
+        report = check_correctness(cube, plan)
+        assert not report.grand_ok
+        assert report.dup_ok and report.avg_ok and report.minmax_ok
+        assert report.notes == (f"f_quantity: grand total 0 != {quantity}",
+                                f"f_totalamount: grand total 0 != {amount}")
+
+    @pytest.mark.parametrize("matching", [MATCH_HASH, MATCH_SCAN])
+    def test_recount_sees_a_fact_matched_to_another_group(self, complex_300, monkeypatch,
+                                                          matching):
+        """The recount groups by the run's own keys, so a fault in matching
+        still shows: one fact of a group that already holds one is sent to
+        the first other group's entry, and the average check fails."""
+        _, out_dir, _ = complex_300
+        plan = plan_query(get_query("Q24"), out_dir)
+        real_entry_for = ResultCube.entry_for
+        moved = []
+
+        def misrouting(cube, key):
+            if not moved and key in cube.entries:
+                other = next((k for k in cube.entries if k != key), None)
+                if other is not None:
+                    moved.append(key)
+                    return cube.entries[other]
+            return real_entry_for(cube, key)
+
+        monkeypatch.setattr(ResultCube, "entry_for", misrouting)
+        cube, _ = run_query(plan.query, out_dir, matching=matching, plan=plan)
+        assert moved and moved[0] in cube.entries
+        report = check_correctness(cube, plan)
+        assert not report.avg_ok, report.notes
+        assert any(note.startswith(f"{moved[0]}: support") for note in report.notes)
+
+    @pytest.mark.parametrize("query_id", ["D4", "Q24"])
+    def test_recount_sees_a_fact_left_out_of_aggregation(self, complex_300, monkeypatch,
+                                                         query_id):
+        """One fact counted into its entry's support without its values:
+        the group totals, or the average, no longer agree with the recount."""
+        _, out_dir, _ = complex_300
+        plan = plan_query(get_query(query_id), out_dir)
+        real_step = workload.aggregate_step
+        calls = []
+
+        def dropping(entry, values, aggregate):
+            calls.append(values)
+            if len(calls) == 1:
+                entry.support += 1
+                return entry
+            return real_step(entry, values, aggregate)
+
+        monkeypatch.setattr(workload, "aggregate_step", dropping)
+        cube, _ = run_query(plan.query, out_dir, plan=plan)
+        assert len(calls) == len(plan.facts)
+        report = check_correctness(cube, plan)
+        assert report.dup_ok and not report.passed
+        assert not (report.grand_ok if query_id == "D4" else report.avg_ok), report.notes
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3).flatmap(
+        lambda width: st.sets(st.tuples(*[st.sampled_from(_COMPONENTS)] * width),
+                              max_size=12)))
+    def test_dup_count_is_the_key_level_count(self, keys):
+        """Labelling each position's components once counts exactly what
+        labelling every key whole counts."""
+        entries = dict.fromkeys(keys)
+        assert harness._printed_duplicates(entries) == _key_level_duplicates(entries)
+
     @pytest.mark.parametrize("incomplete, nonstrict", [(0, 0), (50, 50)],
                              ids=["simple", "complex50"])
     def test_check_adds_less_memory_than_the_query(self, tmp_path, incomplete, nonstrict):
-        """The check reads the cube in place: the peak it adds over the cube
-        stays below 1.5 times the peak of the query that built it.  At 10,000
-        facts CPython's tuple free list, which holds 2,000 tuples of a
-        length, no longer hides the key tuples from tracemalloc."""
+        """The check reads the cube, and the keys the run left on the plan,
+        in place: the peak it adds over what the run left stays below 1.5
+        times the peak of the run that built the cube.  At 10,000 facts
+        CPython's tuple free list, which holds 2,000 tuples of a length, no
+        longer hides the key tuples from tracemalloc."""
         out = str(tmp_path / "w")
         generate_warehouse(GeneratorConfig(10_000, incomplete, nonstrict, 4 if nonstrict else 0,
                                            seed=3, output_dir=out))
@@ -233,10 +313,11 @@ class TestCheckCorrectness:
                                                           query_peak)
 
     def test_check_holds_no_list_of_keys(self, tmp_path):
-        """The recount takes each fact's key as the columns are zipped and
-        keeps one per group: over 10,000 facts in five groups it adds less
-        than two pointers per fact, where a list of every key would add a
-        pointer and a tuple per fact."""
+        """The recount reads the keys the run left on the plan in place and
+        keeps one slot per group: over 10,000 facts in five groups it adds
+        less than two pointers per fact, where a list of every key would add
+        a pointer and a tuple per fact, and resolving the keys again would
+        add a column of components per grouped dimension."""
         out = str(tmp_path / "w")
         generate_warehouse(GeneratorConfig(10_000, seed=3, output_dir=out))
         plan = plan_query(parse_query_line("X SUM f_quantity supplier.region"), out)
@@ -250,6 +331,21 @@ class TestCheckCorrectness:
         assert report.passed, report.notes
         assert len(cube.entries) == 5
         assert peak < 16 * len(plan.facts), peak
+
+
+# Components whose labels collide: real values spelled like labels beside
+# the fused sets and OTHER that print as them.
+_COMPONENTS = ("A", "B", "C", "A+B", "B+C", "Other", OTHER, frozenset({"A", "B"}),
+               frozenset({"B", "C"}), frozenset({"A", "B+C"}), frozenset({"A+B", "C"}),
+               frozenset({"A", OTHER}), frozenset({"A", "Other"}))
+
+
+def _key_level_duplicates(entries) -> int:
+    """How many keys print like another, counted over whole label tuples:
+    every key holding a fused set or OTHER is labelled."""
+    labelled = [key for key in entries if not all(isinstance(c, str) for c in key)]
+    labels = {tuple(component_label(c) for c in key) for key in labelled}
+    return len(labelled) - len(labels) + sum(label in entries for label in labels)
 
 
 class TestOracle:
@@ -646,6 +742,27 @@ class TestCellLoading:
         assert report.error is None
         assert report.groups > 1
         assert report.groups == len(cube.entries)
+
+    @pytest.mark.parametrize("engine, repeats, warmup, calls", [
+        ("qbs", 1, 0, 4), ("qbs", 3, 1, 16), ("naive", 1, 0, 4)])
+    def test_each_run_resolves_once_and_the_check_reuses_it(
+            self, complex_300, monkeypatch, engine, repeats, warmup, calls):
+        """D4 groups four dimensions, so one resolution is four column
+        calls: one per run, and none for the check, which recounts by the
+        last run's keys; the control runs no query, so its check resolves."""
+        spec, out_dir, _ = complex_300
+        real_resolve = engine_qbs.resolve_column
+        made = []
+
+        def counting(index, ordinals, level):
+            made.append(level)
+            return real_resolve(index, ordinals, level)
+
+        monkeypatch.setattr(engine_qbs, "resolve_column", counting)
+        report = run_cell(spec, out_dir, engine, get_query("D4"), "hash",
+                          repeats=repeats, warmup=warmup)
+        assert report.error is None and report.checks_passed == (engine == "qbs")
+        assert len(made) == calls
 
     @pytest.mark.parametrize("engine", ["qbs", "pedersen"])
     def test_shared_indexes_stay_untouched(self, complex_300, tmp_path, engine):
