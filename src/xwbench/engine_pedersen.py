@@ -10,8 +10,10 @@ original level position of the single output row, engine_qbs.resolve_column
 reads it as one plain cell, the label of the query-time engine's fused
 component, so both engines group through one resolver into the same groups.
 
-Facts are never touched; the preprocessing cost is the overhead the harness
-reports separately from query time.
+Facts are never touched, and neither is a dimension none of whose instances
+needs covering or fusing: both documents are copied byte for byte.  The
+preprocessing cost is the overhead the harness reports separately from
+query time.
 """
 
 from __future__ import annotations
@@ -77,6 +79,14 @@ class TransformReport:
     fused_levels: dict[str, tuple[str, ...]]
 
 
+def _copy(src: str, dst: str, written: list[str]) -> None:
+    """Copy the document at `src` to `dst` byte for byte, listing `dst` in
+    `written` first so that a failed transform removes it."""
+    written.append(dst)
+    with xmlio.open_document(src) as fh_in, open(dst, "wb") as fh_out:
+        shutil.copyfileobj(fh_in, fh_out)
+
+
 def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
     """Rewrite a warehouse so every hierarchy is covering and strict.
 
@@ -84,14 +94,17 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
     metadata listing the inserted fused levels, and a byte-identical copy of
     the facts document.  An instance of one complete row is already covering
     and strict, so it is written as read; only the others go through
-    make_covering and make_strict.  An input value spelled like a label the
-    output writes ("Other", or one holding "+") raises DocumentError, since
-    the output read back could not tell it from a placeholder or a fused
-    value; so does a transform's output that holds a label.  Where a
-    dimension gains fused levels, one loop writes every instance's
-    `<level>_fused` cells.  Input and output are compared as real paths; the
-    output is cleared first (xmlio.clear_layout) and its metadata written
-    last, and a failed call removes what it wrote, so no reader accepts it.
+    make_covering and make_strict.  A dimension whose every instance is such
+    a row gains no fused level, so once its document is read whole it is
+    copied byte for byte (_copy, as the facts are), not written again.  An
+    input value spelled like a label the output writes ("Other", or one
+    holding "+") raises DocumentError, since the output read back could not
+    tell it from a placeholder or a fused value; so does a transform's
+    output that holds a label.  Where a dimension gains fused levels, one
+    loop writes every instance's `<level>_fused` cells.  Input and output
+    are compared as real paths; the output is cleared first
+    (xmlio.clear_layout) and its metadata written last, and a failed call
+    removes what it wrote, so no reader accepts it.
     """
     if os.path.realpath(dir_in) == os.path.realpath(dir_out):
         raise ConfigurationError("transform requires distinct input and output directories")
@@ -109,6 +122,7 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
             out_instances = []
             dim_fused: set[str] = set()
             width = len(schema.levels)
+            changed = False
             for inst in xmlio.iter_instances(dir_in, schema):
                 rows = inst.rows
                 for row in rows:
@@ -122,6 +136,7 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
                 if len(rows) == 1 and len(rows[0]) == width:
                     out_instances.append(inst)
                     continue
+                changed = True
                 covering = make_covering(inst, schema)
                 if covering is not inst:
                     covered += 1
@@ -133,6 +148,13 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
                     dim_fused |= inst_fused
                 out_instances.append(strict)
             ext = extended_schema(schema, dim_fused)
+            out_schemas.append(ext)
+            if not changed:
+                # Every instance is written as read, and the readers accept
+                # only the written form: the document is its own output.
+                _copy(os.path.join(dir_in, schema.path), os.path.join(dir_out, ext.path),
+                      written)
+                continue
             if dim_fused:
                 # Each fused level's cell copies the level's: its fused label or,
                 # unfused, its own value.  No row dict here is shared: the reader
@@ -145,12 +167,9 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
                     lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))
             written.append(os.path.join(dir_out, ext.path))
             xmlio.write_dimension(ext, out_instances, dir_out)
-            out_schemas.append(ext)
 
-        written.append(os.path.join(dir_out, model.fact_path))
-        with (xmlio.open_document(os.path.join(dir_in, model.fact_path)) as src,
-              open(written[-1], "wb") as dst):
-            shutil.copyfileobj(src, dst)
+        _copy(os.path.join(dir_in, model.fact_path), os.path.join(dir_out, model.fact_path),
+              written)
         written.append(os.path.join(dir_out, xmlio.METADATA_FILE))
         xmlio.write_metadata(replace(model, dimensions=tuple(out_schemas)), dir_out)
     except BaseException:

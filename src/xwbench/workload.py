@@ -243,16 +243,14 @@ class ResultCube:
 class QueryTiming:
     """Wall-clock run breakdown in milliseconds.
 
-    `load_ms` and `read_ms` are the plan's: loading the grouped dimensions
-    and reading the fact columns, once per plan.  `query_ms` is the sum of
-    three sequential passes over the facts: resolving every group key
-    (where the query-time engine does its summarizability work), matching
-    every key to a cube entry, and aggregating.
+    `query_ms` is the sum of three sequential passes over the facts:
+    resolving every group key (where the query-time engine does its
+    summarizability work), matching every key to a cube entry, and
+    aggregating.  Loading is the plan's, once per plan (QueryPlan.load_ms
+    and read_ms).
     """
 
-    load_ms: float
     query_ms: float
-    read_ms: float
     resolve_ms: float
     match_ms: float
     agg_ms: float
@@ -368,5 +366,4 @@ def run_query(query: Query, in_dir: str, engine: str = ENGINE_QBS,
     t3 = pc()
     resolve_ms, match_ms, agg_ms = ((t1 - t0) * 1000.0, (t2 - t1) * 1000.0,
                                     (t3 - t2) * 1000.0)
-    return cube, QueryTiming(plan.load_ms, resolve_ms + match_ms + agg_ms, plan.read_ms,
-                             resolve_ms, match_ms, agg_ms)
+    return cube, QueryTiming(resolve_ms + match_ms + agg_ms, resolve_ms, match_ms, agg_ms)

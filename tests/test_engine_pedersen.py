@@ -2,8 +2,12 @@
 
 import filecmp
 import hashlib
+import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, edit, make_instance,
                       reference_sale_warehouse)
-from xwbench import cli, engine_pedersen
+from xwbench import cli, engine_pedersen, xmlio
 from xwbench.engine_pedersen import (
     FUSED_SUFFIX,
     extended_schema,
@@ -276,6 +280,67 @@ class TestTransformShortcuts:
         assert calls == Counter(make_covering=needing, make_strict=needing)
 
 
+class TestCopiedDimensions:
+    """A dimension none of whose instances needs covering or fusing is
+    copied as the facts are; every other one is written as before."""
+
+    @staticmethod
+    def _count_writes(monkeypatch) -> list[str]:
+        """The id of each dimension xmlio.write_dimension writes, in order."""
+        writes: list[str] = []
+        real = xmlio.write_dimension
+
+        def counted(schema, instances, out_dir):
+            writes.append(schema.id)
+            return real(schema, instances, out_dir)
+
+        monkeypatch.setattr(xmlio, "write_dimension", counted)
+        return writes
+
+    def test_simple_warehouse_writes_no_dimension(self, tmp_path, monkeypatch):
+        src, out = tmp_path / "simple", tmp_path / "out"
+        w = generate_warehouse(GeneratorConfig(100, seed=23, output_dir=str(src)))
+        writes = self._count_writes(monkeypatch)
+        transform_warehouse(str(src), str(out))
+        assert writes == []
+        for name in layout_files(w.model):
+            assert filecmp.cmp(str(src / name), str(out / name), shallow=False), name
+
+    @pytest.mark.parametrize("dim_id, rows", [
+        ("customer", [{"region": "AMERICA"}]),
+        ("supplier", FOUR_ROW_SUPPLIER),
+    ], ids=["covered", "fused"])
+    def test_only_the_dimension_needing_work_is_written(self, tmp_path, monkeypatch,
+                                                        dim_id, rows):
+        warehouse = reference_sale_warehouse()
+        for other in warehouse.model.dimension_ids:
+            warehouse.instances[other].append(make_instance(
+                other, [dict(warehouse.instances[other][0].rows[0])], 2))
+        warehouse.instances[dim_id][1] = make_instance(dim_id, rows, 2)
+        src, out = tmp_path / "raw", tmp_path / "out"
+        write_warehouse(warehouse, str(src))
+        writes = self._count_writes(monkeypatch)
+        transform_warehouse(str(src), str(out))
+        assert writes == [dim_id]
+        model = warehouse.model
+        for name in (model.fact_path, *(schema.path for schema in model.dimensions)):
+            same = filecmp.cmp(str(src / name), str(out / name), shallow=False)
+            assert same == (name != model.dimension(dim_id).path), name
+
+    @pytest.mark.parametrize("value", ["Other", "1998+1999"])
+    def test_label_in_an_unchanged_dimension_is_refused(self, tmp_path, value):
+        """A label at d_date.xml, the last dimension, is refused after the
+        three before it were copied, and the copies are removed with it."""
+        src, out = tmp_path / "simple", tmp_path / "out"
+        generate_warehouse(GeneratorConfig(50, seed=1, output_dir=str(src)))
+        edit(src / "d_date.xml", re.compile("<year>[^<]*</year>"), f"<year>{value}</year>")
+        with pytest.raises(DocumentError, match="d_date.xml.*spelled like a label"):
+            transform_warehouse(str(src), str(out))
+        assert os.listdir(out) == []
+        with pytest.raises(DocumentError, match="dw-model.xml: missing document"):
+            read_metadata(str(out))
+
+
 # sha256 of every document generated for GeneratorConfig(200, 50, 50, 3,
 # seed=7) and of its transform.  The determinism tests compare two runs of
 # the same code; these digests tie generator and transform to fixed bytes.
@@ -309,6 +374,45 @@ def test_generated_and_transformed_documents_match_golden_bytes(tmp_path):
     assert report.instances_fused > 0 and report.instances_covered > 0
     assert _digests(gen) == GOLDEN_GENERATED
     assert _digests(out) == GOLDEN_TRANSFORMED
+
+
+# Generates and transforms, under `root` (argv[1]), the golden warehouse and a
+# simple one, and prints every document's digest per directory.
+_DIGESTS_OF_A_RUN = """
+import hashlib, json, os, sys
+from dataclasses import replace
+from xwbench.engine_pedersen import transform_warehouse
+from xwbench.generator import GeneratorConfig, generate_warehouse
+root, digests = sys.argv[1], {}
+for name, config in (("golden", GeneratorConfig(200, 50, 50, 3, seed=7)),
+                     ("simple", GeneratorConfig(100, seed=23))):
+    gen, out = os.path.join(root, name), os.path.join(root, name + "-out")
+    generate_warehouse(replace(config, output_dir=gen))
+    transform_warehouse(gen, out)
+    for directory in (gen, out):
+        digests[os.path.basename(directory)] = {
+            doc: hashlib.sha256(open(os.path.join(directory, doc), "rb").read()).hexdigest()
+            for doc in os.listdir(directory)}
+print(json.dumps(digests))
+"""
+
+
+def test_documents_do_not_depend_on_the_hash_seed(tmp_path):
+    """Generation and the transform, the written and the copied documents
+    alike, give the same bytes under two string-hash seeds."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", _DIGESTS_OF_A_RUN, str(tmp_path / seed)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    for digests in runs:
+        assert digests["golden"] == GOLDEN_GENERATED
+        assert digests["golden-out"] == GOLDEN_TRANSFORMED
+        assert digests["simple-out"] == digests["simple"]
+    assert runs[0]["simple"] == runs[1]["simple"]
 
 
 class TestPlanOverTransformedData:

@@ -57,6 +57,15 @@ from xwbench.workload import (
 from xwbench.xmlio import write_warehouse
 
 
+@pytest.fixture(scope="module")
+def complex_1600(tmp_path_factory):
+    """1,600 complex50 facts (seed 1), where every group-by of D1, D2, Q23
+    and Q24 has a group of two facts or more."""
+    out_dir = str(tmp_path_factory.mktemp("complex") / "complex50-1600")
+    generate_warehouse(GeneratorConfig(1600, 50, 50, 4, seed=1, output_dir=out_dir))
+    return out_dir
+
+
 class TestCheckCorrectness:
     def test_correct_cube_passes_every_check(self, complex_300):
         _, out_dir, _ = complex_300
@@ -90,8 +99,9 @@ class TestCheckCorrectness:
 
     def test_one_cent_off_fails_at_8000_facts(self, tmp_path):
         """Amounts are summed in exact cents: at 8,000 facts, whose amounts
-        add up to about 2 * 10**9 cents, one cent moved in one D1 group fails
-        chk_grand, and one cent on a grand total is a cube difference."""
+        add up to about 2 * 10**9 cents, one cent added to one D1 group fails
+        chk_grand with one note naming that group, and one cent on a grand
+        total is a cube difference."""
         out_dir = str(tmp_path / "simple")
         generate_warehouse(GeneratorConfig(8000, seed=42, output_dir=out_dir))
         query = get_query("D1")
@@ -101,12 +111,14 @@ class TestCheckCorrectness:
         assert check_correctness(cube, plan).passed and cubes_match(cube, same)[0]
         grand = cube.grand_totals[1]
         assert grand > 10**9
-        entry = next(iter(cube.entries.values()))
+        key, entry = next(iter(cube.entries.items()))
+        quantity, cents = entry.states
         entry.states[1] += 1
         report = check_correctness(cube, plan)
         assert not report.grand_ok
-        assert report.notes == (
-            f"f_totalamount: group total {grand + 1} != grand total {grand}",)
+        assert report.notes == (f"{key}: support {entry.support}, sums [{quantity}, "
+                                f"{cents + 1}] != recount {entry.support}, "
+                                f"[{quantity}, {cents}]",)
         entry.states[1] -= 1
         cube.grand_totals[1] += 1
         assert cubes_match(cube, same) == (False, ["grand total f_totalamount differs"])
@@ -226,13 +238,18 @@ class TestCheckCorrectness:
                                 f"f_totalamount: grand total 0 != {amount}")
 
     @pytest.mark.parametrize("matching", [MATCH_HASH, MATCH_SCAN])
-    def test_recount_sees_a_fact_matched_to_another_group(self, complex_300, monkeypatch,
-                                                          matching):
-        """The recount groups by the run's own keys, so a fault in matching
-        still shows: one fact of a group that already holds one is sent to
-        the first other group's entry, and the average check fails."""
-        _, out_dir, _ = complex_300
-        plan = plan_query(get_query("Q24"), out_dir)
+    @pytest.mark.parametrize("query_id, flag", [
+        ("D1", "grand_ok"), ("D2", "grand_ok"), ("Q23", "minmax_ok"), ("Q24", "avg_ok")],
+        ids=["D1", "D2", "Q23", "Q24"])
+    def test_recount_sees_a_fact_matched_to_another_group(self, complex_1600, monkeypatch,
+                                                          query_id, flag, matching):
+        """The recount groups by the run's own keys, and each group is
+        compared with its recount, so a fault in matching still shows: one
+        fact of a group that already holds one is sent to the first other
+        group's entry, and the aggregate's own check fails on both groups,
+        whatever the totals say."""
+        out_dir = complex_1600
+        plan = plan_query(get_query(query_id), out_dir)
         real_entry_for = ResultCube.entry_for
         moved = []
 
@@ -240,16 +257,23 @@ class TestCheckCorrectness:
             if not moved and key in cube.entries:
                 other = next((k for k in cube.entries if k != key), None)
                 if other is not None:
-                    moved.append(key)
+                    moved.append((key, other))
                     return cube.entries[other]
             return real_entry_for(cube, key)
 
         monkeypatch.setattr(ResultCube, "entry_for", misrouting)
         cube, _ = run_query(plan.query, out_dir, matching=matching, plan=plan)
-        assert moved and moved[0] in cube.entries
+        assert moved
         report = check_correctness(cube, plan)
-        assert not report.avg_ok, report.notes
-        assert any(note.startswith(f"{moved[0]}: support") for note in report.notes)
+        failed = [f for f in ("dup_ok", "grand_ok", "avg_ok", "minmax_ok")
+                  if not getattr(report, f)]
+        assert failed == [flag], report.notes
+        # A note names each group by the cube's own key, which prints its
+        # fused sets as they were first inserted.
+        named = {key for key in cube.entries if key in moved[0]}
+        assert len(named) == 2
+        assert {note.partition(": support")[0] for note in report.notes} \
+            == set(map(str, named)), report.notes
 
     @pytest.mark.parametrize("query_id", ["D4", "Q24"])
     def test_recount_sees_a_fact_left_out_of_aggregation(self, complex_300, monkeypatch,
@@ -706,11 +730,12 @@ class TestCellLoading:
                                                            parse_counts):
         _, out_dir, _ = complex_300
         query = get_query("D3")
-        cube, timing = run_query(query, out_dir)
+        cube, _ = run_query(query, out_dir)
         assert parse_counts == {"part": 1, "customer": 1, "date": 1, "facts": 1,
                                 "metadata": 1}
-        assert timing.load_ms > 0 and timing.read_ms > 0
-        assert check_correctness(cube, plan_query(query, out_dir)).passed
+        plan = plan_query(query, out_dir)
+        assert plan.load_ms > 0 and plan.read_ms > 0
+        assert check_correctness(cube, plan).passed
         assert parse_counts == {"part": 2, "customer": 2, "date": 2, "facts": 2,
                                 "metadata": 2}
 
@@ -721,8 +746,7 @@ class TestCellLoading:
         assert len(plan.facts) == 300
         loaded = Counter(parse_counts)
         assert loaded == {"date": 1, "facts": 1, "metadata": 1}
-        cube, timing = run_query(plan.query, out_dir, plan=plan)
-        assert (timing.load_ms, timing.read_ms) == (plan.load_ms, plan.read_ms)
+        cube, _ = run_query(plan.query, out_dir, plan=plan)
         assert check_correctness(cube, plan).passed
         naive = double_counting_cube(plan)
         assert cubes_match(cube, naive)[0]

@@ -189,7 +189,8 @@ class TestMatching:
 
 class TestRunQuery:
     def test_single_reference_fact_q21(self, reference_dir):
-        cube, timing = run_query(get_query("Q21"), reference_dir)
+        plan = plan_query(get_query("Q21"), reference_dir)
+        cube, timing = run_query(plan.query, reference_dir, plan=plan)
         assert cube.fact_count == 1
         assert len(cube.entries) == 1
         ((key, entry),) = cube.entries.items()
@@ -197,7 +198,7 @@ class TestRunQuery:
         assert entry.values("SUM") == (100, 280000)
         assert entry.support == 1
         phases = (timing.resolve_ms, timing.match_ms, timing.agg_ms)
-        assert all(phase >= 0 for phase in phases) and timing.read_ms > 0
+        assert all(phase >= 0 for phase in phases) and plan.read_ms > 0
         assert sum(phases) <= timing.query_ms
 
     def test_empty_warehouse_yields_empty_cube(self, tmp_path):
@@ -271,8 +272,9 @@ class TestRunQuery:
     def test_unknown_engine_and_instrumented_phases(self, reference_dir):
         with pytest.raises(ConfigurationError):
             run_query(get_query("D1"), reference_dir, engine="turbo")
-        cube, timing = run_query(get_query("D1"), reference_dir)
-        assert timing.read_ms is not None
+        plan = plan_query(get_query("D1"), reference_dir)
+        cube, timing = run_query(plan.query, reference_dir, plan=plan)
+        assert plan.read_ms is not None
         assert timing.match_ms is not None
         assert timing.query_ms >= 0
 
