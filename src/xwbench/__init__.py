@@ -37,7 +37,6 @@ from .harness import (
     check_correctness,
     cubes_match,
     oracle_cube,
-    qbs_view_of_pedersen,
     run_campaign,
     standard_matrix,
 )
@@ -75,7 +74,7 @@ __all__ = [
     "aggregate_step", "check_correctness", "classify_instance", "component_label",
     "cubes_match", "default_model", "gen_complex", "gen_incomplete",
     "gen_nonstrict", "generate_warehouse", "load_workload", "parse_workload",
-    "make_covering", "make_strict", "oracle_cube", "qbs_view_of_pedersen",
+    "make_covering", "make_strict", "oracle_cube",
     "read_metadata", "run_campaign", "run_query", "select_targets",
     "standard_matrix", "standard_workload", "transform_warehouse",
     "write_metadata",

@@ -16,7 +16,6 @@ import os
 import sys
 
 from . import harness, xmlio
-from .engine_qbs import component_label
 from .errors import BenchmarkError, ConfigurationError
 from .generator import GeneratorConfig
 from .harness import DatasetSpec
@@ -149,12 +148,10 @@ def _cmd_oracle(args) -> int:
     query = get_query(args.query)
     cube = harness.oracle_cube(args.in_dir, query)
     print(f"{query.id}: {cube.fact_count} facts, {len(cube.entries)} groups")
-    for key in sorted(cube.entries, key=lambda k: [component_label(c) for c in k]):
-        entry = cube.entries[key]
-        label = " | ".join(component_label(c) for c in key) or "(grand total)"
-        values = ", ".join(f"{m}={_exact(m, v)}"
-                           for m, v in zip(query.measures, entry.values(query.aggregate)))
-        print(f"  [{label}] support={entry.support} {values}")
+    for labels, support, values in sorted(cube.rows()):
+        label = " | ".join(labels) or "(grand total)"
+        values = ", ".join(f"{m}={_exact(m, v)}" for m, v in zip(query.measures, values))
+        print(f"  [{label}] support={support} {values}")
     return EXIT_OK
 
 

@@ -9,8 +9,8 @@ gives an atomic component, several collapse into a single fused component
 no value at all lands in the artificial OTHER component.  A missing member
 is OTHER from the first read, in a fused set too, so a real value "Other"
 stays apart.  Only labels spell OTHER "Other" and a fused set its sorted
-members joined by "+": the placeholder and the fused value the static engine
-writes, so both engines induce identical group partitions.
+members joined by "+", the static engine's placeholder and fused value: both
+engines induce identical group partitions, and their cubes compare as labels.
 """
 
 from __future__ import annotations
@@ -75,12 +75,3 @@ def component_label(component: Component) -> str:
         return fused_label(component)
     return component
 
-
-def label_component(label: str) -> Component:
-    """Inverse of component_label over the values transform_warehouse
-    accepts, none of which is spelled like a label."""
-    if label == OTHER_LABEL:
-        return OTHER
-    if "+" in label:
-        return frozenset([OTHER if m == OTHER_LABEL else m for m in label.split("+")])
-    return label

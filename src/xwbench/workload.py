@@ -197,7 +197,8 @@ def aggregate_step(entry: Entry, values: Sequence[int], aggregate: str) -> Entry
 class ResultCube:
     """Group keys mapped to aggregates, built under a matching strategy; the
     one cube form, which run_query, the oracle and the negative control
-    build and the checks read in place.
+    build, the check reads in place, and cubes_match and `xwbench oracle`
+    read as labelled rows (`rows()`).
 
     The hash strategy locates entries by key digest; the scan strategy keeps
     insertion-ordered keys and compares each candidate key whole against the
@@ -234,6 +235,13 @@ class ResultCube:
             self._scan_entries.append(entry)
             self.entries[key] = entry
             return entry
+
+    def rows(self) -> Iterator[tuple[tuple[str, ...], int, tuple[float, ...]]]:
+        """Each entry as (labels, support, values), made as it is read: its key's
+        components as engine_qbs.component_label prints them, a string as itself."""
+        aggregate, label = self.query.aggregate, engine_qbs.component_label
+        for key, entry in self.entries.items():
+            yield tuple(map(label, key)), entry.support, entry.values(aggregate)
 
 
 # --- query execution ---------------------------------------------------------

@@ -7,7 +7,6 @@ from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
 from xwbench.engine_qbs import (
     OTHER,
     component_label,
-    label_component,
     resolve_column,
 )
 from xwbench.model import F_QUANTITY
@@ -76,12 +75,6 @@ class TestLabels:
         assert component_label("FRANCE") == "FRANCE"
         assert component_label(frozenset({"GERMANY", "FRANCE"})) == "FRANCE+GERMANY"
         assert component_label(OTHER) == "Other"
-
-    def test_label_components_invert(self):
-        assert label_component("FRANCE") == "FRANCE"
-        assert label_component("FRANCE+GERMANY") == frozenset({"FRANCE", "GERMANY"})
-        assert label_component("Other") is OTHER
-        assert label_component("EUROPE+Other") == frozenset({"EUROPE", OTHER})
 
     def test_other_survives_copies_and_pickling(self):
         """OTHER is compared by identity, so every copy of a key must keep

@@ -9,6 +9,8 @@ import os
 import pathlib
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -36,7 +38,6 @@ from xwbench.harness import (
     infer_regime,
     load_matrix,
     oracle_cube,
-    qbs_view_of_pedersen,
     run_campaign,
     run_cell,
     standard_matrix,
@@ -64,6 +65,22 @@ def complex_1600(tmp_path_factory):
     out_dir = str(tmp_path_factory.mktemp("complex") / "complex50-1600")
     generate_warehouse(GeneratorConfig(1600, 50, 50, 4, seed=1, output_dir=out_dir))
     return out_dir
+
+
+# Run under a given PYTHONHASHSEED: the notes of a D4 check over the
+# warehouse named by argv[1], once each group holding a fused set has one
+# unit too many in its first sum.
+_NOTES_OF_A_FAILED_CHECK = """
+import json, sys
+from xwbench.harness import check_correctness
+from xwbench.workload import get_query, plan_query, run_query
+plan = plan_query(get_query("D4"), sys.argv[1])
+cube, _ = run_query(plan.query, sys.argv[1], plan=plan)
+for key, entry in cube.entries.items():
+    if any(isinstance(c, frozenset) for c in key):
+        entry.states[0] += 1
+print(json.dumps(check_correctness(cube, plan).notes))
+"""
 
 
 class TestCheckCorrectness:
@@ -116,7 +133,7 @@ class TestCheckCorrectness:
         entry.states[1] += 1
         report = check_correctness(cube, plan)
         assert not report.grand_ok
-        assert report.notes == (f"{key}: support {entry.support}, sums [{quantity}, "
+        assert report.notes == (f"[{key[0]}]: support {entry.support}, sums [{quantity}, "
                                 f"{cents + 1}] != recount {entry.support}, "
                                 f"[{quantity}, {cents}]",)
         entry.states[1] -= 1
@@ -268,12 +285,26 @@ class TestCheckCorrectness:
         failed = [f for f in ("dup_ok", "grand_ok", "avg_ok", "minmax_ok")
                   if not getattr(report, f)]
         assert failed == [flag], report.notes
-        # A note names each group by the cube's own key, which prints its
-        # fused sets as they were first inserted.
-        named = {key for key in cube.entries if key in moved[0]}
-        assert len(named) == 2
-        assert {note.partition(": support")[0] for note in report.notes} \
-            == set(map(str, named)), report.notes
+        # A note names each group by its labels, which print a fused set's
+        # members sorted, however it was inserted.
+        assert {note.partition(": support")[0] for note in report.notes} == {
+            f"[{' | '.join(map(component_label, key))}]" for key in moved[0]}, report.notes
+
+    def test_notes_do_not_depend_on_the_hash_seed(self, complex_300):
+        """A note names a group by its labels, a fused set's members sorted,
+        so a failed check on groups holding fused sets gives the same notes
+        under two string-hash seeds."""
+        _, out_dir, _ = complex_300
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        runs = []
+        for seed in ("0", "5"):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-c", _NOTES_OF_A_FAILED_CHECK, out_dir],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1]
+        assert any("+" in note for note in runs[0]), runs[0]
 
     @pytest.mark.parametrize("query_id", ["D4", "Q24"])
     def test_recount_sees_a_fact_left_out_of_aggregation(self, complex_300, monkeypatch,
@@ -370,6 +401,12 @@ def _key_level_duplicates(entries) -> int:
     labelled = [key for key in entries if not all(isinstance(c, str) for c in key)]
     labels = {tuple(component_label(c) for c in key) for key in labelled}
     return len(labelled) - len(labels) + sum(label in entries for label in labels)
+
+
+def _by_key(cube) -> dict:
+    """Each entry's support and values under its own key, unlabelled."""
+    return {key: (entry.support, entry.values(cube.query.aggregate))
+            for key, entry in cube.entries.items()}
 
 
 class TestOracle:
@@ -578,18 +615,24 @@ def _query_lines(draw):
 
 
 class TestPedersenMapping:
-    def test_label_keys_map_onto_components(self, complex_300, tmp_path):
+    def test_engines_give_the_same_labelled_rows(self, complex_300, tmp_path):
+        """pedersen's keys are labels already, so its cube compares with
+        qbs's as it is: the two give the same rows, fused labels and Other
+        among them."""
         _, src, _ = complex_300
         out = str(tmp_path / "ped")
         transform_warehouse(src, out)
         query = get_query("D4")
         qbs, _ = run_query(query, src, engine="qbs")
         ped, _ = run_query(query, out, engine="pedersen")
-        mapped = qbs_view_of_pedersen(ped)
-        equal, diffs = cubes_match(qbs, mapped)
-        assert equal, diffs
-        assert any(isinstance(c, frozenset) for key in mapped.entries for c in key)
-        assert any(c is OTHER for key in mapped.entries for c in key)
+        rows = sorted(qbs.rows())
+        assert rows == sorted(ped.rows())
+        assert cubes_match(qbs, ped) == (True, [])
+        fused = {component_label(c) for key in qbs.entries for c in key
+                 if isinstance(c, frozenset)}
+        labels = {label for labels, _, _ in rows for label in labels}
+        assert fused and fused <= labels
+        assert "Other" in labels and any(c is OTHER for key in qbs.entries for c in key)
 
     @settings(max_examples=40, deadline=None)
     @given(facts=st.integers(min_value=0, max_value=60),
@@ -614,7 +657,7 @@ class TestPedersenMapping:
                     qbs, _ = run_query(query, raw, engine="qbs", matching=matching)
                     pedersen, _ = run_query(query, ped, engine="pedersen",
                                             matching=matching)
-                    for equal, diffs in (cubes_match(qbs, qbs_view_of_pedersen(pedersen)),
+                    for equal, diffs in (cubes_match(qbs, pedersen),
                                          cubes_match(qbs, oracle)):
                         assert equal, (query.id, matching, diffs)
 
@@ -635,16 +678,17 @@ class TestPedersenMapping:
         qbs, _ = run_query(query, raw)
         assert list(qbs.entries) == [("sup+plier#1", "A")]
         pedersen, _ = run_query(query, ped, engine="pedersen")
-        assert cubes_match(qbs, qbs_view_of_pedersen(pedersen))[0]
+        assert cubes_match(qbs, pedersen)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(warehouse=_labelled_warehouses(), line=_query_lines())
     def test_engines_and_oracle_agree_where_values_are_spelled_like_labels(
             self, warehouse, line):
         """qbs equals the oracle under both matchings on any warehouse the
-        readers accept, a real 'Other' or 'A+B' included; the transform
-        refuses exactly the warehouses holding such a value, and on every
-        other one pedersen, mapped back onto components, equals qbs."""
+        readers accept, a real 'Other' or 'A+B' included, in label space and
+        key by key, since a real 'A+B' and the fused {A, B} print alike; the
+        transform refuses exactly the warehouses holding such a value, and on
+        every other one pedersen equals qbs."""
         query = parse_query_line(line)
         with tempfile.TemporaryDirectory() as tmp:
             raw, ped = os.path.join(tmp, "raw"), os.path.join(tmp, "ped")
@@ -655,6 +699,7 @@ class TestPedersenMapping:
                 qbs[matching], _ = run_query(query, raw, matching=matching)
                 equal, diffs = cubes_match(qbs[matching], oracle)
                 assert equal, (matching, diffs)
+                assert _by_key(qbs[matching]) == _by_key(oracle), matching
             if _spelled_like_label(warehouse):
                 with pytest.raises(DocumentError, match="spelled like a label"):
                     transform_warehouse(raw, ped)
@@ -662,7 +707,7 @@ class TestPedersenMapping:
             transform_warehouse(raw, ped)
             for matching in (MATCH_HASH, MATCH_SCAN):
                 pedersen, _ = run_query(query, ped, engine="pedersen", matching=matching)
-                equal, diffs = cubes_match(qbs[matching], qbs_view_of_pedersen(pedersen))
+                equal, diffs = cubes_match(qbs[matching], pedersen)
                 assert equal, (matching, diffs)
 
 

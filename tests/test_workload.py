@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xwbench.engine_pedersen import transform_warehouse
-from xwbench.engine_qbs import OTHER, component_label
+from xwbench.engine_qbs import OTHER
 from xwbench.errors import ConfigurationError, QueryError
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import cubes_match, double_counting_cube
@@ -311,18 +311,13 @@ GOLDEN_CUBES = {
 
 
 def canonical_cube(cube) -> str:
-    """A cube's text with keys as component labels (a frozenset's repr order
-    depends on the hash seed), entries sorted, measures paired with their
-    values as repr."""
+    """A cube's text: its labelled rows (a frozenset's repr order depends on
+    the hash seed) sorted, measures paired with their values as repr."""
     query = cube.query
-    entries = sorted(((tuple(component_label(c) for c in key), entry)
-                      for key, entry in cube.entries.items()),
-                     key=lambda item: item[0])
     lines = [query.id, query.aggregate, repr(list(query.measures)),
              repr(cube.fact_count), repr(sorted(zip(query.measures, cube.grand_totals)))]
-    for key, entry in entries:
-        lines.append(f"{key!r} {entry.support!r} "
-                     f"{sorted(zip(query.measures, entry.values(query.aggregate)))!r}")
+    for labels, support, values in sorted(cube.rows()):
+        lines.append(f"{labels!r} {support!r} {sorted(zip(query.measures, values))!r}")
     return "\n".join(lines)
 
 
