@@ -20,7 +20,6 @@ from .errors import (
     EligibilityError,
     QueryError,
     ReferentialError,
-    StructuralError,
 )
 from .generator import (
     GeneratorConfig,
@@ -47,7 +46,6 @@ from .model import (
     FactRecord,
     HierarchyKind,
     Warehouse,
-    classify_instance,
     default_model,
 )
 from .workload import (
@@ -70,8 +68,8 @@ __all__ = [
     "DwModel", "EligibilityError", "FactRecord", "GeneratorConfig",
     "HierarchyKind", "OTHER", "Query",
     "QueryError", "QueryTiming", "ReferentialError", "ResultCube", "RunReport",
-    "StructuralError", "TransformReport", "Warehouse",
-    "aggregate_step", "check_correctness", "classify_instance", "component_label",
+    "TransformReport", "Warehouse",
+    "aggregate_step", "check_correctness", "component_label",
     "cubes_match", "default_model", "gen_complex", "gen_incomplete",
     "gen_nonstrict", "generate_warehouse", "load_workload", "parse_workload",
     "make_covering", "make_strict", "oracle_cube",

@@ -9,10 +9,6 @@ class ConfigurationError(BenchmarkError):
     """Invalid generator configuration, or an engine/warehouse mismatch."""
 
 
-class StructuralError(BenchmarkError):
-    """A dimension instance does not conform to its schema."""
-
-
 class EligibilityError(BenchmarkError):
     """Non-strict generation requested on a dimension that forbids it."""
 

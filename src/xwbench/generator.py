@@ -256,7 +256,7 @@ def generate_warehouse(cfg: GeneratorConfig) -> Warehouse:
 
     warehouse = Warehouse(
         model, facts, instances,
-        generation=GenerationInfo(cfg, frozenset(nonstrict_ids), frozenset(incomplete_ids)),
+        generation=GenerationInfo(frozenset(nonstrict_ids), frozenset(incomplete_ids)),
     )
     if cfg.output_dir is not None:
         xmlio.write_warehouse(warehouse, cfg.output_dir)

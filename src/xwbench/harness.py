@@ -610,7 +610,7 @@ def run_campaign(matrix: dict, report_path: str,
     generation in all its rows, a transform in its static-engine rows alone.
     """
     unknown = [key for key in matrix if key not in (
-        "datasets", "engines", "matching", "queries", "repeats", "warmup", "data_dir")]
+        "datasets", "engines", "matching", "queries", "repeats", "warmup")]
     if unknown:
         raise ConfigurationError(f"unknown keys in the matrix: {unknown}")
     try:
@@ -619,7 +619,6 @@ def run_campaign(matrix: dict, report_path: str,
     except TypeError as exc:
         raise ConfigurationError(f"bad campaign matrix: {exc}") from exc
     repeats, warmup = matrix.get("repeats", 3), matrix.get("warmup", 1)
-    data_dir = matrix.get("data_dir", "datasets")
     engines = matrix.get("engines", [ENGINE_QBS, ENGINE_PEDERSEN])
     matchings = matrix.get("matching", [MATCH_HASH])
     known = {query.id: query for query in standard_workload()}
@@ -638,8 +637,6 @@ def run_campaign(matrix: dict, report_path: str,
             if name in names[:i]:
                 raise ConfigurationError(f"{kind} {name!r} is listed twice in the matrix")
     _check_runs(repeats, warmup)
-    if not isinstance(data_dir, str):
-        raise ConfigurationError(f"data_dir must be a string, got {data_dir!r}")
     for spec in specs:
         spec.validate()
     # Each dataset, and under pedersen its transform, owns one directory.
@@ -652,7 +649,7 @@ def run_campaign(matrix: dict, report_path: str,
     queries = [known[query_id] for query_id in query_ids]
 
     write_report(report_path, [])
-    data_root = data_root or data_dir or "datasets"
+    data_root = data_root or "datasets"
     # Per dataset and engine, the directory its cells read and the overhead, or
     # the error of the dataset's generation (every row) or transform (pedersen's).
     targets: dict[str, dict[str, tuple[str, float] | BenchmarkError | OSError]] = {}

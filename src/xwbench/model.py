@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from typing import Any, Iterable, Mapping
-
-from .errors import StructuralError
+from typing import Mapping
 
 F_QUANTITY = "f_quantity"
 F_TOTALAMOUNT = "f_totalamount"
@@ -59,7 +57,6 @@ NATION_REGION = {
     "UNITED STATES": "AMERICA",
 }
 NATIONS = tuple(NATION_REGION)
-REGIONS = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")
 
 DATE_FIRST = date(1992, 1, 1)
 DATE_LAST = date(1998, 12, 31)
@@ -168,25 +165,10 @@ def default_model() -> DwModel:
     return DwModel("sale", "f_sale.xml", dimensions, (F_QUANTITY, F_TOTALAMOUNT))
 
 
-def classify_instance(inst: DimensionInstance, schema: DimensionSchema) -> HierarchyKind:
-    """Assign the instance exactly one of the four hierarchy kinds: several
-    rows make it non-strict, a hole makes it incomplete (HierarchyKind.of)."""
-    declared = set(schema.levels)
-    for row in inst.rows:
-        for level in row:
-            if level not in declared:
-                raise StructuralError(
-                    f"instance {inst.instance_id!r} carries undeclared level {level!r} "
-                    f"for dimension {schema.id!r}"
-                )
-    return HierarchyKind.of(len(inst.rows) > 1, inst.has_absent_cell(schema))
-
-
 @dataclass(frozen=True)
 class GenerationInfo:
     """Selection log: which instances the generator complexified."""
 
-    config: Any
     nonstrict_ids: frozenset[str]
     incomplete_ids: frozenset[str]
 
@@ -203,8 +185,3 @@ class Warehouse:
     facts: list[FactRecord]
     instances: dict[str, list[DimensionInstance]]
     generation: GenerationInfo | None = field(default=None, compare=False)
-
-    def iter_all_instances(self) -> Iterable[tuple[DimensionSchema, DimensionInstance]]:
-        for schema in self.model.dimensions:
-            for inst in self.instances[schema.id]:
-                yield schema, inst

@@ -206,6 +206,9 @@ def _instance_text(inst: DimensionInstance, levels: tuple[str, ...], path: str,
         for row in inst.rows:
             cells = [f"      <{level}>{escaped[row[level]]}</{level}>\n"
                      for level in levels if level in row]
+            if len(cells) < len(row):
+                undeclared = next(level for level in row if level not in levels)
+                raise ValueError(f"level {undeclared!r} is not declared")
             if cells:
                 parts.append("    <row>\n")
                 parts.extend(cells)
@@ -222,7 +225,8 @@ def write_dimension(schema: DimensionSchema, instances: Iterable[DimensionInstan
                     out_dir: str) -> str:
     """One document per dimension, written one instance at a time; rows keep
     schema level order, holes are omitted.  An instance with an id or a level
-    value that has no written form raises DocumentError."""
+    value that has no written form, or a level the schema does not declare,
+    raises DocumentError."""
     path = os.path.join(out_dir, schema.path)
     escaped = _Table(_escape)
     return _write_document(path, "dimension", f" id='{schema.id}'",

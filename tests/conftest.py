@@ -15,7 +15,9 @@ from xwbench.model import (
     F_QUANTITY,
     F_TOTALAMOUNT,
     DimensionInstance,
+    DimensionSchema,
     FactRecord,
+    HierarchyKind,
     Warehouse,
     default_model,
 )
@@ -56,6 +58,19 @@ def assert_reads_back(in_dir, warehouse):
 
 def make_instance(dim: str, rows: list[dict[str, str]], ordinal: int = 1) -> DimensionInstance:
     return DimensionInstance(f"{dim}#{ordinal}", tuple(dict(r) for r in rows))
+
+
+def instance_kind(inst: DimensionInstance, schema: DimensionSchema) -> HierarchyKind:
+    """An instance's regime by the one rule, HierarchyKind.of: several rows
+    make it non-strict, a hole makes it incomplete."""
+    return HierarchyKind.of(len(inst.rows) > 1, inst.has_absent_cell(schema))
+
+
+def all_instances(warehouse: Warehouse) -> list[tuple[DimensionSchema, DimensionInstance]]:
+    """Each (schema, instance) of `warehouse`, dimension by dimension, in
+    document order."""
+    return [(schema, inst) for schema in warehouse.model.dimensions
+            for inst in warehouse.instances[schema.id]]
 
 
 def single_sale_warehouse(part_rows, customer_rows, supplier_rows, date_rows,

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import assert_reads_back
+from conftest import all_instances, assert_reads_back, instance_kind
 from xwbench.generator import GeneratorConfig, generate_warehouse
 from xwbench.harness import (
     check_correctness,
@@ -19,7 +19,7 @@ from xwbench.harness import (
     oracle_cube,
     run_campaign,
 )
-from xwbench.model import HierarchyKind, classify_instance
+from xwbench.model import HierarchyKind
 from xwbench.workload import get_query, plan_query, run_query, standard_workload
 from xwbench.xmlio import document_sizes
 
@@ -74,9 +74,9 @@ def test_criterion_2_instance_arithmetic():
     warehouse = generate_warehouse(GeneratorConfig(10, incomplete_percentage=50,
                                                    seed=42))
     assert len(warehouse.facts) == 10
-    instances = [inst for _, inst in warehouse.iter_all_instances()]
+    instances = [inst for _, inst in all_instances(warehouse)]
     assert len(instances) == 40
-    with_holes = [inst for schema, inst in warehouse.iter_all_instances()
+    with_holes = [inst for schema, inst in all_instances(warehouse)
                   if inst.has_absent_cell(schema)]
     assert len(with_holes) == 20
     assert {i.instance_id for i in with_holes} == warehouse.generation.incomplete_ids
@@ -88,12 +88,12 @@ def test_criterion_3_regime_purity():
     kinds = {}
 
     simple = generate_warehouse(GeneratorConfig(n, seed=42))
-    for schema, inst in simple.iter_all_instances():
-        assert classify_instance(inst, schema) is HierarchyKind.SIMPLE
+    for schema, inst in all_instances(simple):
+        assert instance_kind(inst, schema) is HierarchyKind.SIMPLE
 
     holey = generate_warehouse(GeneratorConfig(n, incomplete_percentage=50, seed=42))
-    for schema, inst in holey.iter_all_instances():
-        kind = classify_instance(inst, schema)
+    for schema, inst in all_instances(holey):
+        kind = instance_kind(inst, schema)
         assert len(inst.rows) == 1, "incomplete regime must have no multi-row instance"
         expected = (HierarchyKind.INCOMPLETE
                     if inst.instance_id in holey.generation.incomplete_ids
@@ -102,8 +102,8 @@ def test_criterion_3_regime_purity():
 
     multi = generate_warehouse(GeneratorConfig(n, nonstrict_percentage=50,
                                                nonstrict_number=4, seed=42))
-    for schema, inst in multi.iter_all_instances():
-        kind = classify_instance(inst, schema)
+    for schema, inst in all_instances(multi):
+        kind = instance_kind(inst, schema)
         assert not inst.has_absent_cell(schema), \
             "non-strict regime must have no absent cell"
         expected = (HierarchyKind.NONSTRICT
@@ -116,8 +116,8 @@ def test_criterion_3_regime_purity():
                                               nonstrict_number=4, seed=42))
     selected_both = both.generation.nonstrict_ids & both.generation.incomplete_ids
     assert selected_both
-    for schema, inst in both.iter_all_instances():
-        kind = classify_instance(inst, schema)
+    for schema, inst in all_instances(both):
+        kind = instance_kind(inst, schema)
         if inst.instance_id in selected_both:
             assert kind is HierarchyKind.COMPLEX
         kinds[kind] = kinds.get(kind, 0) + 1

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, edit, make_instance,
-                      reference_sale_warehouse)
+from conftest import (COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, all_instances, edit,
+                      instance_kind, make_instance, reference_sale_warehouse)
 from xwbench import cli, engine_pedersen, xmlio
 from xwbench.engine_pedersen import (
     FUSED_SUFFIX,
@@ -27,7 +27,7 @@ from xwbench.engine_pedersen import (
 )
 from xwbench.errors import ConfigurationError, DocumentError
 from xwbench.generator import GeneratorConfig, generate_warehouse
-from xwbench.model import HierarchyKind, classify_instance
+from xwbench.model import HierarchyKind
 from xwbench.workload import Query, get_query, plan_query, run_query
 from xwbench.xmlio import iter_instances, layout_files, read_metadata, write_warehouse
 
@@ -50,9 +50,9 @@ class TestMakeCovering:
     def test_covering_removes_all_incompleteness(self, model):
         warehouse = generate_warehouse(GeneratorConfig(
             300, incomplete_percentage=50, seed=19))
-        for schema, inst in warehouse.iter_all_instances():
+        for schema, inst in all_instances(warehouse):
             covered = make_covering(inst, schema)
-            assert classify_instance(covered, schema) in (
+            assert instance_kind(covered, schema) in (
                 HierarchyKind.SIMPLE, HierarchyKind.NONSTRICT)
 
 
@@ -125,7 +125,7 @@ class TestTransformWarehouse:
         model = read_metadata(out)
         for schema in model.dimensions:
             for inst in iter_instances(out, schema):
-                assert classify_instance(inst, schema) is HierarchyKind.SIMPLE
+                assert instance_kind(inst, schema) is HierarchyKind.SIMPLE
 
     def test_facts_document_untouched(self, complex_300, tmp_path):
         _, src, _ = complex_300

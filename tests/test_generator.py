@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOUR_ROW_SUPPLIER, assert_reads_back, make_instance
+from conftest import (FOUR_ROW_SUPPLIER, all_instances, assert_reads_back, instance_kind,
+                      make_instance)
 from xwbench.errors import ConfigurationError, EligibilityError
 from xwbench.generator import (
     GeneratorConfig,
@@ -18,8 +19,7 @@ from xwbench.generator import (
     select_targets,
     stratified_count,
 )
-from xwbench.model import (NATION_REGION, PART_TYPE1, PART_TYPE2, PART_TYPE3, HierarchyKind,
-                           classify_instance)
+from xwbench.model import NATION_REGION, PART_TYPE1, PART_TYPE2, PART_TYPE3, HierarchyKind
 from xwbench.rng import SplitMix64
 from xwbench.xmlio import layout_files
 
@@ -226,7 +226,7 @@ class TestGenComplex:
         for _ in range(1000):
             ns = gen_nonstrict(2 + rng.below(3), base, schema, rng)
             out = gen_complex(ns, rng)
-            assert classify_instance(out, schema) is HierarchyKind.COMPLEX
+            assert instance_kind(out, schema) is HierarchyKind.COMPLEX
 
     def test_rejects_single_row_input(self):
         inst = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"}])
@@ -304,14 +304,14 @@ class TestGenerateWarehouse:
     def test_regime_purity_selection_logs(self):
         n = 300
         simple = generate_warehouse(GeneratorConfig(n, seed=21))
-        assert all(classify_instance(i, s) is HierarchyKind.SIMPLE
-                   for s, i in simple.iter_all_instances())
+        assert all(instance_kind(i, s) is HierarchyKind.SIMPLE
+                   for s, i in all_instances(simple))
 
         holey = generate_warehouse(GeneratorConfig(n, incomplete_percentage=50, seed=21))
         marked = holey.generation.incomplete_ids
         assert len(marked) == 4 * n // 2
-        for schema, inst in holey.iter_all_instances():
-            kind = classify_instance(inst, schema)
+        for schema, inst in all_instances(holey):
+            kind = instance_kind(inst, schema)
             assert len(inst.rows) == 1
             assert (kind is HierarchyKind.INCOMPLETE) == (inst.instance_id in marked)
 
@@ -319,8 +319,8 @@ class TestGenerateWarehouse:
                                                    nonstrict_number=4, seed=21))
         marked = multi.generation.nonstrict_ids
         assert len(marked) == 2 * n // 2
-        for schema, inst in multi.iter_all_instances():
-            kind = classify_instance(inst, schema)
+        for schema, inst in all_instances(multi):
+            kind = instance_kind(inst, schema)
             assert not inst.has_absent_cell(schema)
             assert (kind is HierarchyKind.NONSTRICT) == (inst.instance_id in marked)
 
@@ -332,8 +332,8 @@ class TestGenerateWarehouse:
         # equal percentages make incompleteness demand cover every
         # non-strict instance, so all of them end up complex
         assert ns <= ic
-        for schema, inst in warehouse.iter_all_instances():
-            kind = classify_instance(inst, schema)
+        for schema, inst in all_instances(warehouse):
+            kind = instance_kind(inst, schema)
             if inst.instance_id in ns & ic:
                 assert kind is HierarchyKind.COMPLEX
             elif inst.instance_id in ic:
@@ -342,9 +342,9 @@ class TestGenerateWarehouse:
                 assert kind is HierarchyKind.SIMPLE
 
     def test_nonstrict_row_counts_bounded(self, complex_300):
-        _, _, warehouse = complex_300
-        k = warehouse.generation.config.nonstrict_number
-        for schema, inst in warehouse.iter_all_instances():
+        spec, _, warehouse = complex_300
+        k = spec.nonstrict_number
+        for schema, inst in all_instances(warehouse):
             if inst.instance_id in warehouse.generation.nonstrict_ids:
                 assert 2 <= len(inst.rows) <= k
             else:

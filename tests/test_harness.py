@@ -16,7 +16,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edit, make_instance, single_sale_warehouse
@@ -682,6 +682,10 @@ class TestPedersenMapping:
 
     @settings(max_examples=60, deadline=None)
     @given(warehouse=_labelled_warehouses(), line=_query_lines())
+    # A one-row real 'A+B' at the grouped level: only the key-by-key
+    # comparison tells it from the fused {A, B}, whatever the draw.
+    @example(warehouse=single_sale_warehouse([{}], [{}], [{"nation": "A+B"}], [{}]),
+             line="X SUM f_quantity supplier.nation")
     def test_engines_and_oracle_agree_where_values_are_spelled_like_labels(
             self, warehouse, line):
         """qbs equals the oracle under both matchings on any warehouse the
@@ -1110,6 +1114,22 @@ class TestCampaign:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [REPORT_COLUMNS]
+
+    def test_readme_matrix_runs_as_written(self, tmp_path, monkeypatch):
+        """README's campaign matrix, each dataset cut to 20 facts, is
+        accepted as it stands and every row passes its checks; its datasets
+        go under `datasets` in the working directory, the default root."""
+        readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text("utf-8")
+        section = readme.partition("## Campaign matrix file")[2]
+        matrix = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        for spec in matrix["datasets"]:
+            spec["facts"] = 20
+        monkeypatch.chdir(tmp_path)
+        reports = run_campaign(matrix, "campaign.csv")
+        assert len(reports) == 16  # 2 datasets x 2 engines x 4 queries
+        assert [r.error for r in reports if not r.checks_passed] == []
+        assert sorted(os.listdir(tmp_path / "datasets")) == [
+            "complex50-5k", "complex50-5k-pedersen", "simple-5k", "simple-5k-pedersen"]
 
     def test_standard_matrix_mirrors_the_seven_regimes(self):
         specs = standard_matrix(facts=5000, seed=1)

@@ -1,4 +1,4 @@
-"""Schema fixture, the generator's vocabularies, and instance classification."""
+"""Schema fixture, the generator's vocabularies, and the regime of an instance."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from datetime import timedelta
 
-from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, make_instance
-from xwbench.errors import StructuralError
+from conftest import COMPLEX_SUPPLIER, FOUR_ROW_SUPPLIER, instance_kind, make_instance
 from xwbench.model import (
     DATE_FIRST,
     DATE_LAST,
@@ -17,9 +16,7 @@ from xwbench.model import (
     PART_TYPE1,
     PART_TYPE2,
     PART_TYPE3,
-    REGIONS,
     HierarchyKind,
-    classify_instance,
     date_levels,
     default_model,
 )
@@ -57,11 +54,9 @@ class TestValuePools:
 
     def test_nation_region_function_is_total_and_single_valued(self):
         assert len(NATIONS) == 25
-        assert len(REGIONS) == 5
         assert NATIONS == tuple(NATION_REGION)
-        for nation in NATIONS:
-            assert NATION_REGION[nation] in REGIONS
-        assert set(NATION_REGION.values()) == set(REGIONS)
+        assert set(NATION_REGION.values()) == {
+            "AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
         assert NATION_REGION["FRANCE"] == "EUROPE"
         assert NATION_REGION["UNITED STATES"] == "AMERICA"
         assert NATION_REGION["INDIA"] == "ASIA"
@@ -87,29 +82,24 @@ class TestClassify:
 
     def test_single_complete_row_is_simple(self, model):
         inst = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"}])
-        assert classify_instance(inst, model.dimension("supplier")) is HierarchyKind.SIMPLE
+        assert instance_kind(inst, model.dimension("supplier")) is HierarchyKind.SIMPLE
 
     def test_removed_level_is_incomplete(self, model):
         inst = make_instance("part", [{"type2": "ANODIZED", "type1": "TIN"}])
-        assert classify_instance(inst, model.dimension("part")) is HierarchyKind.INCOMPLETE
+        assert instance_kind(inst, model.dimension("part")) is HierarchyKind.INCOMPLETE
 
     def test_multi_row_complete_is_nonstrict(self, model):
         inst = make_instance("supplier", FOUR_ROW_SUPPLIER)
-        assert classify_instance(inst, model.dimension("supplier")) is HierarchyKind.NONSTRICT
+        assert instance_kind(inst, model.dimension("supplier")) is HierarchyKind.NONSTRICT
 
     def test_multi_row_with_deletions_is_complex(self, model):
         inst = make_instance("supplier", COMPLEX_SUPPLIER)
-        assert classify_instance(inst, model.dimension("supplier")) is HierarchyKind.COMPLEX
+        assert instance_kind(inst, model.dimension("supplier")) is HierarchyKind.COMPLEX
 
     def test_fully_absent_single_row_is_incomplete(self, model):
         # the anonymous customer: reference intact, no values at all
         inst = make_instance("customer", [{}])
-        assert classify_instance(inst, model.dimension("customer")) is HierarchyKind.INCOMPLETE
-
-    def test_undeclared_level_is_structural_error(self, model):
-        inst = make_instance("date", [{"hour": "12"}])
-        with pytest.raises(StructuralError):
-            classify_instance(inst, model.dimension("date"))
+        assert instance_kind(inst, model.dimension("customer")) is HierarchyKind.INCOMPLETE
 
 
 @st.composite
@@ -122,7 +112,7 @@ def supplier_instances(draw):
         if draw(st.booleans()):
             row["nation"] = draw(st.sampled_from(NATIONS))
         if draw(st.booleans()):
-            row["region"] = draw(st.sampled_from(REGIONS))
+            row["region"] = draw(st.sampled_from(sorted(set(NATION_REGION.values()))))
         rows.append(row)
     return make_instance("supplier", rows)
 
@@ -132,7 +122,7 @@ def supplier_instances(draw):
 def test_classification_partitions(inst):
     """Exactly one kind per instance, consistent with its row structure."""
     schema = default_model().dimension("supplier")
-    kind = classify_instance(inst, schema)
+    kind = instance_kind(inst, schema)
     multi = len(inst.rows) > 1
     absent = any(len(row) < 2 for row in inst.rows)
     expected = {

@@ -497,7 +497,8 @@ CORPUS = [
          "engine names in the matrix are not a list of strings"),
         ("matching-number", {"matching": ["hash", 1]},
          "matching names in the matrix are not a list of strings"),
-        ("data-dir-number", {"data_dir": 7}, "data_dir must be a string, got 7"),
+        # The data root is run_campaign's argument (`--data-dir`), not a key.
+        ("data-dir-key", {"data_dir": "datasets"}, "unknown keys in the matrix: ['data_dir']"),
         ("misspelt-keys", {"matchings": ["scan"], "query": ["D1"]},
          "unknown keys in the matrix: ['matchings', 'query']"),
         ("not-json", '{"datasets": [', "m.json: Expecting value: line 1 column 15 (char 14)"),

@@ -131,6 +131,20 @@ class TestFactsDocument:
 
 
 class TestRoundTrip:
+    def test_grammar_blocks_are_what_the_writers_write(self, tmp_path, model):
+        """The three xml blocks of docs/document-grammar.md, byte for byte:
+        dw-model.xml of the default model, f_sale.xml of the reference
+        warehouse, and d_supplier.xml of supplier#1 with a holey second row."""
+        doc = pathlib.Path(__file__).parents[1].joinpath("docs", "document-grammar.md")
+        blocks = re.findall(r"```xml\n(.*?)```", doc.read_text("utf-8"), re.S)
+        supplier = make_instance("supplier", [{"nation": "FRANCE", "region": "EUROPE"},
+                                              {"nation": "GERMANY"}])
+        paths = [write_metadata(model, str(tmp_path)),
+                 xmlio.write_facts(model, reference_sale_warehouse().facts, str(tmp_path)),
+                 write_dimension(model.dimension("supplier"), [supplier], str(tmp_path))]
+        assert [block.encode() for block in blocks] == [
+            pathlib.Path(path).read_bytes() for path in paths]
+
     def test_generated_complex_warehouse(self, complex_300):
         _, out_dir, warehouse = complex_300
         assert_reads_back(out_dir, warehouse)
@@ -206,6 +220,14 @@ class TestWriters:
         with pytest.raises(DocumentError, match=re.escape(f"instance 'part#2': level value "
                                                           f"{value!r}")):
             write_dimension(model.dimension("part"), instances, str(tmp_path))
+
+    def test_undeclared_level_is_refused(self, tmp_path, model):
+        """A row holding a level the schema does not declare would be
+        written without it, and read back so."""
+        inst = DimensionInstance("part#1", ({"type3": "LARGE", "color": "red"},))
+        with pytest.raises(DocumentError, match=re.escape(
+                "d_part.xml: instance 'part#1': level 'color' is not declared")):
+            write_dimension(model.dimension("part"), [inst], str(tmp_path))
 
     def test_instance_id_that_is_not_plain_is_refused(self, tmp_path, model):
         with pytest.raises(DocumentError, match=re.escape("instance \"part'1\"")):
