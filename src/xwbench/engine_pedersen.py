@@ -92,16 +92,17 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
 
     The output directory gets transformed dimension documents, extended
     metadata listing the inserted fused levels, and a byte-identical copy of
-    the facts document.  An instance of one complete row is already covering
-    and strict, so it is written as read; only the others go through
-    make_covering and make_strict.  A dimension whose every instance is such
-    a row gains no fused level, so once its document is read whole it is
+    the facts document.  Instances are read with every level kept, so equal
+    rows are one dict the reader shares.  An instance of one complete row is
+    already covering and strict, so it is written as read; only the others go
+    through make_covering and make_strict.  A dimension whose every instance is
+    such a row gains no fused level, so once its document is read whole it is
     copied byte for byte (_copy, as the facts are), not written again.  An
-    input value spelled like a label the output writes ("Other", or one
-    holding "+") raises DocumentError, since the output read back could not
-    tell it from a placeholder or a fused value; so does a transform's
-    output that holds a label.  Where a dimension gains fused levels, one
-    loop writes every instance's `<level>_fused` cells.  Input and output
+    input value spelled like a label the output writes ("Other", or one holding
+    "+") raises DocumentError, since the output read back could not tell it
+    from a placeholder or a fused value; so does a transform's output that
+    holds a label.  Where a dimension gains fused levels, every instance is
+    written with a new row holding its `<level>_fused` cells.  Input and output
     are compared as real paths; the output is cleared first
     (xmlio.clear_layout) and its metadata written last, and a failed call
     removes what it wrote, so no reader accepts it.
@@ -123,7 +124,7 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
             dim_fused: set[str] = set()
             width = len(schema.levels)
             changed = False
-            for inst in xmlio.iter_instances(dir_in, schema):
+            for inst in xmlio.iter_instances(dir_in, schema, schema.levels):
                 rows = inst.rows
                 for row in rows:
                     for value in row.values():
@@ -157,12 +158,11 @@ def transform_warehouse(dir_in: str, dir_out: str) -> TransformReport:
                 continue
             if dim_fused:
                 # Each fused level's cell copies the level's: its fused label or,
-                # unfused, its own value.  No row dict here is shared: the reader
-                # or a helper built each in this call.
-                for inst in out_instances:
-                    cells = inst.rows[0]
-                    for level in dim_fused:
-                        cells[level + FUSED_SUFFIX] = cells[level]
+                # unfused, its own value.  Each output row is a new dict, made as
+                # it is written: the reader shares the row of unchanged instances.
+                out_instances = (DimensionInstance(inst.instance_id, (
+                    {**cells, **{level + FUSED_SUFFIX: cells[level] for level in dim_fused}},))
+                    for inst in out_instances for cells in inst.rows)
                 fused_by_dim[schema.id] = tuple(
                     lvl for lvl in ext.levels if lvl.endswith(FUSED_SUFFIX))
             written.append(os.path.join(dir_out, ext.path))

@@ -12,7 +12,9 @@ The metadata's lines are one function's text (_metadata_lines): written
 as it renders, and read by rendering the model they spell and comparing.
 The other readers match one regex per instance or sale, take each document
 in 32 KiB chunks and hand over its instances, or its sales as columns of
-text, before reading the next.  Other text raises DocumentError at its line.
+text, before reading the next.  An instance's match also takes its first
+row's cells; a second match runs only over the rows after the first.
+Other text raises DocumentError at its line.
 Instance ids are dense per dimension (part#1..part#N): a fact's reference
 is the instance's 1-based ordinal, so an index is a list in document order
 and the fact/instance join is a range check (FactColumns.check_refs).
@@ -331,12 +333,13 @@ _ORDINAL = "[1-9][0-9]*"
 _RECORD_LIMIT = 256 * 1024
 
 
-def _rows(levels: tuple[str, ...], value: str, kept: Collection[str] | None = None) -> str:
+def _rows(levels: tuple[str, ...], value: str, kept: Collection[str] | None = None,
+          other: str = ">[^<]*") -> str:
     """A row as _instance_text writes it, each cell's text after its tag
     name matching `value` if its level is in `kept` (default: every level),
-    and any text up to the next tag if not."""
+    and `other` (default: any text up to the next tag) if not."""
     cells = "".join(f"(?:      <{re.escape(level)}"
-                    f"{value if kept is None or level in kept else '>[^<]*'}"
+                    f"{value if kept is None or level in kept else other}"
                     f"</{re.escape(level)}>\n)?" for level in levels)
     return f"    <row/>\n|    <row>\n{cells}    </row>\n"
 
@@ -432,18 +435,25 @@ def iter_instances(in_dir: str, schema: DimensionSchema,
                    keep: Collection[str] | None = None) -> Iterator[DimensionInstance]:
     """Stream one dimension document in document order: instances `dim#1`,
     `dim#2`, ... in sequence, rows holding cells in schema order.  Instances
-    are matched one at a time and their rows found in place, so no copy of a
-    chunk's text is held beside its records.  With `keep`, every level is
-    still checked, but rows hold only the levels in `keep`, and equal rows
-    are one dict, shared across instances, which no caller may change."""
+    are matched one at a time, one match checking every row and taking the
+    first row's cells; a second match runs only over the later rows of an
+    instance that has them, found in place, so no copy of a chunk's text is
+    held beside its records.  With `keep`, every level is still checked, but
+    rows hold only the levels in `keep`, and equal rows are one dict, shared
+    across instances, which no caller may change."""
     path = os.path.join(in_dir, schema.path)
     dim_id, levels = schema.id, schema.levels
-    instances = re.compile(f"  <instance id='({re.escape(dim_id)}#[0-9]+)'>\n"
-                           f"(?:{_rows(levels, '>' + _TEXT)})+  </instance>\n").finditer
-    # Rows are found only in instances already matched whole, so any text
-    # up to the next tag is a cell's.  A captured cell is '>' and its text,
-    # so a present empty cell is truthy and an absent one ('') is not.
     kept = levels if keep is None else tuple(level for level in levels if level in keep)
+    # Group 1 is the id, then the first row's kept cells, then the later rows.
+    # A captured cell is '>' and its text, so a present empty cell is truthy
+    # and an absent one ('' from both matches) is not.
+    instances = re.compile(f"  <instance id='({re.escape(dim_id)}#[0-9]+)'>\n"
+                           f"(?:{_rows(levels, f'(>{_TEXT})', kept, '>' + _TEXT)})"
+                           f"((?:{_rows(levels, '>' + _TEXT)})*)  </instance>\n").finditer
+    # Later rows are found only in instances already matched whole, so any
+    # text up to the next tag is a cell's.  Both matches key a row alike:
+    # one kept cell as a str, several as a tuple.
+    first_cells = operator.itemgetter(*range(1, len(kept) + 1)) if kept else None
     cells_of = re.compile(_rows(levels, "(>[^<]*)", kept)).findall
     # str() of a str is itself: the first object read for each value.
     value = _Table(str).__getitem__
@@ -467,10 +477,16 @@ def iter_instances(in_dir: str, schema: DimensionSchema,
             if inst_id != f"{dim_id}#{ordinal}":
                 raise _Unwritten(pos, f"instance id {inst_id!r} out of sequence "
                                       f"(expected '{dim_id}#{ordinal}')")
-            body, pos = match.end(1), match.end()
-            # With no level kept, count rows: only their first lines start "    <row".
-            out.append(DimensionInstance(inst_id, tuple(map(row, cells_of(text, body, pos)))
-                       if kept else (row(()),) * text.count("\n    <row", body, pos)))
+            later, stop = match.span(len(kept) + 2)
+            if not kept:
+                # Count rows: only their first lines start "    <row".
+                rows = (row(()),) * text.count("\n    <row", match.end(1), stop)
+            else:
+                rows = (row(first_cells(match.groups(""))),)
+                if later < stop:
+                    rows += tuple(map(row, cells_of(text, later, stop)))
+            pos = match.end()
+            out.append(DimensionInstance(inst_id, rows))
         if pos != end:
             raise _Unwritten(pos, "")
         return out

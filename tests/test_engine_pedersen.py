@@ -327,6 +327,36 @@ class TestCopiedDimensions:
             same = filecmp.cmp(str(src / name), str(out / name), shallow=False)
             assert same == (name != model.dimension(dim_id).path), name
 
+    def test_rows_the_reader_hands_over_are_not_changed(self, tmp_path, monkeypatch):
+        """Unchanged full rows repeat beside a fused instance: every row the
+        reader hands over still holds what it held then, and each output row
+        gains its `nation_fused` cell."""
+        warehouse = reference_sale_warehouse()
+        full = FOUR_ROW_SUPPLIER[0]
+        warehouse.instances["supplier"] = [
+            make_instance("supplier", [full], 1), make_instance("supplier", FOUR_ROW_SUPPLIER, 2),
+            make_instance("supplier", [full], 3)]
+        src, out = str(tmp_path / "raw"), str(tmp_path / "out")
+        write_warehouse(warehouse, src)
+        handed = []
+        real = xmlio.iter_instances
+
+        def snapshot(*args, **kwargs):
+            for inst in real(*args, **kwargs):
+                handed.extend((row, dict(row)) for row in inst.rows)
+                yield inst
+
+        monkeypatch.setattr(xmlio, "iter_instances", snapshot)
+        transform_warehouse(src, out)
+        assert len(handed) == 9
+        assert all(row == copy for row, copy in handed)
+        monkeypatch.undo()
+        fused = {**full, "nation_fused": "FRANCE"}
+        assert [inst.rows for inst in iter_instances(
+            out, read_metadata(out).dimension("supplier"))] == [
+            (fused,), ({"nation": "FRANCE+GERMANY", "nation_fused": "FRANCE+GERMANY",
+                        "region": "EUROPE"},), (fused,)]
+
     @pytest.mark.parametrize("value", ["Other", "1998+1999"])
     def test_label_in_an_unchanged_dimension_is_refused(self, tmp_path, value):
         """A label at d_date.xml, the last dimension, is refused after the

@@ -415,6 +415,33 @@ class TestOneReader:
             write_warehouse(warehouse, out)
             assert_reads_back(out, warehouse)
 
+    @settings(max_examples=100, deadline=None)
+    @given(warehouse=_warehouses(_XML_CHAR), chunk=st.sampled_from([5, 97, 32 * 1024]))
+    def test_projected_reads_are_full_rows_projected(self, warehouse, chunk):
+        """A full read holds the rows as written, a dict each; a read keeping
+        no level, each single level or every level holds them restricted to
+        those levels, equal rows one dict, whether they are an instance's
+        first row or a later one."""
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.object(xmlio, "_CHUNK_BYTES", chunk):
+            for schema in warehouse.model.dimensions:
+                try:
+                    write_dimension(schema, warehouse.instances[schema.id], out)
+                except DocumentError:
+                    continue
+                full = list(iter_instances(out, schema))
+                assert full == warehouse.instances[schema.id]
+                rows = [row for inst in full for row in inst.rows]
+                assert len({id(row) for row in rows}) == len(rows)
+                for keep in ((), *((level,) for level in schema.levels), schema.levels):
+                    read = list(iter_instances(out, schema, keep))
+                    assert read == [DimensionInstance(inst.instance_id, tuple(
+                        {level: v for level, v in row.items() if level in keep}
+                        for row in inst.rows)) for inst in full]
+                    shared = {}
+                    for row in (row for inst in read for row in inst.rows):
+                        assert shared.setdefault(tuple(row.items()), row) is row
+
     @pytest.mark.parametrize("document, old, new, back", [
         ("d_part.xml", "<instance id='part#12'>", '<instance id="part#12">', 0),
         ("d_part.xml", "  <instance id='part#12'>",
